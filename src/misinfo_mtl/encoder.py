@@ -121,12 +121,19 @@ def init_encoder(config: EncoderConfig) -> EncoderParams:
 # --- primitive forward/backward pieces -------------------------------------
 
 
+def gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, the gate of GELU(x) = x * Phi(x)."""
+    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
+    """d GELU / dx; pass the forward pass's ``gelu_cdf(x)`` to skip recomputing it."""
+    if cdf is None:
+        cdf = gelu_cdf(x)
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 
@@ -189,7 +196,7 @@ class _LayerCache:
     inv1: np.ndarray
     x_mid: np.ndarray
     h_pre: np.ndarray
-    h_act: np.ndarray
+    h_cdf: np.ndarray  # gelu_cdf(h_pre); GELU output is h_pre * h_cdf
     ffn_drop: np.ndarray | None
     xhat2: np.ndarray
     inv2: np.ndarray
@@ -225,6 +232,8 @@ def encode_batch(
     cfg = params.config
     t = params.tensors
     ids, mask = batch.ids, batch.mask
+    if ids.size == 0:
+        raise ValueError(f"empty batch: ids have shape {ids.shape}, need at least one row and column")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
     length = ids.shape[1]
@@ -263,8 +272,8 @@ def encode_batch(
             attn_out = attn_out * attn_drop
         x_mid, xhat1, inv1 = _ln_forward(x_in + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
         h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
-        h_act = gelu(h_pre)
-        ffn_out = h_act @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
+        h_cdf = gelu_cdf(h_pre)
+        ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
         ffn_drop = None
         if drop > 0.0:
             ffn_drop = _dropout_mask(rng, ffn_out.shape, drop)
@@ -273,7 +282,7 @@ def encode_batch(
         cache.layers.append(
             _LayerCache(
                 x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop,
-                xhat1=xhat1, inv1=inv1, x_mid=x_mid, h_pre=h_pre, h_act=h_act,
+                xhat1=xhat1, inv1=inv1, x_mid=x_mid, h_pre=h_pre, h_cdf=h_cdf,
                 ffn_drop=ffn_drop, xhat2=xhat2, inv2=inv2,
             )
         )
@@ -319,11 +328,13 @@ def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarr
         grads[p + "ffn_ln.gain"] += dg
         grads[p + "ffn_ln.bias"] += dbias
         dffn_out = dz2 if lc.ffn_drop is None else dz2 * lc.ffn_drop
-        h2d = lc.h_act.reshape(-1, cfg.ffn_dim)
-        grads[p + "ffn.w2"] += h2d.T @ dffn_out.reshape(-1, cfg.embed_dim)
+        # GELU output, recomputed from the cache as a temporary freed right after use.
+        h_act = (lc.h_pre * lc.h_cdf).reshape(-1, cfg.ffn_dim)
+        grads[p + "ffn.w2"] += h_act.T @ dffn_out.reshape(-1, cfg.embed_dim)
+        del h_act
         grads[p + "ffn.b2"] += dffn_out.sum(axis=(0, 1))
         dh_act = dffn_out @ t[p + "ffn.w2"].T
-        dh_pre = dh_act * gelu_grad(lc.h_pre)
+        dh_pre = dh_act * gelu_grad(lc.h_pre, lc.h_cdf)
         x_mid2d = lc.x_mid.reshape(-1, cfg.embed_dim)
         grads[p + "ffn.w1"] += x_mid2d.T @ dh_pre.reshape(-1, cfg.ffn_dim)
         grads[p + "ffn.b1"] += dh_pre.sum(axis=(0, 1))

@@ -34,7 +34,7 @@ from .multitask import (
     predict,
     register_task,
 )
-from .tokenization import Batch, build_vocab
+from .tokenization import build_vocab, length_ordered_batches
 from .training import TrainConfig, finetune_task, train_multitask
 
 
@@ -50,7 +50,11 @@ def published_targets() -> dict:
 
 
 def evaluate_model(model: MultiTaskModel, task: str, examples, batch_size: int = 32) -> MetricsReport:
-    """Score a model's predictions for one task over a list of examples."""
+    """Score a model's predictions for one task over a list of examples.
+
+    Batches are formed in length order so short rows are not padded to a long
+    one; predictions are scattered back to input order before scoring.
+    """
     if task not in model.tasks:
         raise KeyError(f"unknown task {task!r}; registered: {sorted(model.tasks)}")
     if model.vocab is None:
@@ -58,10 +62,8 @@ def evaluate_model(model: MultiTaskModel, task: str, examples, batch_size: int =
     spec = model.tasks[task]
     batch, labels = encode_for_task(examples, spec, model.vocab, model.config.max_seq_len)
     preds = np.empty(len(examples), dtype=np.int64)
-    for start in range(0, len(examples), batch_size):
-        stop = min(start + batch_size, len(examples))
-        sub = Batch(ids=batch.ids[start:stop], mask=batch.mask[start:stop])
-        preds[start:stop] = predict(model, task, sub).argmax(axis=1)
+    for rows, sub in length_ordered_batches(batch.ids, batch.mask, batch_size):
+        preds[rows] = predict(model, task, sub).argmax(axis=1)
     return compute_report(preds.tolist(), labels.tolist(), spec.labels)
 
 

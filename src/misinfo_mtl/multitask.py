@@ -153,10 +153,6 @@ def predict(model: MultiTaskModel, task: str, batch: Batch) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def predict_labels(model: MultiTaskModel, task: str, batch: Batch) -> np.ndarray:
-    return predict(model, task, batch).argmax(axis=1)
-
-
 def task_loss(
     model: MultiTaskModel,
     task: str,
@@ -194,11 +190,15 @@ def task_step_gradients(
     labels: np.ndarray,
     train_mode: bool = True,
     rng: np.random.Generator | None = None,
+    train_encoder: bool = True,
 ):
     """Loss and gradients for one task-homogeneous step.
 
     Returned keys cover the encoder ("encoder.*") and this task's head
-    ("head.<task>.*") only; other heads get no entries at all.
+    ("head.<task>.*") only; other heads get no entries at all. With
+    ``train_encoder=False`` the encoder backward is skipped and only head keys
+    are returned; every dropout draw happens in the forward pass, so the rng
+    stream is the same either way.
     """
     loss, state = task_loss(model, task, batch, labels, train_mode=train_mode, rng=rng)
     head = model.heads[task]
@@ -216,6 +216,8 @@ def task_step_gradients(
     dpre = dhidden * (1.0 - hc["hidden"] ** 2)
     grads[f"head.{task}.hidden_w"] = hc["x"].T @ dpre
     grads[f"head.{task}.hidden_b"] = dpre.sum(axis=0)
+    if not train_encoder:
+        return loss, grads
     dpooled = dpre @ head["hidden_w"].T
     if hc["drop"] is not None:
         dpooled = dpooled * hc["drop"]

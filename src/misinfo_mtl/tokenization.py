@@ -1,7 +1,9 @@
 """Word-level tokenization: text to fixed-length id sequences with attention masks.
 
-The vocabulary is immutable once built and ``encode``/``pad_batch`` are pure,
-so everything here is safe to share across threads.
+Batches are cut from the encoded rows by ``trim_batch``, which pads each one
+only to its own longest row. The vocabulary is immutable once built and the
+encoding and batching functions are pure, so everything here is safe to
+share across threads.
 """
 
 import re
@@ -131,9 +133,33 @@ def pad_batch(seqs: list[TokenSequence]) -> Batch:
     return Batch(ids=ids, mask=mask)
 
 
-def encode_batch_texts(texts: list[str], vocab: Vocabulary, max_seq_len: int = 128) -> Batch:
-    """Encode and stack a list of texts in one call."""
-    return pad_batch([encode(t, vocab, max_seq_len) for t in texts])
+def trim_batch(ids: np.ndarray, mask: np.ndarray, rows) -> Batch:
+    """Select ``rows`` of an encoded (ids, mask) pair as one batch.
+
+    Trailing columns that are PAD in every selected row are dropped, so the
+    batch is exactly as wide as its longest real row. PAD keys are masked out
+    of attention and pooling, so eval-mode encoder outputs match the padded
+    batch up to float rounding.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("empty batch")
+    mask = mask[rows]
+    real_cols = np.flatnonzero(mask.any(axis=0))
+    width = int(real_cols[-1]) + 1 if real_cols.size else 1
+    return Batch(ids=ids[rows, :width], mask=mask[:, :width])
+
+
+def length_ordered_batches(ids: np.ndarray, mask: np.ndarray, batch_size: int):
+    """Yield ``(rows, trimmed batch)`` covering every row, shortest rows first.
+
+    The order is a stable argsort of real lengths, so one long row widens only
+    the batch of other long rows. Callers scatter results back through ``rows``.
+    """
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    for start in range(0, order.size, batch_size):
+        rows = order[start : start + batch_size]
+        yield rows, trim_batch(ids, mask, rows)
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import metrics
 from .multitask import MultiTaskModel, encode_for_task, flatten_params, assign_params, task_step_gradients, task_loss
-from .tokenization import Batch
+from .tokenization import Batch, length_ordered_batches, trim_batch
 
 GRID_LEARNING_RATES = (5e-5, 5e-6, 5e-7)
 GRID_BATCH_SIZES = (16, 32)
@@ -217,7 +217,7 @@ def epoch_seed(base_seed: int, epoch: int) -> int:
 
 def _slice_batch(ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, idx) -> tuple[Batch, np.ndarray]:
     sel = np.asarray(idx, dtype=np.int64)
-    return Batch(ids=ids[sel], mask=mask[sel]), labels[sel]
+    return trim_batch(ids, mask, sel), labels[sel]
 
 
 def _eval_loss_and_metrics(model, task, ids, mask, labels, batch_size):
@@ -225,12 +225,10 @@ def _eval_loss_and_metrics(model, task, ids, mask, labels, batch_size):
     n = labels.shape[0]
     total_nll = 0.0
     preds = np.empty(n, dtype=np.int64)
-    for start in range(0, n, batch_size):
-        sel = np.arange(start, min(start + batch_size, n))
-        batch, y = _slice_batch(ids, mask, labels, sel)
-        loss, state = task_loss(model, task, batch, y, train_mode=False)
-        total_nll += loss * len(sel)
-        preds[sel] = state["probs"].argmax(axis=1)
+    for rows, batch in length_ordered_batches(ids, mask, batch_size):
+        loss, state = task_loss(model, task, batch, labels[rows], train_mode=False)
+        total_nll += loss * rows.size
+        preds[rows] = state["probs"].argmax(axis=1)
     report = metrics.compute_report(preds.tolist(), labels.tolist(), spec.labels)
     return total_nll / n, report
 
@@ -294,9 +292,9 @@ def _fit(
         for task, idx in schedule.batches:
             ids, mask, labels = encoded[task]["train"]
             batch, y = _slice_batch(ids, mask, labels, idx)
-            loss, grads = task_step_gradients(model, task, batch, y, train_mode=True, rng=drop_rng)
-            if not train_encoder:
-                grads = {k: g for k, g in grads.items() if k.startswith("head.")}
+            loss, grads = task_step_gradients(
+                model, task, batch, y, train_mode=True, rng=drop_rng, train_encoder=train_encoder
+            )
             current_lr = lr_at(step, total_steps, config.learning_rate)
             flat = flatten_params(model)
             updated, opt_state = adam_step(

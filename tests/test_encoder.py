@@ -7,10 +7,12 @@ from misinfo_mtl.encoder import (
     backward,
     encode_batch,
     finite_difference_check,
+    gelu_grad,
     init_encoder,
     param_shapes,
 )
-from misinfo_mtl.tokenization import Batch
+from misinfo_mtl import encoder as enc
+from misinfo_mtl.tokenization import Batch, trim_batch
 
 from conftest import random_batch, tiny_config
 
@@ -67,6 +69,72 @@ def test_out_of_range_ids_rejected():
     mask = np.ones_like(ids)
     with pytest.raises(ValueError, match="out of range"):
         encode_batch(params, Batch(ids=ids, mask=mask))
+
+
+def test_empty_batch_rejected():
+    params = init_encoder(tiny_config())
+    for shape in ((0, 8), (3, 0)):
+        empty = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match="empty batch"):
+            encode_batch(params, Batch(ids=empty, mask=empty))
+
+
+def _short_ragged_batch(seed, rows=6, length=12):
+    """Rows of 2..6 real tokens padded to ``length``, so trimming drops columns."""
+    rng = np.random.default_rng(seed)
+    batch = random_batch(rng, 40, rows, length, ragged=False)
+    ids, mask = batch.ids.copy(), batch.mask.copy()
+    for i in range(rows):
+        cut = int(rng.integers(2, 7))
+        ids[i, cut:] = 0
+        mask[i, cut:] = 0
+    return Batch(ids=ids, mask=mask)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_trimmed_batch_matches_padded_batch(pooling):
+    params = init_encoder(tiny_config(pooling=pooling, max_seq_len=24))
+    padded = _short_ragged_batch(10, length=24)
+    trimmed = trim_batch(padded.ids, padded.mask, np.arange(padded.size))
+    assert trimmed.seq_len < padded.seq_len
+    np.testing.assert_allclose(
+        encode_batch(params, trimmed), encode_batch(params, padded), rtol=0, atol=1e-12
+    )
+
+
+def test_gradcheck_on_trimmed_ragged_batch():
+    rng = np.random.default_rng(11)
+    padded = _short_ragged_batch(12, rows=4)
+    batch = trim_batch(padded.ids, padded.mask, np.arange(padded.size))
+    assert batch.seq_len < 12 and not batch.mask.all()
+    weights = rng.standard_normal((4, 16))
+    for pooling in ("cls", "mean"):
+        config = tiny_config(pooling=pooling, max_seq_len=20)
+        params = init_encoder(config)
+        err = finite_difference_check(
+            _pooled_dot_loss(config, batch, weights), params.tensors,
+            epsilon=1e-4, sample_count=150, seed=2,
+        )
+        assert err <= 1e-4, (pooling, err)
+        _, cache = encode_batch(params, batch, return_cache=True)
+        grads = backward(params, cache, weights)
+        assert np.all(grads["pos_emb"][batch.seq_len:] == 0.0)
+
+
+def test_cached_gelu_cdf_gives_bit_identical_gradients(monkeypatch):
+    params = init_encoder(tiny_config())
+    batch = random_batch(np.random.default_rng(13), 40, 4, 12)
+    up = np.random.default_rng(14).standard_normal((4, 16))
+    _, cache = encode_batch(params, batch, return_cache=True)
+    for lc in cache.layers:
+        assert np.array_equal(lc.h_pre * lc.h_cdf, enc.gelu(lc.h_pre))
+        assert np.array_equal(gelu_grad(lc.h_pre, lc.h_cdf), gelu_grad(lc.h_pre))
+    cached = backward(params, cache, up)
+    # reference: the backward pass recomputing erf from h_pre in every layer
+    monkeypatch.setattr(enc, "gelu_grad", lambda x, cdf=None: gelu_grad(x))
+    recomputed = backward(params, cache, up)
+    for name in cached:
+        assert np.array_equal(cached[name], recomputed[name]), name
 
 
 def test_all_pad_after_cls_equals_cls_alone():

@@ -52,6 +52,42 @@ def test_evaluate_model_matches_manual_predictions():
     assert report.macro_f1 == macro_f1(preds.tolist(), labels.tolist(), 2)
 
 
+def _trained_alpha():
+    suite, vocab = _suite_and_vocab(("alpha", "beta"), examples=120)
+    splits = {t: split(ds, seed=0) for t, ds in suite.items()}
+    model = build_model(_enc(vocab), [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
+    model, _ = train_multitask(model, splits, _tc(max_epochs=2, patience=2))
+    return model, list(suite["alpha"].examples)
+
+
+def test_evaluate_model_ignores_input_order():
+    model, examples = _trained_alpha()
+    shuffled = [examples[i] for i in np.random.default_rng(0).permutation(len(examples))]
+    assert evaluate_model(model, "alpha", shuffled, batch_size=8) == evaluate_model(
+        model, "alpha", examples, batch_size=8
+    )
+
+
+def test_evaluate_model_scores_predictions_in_input_order(monkeypatch):
+    import misinfo_mtl.evaluation as ev
+
+    model, examples = _trained_alpha()
+    seen = []
+    real_report = ev.compute_report
+
+    def capture(preds, gold, labels):
+        seen.append((preds, gold))
+        return real_report(preds, gold, labels)
+
+    monkeypatch.setattr(ev, "compute_report", capture)
+    evaluate_model(model, "alpha", examples, batch_size=8)
+    batch, labels = encode_for_task(examples, model.tasks["alpha"], model.vocab, 16)
+    assert len(set(batch.mask.sum(axis=1).tolist())) > 1  # ragged, so length order differs from input order
+    expected = predict(model, "alpha", batch).argmax(axis=1)  # one padded batch, input order
+    assert 0 < expected.sum() < len(expected)
+    assert seen == [(expected.tolist(), labels.tolist())]
+
+
 def test_fewshot_config_validation():
     with pytest.raises(ValueError, match="k must be"):
         FewShotConfig(k=0)
@@ -104,6 +140,37 @@ def test_fewshot_head_only_freezes_encoder():
         not np.array_equal(full.model.encoder.tensors[k], base.encoder.tensors[k])
         for k in base.encoder.tensors
     )
+
+
+def test_head_only_fewshot_skips_encoder_backward_bit_identically(monkeypatch):
+    import misinfo_mtl.encoder as enc
+    import misinfo_mtl.training as training
+
+    suite, vocab = _suite_and_vocab(("alpha", "unseen"), examples=60)
+    base = build_model(_enc(vocab), [suite["alpha"].spec], vocab=vocab)
+    cfg, tc = FewShotConfig(k=20, seed=1, mode="head-only"), _tc(batch_size=8, max_epochs=2, patience=2)
+
+    backward_calls = []
+    real_backward = enc.backward
+    monkeypatch.setattr(enc, "backward", lambda *a, **kw: backward_calls.append(1) or real_backward(*a, **kw))
+    skipped = fewshot_run(base, suite["unseen"], cfg, tc)
+    assert backward_calls == []
+
+    # reference: compute the full backward, then keep only the head gradients
+    real_step = training.task_step_gradients
+
+    def full_then_filter(*args, train_encoder=True, **kwargs):
+        loss, grads = real_step(*args, **kwargs)
+        return loss, {k: g for k, g in grads.items() if train_encoder or k.startswith("head.")}
+
+    monkeypatch.setattr(training, "task_step_gradients", full_then_filter)
+    reference = fewshot_run(base, suite["unseen"], cfg, tc)
+    assert backward_calls
+    assert skipped.report == reference.report
+    for k, v in reference.model.heads["unseen"].items():
+        assert np.array_equal(skipped.model.heads["unseen"][k], v), k
+    for k, v in reference.model.encoder.tensors.items():
+        assert np.array_equal(skipped.model.encoder.tensors[k], v), k
 
 
 def test_loocv_excludes_eval_task_and_partitions_events():

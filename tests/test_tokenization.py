@@ -10,10 +10,12 @@ from misinfo_mtl.tokenization import (
     build_vocab,
     detokenize,
     encode,
+    length_ordered_batches,
     load_vocab,
     pad_batch,
     save_vocab,
     tokenize,
+    trim_batch,
 )
 
 
@@ -131,6 +133,43 @@ def test_pad_batch_empty():
 def test_pad_batch_mixed_lengths(small_vocab):
     with pytest.raises(ValueError, match="mixed"):
         pad_batch([encode("a", small_vocab, 8), encode("a", small_vocab, 9)])
+
+
+def _ragged(small_vocab):
+    texts = ["a", "a b c a b", "b", "c a", "a b c"]
+    return pad_batch([encode(t, small_vocab, max_seq_len=16) for t in texts])
+
+
+def test_trim_batch_width_is_longest_real_row(small_vocab):
+    full = _ragged(small_vocab)
+    for rows in ([0], [0, 2], [3, 0], [1, 4], [4, 3, 2, 1, 0]):
+        batch = trim_batch(full.ids, full.mask, rows)
+        longest = int(full.mask[rows].sum(axis=1).max())
+        assert batch.seq_len == longest
+        assert np.array_equal(batch.ids, full.ids[rows, :longest])
+        assert np.array_equal(batch.mask, full.mask[rows, :longest])
+        # only all-PAD columns were dropped
+        assert batch.mask.sum() == full.mask[rows].sum()
+
+
+def test_trim_batch_refuses_empty_selection(small_vocab):
+    full = _ragged(small_vocab)
+    with pytest.raises(ValueError, match="empty batch"):
+        trim_batch(full.ids, full.mask, [])
+
+
+def test_length_ordered_batches_cover_every_row_once(small_vocab):
+    full = _ragged(small_vocab)
+    got = list(length_ordered_batches(full.ids, full.mask, batch_size=2))
+    rows = np.concatenate([r for r, _ in got])
+    assert sorted(rows.tolist()) == list(range(5))
+    lengths = full.mask.sum(axis=1)
+    assert np.all(np.diff(lengths[rows]) >= 0)
+    # stable: equal lengths keep input order (rows 0 and 2 both hold one token)
+    assert rows.tolist()[:2] == [0, 2]
+    for r, batch in got:
+        assert batch.size == r.size <= 2
+        assert batch.seq_len == lengths[r].max()
 
 
 def test_vocab_ids_dense_and_injective():
