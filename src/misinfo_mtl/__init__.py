@@ -23,16 +23,13 @@ from .evaluation import (
     FewShotConfig,
     FewShotResult,
     LoocvResult,
-    MetricsReport,
     ablation_run,
-    accuracy,
     evaluate_model,
     fewshot_run,
     loocv_run,
-    macro_f1,
     published_targets,
-    seed_average,
 )
+from .metrics import MetricsReport, accuracy, macro_f1, seed_average
 from .multitask import MultiTaskModel, TaskSpec, build_model, predict, register_task, task_loss
 from .tokenization import Batch, TokenSequence, Vocabulary, build_vocab, encode, pad_batch
 from .training import (

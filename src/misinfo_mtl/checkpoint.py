@@ -1,7 +1,7 @@
 """Self-describing binary checkpoint container.
 
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON header
-(encoder config, task registry for full models, tensor names + shapes), then
+(kind "multitask", encoder config, task registry, tensor names + shapes), then
 the tensor payloads as row-major float64 little-endian bytes in header order.
 Loading rejects wrong magic, truncated payloads and any shape that does not
 match what the stored config and task registry imply.
@@ -20,31 +20,28 @@ from .multitask import MultiTaskModel, TaskSpec, head_shapes
 MAGIC = b"MMCKPT01"
 
 
-def _expected_shapes(config: EncoderConfig, tasks: dict[str, TaskSpec]) -> dict[str, tuple[int, ...]]:
-    shapes = {f"encoder.{name}": shape for name, shape in param_shapes(config).items()}
-    for task in sorted(tasks):
-        for name, shape in head_shapes(config.embed_dim, tasks[task].num_classes).items():
-            shapes[f"head.{task}.{name}"] = shape
-    return shapes
-
-
-def _write(path: Path, kind: str, config: EncoderConfig, tasks: dict[str, TaskSpec], tensors: dict[str, np.ndarray]) -> None:
+def save_model(path: str | Path, model: MultiTaskModel) -> None:
+    """Full-model checkpoint: encoder tensors plus per-task head blocks."""
+    tensors = {f"encoder.{k}": v for k, v in model.encoder.tensors.items()}
+    for task in sorted(model.heads):
+        for name, arr in model.heads[task].items():
+            tensors[f"head.{task}.{name}"] = arr
     names = sorted(tensors)
     header = {
-        "kind": kind,
-        "encoder_config": asdict(config),
+        "kind": "multitask",
+        "encoder_config": asdict(model.config),
         "tasks": {
             name: {
                 "labels": list(spec.labels),
                 "granularity": spec.granularity,
                 "positive_label": spec.positive_label,
             }
-            for name, spec in sorted(tasks.items())
+            for name, spec in sorted(model.tasks.items())
         },
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with path.open("wb") as fh:
+    with Path(path).open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
@@ -77,7 +74,12 @@ def _read(path: Path):
     return header, tensors
 
 
-def _check_shapes(path: Path, expected: dict[str, tuple[int, ...]], tensors: dict[str, np.ndarray]) -> None:
+def _check_shapes(path: Path, config: EncoderConfig, tasks: dict[str, TaskSpec], tensors) -> None:
+    """Refuse a tensor set that differs from what ``config`` and ``tasks`` imply."""
+    expected = {f"encoder.{name}": shape for name, shape in param_shapes(config).items()}
+    for task in sorted(tasks):
+        for name, shape in head_shapes(config.embed_dim, tasks[task].num_classes).items():
+            expected[f"head.{task}.{name}"] = shape
     missing = sorted(set(expected) - set(tensors))
     extra = sorted(set(tensors) - set(expected))
     if missing or extra:
@@ -87,30 +89,6 @@ def _check_shapes(path: Path, expected: dict[str, tuple[int, ...]], tensors: dic
             raise ValueError(
                 f"{path}: shape mismatch for {name!r}: file has {tensors[name].shape}, config implies {shape}"
             )
-
-
-def save_encoder(path: str | Path, params: EncoderParams) -> None:
-    tensors = {f"encoder.{k}": v for k, v in params.tensors.items()}
-    _write(Path(path), "encoder", params.config, {}, tensors)
-
-
-def load_encoder(path: str | Path) -> EncoderParams:
-    path = Path(path)
-    header, tensors = _read(path)
-    if header["kind"] != "encoder":
-        raise ValueError(f"{path}: expected an encoder checkpoint, found {header['kind']!r}")
-    config = EncoderConfig(**header["encoder_config"])
-    _check_shapes(path, _expected_shapes(config, {}), tensors)
-    return EncoderParams(config=config, tensors={k.split(".", 1)[1]: v for k, v in tensors.items()})
-
-
-def save_model(path: str | Path, model: MultiTaskModel) -> None:
-    """Full-model checkpoint: encoder tensors plus per-task head blocks."""
-    tensors = {f"encoder.{k}": v for k, v in model.encoder.tensors.items()}
-    for task in sorted(model.heads):
-        for name, arr in model.heads[task].items():
-            tensors[f"head.{task}.{name}"] = arr
-    _write(Path(path), "multitask", model.config, model.tasks, tensors)
 
 
 def load_model(path: str | Path) -> MultiTaskModel:
@@ -129,7 +107,7 @@ def load_model(path: str | Path) -> MultiTaskModel:
         )
         for name, info in header["tasks"].items()
     }
-    _check_shapes(path, _expected_shapes(config, tasks), tensors)
+    _check_shapes(path, config, tasks, tensors)
     encoder = EncoderParams(
         config=config,
         tensors={k.split(".", 1)[1]: v for k, v in tensors.items() if k.startswith("encoder.")},

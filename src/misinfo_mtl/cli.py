@@ -2,11 +2,11 @@
 plus dataset validation and synthetic-suite generation.
 
 Every command is non-interactive and deterministic given its config and seeds.
-Runs write a manifest (command, resolved config, input digests, seeds) before
-any training starts; output directories default to a content-addressed name
-derived from the config digest so reruns with different settings never
-silently overwrite each other. Exit codes: 0 success, 1 runtime failure,
-2 usage/config error.
+Once every input is validated, and before any training starts, runs write a
+manifest (command, resolved config, input digests, seeds) and a config
+snapshot; output directories default to a content-addressed name derived from
+the config digest so reruns with different settings never silently overwrite
+each other. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -92,7 +92,19 @@ class RunSpec:
     min_freq: int
     split_seed: int
     split_ratios: tuple[float, float, float]
-    raw: dict[str, str] = field(default_factory=dict)
+    raw: dict[str, str]
+
+
+def _task_spec(name: str, labels: str | None, granularity: str, positive: str | None, hint: str) -> TaskSpec:
+    """A task defined by an explicit label list, else a built-in one; ``hint`` says how to define it."""
+    if labels is not None:
+        try:
+            return TaskSpec(name, _csv(labels), granularity, positive or None)
+        except ValueError as exc:
+            raise ConfigError(f"bad task definition for {name!r}: {exc}") from None
+    if name in datamod.BUILTIN_TASKS:
+        return datamod.BUILTIN_TASKS[name]
+    raise ConfigError(f"task {name!r} is not built in; {hint}")
 
 
 def parse_config(raw: dict[str, str], cli_seeds=None) -> RunSpec:
@@ -115,20 +127,8 @@ def parse_config(raw: dict[str, str], cli_seeds=None) -> RunSpec:
             dataset_paths[task] = Path(raw[f"dataset.{task}"])
         else:
             raise ConfigError(f"missing config key dataset.{task} (or derive.{task})")
-        if f"labels.{task}" in raw:
-            try:
-                specs[task] = TaskSpec(
-                    name=task,
-                    labels=_csv(raw[f"labels.{task}"]),
-                    granularity=raw.get(f"granularity.{task}", "sentence"),
-                    positive_label=raw.get(f"positive.{task}") or None,
-                )
-            except ValueError as exc:
-                raise ConfigError(f"bad task definition for {task!r}: {exc}") from None
-        elif task in datamod.BUILTIN_TASKS:
-            specs[task] = datamod.BUILTIN_TASKS[task]
-        else:
-            raise ConfigError(f"task {task!r} is not built in; config key labels.{task} is required")
+        specs[task] = _task_spec(task, raw.get(f"labels.{task}"), raw.get(f"granularity.{task}", "sentence"),
+                                 raw.get(f"positive.{task}"), f"config key labels.{task} is required")
         if f"drop_labels.{task}" in raw:
             drop_labels[task] = _csv(raw[f"drop_labels.{task}"])
 
@@ -174,18 +174,6 @@ def parse_config(raw: dict[str, str], cli_seeds=None) -> RunSpec:
     )
 
 
-def load_run_datasets(spec: RunSpec) -> dict[str, datamod.Dataset]:
-    """Load (or derive) the full dataset for every task in the config."""
-    datasets: dict[str, datamod.Dataset] = {}
-    for task in spec.tasks:
-        if task in spec.dataset_paths:
-            rules = datamod.FilterRules(drop_labels=spec.drop_labels.get(task, ()))
-            datasets[task] = datamod.load_dataset(spec.dataset_paths[task], spec.specs[task], rules)
-    for task, (source, fname) in spec.derived.items():
-        datasets[task] = datamod.derive_field_task(datasets[source], fname, spec.specs[task])
-    return datasets
-
-
 def split_all(spec: RunSpec, datasets: dict[str, datamod.Dataset]) -> dict[str, datamod.SplitDataset]:
     return {
         task: datamod.split(ds, ratios=spec.split_ratios, seed=spec.split_seed)
@@ -193,66 +181,60 @@ def split_all(spec: RunSpec, datasets: dict[str, datamod.Dataset]) -> dict[str, 
     }
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _config_run(args, task_listed: bool = False):
+    """Parse ``--config``, check ``--task`` is one of its tasks, then load (or derive) every dataset.
 
-
-def _config_digest(command: str, spec: RunSpec, extra: dict | None = None) -> str:
-    payload = {
-        "command": command,
-        "config": dict(sorted(spec.raw.items())),
-        "seeds": list(spec.seeds),
-        "extra": extra or {},
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
-
-
-def build_configs(spec: RunSpec, seed: int) -> tuple[EncoderConfig, TrainConfig]:
-    """Encoder/optimizer configs for one run seed; config-value errors exit 2."""
+    Returns ``(spec, datasets, {seed: (encoder config, train config)})``. The
+    encoder config's vocab_size is a placeholder; config-value errors exit 2.
+    """
+    spec = parse_config(load_config_file(args.config), args.seed)
+    if task_listed and args.task not in spec.tasks:
+        raise ConfigError(f"task {args.task!r} is not listed in the config 'tasks'")
     try:
-        enc = EncoderConfig(vocab_size=3, seed=seed, **spec.encoder_kwargs)
-        train = TrainConfig(seed=seed, **spec.train_kwargs)
+        configs = {seed: (EncoderConfig(vocab_size=3, seed=seed, **spec.encoder_kwargs),
+                          TrainConfig(seed=seed, **spec.train_kwargs)) for seed in spec.seeds}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return enc, train
-
-
-def _resolve_out(args, command: str, spec: RunSpec, extra: dict | None = None) -> Path:
-    if args.out:
-        out = Path(args.out)
-    else:
-        out = Path("runs") / f"{command}-{_config_digest(command, spec, extra)}"
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def write_manifest(out: Path, command: str, spec: RunSpec, inputs: list[Path], extra: dict | None = None) -> None:
-    manifest = {
-        "command": command,
-        "config": dict(sorted(spec.raw.items())),
-        "inputs": {str(p): _sha256(p) for p in sorted(set(inputs))},
-        "seeds": list(spec.seeds),
-        "out_dir": str(out),
-        "extra": extra or {},
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _write_config_snapshot(out: Path, spec: RunSpec) -> None:
-    lines = [f"{key} = {value}" for key, value in sorted(spec.raw.items())]
-    (out / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_history(path: Path, history: training.TrainHistory) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for record in history.epochs:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-        fh.write(json.dumps({"best_epoch": history.best_epoch, "stop_reason": history.stop_reason}, sort_keys=True) + "\n")
+    datasets: dict[str, datamod.Dataset] = {}
+    for task, path in spec.dataset_paths.items():
+        rules = datamod.FilterRules(drop_labels=spec.drop_labels.get(task, ()))
+        datasets[task] = datamod.load_dataset(path, spec.specs[task], rules)
+    for task, (source, fname) in spec.derived.items():
+        datasets[task] = datamod.derive_field_task(datasets[source], fname, spec.specs[task])
+    return spec, datasets, configs
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _open_run(args, command: str, raw: dict[str, str], seeds, inputs, extra: dict | None = None) -> Path:
+    """Resolve the run directory, then write ``manifest.json`` and ``config.txt`` into it.
+
+    Without ``--out`` the directory is ``runs/<command>-<digest>``, the digest
+    covering the command, config, seeds and ``extra``, so runs with different
+    settings never overwrite each other. Call it only once every input is validated.
+    """
+    config = dict(sorted(raw.items()))
+    extra = extra or {}
+    if args.out:
+        out = Path(args.out)
+    else:
+        payload = {"command": command, "config": config, "seeds": list(seeds), "extra": extra}
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+        out = Path("runs") / f"{command}-{digest}"
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "manifest.json", {
+        "command": command,
+        "config": config,
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(set(inputs))},
+        "seeds": list(seeds),
+        "out_dir": str(out),
+        "extra": extra,
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    })
+    (out / "config.txt").write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+    return out
 
 
 def _write_report_lines(path: Path, rows) -> None:
@@ -260,6 +242,35 @@ def _write_report_lines(path: Path, rows) -> None:
     with path.open("w", encoding="utf-8") as fh:
         for name, report in rows:
             fh.write(json.dumps({"row": name, **report.to_dict()}, sort_keys=True) + "\n")
+
+
+def _finish_run(out: Path, payload: dict, rows, title: str) -> None:
+    """Write ``metrics.json`` and ``report.jsonl``, then print the table and the run directory."""
+    _write_json(out / "metrics.json", payload)
+    _write_report_lines(out / "report.jsonl", rows)
+    print(metrics.format_report_table(rows, title=title))
+    print(f"run directory: {out}")
+
+
+def _seed_entry(per_seed: dict[int, metrics.MetricsReport]) -> tuple[metrics.MetricsReport, dict]:
+    """The mean over seeds, and the ``{"per_seed", "averaged"}`` entry recording it."""
+    averaged = metrics.seed_average(per_seed)
+    return averaged, {
+        "per_seed": {str(s): r.to_dict() for s, r in per_seed.items()},
+        "averaged": averaged.to_dict(),
+    }
+
+
+def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.TrainHistory) -> Path:
+    """Write one seed's ``model.ckpt`` and ``history.jsonl``; returns the seed directory."""
+    seed_dir = out / f"seed{seed}"
+    seed_dir.mkdir(exist_ok=True)
+    ckpt.save_model(seed_dir / "model.ckpt", model)
+    with (seed_dir / "history.jsonl").open("w", encoding="utf-8") as fh:
+        for record in history.epochs:
+            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        fh.write(json.dumps({"best_epoch": history.best_epoch, "stop_reason": history.stop_reason}, sort_keys=True) + "\n")
+    return seed_dir
 
 
 def _load_model_and_vocab(checkpoint_path: str, vocab_path: str | None) -> MultiTaskModel:
@@ -275,211 +286,142 @@ def _load_model_and_vocab(checkpoint_path: str, vocab_path: str | None) -> Multi
     raise ConfigError(f"vocabulary file not found next to {cp}; pass --vocab")
 
 
+def _unseen_spec(args) -> TaskSpec:
+    return _task_spec(args.task, args.labels, args.granularity, args.positive, "pass --labels")
+
+
 # --- commands -------------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
-    spec = parse_config(load_config_file(args.config), args.seed)
-    datasets = load_run_datasets(spec)
+    spec, datasets, configs = _config_run(args)
     splits = split_all(spec, datasets)
-    out = _resolve_out(args, "train", spec)
-    write_manifest(out, "train", spec, [Path(args.config), *spec.dataset_paths.values()])
-    _write_config_snapshot(out, spec)
-
     texts = [ex.text for task in sorted(splits) for ex in splits[task].train.examples]
     vocab = build_vocab(texts, min_freq=spec.min_freq, max_size=spec.max_vocab)
+    out = _open_run(args, "train", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()])
     save_vocab(vocab, out / "vocab.txt")
 
     per_seed: dict[int, dict[str, metrics.MetricsReport]] = {}
-    for seed in spec.seeds:
-        enc_config, train_config = build_configs(spec, seed)
+    for seed, (enc_config, train_config) in configs.items():
         enc_config = replace(enc_config, vocab_size=vocab.size)
-        model = build_model(enc_config, list(spec.specs[t] for t in spec.tasks), vocab=vocab)
+        model = build_model(enc_config, [spec.specs[t] for t in spec.tasks], vocab=vocab)
         trained, history = train_multitask(model, splits, train_config, verbose=not args.quiet)
-        seed_dir = out / f"seed{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        ckpt.save_model(seed_dir / "model.ckpt", trained)
-        _write_history(seed_dir / "history.jsonl", history)
+        _write_seed(out, seed, trained, history)
         per_seed[seed] = {
             task: evaluation.evaluate_model(trained, task, splits[task].test.examples, train_config.batch_size)
             for task in sorted(splits)
         }
     averaged = {
-        task: metrics.seed_average({s: per_seed[s][task] for s in per_seed})
+        task: metrics.seed_average({s: reports[task] for s, reports in per_seed.items()})
         for task in sorted(splits)
     }
-    _write_json(out / "metrics.json", {
+    _finish_run(out, {
         "per_seed": {str(s): {t: r.to_dict() for t, r in reports.items()} for s, reports in per_seed.items()},
         "averaged": {t: r.to_dict() for t, r in averaged.items()},
-    })
-    _write_report_lines(out / "report.jsonl", sorted(averaged.items()))
-    print(metrics.format_report_table(sorted(averaged.items()), title=f"test metrics (mean of {len(spec.seeds)} seeds)"))
-    print(f"run directory: {out}")
+    }, sorted(averaged.items()), f"test metrics (mean of {len(spec.seeds)} seeds)")
     return 0
 
 
 def cmd_finetune(args) -> int:
-    spec = parse_config(load_config_file(args.config), args.seed)
-    if args.task not in spec.tasks:
-        raise ConfigError(f"task {args.task!r} is not listed in the config 'tasks'")
-    datasets = load_run_datasets(spec)
-    splits = split_all(spec, datasets)
-    out = _resolve_out(args, "finetune", spec, extra={"task": args.task, "checkpoint": args.checkpoint})
-    write_manifest(out, "finetune", spec, [Path(args.config), *spec.dataset_paths.values()],
-                   extra={"task": args.task, "checkpoint": args.checkpoint})
+    spec, datasets, configs = _config_run(args, task_listed=True)
+    split = split_all(spec, datasets)[args.task]
+    model = _load_model_and_vocab(args.checkpoint, args.vocab)
+    out = _open_run(args, "finetune", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
+                    {"task": args.task, "checkpoint": args.checkpoint})
 
     per_seed: dict[int, metrics.MetricsReport] = {}
-    for seed in spec.seeds:
-        model = _load_model_and_vocab(args.checkpoint, args.vocab)
-        _, train_config = build_configs(spec, seed)
-        tuned, history = finetune_task(model, args.task, splits[args.task], train_config, verbose=not args.quiet)
-        seed_dir = out / f"seed{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        ckpt.save_model(seed_dir / "model.ckpt", tuned)
-        save_vocab(model.vocab, seed_dir / "vocab.txt")
-        _write_history(seed_dir / "history.jsonl", history)
-        per_seed[seed] = evaluation.evaluate_model(tuned, args.task, splits[args.task].test.examples,
-                                                   train_config.batch_size)
-    averaged = metrics.seed_average(per_seed)
-    _write_json(out / "metrics.json", {
-        "task": args.task,
-        "per_seed": {str(s): r.to_dict() for s, r in per_seed.items()},
-        "averaged": averaged.to_dict(),
-    })
-    _write_report_lines(out / "report.jsonl", [(args.task, averaged)])
-    print(metrics.format_report_table([(args.task, averaged)], title="fine-tuned test metrics"))
-    print(f"run directory: {out}")
+    for seed, (_, train_config) in configs.items():
+        tuned, history = finetune_task(model, args.task, split, train_config, verbose=not args.quiet)
+        save_vocab(model.vocab, _write_seed(out, seed, tuned, history) / "vocab.txt")
+        per_seed[seed] = evaluation.evaluate_model(tuned, args.task, split.test.examples, train_config.batch_size)
+    averaged, entry = _seed_entry(per_seed)
+    _finish_run(out, {"task": args.task, **entry}, [(args.task, averaged)], "fine-tuned test metrics")
     return 0
 
 
-def _unseen_spec(args) -> TaskSpec:
-    if args.labels:
-        return TaskSpec(
-            name=args.task,
-            labels=_csv(args.labels),
-            granularity=args.granularity,
-            positive_label=args.positive or None,
-        )
-    if args.task in datamod.BUILTIN_TASKS:
-        return datamod.BUILTIN_TASKS[args.task]
-    raise ConfigError(f"task {args.task!r} is not built in; pass --labels")
-
-
 def cmd_fewshot(args) -> int:
-    spec_obj = _unseen_spec(args)
-    dataset = datamod.load_dataset(args.dataset, spec_obj)
-    seeds = tuple(args.seed) if args.seed else DEFAULT_SEEDS
-    run_spec = RunSpec(
-        tasks=(args.task,), dataset_paths={args.task: Path(args.dataset)}, derived={},
-        specs={args.task: spec_obj}, drop_labels={}, encoder_kwargs={}, train_kwargs={},
-        seeds=seeds, max_vocab=None, min_freq=1, split_seed=0, split_ratios=(0.8, 0.1, 0.1),
-        raw={"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode},
-    )
-    out = _resolve_out(args, "fewshot", run_spec, extra={"checkpoint": args.checkpoint})
-    write_manifest(out, "fewshot", run_spec, [Path(args.dataset)], extra={"checkpoint": args.checkpoint, "k": args.k})
-
+    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
     base = _load_model_and_vocab(args.checkpoint, args.vocab)
-    train_config = replace(TrainConfig(), learning_rate=args.learning_rate, max_epochs=args.max_epochs,
-                           patience=min(args.patience, args.max_epochs), max_seq_len=base.config.max_seq_len)
+    seeds = tuple(args.seed) if args.seed else DEFAULT_SEEDS
+    fewshot_config = evaluation.FewShotConfig(k=args.k, mode=args.mode)
+    train_config = TrainConfig(learning_rate=args.learning_rate, max_epochs=args.max_epochs,
+                               patience=min(args.patience, args.max_epochs), max_seq_len=base.config.max_seq_len)
+    raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode}
+    out = _open_run(args, "fewshot", raw, seeds, [Path(args.dataset)], {"checkpoint": args.checkpoint})
+
     per_seed: dict[int, metrics.MetricsReport] = {}
-    results = []
     for seed in seeds:
-        cfg = evaluation.FewShotConfig(k=args.k, seed=seed, mode=args.mode)
-        result = evaluation.fewshot_run(base, dataset, cfg, replace(train_config, seed=seed))
+        result = evaluation.fewshot_run(base, dataset, replace(fewshot_config, seed=seed),
+                                        replace(train_config, seed=seed))
         per_seed[seed] = result.report
-        results.append(result)
         print(f"[seed {seed}] train={len(result.train_ids)} test={len(result.test_ids)} "
               f"macro_f1={result.report.macro_f1:.4f}")
-    averaged = metrics.seed_average(per_seed)
-    _write_json(out / "metrics.json", {
-        "task": args.task, "k": args.k, "mode": args.mode,
-        "train_size": args.k, "test_size": dataset.size - args.k,
-        "per_seed": {str(s): r.to_dict() for s, r in per_seed.items()},
-        "averaged": averaged.to_dict(),
-    })
-    _write_report_lines(out / "report.jsonl", [(args.task, averaged)])
-    print(f"train={args.k} test={dataset.size - args.k}")
-    print(metrics.format_report_table([(args.task, averaged)], title=f"few-shot k={args.k} ({args.mode})"))
-    print(f"run directory: {out}")
+    averaged, entry = _seed_entry(per_seed)
+    test_size = dataset.size - args.k
+    print(f"train={args.k} test={test_size}")
+    _finish_run(out, {"task": args.task, "k": args.k, "mode": args.mode, "train_size": args.k,
+                      "test_size": test_size, **entry},
+                [(args.task, averaged)], f"few-shot k={args.k} ({args.mode})")
     return 0
 
 
 def cmd_loocv(args) -> int:
-    spec = parse_config(load_config_file(args.config), args.seed)
-    if args.task not in spec.tasks:
-        raise ConfigError(f"eval task {args.task!r} is not listed in the config 'tasks'")
-    datasets = load_run_datasets(spec)
+    spec, datasets, configs = _config_run(args, task_listed=True)
     splits = split_all(spec, {t: d for t, d in datasets.items() if t != args.task})
-    eval_dataset = datasets[args.task]
-    out = _resolve_out(args, "loocv", spec, extra={"task": args.task})
-    write_manifest(out, "loocv", spec, [Path(args.config), *spec.dataset_paths.values()], extra={"task": args.task})
+    out = _open_run(args, "loocv", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
+                    {"task": args.task})
 
-    per_seed_avg: dict[int, metrics.MetricsReport] = {}
-    all_results = {}
-    for seed in spec.seeds:
+    results: dict[int, evaluation.LoocvResult] = {}
+    for seed, (enc_config, train_config) in configs.items():
         # vocab_size is a placeholder: loocv_run swaps in its own vocabulary size
-        enc_config, train_config = build_configs(spec, seed)
-        result = evaluation.loocv_run(splits, eval_dataset, enc_config, train_config)
-        per_seed_avg[seed] = result.average
-        all_results[seed] = result
+        result = evaluation.loocv_run(splits, datasets[args.task], enc_config, train_config)
+        results[seed] = result
         rows = [(fold.event, fold.report) for fold in result.folds] + [("average", result.average)]
         _write_report_lines(out / f"report-seed{seed}.jsonl", rows)
         print(metrics.format_report_table(rows, title=f"leave-one-event-out (seed {seed})"))
-    averaged = metrics.seed_average(per_seed_avg)
-    _write_json(out / "metrics.json", {
+    averaged = metrics.seed_average({s: r.average for s, r in results.items()})
+    _finish_run(out, {
         "task": args.task,
-        "stage1_tasks": list(all_results[spec.seeds[0]].stage1_tasks),
+        "stage1_tasks": list(results[spec.seeds[0]].stage1_tasks),
         "per_seed": {
             str(s): {
-                "folds": {f.event: f.report.to_dict() for f in all_results[s].folds},
-                "average": all_results[s].average.to_dict(),
+                "folds": {f.event: f.report.to_dict() for f in r.folds},
+                "average": r.average.to_dict(),
             }
-            for s in spec.seeds
+            for s, r in results.items()
         },
         "averaged": averaged.to_dict(),
-    })
-    print(metrics.format_report_table([("average", averaged)], title=f"loocv mean of {len(spec.seeds)} seeds"))
-    print(f"run directory: {out}")
+    }, [("average", averaged)], f"loocv mean of {len(spec.seeds)} seeds")
     return 0
 
 
 def cmd_ablation(args) -> int:
-    spec = parse_config(load_config_file(args.config), args.seed)
     if not args.subset:
         raise ConfigError("pass at least one --subset")
+    spec, datasets, configs = _config_run(args)
     subsets = [tuple(sorted(_csv(s))) for s in args.subset]
-    datasets = load_run_datasets(spec)
     splits = split_all(spec, datasets)
-    out = _resolve_out(args, "ablation", spec, extra={"subsets": subsets, "task": args.task})
-    write_manifest(out, "ablation", spec, [Path(args.config), *spec.dataset_paths.values()],
-                   extra={"task": args.task, "subsets": [list(s) for s in subsets]})
+    out = _open_run(args, "ablation", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
+                    {"task": args.task, "subsets": [list(s) for s in subsets]})
 
     rows_by_subset: dict[tuple[str, ...], dict[int, metrics.MetricsReport]] = {}
-    for seed in spec.seeds:
+    for seed, (enc_config, train_config) in configs.items():
         # vocab_size is a placeholder: each ablation row builds its own vocabulary
-        enc_config, train_config = build_configs(spec, seed)
         for row in evaluation.ablation_run(subsets, args.task, splits, enc_config, train_config):
             rows_by_subset.setdefault(row.subset, {})[seed] = row.report
     table = []
     payload = {}
     for subset in sorted(rows_by_subset):
-        averaged = metrics.seed_average(rows_by_subset[subset])
         name = "+".join(subset)
+        averaged, payload[name] = _seed_entry(rows_by_subset[subset])
         table.append((name, averaged))
-        payload[name] = {
-            "per_seed": {str(s): r.to_dict() for s, r in rows_by_subset[subset].items()},
-            "averaged": averaged.to_dict(),
-        }
-    _write_json(out / "metrics.json", {"eval_task": args.task, "rows": payload})
-    _write_report_lines(out / "report.jsonl", table)
-    print(metrics.format_report_table(table, title=f"task-combination ablation on {args.task!r}"))
-    print(f"run directory: {out}")
+    _finish_run(out, {"eval_task": args.task, "rows": payload}, table,
+                f"task-combination ablation on {args.task!r}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    spec_obj = _unseen_spec(args)
-    dataset = datamod.load_dataset(args.dataset, spec_obj)
+    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
     model = _load_model_and_vocab(args.checkpoint, args.vocab)
     report = evaluation.evaluate_model(model, args.task, dataset.examples)
     print(metrics.format_report_table([(args.task, report)], title="evaluation"))
@@ -492,9 +434,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_validate_data(args) -> int:
-    spec_obj = _unseen_spec(args)
     rules = datamod.FilterRules(drop_labels=_csv(args.drop_labels)) if args.drop_labels else None
-    dataset = datamod.load_dataset(args.dataset, spec_obj, rules)
+    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args), rules)
     print(datamod.format_dataset_summary([dataset]))
     return 0
 

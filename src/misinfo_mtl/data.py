@@ -63,6 +63,9 @@ class Example:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Example":
+        """Build from a decoded record; required fields are strings, optional ones strings or null."""
+        if not isinstance(rec, dict):
+            raise ValueError(f"record must be a JSON object, got {type(rec).__name__}")
         for req in ("id", "text", "task", "label"):
             if req not in rec:
                 raise ValueError(f"record is missing required field {req!r}")
@@ -70,6 +73,10 @@ class Example:
         unknown = set(rec) - known
         if unknown:
             raise ValueError(f"record has unknown fields {sorted(unknown)}")
+        for name, value in rec.items():
+            optional = name in ("event", "bias_type", "polarity")
+            if not isinstance(value, str) and not (optional and value is None):
+                raise ValueError(f"field {name!r} must be a string, got {type(value).__name__}")
         return cls(**rec)
 
 
@@ -153,10 +160,11 @@ def load_dataset(path: str | Path, spec: TaskSpec, filter_rules: FilterRules | N
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                ex = Example.from_record(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {line_no}: invalid record ({exc})") from None
-            ex = Example.from_record(rec)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
             if ex.label in drop:
                 continue
             if ex.id in seen_ids:

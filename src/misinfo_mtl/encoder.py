@@ -1,17 +1,17 @@
 """Shared text encoder: a small Transformer with exact reverse-mode gradients.
 
-All math runs in float64. The forward pass caches every intermediate needed
-for the hand-written backward pass, and ``finite_difference_check`` provides
-an independent numerical oracle for the analytic gradients. Parameters are a
-flat name->array dict so the optimizer, checkpointing and gradient checking
-can all treat them uniformly.
+All math runs in float64. On request the forward pass caches every
+intermediate needed for the hand-written backward pass, and
+``finite_difference_check`` provides an independent numerical oracle for the
+analytic gradients. Parameters are a flat name->array dict so the optimizer,
+checkpointing and gradient checking can all treat them uniformly.
 
 Parameters are immutable during a forward/backward pair; eval-mode forwards
 over shared parameters are safe to run concurrently.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -211,8 +211,8 @@ class EncoderCache:
     emb_drop: np.ndarray | None
     xhat0: np.ndarray
     inv0: np.ndarray
-    layers: list[_LayerCache] = field(default_factory=list)
-    x_final: np.ndarray | None = None
+    layers: list[_LayerCache]
+    x_final: np.ndarray
 
 
 def encode_batch(
@@ -226,8 +226,9 @@ def encode_batch(
 
     PAD positions get a -inf pre-softmax attention score, so their content can
     never reach the pooled output. Dropout fires only in train mode (and then
-    requires ``rng``). With ``return_cache=True`` the result is
-    ``(pooled, cache)`` for a subsequent ``backward`` call.
+    requires ``rng``). Per-layer activations are kept only with
+    ``return_cache=True``, and then the result is ``(pooled, cache)`` for a
+    subsequent ``backward`` call.
     """
     cfg = params.config
     t = params.tensors
@@ -252,7 +253,7 @@ def encode_batch(
     if drop > 0.0:
         emb_drop = _dropout_mask(rng, x.shape, drop)
         x = x * emb_drop
-    cache = EncoderCache(ids=ids, maskf=maskf, emb_drop=emb_drop, xhat0=xhat0, inv0=inv0)
+    layer_caches: list[_LayerCache] = []
 
     key_keep = mask[:, None, None, :] > 0  # (B,1,1,L) over the key axis
     scale = 1.0 / math.sqrt(cfg.head_dim)
@@ -279,23 +280,24 @@ def encode_batch(
             ffn_drop = _dropout_mask(rng, ffn_out.shape, drop)
             ffn_out = ffn_out * ffn_drop
         x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
-        cache.layers.append(
-            _LayerCache(
-                x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop,
-                xhat1=xhat1, inv1=inv1, x_mid=x_mid, h_pre=h_pre, h_cdf=h_cdf,
-                ffn_drop=ffn_drop, xhat2=xhat2, inv2=inv2,
+        if return_cache:
+            layer_caches.append(
+                _LayerCache(
+                    x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop,
+                    xhat1=xhat1, inv1=inv1, x_mid=x_mid, h_pre=h_pre, h_cdf=h_cdf,
+                    ffn_drop=ffn_drop, xhat2=xhat2, inv2=inv2,
+                )
             )
-        )
-    cache.x_final = x
 
     if cfg.pooling == "cls":
         pooled = x[:, 0, :].copy()
     else:
         denom = maskf.sum(axis=1, keepdims=True)
         pooled = (x * maskf[:, :, None]).sum(axis=1) / denom
-    if return_cache:
-        return pooled, cache
-    return pooled
+    if not return_cache:
+        return pooled
+    return pooled, EncoderCache(ids=ids, maskf=maskf, emb_drop=emb_drop, xhat0=xhat0, inv0=inv0,
+                                layers=layer_caches, x_final=x)
 
 
 def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:

@@ -1,9 +1,8 @@
 """Evaluation harnesses: model scoring, task ablation, few-shot, event folds.
 
-Re-exports the metric primitives so callers only need this module. The three
-protocols are deterministic given their seeds, audit-friendly (they return
-the exact id partitions they used) and independent across folds/seeds/rows,
-so callers may parallelize them as separate processes.
+The three protocols are deterministic given their seeds, audit-friendly (they
+return the exact id partitions they used) and independent across
+folds/seeds/rows, so callers may parallelize them as separate processes.
 """
 
 import importlib.resources
@@ -15,26 +14,9 @@ import numpy as np
 
 from . import data as datamod
 from . import training
-from .metrics import (  # noqa: F401  (re-exported API)
-    ClassMetrics,
-    MetricsReport,
-    accuracy,
-    average_reports,
-    compute_report,
-    format_report_table,
-    macro_f1,
-    per_class_counts,
-    seed_average,
-)
-from .multitask import (
-    MultiTaskModel,
-    build_model,
-    encode_for_task,
-    head_seed,
-    predict,
-    register_task,
-)
-from .tokenization import build_vocab, length_ordered_batches
+from .metrics import MetricsReport, average_reports, compute_report
+from .multitask import MultiTaskModel, build_model, encode_for_task, head_seed, register_task, require_task, score
+from .tokenization import build_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
 
@@ -52,18 +34,14 @@ def published_targets() -> dict:
 def evaluate_model(model: MultiTaskModel, task: str, examples, batch_size: int = 32) -> MetricsReport:
     """Score a model's predictions for one task over a list of examples.
 
-    Batches are formed in length order so short rows are not padded to a long
-    one; predictions are scattered back to input order before scoring.
+    Predictions come from ``multitask.score`` (length-ordered batches, input
+    order restored) and are compared with the gold labels in input order.
     """
-    if task not in model.tasks:
-        raise KeyError(f"unknown task {task!r}; registered: {sorted(model.tasks)}")
+    spec = require_task(model, task)
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
-    spec = model.tasks[task]
     batch, labels = encode_for_task(examples, spec, model.vocab, model.config.max_seq_len)
-    preds = np.empty(len(examples), dtype=np.int64)
-    for rows, sub in length_ordered_batches(batch.ids, batch.mask, batch_size):
-        preds[rows] = predict(model, task, sub).argmax(axis=1)
+    _, preds = score(model, task, batch, labels, batch_size)
     return compute_report(preds.tolist(), labels.tolist(), spec.labels)
 
 
@@ -156,11 +134,11 @@ class AblationRow:
     stage2_best_epoch: int
 
 
-def _vocab_for(splits, max_vocab: int | None = None):
+def _vocab_for(splits):
     texts = []
     for task in sorted(splits):
         texts.extend(ex.text for ex in splits[task].train.examples)
-    return build_vocab(texts, min_freq=1, max_size=max_vocab)
+    return build_vocab(texts)
 
 
 def run_two_stage(
@@ -168,14 +146,13 @@ def run_two_stage(
     splits,
     eval_task: str,
     train_config: TrainConfig,
-    finetune_config: TrainConfig | None = None,
 ):
     """Stage-1 train on ``splits``, stage-2 fine-tune on ``eval_task``, score its test split."""
     vocab = _vocab_for(splits)
     config = replace(encoder_config, vocab_size=vocab.size)
     model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
     stage1, hist1 = train_multitask(model, splits, train_config)
-    stage2, hist2 = finetune_task(stage1, eval_task, splits[eval_task], finetune_config or train_config)
+    stage2, hist2 = finetune_task(stage1, eval_task, splits[eval_task], train_config)
     report = evaluate_model(stage2, eval_task, splits[eval_task].test.examples, train_config.batch_size)
     return report, hist1, hist2
 
@@ -242,7 +219,6 @@ def loocv_run(
     eval_dataset: datamod.Dataset,
     encoder_config,
     train_config: TrainConfig,
-    finetune_config: TrainConfig | None = None,
     val_fraction: float = 0.1,
 ) -> LoocvResult:
     """Leave-one-event-out evaluation with an encoder trained without the eval task.
@@ -264,7 +240,6 @@ def loocv_run(
     model = build_model(config, [stage1_splits[t].train.spec for t in sorted(stage1_splits)], vocab=vocab)
     stage1, _ = train_multitask(model, stage1_splits, train_config)
 
-    finetune_config = finetune_config or train_config
     fold_results: list[LoocvFold] = []
     reports: list[MetricsReport] = []
     for i, fold in enumerate(folds):
@@ -277,7 +252,7 @@ def loocv_run(
             train=rest, validation=held, test=fold.test,
             seed=train_config.seed + i, ratios=(1.0 - val_fraction, val_fraction, 0.0),
         )
-        adapted, _ = finetune_task(fold_model, eval_task, split, finetune_config)
+        adapted, _ = finetune_task(fold_model, eval_task, split, train_config)
         report = evaluate_model(adapted, eval_task, fold.test.examples, train_config.batch_size)
         reports.append(report)
         fold_results.append(

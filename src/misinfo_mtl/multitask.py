@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder as enc
-from .tokenization import Batch, Vocabulary, encode, pad_batch
+from .tokenization import Batch, Vocabulary, encode, length_ordered_batches, pad_batch
 
 GRANULARITIES = ("sentence", "article", "tweet", "headline")
 HEAD_DROPOUT = 0.1
@@ -121,7 +121,8 @@ def encode_for_task(
 # --- head forward / loss / gradients ----------------------------------------
 
 
-def _require_task(model: MultiTaskModel, task: str) -> TaskSpec:
+def require_task(model: MultiTaskModel, task: str) -> TaskSpec:
+    """The spec of a registered task; ``KeyError`` naming the registered tasks otherwise."""
     if task not in model.tasks:
         raise KeyError(f"unknown task {task!r}; registered: {sorted(model.tasks)}")
     return model.tasks[task]
@@ -147,10 +148,28 @@ def _log_softmax(logits):
 
 def predict(model: MultiTaskModel, task: str, batch: Batch) -> np.ndarray:
     """Class probabilities from the one head registered for ``task`` (eval mode)."""
-    _require_task(model, task)
+    require_task(model, task)
     pooled = enc.encode_batch(model.encoder, batch, train_mode=False)
     logits, _ = _head_forward(model.heads[task], pooled, train_mode=False, rng=None)
     return np.exp(_log_softmax(logits))
+
+
+def score(
+    model: MultiTaskModel, task: str, batch: Batch, labels: np.ndarray, batch_size: int = 32
+) -> tuple[float, np.ndarray]:
+    """Mean NLL and argmax predictions of the ``task`` head over encoded rows.
+
+    Rows are run through ``predict`` in length-ordered batches, so no batch is
+    wider than its longest real row and no backward cache is built;
+    predictions come back in input order.
+    """
+    total_nll = 0.0
+    preds = np.empty(batch.size, dtype=np.int64)
+    for rows, sub in length_ordered_batches(batch.ids, batch.mask, batch_size):
+        probs = predict(model, task, sub)
+        total_nll -= np.log(probs[np.arange(rows.size), labels[rows]]).sum()
+        preds[rows] = probs.argmax(axis=1)
+    return float(total_nll / batch.size), preds
 
 
 def task_loss(
@@ -162,7 +181,7 @@ def task_loss(
     rng: np.random.Generator | None = None,
 ):
     """Mean cross-entropy of the task head over the batch, plus backward state."""
-    spec = _require_task(model, task)
+    spec = require_task(model, task)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (batch.size,):
         raise ValueError(f"labels must have shape ({batch.size},)")

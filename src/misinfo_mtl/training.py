@@ -16,8 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .multitask import MultiTaskModel, encode_for_task, flatten_params, assign_params, task_step_gradients, task_loss
-from .tokenization import Batch, length_ordered_batches, trim_batch
+from .multitask import (
+    MultiTaskModel, assign_params, encode_for_task, flatten_params, require_task, score, task_step_gradients,
+)
+from .tokenization import trim_batch
 
 GRID_LEARNING_RATES = (5e-5, 5e-6, 5e-7)
 GRID_BATCH_SIZES = (16, 32)
@@ -215,24 +217,6 @@ def epoch_seed(base_seed: int, epoch: int) -> int:
     return base_seed * 1_000_003 + epoch
 
 
-def _slice_batch(ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, idx) -> tuple[Batch, np.ndarray]:
-    sel = np.asarray(idx, dtype=np.int64)
-    return trim_batch(ids, mask, sel), labels[sel]
-
-
-def _eval_loss_and_metrics(model, task, ids, mask, labels, batch_size):
-    spec = model.tasks[task]
-    n = labels.shape[0]
-    total_nll = 0.0
-    preds = np.empty(n, dtype=np.int64)
-    for rows, batch in length_ordered_batches(ids, mask, batch_size):
-        loss, state = task_loss(model, task, batch, labels[rows], train_mode=False)
-        total_nll += loss * rows.size
-        preds[rows] = state["probs"].argmax(axis=1)
-    report = metrics.compute_report(preds.tolist(), labels.tolist(), spec.labels)
-    return total_nll / n, report
-
-
 def _fit(
     model: MultiTaskModel,
     splits,
@@ -265,14 +249,12 @@ def _fit(
             raise ValueError(f"task {task!r} has an empty train split")
         if len(split.validation.examples) == 0:
             raise ValueError(f"task {task!r} has an empty validation split")
-        tr_batch, tr_labels = encode_for_task(split.train.examples, spec, model.vocab, seq_len)
-        va_batch, va_labels = encode_for_task(split.validation.examples, spec, model.vocab, seq_len)
         encoded[task] = {
-            "train": (tr_batch.ids, tr_batch.mask, tr_labels),
-            "val": (va_batch.ids, va_batch.mask, va_labels),
+            "train": encode_for_task(split.train.examples, spec, model.vocab, seq_len),
+            "val": encode_for_task(split.validation.examples, spec, model.vocab, seq_len),
         }
 
-    sizes = {task: encoded[task]["train"][2].shape[0] for task in encoded}
+    sizes = {task: encoded[task]["train"][0].size for task in encoded}
     batches_per_epoch = len(sizes) * math.ceil(max(sizes.values()) / config.batch_size)
     # Decay horizon is fixed up front so lr is defined even under early stopping.
     total_steps = batches_per_epoch * config.max_epochs
@@ -290,10 +272,11 @@ def _fit(
         loss_sums: dict[str, float] = {t: 0.0 for t in sizes}
         loss_counts: dict[str, int] = {t: 0 for t in sizes}
         for task, idx in schedule.batches:
-            ids, mask, labels = encoded[task]["train"]
-            batch, y = _slice_batch(ids, mask, labels, idx)
+            rows = np.asarray(idx, dtype=np.int64)
+            batch, labels = encoded[task]["train"]
             loss, grads = task_step_gradients(
-                model, task, batch, y, train_mode=True, rng=drop_rng, train_encoder=train_encoder
+                model, task, trim_batch(batch.ids, batch.mask, rows), labels[rows],
+                train_mode=True, rng=drop_rng, train_encoder=train_encoder,
             )
             current_lr = lr_at(step, total_steps, config.learning_rate)
             flat = flatten_params(model)
@@ -307,21 +290,18 @@ def _fit(
             step += 1
 
         val_loss: dict[str, float] = {}
-        val_acc: dict[str, float] = {}
-        val_f1: dict[str, float] = {}
+        val_reports: dict[str, metrics.MetricsReport] = {}
         for task in sorted(sizes):
-            ids, mask, labels = encoded[task]["val"]
-            nll, report = _eval_loss_and_metrics(model, task, ids, mask, labels, config.batch_size)
-            val_loss[task] = nll
-            val_acc[task] = report.accuracy
-            val_f1[task] = report.macro_f1
+            batch, labels = encoded[task]["val"]
+            val_loss[task], preds = score(model, task, batch, labels, config.batch_size)
+            val_reports[task] = metrics.compute_report(preds.tolist(), labels.tolist(), model.tasks[task].labels)
         val_total = sum(val_loss.values())
         record = EpochRecord(
             epoch=epoch,
             train_loss={t: loss_sums[t] / max(loss_counts[t], 1) for t in sorted(sizes)},
             val_loss=val_loss,
-            val_accuracy=val_acc,
-            val_macro_f1=val_f1,
+            val_accuracy={t: r.accuracy for t, r in val_reports.items()},
+            val_macro_f1={t: r.macro_f1 for t, r in val_reports.items()},
             val_loss_total=val_total,
             lr=current_lr,
         )
@@ -370,8 +350,7 @@ def finetune_task(
     and decay horizon, early-stopping on the task's own validation loss. All
     other heads come back bit-identical.
     """
-    if task not in model.tasks:
-        raise KeyError(f"unknown task {task!r}; registered: {sorted(model.tasks)}")
+    require_task(model, task)
     return _fit(model, {task: dataset}, config, train_encoder=True, verbose=verbose)
 
 

@@ -4,22 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from misinfo_mtl.checkpoint import MAGIC, load_encoder, load_model, save_encoder, save_model
-from misinfo_mtl.encoder import init_encoder
-
-from conftest import tiny_config
-
-
-def test_encoder_checkpoint_round_trip(tmp_path):
-    params = init_encoder(tiny_config(seed=5))
-    path = tmp_path / "enc.ckpt"
-    save_encoder(path, params)
-    loaded = load_encoder(path)
-    assert loaded.config == params.config
-    assert set(loaded.tensors) == set(params.tensors)
-    for name in params.tensors:
-        assert np.array_equal(loaded.tensors[name], params.tensors[name])
-        assert loaded.tensors[name].dtype == np.float64
+from misinfo_mtl.checkpoint import MAGIC, load_model, save_model
 
 
 def test_model_checkpoint_round_trip(tmp_path, tiny_model):
@@ -29,11 +14,15 @@ def test_model_checkpoint_round_trip(tmp_path, tiny_model):
     assert set(loaded.tasks) == {"a_task", "b_task"}
     assert loaded.tasks["a_task"].labels == ("neg", "pos")
     assert loaded.tasks["a_task"].positive_label == "pos"
+    assert loaded.config == tiny_model.config
     for task in tiny_model.heads:
         for name in tiny_model.heads[task]:
             assert np.array_equal(loaded.heads[task][name], tiny_model.heads[task][name])
+            assert loaded.heads[task][name].dtype == np.float64
+    assert set(loaded.encoder.tensors) == set(tiny_model.encoder.tensors)
     for name in tiny_model.encoder.tensors:
         assert np.array_equal(loaded.encoder.tensors[name], tiny_model.encoder.tensors[name])
+        assert loaded.encoder.tensors[name].dtype == np.float64
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path, tiny_model):
@@ -53,8 +42,13 @@ def test_rejects_bad_magic(tmp_path):
 def test_rejects_wrong_kind(tmp_path, tiny_model):
     path = tmp_path / "model.ckpt"
     save_model(path, tiny_model)
-    with pytest.raises(ValueError, match="expected an encoder checkpoint"):
-        load_encoder(path)
+
+    def other_kind(header):
+        header["kind"] = "encoder"
+
+    path.write_bytes(_tamper_header(path.read_bytes(), other_kind))
+    with pytest.raises(ValueError, match="expected a multitask checkpoint, found 'encoder'"):
+        load_model(path)
 
 
 def test_rejects_truncated_payload(tmp_path, tiny_model):

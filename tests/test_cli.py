@@ -255,3 +255,78 @@ def test_train_with_derived_auxiliary_tasks(tmp_path):
     assert set(model.tasks) == {"newsbias", "newsbias_type", "newsbias_polarity"}
     assert model.tasks["newsbias_polarity"].labels == ("positive", "negative", "neutral")
     assert len(model.heads) == 3
+
+
+def test_bad_record_exits_1_with_one_line_and_writes_nothing(workdir, capsys):
+    records = [json.loads(line) for line in (workdir / "data" / "alpha.jsonl").read_text().splitlines()]
+    records[3]["text"] = 5
+    (workdir / "data" / "alpha.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = workdir / "run"
+    rc = main(["train", "--config", str(workdir / "run.cfg"), "--seed", "0", "--out", str(out), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "line 4" in err and "'text'" in err
+    assert not out.exists()
+
+
+def test_missing_checkpoint_exits_2_before_writing(workdir):
+    out = workdir / "ft"
+    rc = main(["finetune", "--config", str(workdir / "run.cfg"), "--checkpoint", str(workdir / "nope.ckpt"),
+               "--task", "alpha", "--seed", "0", "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+
+
+def test_bad_labels_flag_is_a_config_error(workdir, capsys):
+    rc = main(["validate-data", "--dataset", str(workdir / "data" / "alpha.jsonl"),
+               "--task", "alpha", "--labels", "positive"])
+    assert rc == 2
+    assert "needs >= 2 labels" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def stage1(tmp_path_factory):
+    """Synthetic data, configs and one trained stage-1 checkpoint shared by the run-directory tests."""
+    root = tmp_path_factory.mktemp("stage1")
+    assert main(["gen-synthetic", "--tasks", "alpha,beta,gamma", "--examples", "60",
+                 "--p-shared", "0.5", "--out", str(root / "data"), "--seed", "5"]) == 0
+    assert main(["gen-synthetic", "--tasks", "alpha,beta,rumorlike", "--examples", "60",
+                 "--p-shared", "0.5", "--events", "3", "--out", str(root / "events"), "--seed", "7"]) == 0
+    (root / "run.cfg").write_text(CFG_TEMPLATE.format(data=root / "data"))
+    (root / "loocv.cfg").write_text(
+        CFG_TEMPLATE.format(data=root / "events").replace("tasks = alpha,beta", "tasks = alpha,beta,rumorlike")
+        + f"dataset.rumorlike = {root}/events/rumorlike.jsonl\nlabels.rumorlike = negative,positive\n"
+    )
+    assert main(["train", "--config", str(root / "run.cfg"), "--seed", "0",
+                 "--out", str(root / "run"), "--quiet"]) == 0
+    return root
+
+
+RUN_COMMANDS = {
+    "train": lambda r: ["train", "--config", str(r / "run.cfg")],
+    "finetune": lambda r: ["finetune", "--config", str(r / "run.cfg"), "--task", "alpha",
+                           "--checkpoint", str(r / "run" / "seed0" / "model.ckpt")],
+    "fewshot": lambda r: ["fewshot", "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"),
+                          "--dataset", str(r / "data" / "gamma.jsonl"), "--task", "gamma",
+                          "--labels", "negative,positive", "--k", "10", "--max-epochs", "1"],
+    "loocv": lambda r: ["loocv", "--config", str(r / "loocv.cfg"), "--task", "rumorlike"],
+    "ablation": lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "alpha",
+                           "--subset", "alpha", "--subset", "alpha,beta"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+def test_run_directory_is_complete_and_rerun_identical(stage1, tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert main(RUN_COMMANDS[command](stage1) + ["--seed", "0", "--out", str(out), "--quiet"]) == 0
+    for name in ("manifest.json", "config.txt", "metrics.json", "report.jsonl"):
+        assert (first / name).is_file(), name
+    if command in ("train", "finetune"):
+        assert (first / "seed0" / "model.ckpt").is_file()
+    # the manifest records the run directory and the wall-clock time; everything else must repeat
+    written = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file() and p.name != "manifest.json")
+    assert written == sorted(p.relative_to(second) for p in second.rglob("*")
+                             if p.is_file() and p.name != "manifest.json")
+    for rel in written:
+        assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel

@@ -91,6 +91,33 @@ def test_loader_rejects_unknown_fields(tmp_path):
         load_dataset(path, BUILTIN_TASKS["rumor"])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", 1), ("text", 5), ("task", None), ("label", ["true"]), ("event", 3), ("polarity", {}),
+])
+def test_loader_rejects_non_string_fields(tmp_path, field, value):
+    path = tmp_path / "rumor.jsonl"
+    records = _rumor_records(n_unverified=0)
+    records[1][field] = value
+    _write_jsonl(path, records)
+    with pytest.raises(ValueError, match=f"line 2: field '{field}' must be a string"):
+        load_dataset(path, BUILTIN_TASKS["rumor"])
+
+
+def test_loader_accepts_null_optional_fields(tmp_path):
+    path = tmp_path / "rumor.jsonl"
+    records = _rumor_records(n_unverified=0)
+    records[0]["event"] = None
+    _write_jsonl(path, records)
+    assert load_dataset(path, BUILTIN_TASKS["rumor"]).examples[0].event is None
+
+
+def test_loader_rejects_non_object_record(tmp_path):
+    path = tmp_path / "rumor.jsonl"
+    path.write_text('["t0", "claim", "rumor", "true"]\n')
+    with pytest.raises(ValueError, match="line 1: record must be a JSON object"):
+        load_dataset(path, BUILTIN_TASKS["rumor"])
+
+
 def test_bias_fields_only_on_positcharacters(tmp_path):
     path = tmp_path / "newsbias.jsonl"
     _write_jsonl(path, [

@@ -12,9 +12,11 @@ from misinfo_mtl.multitask import (
     head_seed,
     predict,
     register_task,
+    score,
     task_loss,
     task_step_gradients,
 )
+from misinfo_mtl import encoder as enc
 from misinfo_mtl.encoder import finite_difference_check
 from misinfo_mtl.tokenization import Batch
 
@@ -135,6 +137,28 @@ def test_task_loss_hand_value_point_nine(tiny_model):
     batch = random_batch(np.random.default_rng(6), 40, 3, 12)
     loss, _ = task_loss(tiny_model, "a_task", batch, np.zeros(3, dtype=np.int64))
     assert loss == pytest.approx(-math.log(0.9), abs=1e-12)  # 0.10536...
+
+
+def test_score_matches_task_loss_on_the_same_rows(tiny_model):
+    rng = np.random.default_rng(21)
+    batch = random_batch(rng, 40, 11, 12)
+    labels = rng.integers(0, 3, size=11)
+    nll, preds = score(tiny_model, "b_task", batch, labels, batch_size=4)
+    loss, state = task_loss(tiny_model, "b_task", batch, labels)
+    assert len(set(batch.mask.sum(axis=1).tolist())) > 1  # ragged, so length order differs from input order
+    assert nll == pytest.approx(loss, rel=1e-12, abs=0.0)
+    assert np.array_equal(preds, state["probs"].argmax(axis=1))
+
+
+def test_score_builds_no_backward_cache(tiny_model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval forward built a backward cache")
+
+    monkeypatch.setattr(enc, "EncoderCache", refuse)
+    monkeypatch.setattr(enc, "_LayerCache", refuse)
+    batch = random_batch(np.random.default_rng(22), 40, 5, 12)
+    nll, preds = score(tiny_model, "a_task", batch, np.array([0, 1, 0, 1, 1]), batch_size=2)
+    assert np.isfinite(nll) and preds.shape == (5,)
 
 
 def test_task_loss_rejects_bad_labels(tiny_model):
