@@ -5,6 +5,25 @@ import numpy as np
 import pytest
 
 from misinfo_mtl.checkpoint import MAGIC, load_model, save_model
+from misinfo_mtl.encoder import init_encoder
+from misinfo_mtl.multitask import MultiTaskModel
+
+from conftest import tiny_config
+
+
+def test_encoder_checkpoint_round_trip(tmp_path):
+    # A model with no task heads yet (the state right after pre-training setup)
+    # carries its encoder through the multitask checkpoint unchanged.
+    params = init_encoder(tiny_config(seed=5))
+    path = tmp_path / "enc.ckpt"
+    save_model(path, MultiTaskModel(encoder=params))
+    loaded = load_model(path)
+    assert loaded.tasks == {} and loaded.heads == {}
+    assert loaded.encoder.config == params.config
+    assert set(loaded.encoder.tensors) == set(params.tensors)
+    for name in params.tensors:
+        assert np.array_equal(loaded.encoder.tensors[name], params.tensors[name])
+        assert loaded.encoder.tensors[name].dtype == np.float64
 
 
 def test_model_checkpoint_round_trip(tmp_path, tiny_model):
