@@ -21,7 +21,7 @@ from . import checkpoint as ckpt
 from . import data as datamod
 from . import evaluation, metrics, training
 from .encoder import EncoderConfig
-from .multitask import MultiTaskModel, TaskSpec, build_model
+from .multitask import MultiTaskModel, TaskSpec, build_model, require_task
 from .tokenization import build_vocab, load_vocab, save_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
@@ -326,6 +326,7 @@ def cmd_finetune(args) -> int:
     spec, datasets, configs = _config_run(args, task_listed=True)
     split = split_all(spec, datasets)[args.task]
     model = _load_model_and_vocab(args.checkpoint, args.vocab)
+    require_task(model, args.task)
     out = _open_run(args, "finetune", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
                     {"task": args.task, "checkpoint": args.checkpoint})
 
@@ -344,9 +345,12 @@ def cmd_fewshot(args) -> int:
     base = _load_model_and_vocab(args.checkpoint, args.vocab)
     seeds = tuple(args.seed) if args.seed else DEFAULT_SEEDS
     fewshot_config = evaluation.FewShotConfig(k=args.k, mode=args.mode)
+    evaluation.check_fewshot_inputs(base, dataset, args.k)
     train_config = TrainConfig(learning_rate=args.learning_rate, max_epochs=args.max_epochs,
                                patience=min(args.patience, args.max_epochs), max_seq_len=base.config.max_seq_len)
-    raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode}
+    raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode,
+           "learning_rate": str(train_config.learning_rate), "max_epochs": str(train_config.max_epochs),
+           "patience": str(train_config.patience)}
     out = _open_run(args, "fewshot", raw, seeds, [Path(args.dataset)], {"checkpoint": args.checkpoint})
 
     per_seed: dict[int, metrics.MetricsReport] = {}
@@ -569,7 +573,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str(KeyError) quotes its message; print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -183,6 +183,18 @@ def _merge_heads(x):
 # --- forward / backward -----------------------------------------------------
 
 
+def _query_rows(cfg: EncoderConfig, layer: int) -> slice:
+    """Rows whose outputs a layer computes: its consumer reads only those.
+
+    CLS pooling reads row 0 of the last layer, so that layer runs queries,
+    attention, residual, LayerNorms and FFN for the CLS row alone (keys and
+    values still cover every row). Every other layer computes all rows.
+    """
+    if cfg.pooling == "cls" and layer == cfg.num_layers - 1:
+        return slice(0, 1)
+    return slice(None)
+
+
 @dataclass
 class _LayerCache:
     x_in: np.ndarray
@@ -212,7 +224,7 @@ class EncoderCache:
     xhat0: np.ndarray
     inv0: np.ndarray
     layers: list[_LayerCache]
-    x_final: np.ndarray
+    x_final: np.ndarray  # last layer's output; under CLS pooling only the CLS row, (B, 1, d)
 
 
 def encode_batch(
@@ -225,10 +237,11 @@ def encode_batch(
     """Run the encoder stack and pool one vector per input.
 
     PAD positions get a -inf pre-softmax attention score, so their content can
-    never reach the pooled output. Dropout fires only in train mode (and then
-    requires ``rng``). Per-layer activations are kept only with
-    ``return_cache=True``, and then the result is ``(pooled, cache)`` for a
-    subsequent ``backward`` call.
+    never reach the pooled output. Under CLS pooling the last layer computes
+    keys and values for every row and everything else for the CLS row only.
+    Dropout fires only in train mode (and then requires ``rng``). Per-layer
+    activations are kept only with ``return_cache=True``, and then the result
+    is ``(pooled, cache)`` for a subsequent ``backward`` call.
     """
     cfg = params.config
     t = params.tensors
@@ -259,25 +272,27 @@ def encode_batch(
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
+        rows = _query_rows(cfg, i)
         x_in = x
-        q = _split_heads(x_in @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.num_heads)
+        q = _split_heads(x_in[:, rows] @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.num_heads)
         k = _split_heads(x_in @ t[p + "attn.wk"], cfg.num_heads)
         v = _split_heads(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.num_heads)
         scores = np.where(key_keep, (q @ k.transpose(0, 1, 3, 2)) * scale, -np.inf)
         probs = _softmax_last(scores)
         ctx = _merge_heads(probs @ v)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
+        # Masks are drawn full size, (B, L, d), so the dropout RNG stream does not depend on `rows`.
         attn_drop = None
         if drop > 0.0:
-            attn_drop = _dropout_mask(rng, attn_out.shape, drop)
+            attn_drop = _dropout_mask(rng, x_in.shape, drop)[:, rows]
             attn_out = attn_out * attn_drop
-        x_mid, xhat1, inv1 = _ln_forward(x_in + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
+        x_mid, xhat1, inv1 = _ln_forward(x_in[:, rows] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
         h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
         h_cdf = gelu_cdf(h_pre)
         ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
         ffn_drop = None
         if drop > 0.0:
-            ffn_drop = _dropout_mask(rng, ffn_out.shape, drop)
+            ffn_drop = _dropout_mask(rng, x_in.shape, drop)[:, rows]
             ffn_out = ffn_out * ffn_drop
         x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
         if return_cache:
@@ -324,6 +339,7 @@ def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarr
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in reversed(range(cfg.num_layers)):
         p = f"layers.{i}."
+        rows = _query_rows(cfg, i)
         lc = cache.layers[i]
 
         dz2, dg, dbias = _ln_backward(dx, t[p + "ffn_ln.gain"], lc.xhat2, lc.inv2)
@@ -358,15 +374,19 @@ def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarr
         dq = (dscores @ lc.k) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ lc.q) * scale
 
-        x_in2d = lc.x_in.reshape(-1, cfg.embed_dim)
-        dx_in = dz1
+        # Queries (and the residual) come from the layer's rows only; keys and values from every row.
+        # The sums keep the order ((dz1 + dq Wq^T) + dk Wk^T) + dv Wv^T of an all-rows layer.
+        dx = np.zeros_like(lc.x_in)
         for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
             dmerged = _merge_heads(dproj)
-            grads[p + f"attn.w{name}"] += x_in2d.T @ dmerged.reshape(-1, cfg.embed_dim)
+            x_src = lc.x_in[:, rows] if name == "q" else lc.x_in
+            grads[p + f"attn.w{name}"] += x_src.reshape(-1, cfg.embed_dim).T @ dmerged.reshape(-1, cfg.embed_dim)
             if name != "k":  # the key projection has no bias
                 grads[p + f"attn.b{name}"] += dmerged.sum(axis=(0, 1))
-            dx_in = dx_in + dmerged @ t[p + f"attn.w{name}"].T
-        dx = dx_in
+            if name == "q":
+                dx[:, rows] = dz1 + dmerged @ t[p + "attn.wq"].T
+            else:
+                dx += dmerged @ t[p + f"attn.w{name}"].T
 
     if cache.emb_drop is not None:
         dx = dx * cache.emb_drop

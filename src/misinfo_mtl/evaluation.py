@@ -75,6 +75,15 @@ class FewShotResult:
     model: MultiTaskModel  # the adapted copy (handy for audits and reuse)
 
 
+def check_fewshot_inputs(stage1_model: MultiTaskModel, unseen_dataset: datamod.Dataset, k: int) -> None:
+    """Refuse a k that leaves no test rows and a task the model already has a head for."""
+    if k >= unseen_dataset.size:
+        raise ValueError(f"k={k} must be < dataset size {unseen_dataset.size}")
+    name = unseen_dataset.spec.name
+    if name in stage1_model.tasks:
+        raise ValueError(f"task {name!r} is already registered; few-shot targets unseen tasks")
+
+
 def fewshot_run(
     stage1_model: MultiTaskModel,
     unseen_dataset: datamod.Dataset,
@@ -87,12 +96,9 @@ def fewshot_run(
     updates the encoder while "head-only" freezes it. The k-shot sample doubles
     as the early-stopping validation set (there is nothing else to hold out).
     """
+    check_fewshot_inputs(stage1_model, unseen_dataset, cfg.k)
     n = unseen_dataset.size
-    if cfg.k >= n:
-        raise ValueError(f"k={cfg.k} must be < dataset size {n}")
     spec = unseen_dataset.spec
-    if spec.name in stage1_model.tasks:
-        raise ValueError(f"task {spec.name!r} is already registered; few-shot targets unseen tasks")
     train_config = train_config or TrainConfig()
 
     rng = np.random.default_rng(cfg.seed)

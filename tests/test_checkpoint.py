@@ -1,12 +1,15 @@
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misinfo_mtl.checkpoint import MAGIC, load_model, save_model
 from misinfo_mtl.encoder import init_encoder
-from misinfo_mtl.multitask import MultiTaskModel
+from misinfo_mtl.multitask import MultiTaskModel, TaskSpec, register_task
 
 from conftest import tiny_config
 
@@ -115,3 +118,98 @@ def test_magic_prefix_written(tmp_path, tiny_model):
     path = tmp_path / "model.ckpt"
     save_model(path, tiny_model)
     assert path.read_bytes()[:8] == MAGIC
+
+
+def _header_bytes(header) -> bytes:
+    blob = json.dumps(header).encode()
+    return MAGIC + struct.pack("<Q", len(blob)) + blob
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (MAGIC + b"\x01\x02", "truncated before the header length"),
+        (MAGIC + struct.pack("<Q", 10**6) + b"{}", "runs past the end of the file"),
+        (MAGIC + struct.pack("<Q", 4) + b"\xff\xfe{}", "unreadable checkpoint header"),
+        (MAGIC + struct.pack("<Q", 5) + b"{kind", "unreadable checkpoint header"),
+        (_header_bytes({}), "malformed checkpoint header"),
+        (_header_bytes([1, 2]), "malformed checkpoint header"),
+    ],
+)
+def test_rejects_malformed_header_naming_the_file(tmp_path, raw, message):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h["encoder_config"].__setitem__("embed_dim", "16"),
+        lambda h: h["encoder_config"].__setitem__("num_layers", 2.0),
+        lambda h: h["encoder_config"].__setitem__("pooling", None),
+        lambda h: h["encoder_config"].__setitem__("bogus", 1),
+        lambda h: h["encoder_config"].pop("seed"),
+        lambda h: h["encoder_config"].__setitem__("num_layers", 10**9),
+        lambda h: h["tasks"]["a_task"].__setitem__("labels", "neg,pos"),
+        lambda h: h["tasks"]["a_task"].__setitem__("granularity", "novel"),
+        lambda h: h["tensors"][0].__setitem__("shape", [-1]),
+        lambda h: h["tensors"].append(dict(h["tensors"][0])),
+        lambda h: h.__setitem__("tasks", []),
+    ],
+)
+def test_rejects_ill_typed_header_fields(tmp_path, tiny_model, mutate):
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model)
+    path.write_bytes(_tamper_header(path.read_bytes(), mutate))
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
+def test_refuses_non_finite_tensors_on_save_and_load(tmp_path, tiny_model):
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="non-finite values in tensor"):
+        load_model(path)
+
+    tiny_model.heads["b_task"]["out_b"][0] = np.inf
+    fresh = tmp_path / "inf.ckpt"
+    with pytest.raises(ValueError, match="refusing to save non-finite values in tensor 'head.b_task.out_b'"):
+        save_model(fresh, tiny_model)
+    assert not fresh.exists()
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint():
+    model = MultiTaskModel(encoder=init_encoder(tiny_config(num_layers=1, vocab_size=12, max_seq_len=4)))
+    register_task(model, TaskSpec("t", ("neg", "pos"), "tweet", "pos"), seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_model(path, model)
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_bytes_load_or_raise_value_error(valid_checkpoint, tmp_path_factory, data):
+    raw = bytearray(valid_checkpoint)
+    for pos in data.draw(st.lists(st.integers(0, len(raw) * 8 - 1), max_size=4), label="bit flips"):
+        raw[pos // 8] ^= 1 << (pos % 8)
+    if data.draw(st.booleans(), label="rewrite header length"):
+        raw[8:16] = struct.pack("<Q", data.draw(st.integers(0, 2**64 - 1), label="header length"))
+    raw = raw[: data.draw(st.integers(0, len(raw)), label="keep bytes")]
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(bytes(raw))
+    try:
+        model = load_model(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert isinstance(model, MultiTaskModel)
+        assert all(np.isfinite(arr).all() for arr in model.encoder.tensors.values())

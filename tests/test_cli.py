@@ -330,3 +330,56 @@ def test_run_directory_is_complete_and_rerun_identical(stage1, tmp_path, command
                              if p.is_file() and p.name != "manifest.json")
     for rel in written:
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+
+
+def _gamma_config(root):
+    """The stage-1 config plus a ``gamma`` task that the stage-1 checkpoint has no head for."""
+    path = root / "gamma.cfg"
+    path.write_text(
+        CFG_TEMPLATE.format(data=root / "data").replace("tasks = alpha,beta", "tasks = alpha,beta,gamma")
+        + f"dataset.gamma = {root}/data/gamma.jsonl\nlabels.gamma = negative,positive\n"
+    )
+    return path
+
+
+BAD_ADAPTATIONS = {
+    "fewshot-k-is-dataset-size": (
+        lambda r: ["fewshot", "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"),
+                   "--dataset", str(r / "data" / "gamma.jsonl"), "--task", "gamma",
+                   "--labels", "negative,positive", "--k", "60"],
+        "k=60 must be < dataset size 60",
+    ),
+    "fewshot-task-registered": (
+        lambda r: ["fewshot", "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"),
+                   "--dataset", str(r / "data" / "alpha.jsonl"), "--task", "alpha",
+                   "--labels", "negative,positive", "--k", "10"],
+        "task 'alpha' is already registered",
+    ),
+    "finetune-task-missing": (
+        lambda r: ["finetune", "--config", str(_gamma_config(r)), "--task", "gamma",
+                   "--checkpoint", str(r / "run" / "seed0" / "model.ckpt")],
+        "error: unknown task 'gamma'; registered: ['alpha', 'beta']\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ADAPTATIONS))
+def test_bad_adaptation_exits_1_before_writing(stage1, tmp_path, capsys, case):
+    argv, message = BAD_ADAPTATIONS[case]
+    out = tmp_path / "run"
+    assert main(argv(stage1) + ["--seed", "0", "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
+def test_fewshot_training_flags_get_their_own_run_directory(stage1, tmp_path, monkeypatch):
+    # each run differs from the first in one training flag only
+    monkeypatch.chdir(tmp_path)
+    base = RUN_COMMANDS["fewshot"](stage1) + ["--max-epochs", "2", "--seed", "0", "--quiet"]
+    for flags in ([], ["--learning-rate", "1e-3"], ["--patience", "1"], ["--max-epochs", "3"]):
+        assert main(base + flags) == 0
+    configs = sorted((run / "config.txt").read_text() for run in (tmp_path / "runs").iterdir())
+    assert len(configs) == 4
+    for line in ("learning_rate = 0.001\n", "patience = 1\n", "max_epochs = 3\n"):
+        assert sum(line in c for c in configs) == 1, line

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -254,15 +256,78 @@ def test_gradcheck_quadratic_loss_is_nearly_exact():
 def test_gradcheck_full_encoder_cls_and_mean():
     rng = np.random.default_rng(9)
     batch = random_batch(rng, 40, 4, 12)
+    assert not batch.mask.all()
     weights = rng.standard_normal((4, 16))
-    for pooling in ("cls", "mean"):
-        config = tiny_config(pooling=pooling)
-        params = init_encoder(config)
-        err = finite_difference_check(
-            _pooled_dot_loss(config, batch, weights), params.tensors,
-            epsilon=1e-4, sample_count=150, seed=1,
-        )
-        assert err <= 1e-4, (pooling, err)
+    # With one layer under CLS pooling, the only layer is the one that computes the CLS row alone.
+    for num_layers in (1, 2):
+        for pooling in ("cls", "mean"):
+            config = tiny_config(pooling=pooling, num_layers=num_layers)
+            params = init_encoder(config)
+            err = finite_difference_check(
+                _pooled_dot_loss(config, batch, weights), params.tensors,
+                epsilon=1e-4, sample_count=150, seed=1,
+            )
+            assert err <= 1e-4, (num_layers, pooling, err)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, train_mode):
+    # Mean pooling computes every row of the last layer; with the same generator
+    # seed both forwards see the same dropout masks.
+    config = tiny_config(num_layers=num_layers, max_seq_len=24, dropout_rate=0.2)
+    params = init_encoder(config)
+    padded = _short_ragged_batch(15, length=24)
+    batch = trim_batch(padded.ids, padded.mask, np.arange(padded.size))
+    assert batch.seq_len < padded.seq_len and not batch.mask.all()
+    cls_pooled = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(6))
+    full = EncoderParams(config=replace(config, pooling="mean"), tensors=params.tensors)
+    _, cache = encode_batch(full, batch, train_mode=train_mode, rng=np.random.default_rng(6), return_cache=True)
+    assert cache.x_final.shape[1] == batch.seq_len
+    np.testing.assert_allclose(cls_pooled, cache.x_final[:, 0], rtol=1e-12, atol=0)
+
+
+def test_cls_last_layer_caches_one_query_row():
+    config = tiny_config(num_layers=2)
+    batch = random_batch(np.random.default_rng(16), 40, 4, 12)
+    _, cache = encode_batch(init_encoder(config), batch, return_cache=True)
+    first, last = cache.layers
+    length = batch.seq_len
+    assert first.q.shape[2] == first.probs.shape[2] == first.x_mid.shape[1] == first.h_pre.shape[1] == length
+    assert last.q.shape[2] == last.probs.shape[2] == last.x_mid.shape[1] == last.h_pre.shape[1] == 1
+    # keys and values (and the attention's key axis) still cover every row
+    assert last.k.shape[2] == last.v.shape[2] == last.probs.shape[3] == length
+    assert cache.x_final.shape == (4, 1, config.embed_dim)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_train_forward_draws_full_size_dropout_masks(pooling):
+    config = tiny_config(pooling=pooling, dropout_rate=0.2)
+    batch = random_batch(np.random.default_rng(17), 40, 3, 12)
+    used = np.random.default_rng(5)
+    encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
+    reference = np.random.default_rng(5)
+    for _ in range(1 + 2 * config.num_layers):  # embedding mask, then attention and FFN per layer
+        reference.random((3, 12, config.embed_dim))
+    assert used.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_gradcheck_with_fixed_dropout_masks(pooling):
+    # A fresh generator with one seed on every call fixes the masks, so the loss is deterministic.
+    rng = np.random.default_rng(19)
+    batch = random_batch(rng, 40, 4, 12)
+    weights = rng.standard_normal((4, 16))
+    config = tiny_config(pooling=pooling, dropout_rate=0.3)
+
+    def loss_fn(tensors):
+        params = EncoderParams(config=config, tensors=tensors)
+        pooled, cache = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(4),
+                                     return_cache=True)
+        return float((pooled * weights).sum()), backward(params, cache, weights)
+
+    err = finite_difference_check(loss_fn, init_encoder(config).tensors, epsilon=1e-4, sample_count=150, seed=4)
+    assert err <= 1e-4, (pooling, err)
 
 
 def test_gradcheck_rejects_bad_epsilon():
