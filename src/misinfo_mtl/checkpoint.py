@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .encoder import EncoderConfig, EncoderParams, param_shapes
 from .multitask import MultiTaskModel, TaskSpec, head_shapes
 
@@ -47,7 +48,7 @@ def save_model(path: str | Path, model: MultiTaskModel) -> None:
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with Path(path).open("wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import checkpoint as ckpt
 from . import data as datamod
 from . import evaluation, metrics, training
+from .atomic import atomic_open, write_text_atomic
 from .encoder import EncoderConfig
 from .multitask import MultiTaskModel, TaskSpec, build_model, require_task
 from .tokenization import build_vocab, load_vocab, save_vocab
@@ -205,7 +206,7 @@ def _config_run(args, task_listed: bool = False):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _open_run(args, command: str, raw: dict[str, str], seeds, inputs, extra: dict | None = None) -> Path:
@@ -233,13 +234,13 @@ def _open_run(args, command: str, raw: dict[str, str], seeds, inputs, extra: dic
         "extra": extra,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     })
-    (out / "config.txt").write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+    write_text_atomic(out / "config.txt", "".join(f"{k} = {v}\n" for k, v in config.items()))
     return out
 
 
 def _write_report_lines(path: Path, rows) -> None:
     """One line-delimited record per (row name, MetricsReport)."""
-    with path.open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for name, report in rows:
             fh.write(json.dumps({"row": name, **report.to_dict()}, sort_keys=True) + "\n")
 
@@ -266,7 +267,7 @@ def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.T
     seed_dir = out / f"seed{seed}"
     seed_dir.mkdir(exist_ok=True)
     ckpt.save_model(seed_dir / "model.ckpt", model)
-    with (seed_dir / "history.jsonl").open("w", encoding="utf-8") as fh:
+    with atomic_open(seed_dir / "history.jsonl") as fh:
         for record in history.epochs:
             fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
         fh.write(json.dumps({"best_epoch": history.best_epoch, "stop_reason": history.stop_reason}, sort_keys=True) + "\n")
@@ -569,7 +570,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .multitask import TaskSpec
 
 BIAS_TYPES = ("lexical", "informational")
@@ -154,14 +155,19 @@ def load_dataset(path: str | Path, spec: TaskSpec, filter_rules: FilterRules | N
     drop = set(filter_rules.drop_labels) if filter_rules else set()
     examples: list[Example] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, refused per line below.
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"line {line_no}: not valid UTF-8") from None
+            try:
                 ex = Example.from_record(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"line {line_no}: invalid record ({exc})") from None
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
@@ -179,7 +185,7 @@ def load_dataset(path: str | Path, spec: TaskSpec, filter_rules: FilterRules | N
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the canonical line-delimited form (stable field order)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for ex in dataset.examples:
             fh.write(json.dumps(ex.to_record(), sort_keys=True) + "\n")
 

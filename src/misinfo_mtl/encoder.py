@@ -14,12 +14,37 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .tokenization import Batch
 
 LN_EPS = 1e-5
 GRADCHECK_FLOOR = 1e-12
+
+# Cephes ndtr.c erf: x T(x^2) / U(x^2) for |x| <= 1, 1 - exp(-x^2) P(|x|) / Q(|x|)
+# above. Coefficients run from the highest degree down; U and Q are monic. Each
+# numerator/denominator pair is one (degree + 1, 2, 1) array so one Horner pass
+# evaluates both; T gets a leading 0 to match U's degree (0 * z + T[0] is T[0] exactly).
+_ERF_TU = np.array([
+    (0.0, 1.0),
+    (9.60497373987051638749E0, 3.35617141647503099647E1),
+    (9.00260197203842689217E1, 5.21357949780152679795E2),
+    (2.23200534594684319226E3, 4.59432382970980127987E3),
+    (7.00332514112805075473E3, 2.26290000613890934246E4),
+    (5.55923013010394962768E4, 4.92673942608635921086E4),
+])[:, :, None]
+_ERF_PQ = np.array([
+    (2.46196981473530512524E-10, 1.0),
+    (5.64189564831068821977E-1, 1.32281951154744992508E1),
+    (7.46321056442269912687E0, 8.67072140885989742329E1),
+    (4.86371970985681366614E1, 3.54937778887819891062E2),
+    (1.96520832956077098242E2, 9.75708501743205489753E2),
+    (5.26445194995477358631E2, 1.82390916687909736289E3),
+    (9.34528527171957607540E2, 2.24633760818710981792E3),
+    (1.02755188689515710272E3, 1.65666309194161350182E3),
+    (5.57535335369399327526E2, 5.57535340817727675546E2),
+])[:, :, None]
+_ERF_CLAMP = 6.0  # erfc(6) < 2**-55, so erf rounds to exactly +-1 from here on
+_ERF_CHUNK = 16384  # elements per pass: a chunk's temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -121,9 +146,64 @@ def init_encoder(config: EncoderConfig) -> EncoderParams:
 # --- primitive forward/backward pieces -------------------------------------
 
 
+def _horner_pair(x: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Evaluate two polynomials at ``x`` into ``out``, shape (2, x.size), by Horner's rule."""
+    np.multiply(x, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        np.add(out, c, out=out)
+        np.multiply(out, x, out=out)
+    np.add(out, coefs[-1], out=out)
+    return out
+
+
+def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Error function, elementwise in float64 (a port of Cephes ``ndtr.c``).
+
+    Odd in x (the sign of -0.0 is kept), +-inf gives +-1 and NaN stays NaN.
+    ``out``, a C-contiguous float64 array, may be ``x`` itself. Works over
+    cache-sized chunks and evaluates the |x| > 1 branch on those elements only.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if out is None:
+        out = np.empty(x.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("erf needs a C-contiguous out array")
+    src, dst = x.reshape(-1), out.reshape(-1)
+    n = min(src.size, _ERF_CHUNK)
+    buf_z, buf_tu = np.empty(n), np.empty((2, n))
+    # The |x| <= 1 formula runs on every element; on the |x| > 1 ones it may overflow
+    # (x*x for huge x, inf/inf for x = inf), and those results are overwritten below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, src.size, _ERF_CHUNK):
+            xs, ys = src[start:start + _ERF_CHUNK], dst[start:start + _ERF_CHUNK]
+            z, tu = buf_z[:xs.size], buf_tu[:, :xs.size]
+            np.multiply(xs, xs, out=z)
+            tail = np.flatnonzero(z > 1.0)  # NaN stays in the |x| <= 1 branch, which propagates it
+            x_tail = xs[tail]
+            _horner_pair(z, _ERF_TU, tu)
+            np.multiply(xs, tu[0], out=ys)
+            np.divide(ys, tu[1], out=ys)
+            if tail.size:
+                a = np.abs(x_tail)
+                np.minimum(a, _ERF_CLAMP, out=a)
+                pq = _horner_pair(a, _ERF_PQ, np.empty((2, a.size)))
+                e = np.multiply(a, a)
+                np.negative(e, out=e)
+                np.exp(e, out=e)
+                np.multiply(e, pq[0], out=e)
+                np.divide(e, pq[1], out=e)
+                np.subtract(1.0, e, out=e)
+                ys[tail] = np.copysign(e, x_tail, out=e)
+    return out
+
+
 def gelu_cdf(x: np.ndarray) -> np.ndarray:
     """Standard normal CDF, the gate of GELU(x) = x * Phi(x)."""
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    out = np.divide(x, math.sqrt(2.0))
+    erf(out, out=out)
+    np.add(out, 1.0, out=out)
+    np.multiply(out, 0.5, out=out)
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -134,40 +214,60 @@ def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
     """d GELU / dx; pass the forward pass's ``gelu_cdf(x)`` to skip recomputing it."""
     if cdf is None:
         cdf = gelu_cdf(x)
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return cdf + x * pdf
+    # cdf + x * exp(-0.5 * x * x) / sqrt(2 pi), in one buffer
+    out = np.multiply(x, -0.5)
+    np.multiply(out, x, out=out)
+    np.exp(out, out=out)
+    np.divide(out, math.sqrt(2.0 * math.pi), out=out)
+    np.multiply(out, x, out=out)
+    np.add(out, cdf, out=out)
+    return out
 
 
 def _ln_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gain * xhat + bias, xhat, inv
+    """LayerNorm over the last axis; returns (output, xhat, inv) and overwrites ``x`` with xhat."""
+    x -= x.mean(axis=-1, keepdims=True)
+    out = np.multiply(x, x)
+    var = out.mean(axis=-1, keepdims=True)
+    var += LN_EPS
+    np.sqrt(var, out=var)
+    inv = np.divide(1.0, var, out=var)
+    x *= inv
+    np.multiply(gain, x, out=out)
+    out += bias
+    return out, x, inv
 
 
 def _ln_backward(dout, gain, xhat, inv):
-    dgain = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
-    dbias = dout.sum(axis=tuple(range(dout.ndim - 1)))
-    dxhat = dout * gain
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    axes = tuple(range(dout.ndim - 1))
+    tmp = np.multiply(dout, xhat)
+    dgain = tmp.sum(axis=axes)
+    dbias = dout.sum(axis=axes)
+    # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), built in the dxhat buffer
+    dx = np.multiply(dout, gain)
+    mean_dxhat = dx.mean(axis=-1, keepdims=True)
+    np.multiply(dx, xhat, out=tmp)
+    np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
+    dx -= mean_dxhat
+    dx -= tmp
+    dx *= inv
     return dx, dgain, dbias
 
 
-def _softmax_last(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_inplace(x):
+    """Softmax over the last axis, computed in ``x`` itself."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    # Inverted dropout: mask already carries the 1/(1-rate) rescaling.
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    # Inverted dropout: mask already carries the 1/(1-rate) rescaling; built in the random draws' buffer.
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask
 
 
 def _split_heads(x, num_heads):
@@ -265,10 +365,10 @@ def encode_batch(
     emb_drop = None
     if drop > 0.0:
         emb_drop = _dropout_mask(rng, x.shape, drop)
-        x = x * emb_drop
+        x *= emb_drop
     layer_caches: list[_LayerCache] = []
 
-    key_keep = mask[:, None, None, :] > 0  # (B,1,1,L) over the key axis
+    key_pad = mask[:, None, None, :] == 0  # (B,1,1,L) over the key axis
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
@@ -277,15 +377,17 @@ def encode_batch(
         q = _split_heads(x_in[:, rows] @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.num_heads)
         k = _split_heads(x_in @ t[p + "attn.wk"], cfg.num_heads)
         v = _split_heads(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.num_heads)
-        scores = np.where(key_keep, (q @ k.transpose(0, 1, 3, 2)) * scale, -np.inf)
-        probs = _softmax_last(scores)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores *= scale
+        np.copyto(scores, -np.inf, where=key_pad)
+        probs = _softmax_inplace(scores)
         ctx = _merge_heads(probs @ v)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
         # Masks are drawn full size, (B, L, d), so the dropout RNG stream does not depend on `rows`.
         attn_drop = None
         if drop > 0.0:
             attn_drop = _dropout_mask(rng, x_in.shape, drop)[:, rows]
-            attn_out = attn_out * attn_drop
+            attn_out *= attn_drop
         x_mid, xhat1, inv1 = _ln_forward(x_in[:, rows] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
         h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
         h_cdf = gelu_cdf(h_pre)
@@ -293,7 +395,7 @@ def encode_batch(
         ffn_drop = None
         if drop > 0.0:
             ffn_drop = _dropout_mask(rng, x_in.shape, drop)[:, rows]
-            ffn_out = ffn_out * ffn_drop
+            ffn_out *= ffn_drop
         x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
         if return_cache:
             layer_caches.append(
@@ -352,7 +454,8 @@ def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarr
         del h_act
         grads[p + "ffn.b2"] += dffn_out.sum(axis=(0, 1))
         dh_act = dffn_out @ t[p + "ffn.w2"].T
-        dh_pre = dh_act * gelu_grad(lc.h_pre, lc.h_cdf)
+        dh_pre = gelu_grad(lc.h_pre, lc.h_cdf)
+        dh_pre *= dh_act
         x_mid2d = lc.x_mid.reshape(-1, cfg.embed_dim)
         grads[p + "ffn.w1"] += x_mid2d.T @ dh_pre.reshape(-1, cfg.ffn_dim)
         grads[p + "ffn.b1"] += dh_pre.sum(axis=(0, 1))
@@ -369,8 +472,10 @@ def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarr
 
         dprobs = dctx @ lc.v.transpose(0, 1, 3, 2)
         dv = lc.probs.transpose(0, 1, 3, 2) @ dctx
-        # Softmax backward; masked keys have prob 0 and thus zero score grad.
-        dscores = lc.probs * (dprobs - (dprobs * lc.probs).sum(axis=-1, keepdims=True))
+        # Softmax backward, probs * (dprobs - sum(dprobs * probs)), in the dprobs buffer;
+        # masked keys have prob 0 and thus zero score grad.
+        dprobs -= (dprobs * lc.probs).sum(axis=-1, keepdims=True)
+        dscores = np.multiply(dprobs, lc.probs, out=dprobs)
         dq = (dscores @ lc.k) * scale
         dk = (dscores.transpose(0, 1, 3, 2) @ lc.q) * scale
 

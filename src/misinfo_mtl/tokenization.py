@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text_atomic
+
 PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
@@ -164,7 +166,7 @@ def length_ordered_batches(ids: np.ndarray, mask: np.ndarray, batch_size: int):
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
     """Write one token per line; the first three lines are the reserved tokens."""
-    Path(path).write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(vocab.id_to_token) + "\n")
 
 
 def load_vocab(path: str | Path) -> Vocabulary:

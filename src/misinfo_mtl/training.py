@@ -159,13 +159,25 @@ def adam_step(
             state.t[key] = 0
         state.t[key] += 1
         t = state.t[key]
-        state.m[key] = beta1 * state.m[key] + (1.0 - beta1) * g
-        state.v[key] = beta2 * state.v[key] + (1.0 - beta2) * (g * g)
+        m, v = state.m[key], state.v[key]
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, in place
+        tmp = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v *= beta2
+        v += tmp
         if lr == 0.0:
             continue
-        m_hat = state.m[key] / (1.0 - beta1**t)
-        v_hat = state.v[key] / (1.0 - beta2**t)
-        new_params[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        # params - lr * m_hat / (sqrt(v_hat) + eps), built in a fresh array
+        np.divide(v, 1.0 - beta2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step = np.divide(m, 1.0 - beta1**t)
+        step *= lr
+        step /= tmp
+        new_params[key] = np.subtract(params[key], step, out=step)
     return new_params, state
 
 

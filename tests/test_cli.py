@@ -277,6 +277,24 @@ def test_missing_checkpoint_exits_2_before_writing(workdir):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "finetune", "fewshot"])
+def test_directory_as_checkpoint_exits_2_with_one_line(workdir, capsys, command):
+    data = workdir / "data"
+    argv = {
+        "eval": ["eval", "--dataset", str(data / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
+        "finetune": ["finetune", "--config", str(workdir / "run.cfg"), "--task", "alpha", "--seed", "0", "--quiet"],
+        "fewshot": ["fewshot", "--dataset", str(data / "beta.jsonl"), "--task", "beta",
+                    "--labels", "negative,positive", "--k", "10", "--seed", "0", "--quiet"],
+    }[command]
+    out = workdir / "run"
+    rc = main(argv + ["--checkpoint", str(data), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert str(data) in err
+    assert not out.exists()
+
+
 def test_bad_labels_flag_is_a_config_error(workdir, capsys):
     rc = main(["validate-data", "--dataset", str(workdir / "data" / "alpha.jsonl"),
                "--task", "alpha", "--labels", "positive"])

@@ -1,6 +1,8 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misinfo_mtl.data import (
     BUILTIN_TASKS,
@@ -349,3 +351,68 @@ def test_validator_reports_full_scale_headline_counts(tmp_path):
     assert ds.positive_count() == 4761
     table = format_dataset_summary([ds])
     assert "19538" in table and "4761" in table
+
+
+@pytest.mark.parametrize("line, message", [
+    (b'{"id": "x", "text": "caf\xe9", "task": "t", "label": "neg"}', "line 2: not valid UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000, "line 2: invalid record"),
+])
+def test_loader_refuses_undecodable_and_too_deep_lines(tmp_path, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"id": "a", "text": "fine", "task": "t", "label": "pos"}\n' + line + b"\n")
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path, TaskSpec("t", ("neg", "pos"), "tweet", "pos"))
+
+
+# --- fuzzed line-delimited input --------------------------------------------------
+
+_FUZZ_SPEC = TaskSpec("t", ("neg", "pos"), "tweet", "pos")
+_FIELD_VALUES = st.one_of(
+    st.sampled_from(["t", "neg", "pos", "skip", "other", "lexical", "positive", "a", ""]),
+    st.none(), st.integers(), st.floats(), st.booleans(), st.lists(st.integers(), max_size=2),
+)
+_RECORDS = st.dictionaries(
+    st.sampled_from(["id", "text", "task", "label", "event", "bias_type", "polarity", "extra"]),
+    _FIELD_VALUES, max_size=8,
+).map(lambda rec: json.dumps(rec).encode())
+_VALID = st.builds(
+    lambda i, label, event: json.dumps({"id": f"r{i}", "text": "some words", "task": "t", "label": label,
+                                        **({"event": event} if event else {})}).encode(),
+    st.integers(0, 5), st.sampled_from(["neg", "pos", "skip"]), st.sampled_from([None, "e1"]),
+)
+_LINES = st.one_of(
+    _VALID, _RECORDS,
+    st.text(max_size=30).map(lambda s: s.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=30),
+    st.integers(1, 5000).map(lambda n: b"[" * n + b"]" * n),
+    st.just(b""), st.just(b"   "),
+).map(lambda line: line.replace(b"\r", b"").replace(b"\n", b""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=8))
+def test_fuzzed_lines_load_or_raise_value_error_naming_the_line(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    rules = FilterRules(drop_labels=("skip",))
+
+    def load(upto):
+        path.write_bytes(b"".join(line + b"\n" for line in lines[:upto]))
+        return load_dataset(path, _FUZZ_SPEC, rules)
+
+    try:
+        dataset = load(len(lines))
+    except ValueError as exc:
+        found = re.match(r"line (\d+): ", str(exc))
+        if found is None:
+            assert str(exc) == f"no examples in {path}"
+            return
+        line_no = int(found.group(1))
+        assert 1 <= line_no <= len(lines)
+        # every line before the named one is fine on its own
+        try:
+            load(line_no - 1)
+        except ValueError as exc:
+            assert str(exc) == f"no examples in {path}"
+    else:
+        assert dataset.size >= 1
+        assert all(ex.task == "t" and ex.label in ("neg", "pos") for ex in dataset.examples)

@@ -1,4 +1,10 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,3 +350,143 @@ def test_gradcheck_rejects_nonfinite_loss():
 
     with pytest.raises(ValueError, match="non-finite"):
         finite_difference_check(loss_fn, {"w": np.ones(3)})
+
+
+# --- numpy erf (Cephes ndtr.c port) -------------------------------------------
+
+
+def _ulps(values, reference):
+    """Distance in units in the last place of the reference."""
+    return np.abs(values - reference) / np.spacing(np.abs(reference))
+
+
+def test_erf_within_4_ulp_of_math_erf():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.linspace(-7.0, 7.0, 280_001), rng.normal(0.0, 2.0, 40_000)])
+    reference = np.array([math.erf(v) for v in x])
+    assert _ulps(enc.erf(x), reference).max() <= 4
+
+
+def test_erf_special_values_and_branch_edges_without_warnings():
+    edges = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 6.0, np.nextafter(6.0, 0.0),
+             np.nextafter(6.0, 7.0), 1e-300, 5e-324, 1e155, 1e300]
+    x = np.array(edges + [-e for e in edges])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = enc.erf(x)
+        zeros = enc.erf(np.array([0.0, -0.0]))
+        specials = enc.erf(np.array([np.inf, -np.inf, np.nan]))
+    assert _ulps(y, np.array([math.erf(v) for v in x])).max() <= 4
+    assert np.array_equal(y[: len(edges)], -y[len(edges):])
+    assert zeros.tolist() == [0.0, 0.0] and np.signbit(zeros).tolist() == [False, True]
+    assert specials[0] == 1.0 and specials[1] == -1.0 and np.isnan(specials[2])
+    assert enc.erf(np.array([6.0, 7.5, 1e300])).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_erf_is_odd_shape_preserving_and_chunk_independent():
+    rng = np.random.default_rng(1)
+    x = rng.normal(0.0, 1.5, (3, 7001, 2))  # spans several chunks
+    y = enc.erf(x)
+    assert y.shape == x.shape
+    assert np.array_equal(enc.erf(-x), -y)
+    # elementwise: evaluating one element at a time gives the same bits
+    flat = x.reshape(-1)[::997]
+    assert np.array_equal(np.array([enc.erf(np.array([v]))[0] for v in flat]), y.reshape(-1)[::997])
+    # in place, and from a non-contiguous view
+    z = x.copy()
+    assert enc.erf(z, out=z) is z and np.array_equal(z, y)
+    assert np.array_equal(enc.erf(x[:, ::2]), y[:, ::2])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(enc.__file__).resolve().parents[1]
+    code = "import sys, misinfo_mtl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "[]"
+
+
+# --- in-place numerics against the expressions they replaced ------------------
+
+
+def _ref_ln_forward(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + enc.LN_EPS)
+    xhat = xc * inv
+    return gain * xhat + bias, xhat, inv
+
+
+def _ref_ln_backward(dout, gain, xhat, inv):
+    dgain = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
+    dbias = dout.sum(axis=tuple(range(dout.ndim - 1)))
+    dxhat = dout * gain
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dgain, dbias
+
+
+def _ref_masked_softmax(scores, key_keep, scale):
+    x = np.where(key_keep, scores * scale, -np.inf)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_softmax_backward(probs, dprobs):
+    return probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+
+
+def _ref_gelu_grad(x, cdf):
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return cdf + x * pdf
+
+
+@pytest.mark.parametrize("shape", [(4, 9, 16), (32, 1, 64), (8, 20, 64)])
+def test_in_place_layer_norm_is_bit_identical_to_reference(shape):
+    rng = np.random.default_rng(21)
+    x = rng.normal(0.3, 2.0, shape)
+    gain, bias = rng.normal(1.0, 0.2, shape[-1]), rng.normal(0.0, 0.2, shape[-1])
+    dout = rng.standard_normal(shape)
+    expected = _ref_ln_forward(x, gain, bias)
+    got = enc._ln_forward(x.copy(), gain, bias)
+    for e, g in zip(expected, got):
+        assert np.array_equal(e, g)
+    _, xhat, inv = expected
+    for e, g in zip(_ref_ln_backward(dout, gain, xhat, inv), enc._ln_backward(dout.copy(), gain, xhat, inv)):
+        assert np.array_equal(e, g)
+
+
+def test_in_place_softmax_and_its_backward_are_bit_identical_to_reference():
+    rng = np.random.default_rng(22)
+    b, h, lq, lk = 6, 2, 11, 11
+    mask = np.ones((b, lk), dtype=np.int64)
+    for i in range(b):
+        mask[i, int(rng.integers(1, lk + 1)):] = 0
+    scores = rng.normal(0.0, 3.0, (b, h, lq, lk))
+    scale = 1.0 / math.sqrt(8)
+    probs = _ref_masked_softmax(scores, mask[:, None, None, :] > 0, scale)
+    # the encoder's order: scale, -inf on PAD keys, then softmax, all in the scores buffer
+    got = scores.copy()
+    got *= scale
+    np.copyto(got, -np.inf, where=mask[:, None, None, :] == 0)
+    assert np.array_equal(enc._softmax_inplace(got), probs)
+    dprobs = rng.standard_normal(probs.shape)
+    work = dprobs.copy()
+    work -= (work * probs).sum(axis=-1, keepdims=True)
+    assert np.array_equal(np.multiply(work, probs, out=work), _ref_softmax_backward(probs, dprobs))
+
+
+def test_in_place_gelu_and_dropout_are_bit_identical_to_reference():
+    rng = np.random.default_rng(23)
+    x = rng.normal(0.0, 2.0, (5, 13, 32))
+    cdf = enc.gelu_cdf(x)
+    assert np.array_equal(cdf, 0.5 * (1.0 + enc.erf(x / math.sqrt(2.0))))
+    assert np.array_equal(gelu_grad(x, cdf), _ref_gelu_grad(x, cdf))
+    assert np.array_equal(gelu_grad(x), _ref_gelu_grad(x, cdf))
+    mask = enc._dropout_mask(np.random.default_rng(3), (4, 7, 16), 0.3)
+    assert np.array_equal(mask, (np.random.default_rng(3).random((4, 7, 16)) >= 0.3) / (1.0 - 0.3))

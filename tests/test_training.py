@@ -131,6 +131,37 @@ def test_adam_zero_gradients_leave_params():
     assert np.all(np.abs(state.m["w"]) < np.abs(m_after_grad))
 
 
+def test_in_place_adam_is_bit_identical_to_reference():
+    def reference_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        new = dict(params)
+        for key, g in grads.items():
+            m[key] = beta1 * m[key] + (1.0 - beta1) * g
+            v[key] = beta2 * v[key] + (1.0 - beta2) * (g * g)
+            m_hat = m[key] / (1.0 - beta1**t)
+            v_hat = v[key] / (1.0 - beta2**t)
+            new[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        return new
+
+    rng = np.random.default_rng(31)
+    params = {"w": rng.standard_normal((50, 8)), "b": rng.standard_normal(8), "frozen": rng.standard_normal(3)}
+    ref_params = dict(params)
+    ref_m = {k: np.zeros_like(v) for k, v in params.items() if k != "frozen"}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items() if k != "frozen"}
+    state = AdamState()
+    for t, lr in enumerate((1e-3, 5e-4, 2e-2, 1e-3), start=1):
+        grads = {k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), params[k].shape) for k in ("w", "b")}
+        before = {k: v.copy() for k, v in params.items()}
+        new = adam_step(params, grads, state, lr)[0]
+        ref_params = reference_step(ref_params, grads, ref_m, ref_v, t, lr)
+        for k in ("w", "b"):
+            assert np.array_equal(new[k], ref_params[k]), k
+            assert np.array_equal(state.m[k], ref_m[k]) and np.array_equal(state.v[k], ref_v[k]), k
+            # parameters come back as new arrays; the inputs are untouched
+            assert new[k] is not params[k] and np.array_equal(params[k], before[k])
+        assert new["frozen"] is params["frozen"]
+        params = new
+
+
 def test_adam_rejects_nonfinite_gradients():
     with pytest.raises(ValueError, match="non-finite"):
         adam_step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])}, AdamState(), lr=0.1)
