@@ -283,6 +283,9 @@ def _load_model_and_vocab(checkpoint_path: str, vocab_path: str | None) -> Multi
     for cand in candidates:
         if cand.exists():
             model.vocab = load_vocab(cand)
+            if model.vocab.size != model.config.vocab_size:
+                raise ConfigError(f"vocabulary {cand} has {model.vocab.size} entries but checkpoint {cp} "
+                                  f"has vocab_size {model.config.vocab_size}")
             return model
     raise ConfigError(f"vocabulary file not found next to {cp}; pass --vocab")
 
@@ -559,7 +562,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tune_allocator() -> None:
+    """Raise glibc's heap trim and mmap thresholds so freed buffers are reused, not re-faulted (glibc only)."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _tune_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

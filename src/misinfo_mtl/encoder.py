@@ -206,10 +206,6 @@ def gelu_cdf(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
 def gelu_grad(x: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
     """d GELU / dx; pass the forward pass's ``gelu_cdf(x)`` to skip recomputing it."""
     if cdf is None:

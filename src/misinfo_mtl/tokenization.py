@@ -102,11 +102,6 @@ def encode(text: str, vocab: Vocabulary, max_seq_len: int = 128) -> TokenSequenc
     return TokenSequence(ids=tuple(ids), mask=tuple(mask))
 
 
-def detokenize(ids, vocab: Vocabulary) -> list[str]:
-    """Map non-special ids back to tokens (PAD/UNK/CLS are skipped)."""
-    return [vocab.id_to_token[i] for i in ids if i >= len(RESERVED_TOKENS)]
-
-
 @dataclass(frozen=True)
 class Batch:
     """Stacked token ids and attention mask, both of shape (batch, seq_len)."""

@@ -23,6 +23,10 @@ from .tokenization import trim_batch
 
 GRID_LEARNING_RATES = (5e-5, 5e-6, 5e-7)
 GRID_BATCH_SIZES = (16, 32)
+# Train batches group rows by width class ceil(real length / WIDTH_CLASS). Classes
+# this coarse keep all short texts together: where length tracks the label, an
+# exact length sort builds label-pure batches and training suffers.
+WIDTH_CLASS = 32
 
 
 @dataclass(frozen=True)
@@ -61,12 +65,6 @@ class EpochSchedule:
     batches: tuple[tuple[str, tuple[int, ...]], ...]
     batch_size: int
     seed: int
-
-    def batch_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for task, _ in self.batches:
-            counts[task] = counts.get(task, 0) + 1
-        return counts
 
     def example_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -107,6 +105,33 @@ def make_epoch_schedule(dataset_sizes: dict[str, int], batch_size: int, seed: in
     return EpochSchedule(
         batches=tuple(batches[i] for i in shuffled), batch_size=batch_size, seed=seed
     )
+
+
+def width_grouped_batches(batches, lengths: dict[str, np.ndarray], seed: int) -> list[tuple[str, np.ndarray]]:
+    """Regroup each task's scheduled rows so that rows of one width class share a batch.
+
+    A task's rows (``lengths`` holds each row's real length) are pooled, stably
+    sorted by width class, cut back into its batch sizes and dealt to its slots
+    in an order drawn from ``seed``. Every slot keeps its task and batch size;
+    a task with one slot, or whose rows share one class, keeps its batches.
+    """
+    out = [(task, np.asarray(idx, dtype=np.int64)) for task, idx in batches]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 209]))  # the dropout stream uses 208
+    for task in sorted(lengths):
+        slots = [s for s, (t, _) in enumerate(out) if t == task]
+        if len(slots) < 2:
+            continue
+        pool = np.concatenate([out[s][1] for s in slots])
+        classes = -(-lengths[task][pool] // WIDTH_CLASS)
+        if classes.min() == classes.max():
+            continue
+        pool = pool[np.argsort(classes, kind="stable")]
+        start = 0
+        for s in rng.permutation(slots):
+            size = out[s][1].size
+            out[s] = (task, pool[start : start + size])
+            start += size
+    return out
 
 
 def lr_at(step: int, total_steps: int, base_lr: float) -> float:
@@ -203,6 +228,7 @@ class EarlyStopper:
 class EpochRecord:
     epoch: int
     train_loss: dict[str, float]
+    train_pad_fraction: dict[str, float]  # 1 - real tokens / trimmed batch cells, over the epoch
     val_loss: dict[str, float]
     val_accuracy: dict[str, float]
     val_macro_f1: dict[str, float]
@@ -267,6 +293,7 @@ def _fit(
         }
 
     sizes = {task: encoded[task]["train"][0].size for task in encoded}
+    lengths = {task: encoded[task]["train"][0].mask.sum(axis=1) for task in encoded}
     batches_per_epoch = len(sizes) * math.ceil(max(sizes.values()) / config.batch_size)
     # Decay horizon is fixed up front so lr is defined even under early stopping.
     total_steps = batches_per_epoch * config.max_epochs
@@ -280,15 +307,17 @@ def _fit(
     current_lr = config.learning_rate
 
     for epoch in range(1, config.max_epochs + 1):
-        schedule = make_epoch_schedule(sizes, config.batch_size, epoch_seed(config.seed, epoch))
+        seed = epoch_seed(config.seed, epoch)
+        schedule = make_epoch_schedule(sizes, config.batch_size, seed)
         loss_sums: dict[str, float] = {t: 0.0 for t in sizes}
         loss_counts: dict[str, int] = {t: 0 for t in sizes}
-        for task, idx in schedule.batches:
-            rows = np.asarray(idx, dtype=np.int64)
+        cells = {t: np.zeros(2, dtype=np.int64) for t in sizes}  # real tokens, batch cells
+        for task, rows in width_grouped_batches(schedule.batches, lengths, seed):
             batch, labels = encoded[task]["train"]
+            trimmed = trim_batch(batch.ids, batch.mask, rows)
+            cells[task] += (trimmed.mask.sum(), trimmed.mask.size)
             loss, grads = task_step_gradients(
-                model, task, trim_batch(batch.ids, batch.mask, rows), labels[rows],
-                train_mode=True, rng=drop_rng, train_encoder=train_encoder,
+                model, task, trimmed, labels[rows], train_mode=True, rng=drop_rng, train_encoder=train_encoder,
             )
             current_lr = lr_at(step, total_steps, config.learning_rate)
             flat = flatten_params(model)
@@ -311,6 +340,7 @@ def _fit(
         record = EpochRecord(
             epoch=epoch,
             train_loss={t: loss_sums[t] / max(loss_counts[t], 1) for t in sorted(sizes)},
+            train_pad_fraction={t: float(1.0 - cells[t][0] / cells[t][1]) for t in sorted(sizes)},
             val_loss=val_loss,
             val_accuracy={t: r.accuracy for t, r in val_reports.items()},
             val_macro_f1={t: r.macro_f1 for t, r in val_reports.items()},

@@ -350,6 +350,28 @@ def test_run_directory_is_complete_and_rerun_identical(stage1, tmp_path, command
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
+@pytest.mark.parametrize("command", ["finetune", "fewshot", "eval"])
+@pytest.mark.parametrize("change", [500, -1])
+def test_vocab_of_another_size_exits_2_before_writing(stage1, tmp_path, capsys, command, change):
+    lines = (stage1 / "run" / "vocab.txt").read_text().splitlines()
+    lines = lines + [f"extra{i}" for i in range(change)] if change > 0 else lines[:change]
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(lines) + "\n")
+    argv = {
+        "finetune": RUN_COMMANDS["finetune"](stage1) + ["--seed", "0", "--quiet"],
+        "fewshot": RUN_COMMANDS["fewshot"](stage1) + ["--seed", "0", "--quiet"],
+        "eval": ["eval", "--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"),
+                 "--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
+    }[command]
+    out = tmp_path / "run"
+    assert main(argv + ["--vocab", str(vocab), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert str(vocab) in err and str(stage1 / "run" / "seed0" / "model.ckpt") in err
+    assert f"has {len(lines)} entries" in err
+    assert not out.exists()
+
+
 def _gamma_config(root):
     """The stage-1 config plus a ``gamma`` task that the stage-1 checkpoint has no head for."""
     path = root / "gamma.cfg"

@@ -1,13 +1,20 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from misinfo_mtl.data import Dataset, SplitDataset, SyntheticSuiteConfig, generate_synthetic_suite, split
+from misinfo_mtl import training
+from misinfo_mtl.data import (
+    Dataset, Example, SplitDataset, SyntheticSuiteConfig, generate_synthetic_suite, make_dataset, split,
+)
 from misinfo_mtl.encoder import EncoderConfig
-from misinfo_mtl.multitask import build_model, flatten_params
+from misinfo_mtl.multitask import TaskSpec, build_model, flatten_params
 from misinfo_mtl.tokenization import build_vocab
 from misinfo_mtl.training import (
     GRID_BATCH_SIZES,
     GRID_LEARNING_RATES,
+    WIDTH_CLASS,
     AdamState,
     EarlyStopper,
     TrainConfig,
@@ -17,6 +24,7 @@ from misinfo_mtl.training import (
     lr_at,
     make_epoch_schedule,
     train_multitask,
+    width_grouped_batches,
 )
 
 TABLE1_SIZES = {"newsbias": 7984, "fakenews": 1627, "rumor": 1705, "clickbait": 19538}
@@ -42,7 +50,7 @@ def test_train_config_validation():
 
 def test_schedule_equal_sizes_no_oversampling():
     sched = make_epoch_schedule({"A": 10, "B": 10}, batch_size=5, seed=0)
-    assert sched.batch_counts() == {"A": 2, "B": 2}
+    assert Counter(task for task, _ in sched.batches) == {"A": 2, "B": 2}
     assert len(sched.batches) == 4
     a_indices = sorted(i for task, idx in sched.batches if task == "A" for i in idx)
     assert a_indices == list(range(10))  # a permutation, no repeats
@@ -52,7 +60,7 @@ def test_schedule_equal_sizes_no_oversampling():
 
 def test_schedule_table1_sizes_balanced():
     sched = make_epoch_schedule(TABLE1_SIZES, batch_size=32, seed=1)
-    counts = sched.batch_counts()
+    counts = Counter(task for task, _ in sched.batches)
     assert counts == {task: 611 for task in TABLE1_SIZES}
     drawn = sched.example_counts()
     assert max(drawn.values()) - min(drawn.values()) <= 32
@@ -85,6 +93,56 @@ def test_schedule_rejects_bad_input():
         make_epoch_schedule({}, 32, 0)
     with pytest.raises(ValueError, match="no examples"):
         make_epoch_schedule({"A": 0}, 32, 0)
+
+
+@st.composite
+def _scheduled_lengths(draw):
+    """An epoch schedule over 1-3 tasks plus a real length for every row of every task."""
+    sizes = {f"t{i}": draw(st.integers(1, 40)) for i in range(draw(st.integers(1, 3)))}
+    lengths = {}
+    for task, n in sizes.items():
+        longest = draw(st.sampled_from([8, WIDTH_CLASS, 2 * WIDTH_CLASS, 130]))
+        lengths[task] = np.array(draw(st.lists(st.integers(1, longest), min_size=n, max_size=n)), dtype=np.int64)
+    seed = draw(st.integers(0, 2**32))
+    return make_epoch_schedule(sizes, draw(st.integers(1, 12)), seed), lengths, seed
+
+
+def _width_classes(lengths, rows):
+    return -(-lengths[rows] // WIDTH_CLASS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scheduled_lengths())
+def test_width_grouping_keeps_slots_and_rows(case):
+    schedule, lengths, seed = case
+    grouped = width_grouped_batches(schedule.batches, lengths, seed)
+    assert [(t, len(idx)) for t, idx in schedule.batches] == [(t, rows.size) for t, rows in grouped]
+    assert all(rows.dtype == np.int64 for _, rows in grouped)
+    for task in lengths:
+        before = [np.asarray(idx) for t, idx in schedule.batches if t == task]
+        after = [rows for t, rows in grouped if t == task]
+        assert sorted(np.concatenate(before).tolist()) == sorted(np.concatenate(after).tolist())
+        classes = np.unique(_width_classes(lengths[task], np.concatenate(before)))
+        if classes.size == 1 or len(before) == 1:
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        mixed = sum(np.unique(_width_classes(lengths[task], rows)).size > 1 for rows in after)
+        assert mixed <= classes.size - 1
+    again = width_grouped_batches(schedule.batches, lengths, seed)
+    assert all(t == u and np.array_equal(a, b) for (t, a), (u, b) in zip(grouped, again))
+
+
+def test_width_grouping_deals_batches_from_its_seed():
+    sizes = {"a": 64, "b": 64}
+    lengths = {t: np.where(np.arange(64) % 4 == 0, 100, 5) for t in sizes}
+    schedule = make_epoch_schedule(sizes, 8, seed=3)
+    deals = {
+        tuple(tuple(rows.tolist()) for _, rows in width_grouped_batches(schedule.batches, lengths, seed))
+        for seed in range(6)
+    }
+    assert len(deals) > 1
+    # the long rows fill two batches of each task whichever slots they land in
+    for _, rows in width_grouped_batches(schedule.batches, lengths, 0):
+        assert np.unique(_width_classes(lengths["a"], rows)).size == 1
 
 
 def test_lr_at_linear_decay():
@@ -291,6 +349,8 @@ def test_history_records_are_complete():
     for record in hist.epochs:
         assert set(record.train_loss) == {"alpha", "beta"}
         assert set(record.val_loss) == {"alpha", "beta"}
+        assert set(record.train_pad_fraction) == {"alpha", "beta"}
+        assert all(0.0 <= v < 1.0 for v in record.train_pad_fraction.values())
         assert record.val_loss_total == pytest.approx(sum(record.val_loss.values()))
         assert 0.0 <= record.lr <= 1e-3
 
@@ -345,3 +405,79 @@ def test_grid_search_picks_lowest_validation_loss():
     assert best_cfg.learning_rate == winner.learning_rate
     assert best_cfg.batch_size == winner.batch_size
     assert best_cfg.max_epochs == 2  # other settings carried over
+
+
+# --- width-grouped batches in the loop --------------------------------------------
+
+
+def _long_tailed_setup():
+    """Two tasks whose texts are mostly 2-9 words, with every eighth one 50-90 words long."""
+    rng = np.random.default_rng(17)
+    words = [f"w{i}" for i in range(40)]
+    splits = {}
+    for task in ("alpha", "beta"):
+        spec = TaskSpec(task, ("neg", "pos"), "sentence")
+        examples = []
+        for i in range(96):
+            n = int(rng.integers(50, 91)) if i % 8 == 0 else int(rng.integers(2, 10))
+            text = " ".join(words[j] for j in rng.integers(0, len(words), size=n))
+            examples.append(Example(id=f"{task}-{i}", text=text, task=task, label=spec.labels[i % 2]))
+        splits[task] = split(make_dataset(examples, spec), seed=0)
+    vocab = build_vocab([ex.text for t in sorted(splits) for ex in splits[t].train.examples])
+    config = EncoderConfig(vocab_size=vocab.size, embed_dim=16, num_layers=1, num_heads=2,
+                           ffn_dim=32, max_seq_len=96, dropout_rate=0.1, seed=0)
+    model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
+    return model, splits
+
+
+def _scheduled_order(batches, lengths, seed):
+    return [(task, np.asarray(idx, dtype=np.int64)) for task, idx in batches]
+
+
+def _record_steps(monkeypatch, model, splits, config):
+    """Run the loop with a stub step that draws from the dropout generator and updates nothing."""
+    steps = []
+
+    def stub(model, task, batch, labels, train_mode, rng, train_encoder):
+        steps.append((task, batch.mask.copy(), rng.random(2)))
+        return 0.0, {}
+
+    monkeypatch.setattr(training, "task_step_gradients", stub)
+    _, hist = train_multitask(model, splits, config)
+    return steps, hist
+
+
+def test_width_grouping_leaves_the_dropout_stream_alone(monkeypatch):
+    model, splits = _long_tailed_setup()
+    config = _quick_config(max_epochs=2, patience=2, max_seq_len=96)
+    grouped, hist = _record_steps(monkeypatch, model, splits, config)
+    monkeypatch.setattr(training, "width_grouped_batches", _scheduled_order)
+    scheduled, scheduled_hist = _record_steps(monkeypatch, model, splits, config)
+
+    assert [task for task, _, _ in grouped] == [task for task, _, _ in scheduled]
+    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(grouped, scheduled))
+    # grouping fired: the same rows were cut into narrower batches
+    assert sum(m.size for _, m, _ in grouped) < sum(m.size for _, m, _ in scheduled)
+    assert sum(int(m.sum()) for _, m, _ in grouped) == sum(int(m.sum()) for _, m, _ in scheduled)
+
+    # train_pad_fraction is 1 - real tokens / batch cells over each task's batches of an epoch
+    per_epoch = len(grouped) // len(hist.epochs)
+    for steps, h in ((grouped, hist), (scheduled, scheduled_hist)):
+        for e, record in enumerate(h.epochs):
+            epoch_steps = steps[e * per_epoch : (e + 1) * per_epoch]
+            for task in ("alpha", "beta"):
+                masks = [m for t, m, _ in epoch_steps if t == task]
+                expected = 1.0 - sum(int(m.sum()) for m in masks) / sum(m.size for m in masks)
+                assert record.train_pad_fraction[task] == pytest.approx(expected, rel=1e-12)
+    for a, b in zip(hist.epochs, scheduled_hist.epochs):
+        assert all(a.train_pad_fraction[t] < b.train_pad_fraction[t] for t in ("alpha", "beta"))
+
+
+def test_width_grouped_training_reruns_bit_identically():
+    model, splits = _long_tailed_setup()
+    config = _quick_config(max_epochs=2, patience=2, max_seq_len=96)
+    m1, h1 = train_multitask(model, splits, config)
+    m2, h2 = train_multitask(model, splits, config)
+    f1, f2 = flatten_params(m1), flatten_params(m2)
+    assert all(np.array_equal(f1[k], f2[k]) for k in f1)
+    assert [r.to_dict() for r in h1.epochs] == [r.to_dict() for r in h2.epochs]
