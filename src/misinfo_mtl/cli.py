@@ -595,6 +595,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    except Exception as exc:  # last resort: one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

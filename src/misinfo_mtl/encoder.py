@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tokenization import Batch
+from .tokenization import Batch, width_groups
 
 LN_EPS = 1e-5
 GRADCHECK_FLOOR = 1e-12
@@ -312,8 +312,9 @@ class _LayerCache:
 
 @dataclass
 class EncoderCache:
-    """Activations from one forward pass, consumed by ``backward``."""
+    """Activations from one run of the stack over some rows of a batch, consumed by ``backward``."""
 
+    batch_rows: np.ndarray  # the rows of the batch this run covered
     ids: np.ndarray
     maskf: np.ndarray
     emb_drop: np.ndarray | None
@@ -332,15 +333,18 @@ def encode_batch(
 ):
     """Run the encoder stack and pool one vector per input.
 
-    PAD positions get a -inf pre-softmax attention score, so their content can
-    never reach the pooled output. Under CLS pooling the last layer computes
-    keys and values for every row and everything else for the CLS row only.
-    Dropout fires only in train mode (and then requires ``rng``). Per-layer
-    activations are kept only with ``return_cache=True``, and then the result
-    is ``(pooled, cache)`` for a subsequent ``backward`` call.
+    The stack runs once per width class of the rows (``width_groups``), in
+    ascending class order, on that class's rows cut to their longest real row;
+    pooled rows come back in input order. PAD positions get a -inf pre-softmax
+    attention score, so their content can never reach the pooled output.
+    Under CLS pooling the last layer computes keys and values for every row
+    and everything else for the CLS row only. Dropout fires only in train
+    mode (and then requires ``rng``); each run draws its masks at its own
+    shape. Per-layer activations are kept only with ``return_cache=True``,
+    and then the result is ``(pooled, cache)`` for a subsequent ``backward``
+    call: one ``EncoderCache`` per run, a bare one when the batch has one class.
     """
     cfg = params.config
-    t = params.tensors
     ids, mask = batch.ids, batch.mask
     if ids.size == 0:
         raise ValueError(f"empty batch: ids have shape {ids.shape}, need at least one row and column")
@@ -355,6 +359,24 @@ def encode_batch(
     if drop > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout requires an rng")
 
+    pooled = np.empty((ids.shape[0], cfg.embed_dim))
+    caches = []
+    for group in width_groups(mask.sum(axis=1)):
+        sub = mask[group]
+        width = int(np.flatnonzero(sub.any(axis=0))[-1]) + 1
+        pooled[group], cache = _encode_rows(params, group, ids[group, :width], sub[:, :width], drop, rng,
+                                            return_cache)
+        caches.append(cache)
+    if not return_cache:
+        return pooled
+    return pooled, caches[0] if len(caches) == 1 else caches
+
+
+def _encode_rows(params, batch_rows, ids, mask, drop, rng, return_cache):
+    """One run of the stack over ``batch_rows`` of a batch, given as (ids, mask) at their own width."""
+    cfg = params.config
+    t = params.tensors
+    length = ids.shape[1]
     maskf = mask.astype(np.float64)
     x = t["token_emb"][ids] + t["pos_emb"][:length]
     x, xhat0, inv0 = _ln_forward(x, t["emb_ln.gain"], t["emb_ln.bias"])
@@ -403,29 +425,38 @@ def encode_batch(
             )
 
     if cfg.pooling == "cls":
-        pooled = x[:, 0, :].copy()
+        pooled = x[:, 0, :]
     else:
         denom = maskf.sum(axis=1, keepdims=True)
         pooled = (x * maskf[:, :, None]).sum(axis=1) / denom
     if not return_cache:
-        return pooled
-    return pooled, EncoderCache(ids=ids, maskf=maskf, emb_drop=emb_drop, xhat0=xhat0, inv0=inv0,
-                                layers=layer_caches, x_final=x)
+        return pooled, None
+    return pooled, EncoderCache(batch_rows=batch_rows, ids=ids, maskf=maskf, emb_drop=emb_drop, xhat0=xhat0,
+                                inv0=inv0, layers=layer_caches, x_final=x)
 
 
-def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
+def backward(
+    params: EncoderParams, cache: EncoderCache | list[EncoderCache], upstream_grad: np.ndarray
+) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the pooled output w.r.t. every parameter.
 
     ``upstream_grad`` has shape (batch, embed_dim) and is contracted with the
     pooled output's Jacobian; requires the cache produced by the matching
-    forward pass.
+    forward pass. Each width class's run adds its gradients into one dict.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a forward pass")
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+    for run in [cache] if isinstance(cache, EncoderCache) else cache:
+        _backward_rows(params, run, upstream_grad[run.batch_rows], grads)
+    return grads
+
+
+def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> None:
+    """Add the gradients of one run of the stack (``cache``) into ``grads``."""
     cfg = params.config
     t = params.tensors
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-    b, length = cache.ids.shape
+    length = cache.ids.shape[1]
 
     dx = np.zeros_like(cache.x_final)
     if cfg.pooling == "cls":
@@ -496,7 +527,6 @@ def backward(params: EncoderParams, cache: EncoderCache, upstream_grad: np.ndarr
     grads["emb_ln.bias"] += dbias
     np.add.at(grads["token_emb"], cache.ids, de)
     grads["pos_emb"][:length] += de.sum(axis=0)
-    return grads
 
 
 # --- numerical gradient oracle ----------------------------------------------

@@ -19,14 +19,10 @@ from . import metrics
 from .multitask import (
     MultiTaskModel, assign_params, encode_for_task, flatten_params, require_task, score, task_step_gradients,
 )
-from .tokenization import trim_batch
+from .tokenization import Batch, width_groups
 
 GRID_LEARNING_RATES = (5e-5, 5e-6, 5e-7)
 GRID_BATCH_SIZES = (16, 32)
-# Train batches group rows by width class ceil(real length / WIDTH_CLASS). Classes
-# this coarse keep all short texts together: where length tracks the label, an
-# exact length sort builds label-pure batches and training suffers.
-WIDTH_CLASS = 32
 
 
 @dataclass(frozen=True)
@@ -122,10 +118,10 @@ def width_grouped_batches(batches, lengths: dict[str, np.ndarray], seed: int) ->
         if len(slots) < 2:
             continue
         pool = np.concatenate([out[s][1] for s in slots])
-        classes = -(-lengths[task][pool] // WIDTH_CLASS)
-        if classes.min() == classes.max():
+        groups = width_groups(lengths[task][pool])
+        if len(groups) == 1:
             continue
-        pool = pool[np.argsort(classes, kind="stable")]
+        pool = pool[np.concatenate(groups)]
         start = 0
         for s in rng.permutation(slots):
             size = out[s][1].size
@@ -228,7 +224,7 @@ class EarlyStopper:
 class EpochRecord:
     epoch: int
     train_loss: dict[str, float]
-    train_pad_fraction: dict[str, float]  # 1 - real tokens / trimmed batch cells, over the epoch
+    train_pad_fraction: dict[str, float]  # 1 - real tokens / cells the encoder computes, over the epoch
     val_loss: dict[str, float]
     val_accuracy: dict[str, float]
     val_macro_f1: dict[str, float]
@@ -243,7 +239,7 @@ class EpochRecord:
 class TrainHistory:
     epochs: list[EpochRecord]
     best_epoch: int
-    stop_reason: str  # "early_stopping" or "max_epochs"
+    stop_reason: str  # "early_stopping", "max_epochs" or "diverged" (a step's loss was not finite)
 
     @property
     def best_val_loss(self) -> float:
@@ -267,6 +263,8 @@ def _fit(
     Trains the encoder (optionally) plus the heads of the tasks in ``splits``,
     early-stops on the summed validation loss of those tasks and returns a new
     model holding the best-epoch parameters. The input model is not modified.
+    A step with a non-finite loss stops training ("diverged") at the best
+    epoch so far, or raises ``ValueError`` if no epoch has finished.
     """
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
@@ -311,14 +309,18 @@ def _fit(
         schedule = make_epoch_schedule(sizes, config.batch_size, seed)
         loss_sums: dict[str, float] = {t: 0.0 for t in sizes}
         loss_counts: dict[str, int] = {t: 0 for t in sizes}
-        cells = {t: np.zeros(2, dtype=np.int64) for t in sizes}  # real tokens, batch cells
+        cells = {t: np.zeros(2, dtype=np.int64) for t in sizes}  # real tokens, computed cells
         for task, rows in width_grouped_batches(schedule.batches, lengths, seed):
             batch, labels = encoded[task]["train"]
-            trimmed = trim_batch(batch.ids, batch.mask, rows)
-            cells[task] += (trimmed.mask.sum(), trimmed.mask.size)
+            lens = lengths[task][rows]
+            cells[task] += (lens.sum(), sum(g.size * lens[g].max() for g in width_groups(lens)))
             loss, grads = task_step_gradients(
-                model, task, trimmed, labels[rows], train_mode=True, rng=drop_rng, train_encoder=train_encoder,
+                model, task, Batch(ids=batch.ids[rows], mask=batch.mask[rows]), labels[rows],
+                train_mode=True, rng=drop_rng, train_encoder=train_encoder,
             )
+            if not math.isfinite(loss):
+                stop_reason = "diverged"
+                break
             current_lr = lr_at(step, total_steps, config.learning_rate)
             flat = flatten_params(model)
             updated, opt_state = adam_step(
@@ -329,6 +331,11 @@ def _fit(
             loss_sums[task] += loss
             loss_counts[task] += 1
             step += 1
+        if stop_reason == "diverged":
+            if best_flat is None:
+                raise ValueError(f"training diverged before any epoch finished: task {task!r} has loss {loss} "
+                                 f"at epoch {epoch}, step {step + 1}")
+            break
 
         val_loss: dict[str, float] = {}
         val_reports: dict[str, metrics.MetricsReport] = {}

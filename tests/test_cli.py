@@ -269,6 +269,31 @@ def test_bad_record_exits_1_with_one_line_and_writes_nothing(workdir, capsys):
     assert not out.exists()
 
 
+def test_diverged_training_exits_1_with_one_line(workdir, capsys, monkeypatch):
+    from misinfo_mtl import training
+
+    monkeypatch.setattr(training, "task_step_gradients", lambda *args, **kwargs: (float("nan"), {}))
+    rc = main(["train", "--config", str(workdir / "run.cfg"), "--seed", "0", "--out", str(workdir / "run"),
+               "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged") and err.count("\n") == 1, err
+    assert "epoch 1, step 1" in err
+
+
+def test_unexpected_exception_exits_1_with_one_line(workdir, capsys, monkeypatch):
+    from misinfo_mtl import cli
+
+    def broken(args):
+        raise RuntimeError("something broke")
+
+    monkeypatch.setattr(cli, "cmd_eval", broken)
+    rc = main(["eval", "--checkpoint", str(workdir / "x.ckpt"), "--dataset", str(workdir / "data" / "alpha.jsonl"),
+               "--task", "alpha", "--labels", "negative,positive"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: something broke\n"
+
+
 def test_missing_checkpoint_exits_2_before_writing(workdir):
     out = workdir / "ft"
     rc = main(["finetune", "--config", str(workdir / "run.cfg"), "--checkpoint", str(workdir / "nope.ckpt"),

@@ -20,7 +20,7 @@ from misinfo_mtl.encoder import (
     param_shapes,
 )
 from misinfo_mtl import encoder as enc
-from misinfo_mtl.tokenization import Batch, trim_batch
+from misinfo_mtl.tokenization import WIDTH_CLASS, Batch, trim_batch
 
 from conftest import random_batch, tiny_config
 
@@ -312,9 +312,11 @@ def test_train_forward_draws_full_size_dropout_masks(pooling):
     batch = random_batch(np.random.default_rng(17), 40, 3, 12)
     used = np.random.default_rng(5)
     encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
+    width = int(batch.mask.sum(axis=1).max())  # the encoder cuts the batch to its longest real row
+    assert width < batch.seq_len
     reference = np.random.default_rng(5)
     for _ in range(1 + 2 * config.num_layers):  # embedding mask, then attention and FFN per layer
-        reference.random((3, 12, config.embed_dim))
+        reference.random((3, width, config.embed_dim))
     assert used.bit_generator.state == reference.bit_generator.state
 
 
@@ -334,6 +336,125 @@ def test_gradcheck_with_fixed_dropout_masks(pooling):
 
     err = finite_difference_check(loss_fn, init_encoder(config).tensors, epsilon=1e-4, sample_count=150, seed=4)
     assert err <= 1e-4, (pooling, err)
+
+
+# --- one run of the stack per width class ---------------------------------------
+
+
+def _three_class_batch(seed, rows=32, length=128):
+    """Rows of 2..length real tokens over at least three width classes, padded to ``length``."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, length + 1, size=rows)
+    lengths[:4] = (9, 40, 90, length)
+    ids = rng.integers(3, 40, size=(rows, length))
+    ids[:, 0] = 2
+    mask = (np.arange(length) < lengths[:, None]).astype(np.int64)
+    ids[mask == 0] = 0
+    assert np.unique(-(-lengths // WIDTH_CLASS)).size >= 3
+    return Batch(ids=ids, mask=mask)
+
+
+def _one_width(params, batch, train_mode=False, rng=None):
+    """Reference: one run of the stack over every row at the batch's longest real row."""
+    width = int(batch.mask.sum(axis=1).max())
+    drop = params.config.dropout_rate if train_mode else 0.0
+    rows = np.arange(batch.size)
+    return enc._encode_rows(params, rows, batch.ids[:, :width], batch.mask[:, :width], drop, rng, True)
+
+
+def _reference_grads(params, cache, upstream):
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+    enc._backward_rows(params, cache, upstream, grads)
+    return grads
+
+
+def _max_rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_grouped_encoder_matches_one_width_reference(num_layers, pooling, train_mode):
+    config = tiny_config(num_layers=num_layers, pooling=pooling, max_seq_len=128, dropout_rate=0.0)
+    params = init_encoder(config)
+    batch = _three_class_batch(31)
+    upstream = np.random.default_rng(32).standard_normal((batch.size, config.embed_dim))
+    pooled, cache = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(0),
+                                 return_cache=True)
+    assert isinstance(cache, list) and len(cache) >= 3
+    ref_pooled, ref_cache = _one_width(params, batch)
+    assert _max_rel(pooled, ref_pooled) <= 1e-12
+    grads, ref = backward(params, cache, upstream), _reference_grads(params, ref_cache, upstream)
+    assert set(grads) == set(ref)
+    for name in ref:
+        if np.any(ref[name]):
+            assert _max_rel(grads[name], ref[name]) <= 1e-12, name
+        else:
+            assert not np.any(grads[name]), name
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_gradcheck_on_a_three_class_batch(pooling):
+    batch = _three_class_batch(33, rows=12, length=100)
+    weights = np.random.default_rng(34).standard_normal((batch.size, 16))
+    config = tiny_config(pooling=pooling, max_seq_len=100)
+    err = finite_difference_check(
+        _pooled_dot_loss(config, batch, weights), init_encoder(config).tensors,
+        epsilon=1e-4, sample_count=150, seed=5,
+    )
+    assert err <= 1e-4, (pooling, err)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_two_class_train_forward_draws_masks_per_class_in_class_order(pooling):
+    config = tiny_config(pooling=pooling, dropout_rate=0.2, max_seq_len=48)
+    params = init_encoder(config)
+    lengths = np.array([40, 5, 33, 7, 3])  # class 2 rows 0, 2 (width 40); class 1 rows 1, 3, 4 (width 7)
+    mask = (np.arange(48) < lengths[:, None]).astype(np.int64)
+    ids = np.where(mask == 1, np.random.default_rng(35).integers(3, 40, size=mask.shape), 0)
+    ids[:, 0] = 2
+    used = np.random.default_rng(5)
+    pooled = encode_batch(params, Batch(ids=ids, mask=mask), train_mode=True, rng=used)
+    reference = np.random.default_rng(5)
+    for shape in ((3, 7, config.embed_dim), (2, 40, config.embed_dim)):
+        for _ in range(1 + 2 * config.num_layers):
+            reference.random(shape)
+    assert used.bit_generator.state == reference.bit_generator.state
+    # the same as encoding each class as its own batch, in class order, from one generator
+    again = np.random.default_rng(5)
+    for rows in ([1, 3, 4], [0, 2]):
+        alone = encode_batch(params, Batch(ids=ids[rows], mask=mask[rows]), train_mode=True, rng=again)
+        assert np.array_equal(pooled[rows], alone)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_one_class_batch_runs_the_one_width_stack_bit_identically(pooling):
+    config = tiny_config(pooling=pooling, dropout_rate=0.2, max_seq_len=24)
+    params = init_encoder(config)
+    batch = _short_ragged_batch(36, length=24)  # rows of 2..6 tokens: one class, padded past the longest
+    upstream = np.random.default_rng(37).standard_normal((batch.size, config.embed_dim))
+    used, reference = np.random.default_rng(8), np.random.default_rng(8)
+    pooled, cache = encode_batch(params, batch, train_mode=True, rng=used, return_cache=True)
+    ref_pooled, ref_cache = _one_width(params, batch, train_mode=True, rng=reference)
+    assert isinstance(cache, enc.EncoderCache)
+    assert used.bit_generator.state == reference.bit_generator.state
+    assert np.array_equal(pooled, ref_pooled)
+    grads, ref = backward(params, cache, upstream), _reference_grads(params, ref_cache, upstream)
+    assert all(np.array_equal(grads[name], ref[name]) for name in ref)
+
+
+def test_each_class_runs_at_its_longest_real_row():
+    config = tiny_config(max_seq_len=128, pooling="mean")
+    batch = _three_class_batch(38)
+    lengths = batch.mask.sum(axis=1)
+    _, caches = encode_batch(init_encoder(config), batch, return_cache=True)
+    classes = [np.unique(-(-lengths[c.batch_rows] // WIDTH_CLASS)) for c in caches]
+    assert all(c.size == 1 for c in classes) and [int(c[0]) for c in classes] == sorted(int(c[0]) for c in classes)
+    assert sorted(np.concatenate([c.batch_rows for c in caches]).tolist()) == list(range(batch.size))
+    for c in caches:
+        for lc in c.layers:
+            assert lc.x_in.shape[:2] == (c.batch_rows.size, lengths[c.batch_rows].max())
 
 
 def test_gradcheck_rejects_bad_epsilon():

@@ -10,11 +10,10 @@ from misinfo_mtl.data import (
 )
 from misinfo_mtl.encoder import EncoderConfig
 from misinfo_mtl.multitask import TaskSpec, build_model, flatten_params
-from misinfo_mtl.tokenization import build_vocab
+from misinfo_mtl.tokenization import WIDTH_CLASS, build_vocab
 from misinfo_mtl.training import (
     GRID_BATCH_SIZES,
     GRID_LEARNING_RATES,
-    WIDTH_CLASS,
     AdamState,
     EarlyStopper,
     TrainConfig,
@@ -109,6 +108,13 @@ def _scheduled_lengths(draw):
 
 def _width_classes(lengths, rows):
     return -(-lengths[rows] // WIDTH_CLASS)
+
+
+def _computed_cells(mask):
+    """Cells the encoder computes for a batch: per width class, its rows times its longest row."""
+    lengths = mask.sum(axis=1)
+    classes = _width_classes(lengths, slice(None))
+    return sum(int((classes == c).sum() * lengths[classes == c].max()) for c in np.unique(classes))
 
 
 @settings(max_examples=300, deadline=None)
@@ -355,6 +361,40 @@ def test_history_records_are_complete():
         assert 0.0 <= record.lr <= 1e-3
 
 
+def _nan_loss_after(monkeypatch, good_steps):
+    """Make every step after the first ``good_steps`` return a NaN loss; returns the parameters each step saw."""
+    real, seen = training.task_step_gradients, []
+
+    def step(model, *args, **kwargs):
+        seen.append({k: v.copy() for k, v in flatten_params(model).items()})
+        loss, grads = real(model, *args, **kwargs)
+        return (loss if len(seen) <= good_steps else float("nan")), grads
+
+    monkeypatch.setattr(training, "task_step_gradients", step)
+    return seen
+
+
+def test_nan_loss_stops_at_the_best_epoch_so_far(monkeypatch):
+    model, splits = _tiny_setup()
+    steps_per_epoch = len(make_epoch_schedule({t: len(s.train.examples) for t, s in splits.items()}, 32, 0).batches)
+    seen = _nan_loss_after(monkeypatch, steps_per_epoch + 1)  # the second step of epoch 2 diverges
+    trained, hist = train_multitask(model, splits, _quick_config(max_epochs=3, patience=3))
+    assert hist.stop_reason == "diverged"
+    assert [r.epoch for r in hist.epochs] == [1] and hist.best_epoch == 1
+    assert len(seen) == steps_per_epoch + 2
+    # the model comes back as it stood at the end of epoch 1, not one step later
+    flat, end_of_epoch_1 = flatten_params(trained), seen[steps_per_epoch]
+    assert all(np.array_equal(flat[k], end_of_epoch_1[k]) for k in flat)
+    assert any(not np.array_equal(flat[k], seen[-1][k]) for k in flat)
+
+
+def test_nan_loss_before_any_epoch_finished_raises_naming_where(monkeypatch):
+    model, splits = _tiny_setup()
+    _nan_loss_after(monkeypatch, 1)
+    with pytest.raises(ValueError, match=r"diverged.*task '(alpha|beta)'.*epoch 1, step 2"):
+        train_multitask(model, splits, _quick_config())
+
+
 def test_finetune_unknown_task(tiny_model):
     with pytest.raises(KeyError, match="unknown task"):
         finetune_task(tiny_model, "nope", None, _quick_config())
@@ -456,21 +496,21 @@ def test_width_grouping_leaves_the_dropout_stream_alone(monkeypatch):
 
     assert [task for task, _, _ in grouped] == [task for task, _, _ in scheduled]
     assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(grouped, scheduled))
-    # grouping fired: the same rows were cut into narrower batches
-    assert sum(m.size for _, m, _ in grouped) < sum(m.size for _, m, _ in scheduled)
+    # grouping fired: the same rows, with fewer batches mixing width classes
+    mixed = [sum(np.unique(_width_classes(m.sum(axis=1), slice(None))).size > 1 for _, m, _ in steps)
+             for steps in (grouped, scheduled)]
+    assert mixed[0] < mixed[1]
     assert sum(int(m.sum()) for _, m, _ in grouped) == sum(int(m.sum()) for _, m, _ in scheduled)
 
-    # train_pad_fraction is 1 - real tokens / batch cells over each task's batches of an epoch
+    # train_pad_fraction is 1 - real tokens / computed cells over each task's batches of an epoch
     per_epoch = len(grouped) // len(hist.epochs)
     for steps, h in ((grouped, hist), (scheduled, scheduled_hist)):
         for e, record in enumerate(h.epochs):
             epoch_steps = steps[e * per_epoch : (e + 1) * per_epoch]
             for task in ("alpha", "beta"):
                 masks = [m for t, m, _ in epoch_steps if t == task]
-                expected = 1.0 - sum(int(m.sum()) for m in masks) / sum(m.size for m in masks)
+                expected = 1.0 - sum(int(m.sum()) for m in masks) / sum(_computed_cells(m) for m in masks)
                 assert record.train_pad_fraction[task] == pytest.approx(expected, rel=1e-12)
-    for a, b in zip(hist.epochs, scheduled_hist.epochs):
-        assert all(a.train_pad_fraction[t] < b.train_pad_fraction[t] for t in ("alpha", "beta"))
 
 
 def test_width_grouped_training_reruns_bit_identically():
