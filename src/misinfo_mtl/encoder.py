@@ -87,6 +87,29 @@ class EncoderParams:
     tensors: dict[str, np.ndarray]
 
 
+class RowSparseGrad(np.ndarray):
+    """Gradient of a table read by row: an (n, d) array of the summed rows of ``ids`` only.
+
+    Row i is the gradient of table row ``ids[i]``; ``ids`` is sorted and
+    unique, and every other row's gradient is exactly zero. Arrays derived from
+    one (views, ufunc results) carry the same ``ids``.
+    """
+
+    def __new__(cls, ids: np.ndarray, rows: np.ndarray):
+        out = np.asarray(rows).view(cls)
+        out.ids = ids
+        return out
+
+    def __array_finalize__(self, obj):
+        self.ids = getattr(obj, "ids", None)
+
+    def dense(self, num_rows: int) -> np.ndarray:
+        """The full (num_rows, d) gradient, zero outside ``ids``."""
+        out = np.zeros((num_rows,) + self.shape[1:])
+        out[self.ids] = self
+        return out
+
+
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes, in initialization order."""
     d, f = config.embed_dim, config.ffn_dim
@@ -294,7 +317,7 @@ def _query_rows(cfg: EncoderConfig, layer: int) -> slice:
 @dataclass
 class _LayerCache:
     x_in: np.ndarray
-    q: np.ndarray
+    q: np.ndarray  # queries times 1/sqrt(head_dim)
     k: np.ndarray
     v: np.ndarray
     probs: np.ndarray
@@ -386,25 +409,28 @@ def _encode_rows(params, batch_rows, ids, mask, drop, rng, return_cache):
         x *= emb_drop
     layer_caches: list[_LayerCache] = []
 
-    key_pad = mask[:, None, None, :] == 0  # (B,1,1,L) over the key axis
+    key_pad = None if mask.all() else mask[:, None, None, :] == 0  # (B,1,1,L) over the key axis
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
         rows = _query_rows(cfg, i)
         x_in = x
-        q = _split_heads(x_in[:, rows] @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.num_heads)
+        # 1/sqrt(head_dim) is folded into q, so the scores come out scaled (exactly so for a power of 2).
+        q = x_in[:, rows] @ t[p + "attn.wq"] + t[p + "attn.bq"]
+        q *= scale
+        q = _split_heads(q, cfg.num_heads)
         k = _split_heads(x_in @ t[p + "attn.wk"], cfg.num_heads)
         v = _split_heads(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.num_heads)
         scores = q @ k.transpose(0, 1, 3, 2)
-        scores *= scale
-        np.copyto(scores, -np.inf, where=key_pad)
+        if key_pad is not None:
+            np.copyto(scores, -np.inf, where=key_pad)
         probs = _softmax_inplace(scores)
         ctx = _merge_heads(probs @ v)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        # Masks are drawn full size, (B, L, d), so the dropout RNG stream does not depend on `rows`.
+        # Masks are drawn at the shape of the rows the layer computes: (B, 1, d) for a CLS-only layer.
         attn_drop = None
         if drop > 0.0:
-            attn_drop = _dropout_mask(rng, x_in.shape, drop)[:, rows]
+            attn_drop = _dropout_mask(rng, attn_out.shape, drop)
             attn_out *= attn_drop
         x_mid, xhat1, inv1 = _ln_forward(x_in[:, rows] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
         h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
@@ -412,7 +438,7 @@ def _encode_rows(params, batch_rows, ids, mask, drop, rng, return_cache):
         ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
         ffn_drop = None
         if drop > 0.0:
-            ffn_drop = _dropout_mask(rng, x_in.shape, drop)[:, rows]
+            ffn_drop = _dropout_mask(rng, ffn_out.shape, drop)
             ffn_out *= ffn_drop
         x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
         if return_cache:
@@ -443,17 +469,55 @@ def backward(
     ``upstream_grad`` has shape (batch, embed_dim) and is contracted with the
     pooled output's Jacobian; requires the cache produced by the matching
     forward pass. Each width class's run adds its gradients into one dict.
+    ``token_emb`` gets a ``RowSparseGrad`` over the ids the batch holds; every
+    other gradient is a dense array of its parameter's shape.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a forward pass")
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-    for run in [cache] if isinstance(cache, EncoderCache) else cache:
-        _backward_rows(params, run, upstream_grad[run.batch_rows], grads)
+    runs = [cache] if isinstance(cache, EncoderCache) else cache
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items() if name != "token_emb"}
+    de = [_backward_rows(params, run, upstream_grad[run.batch_rows], grads) for run in runs]
+    grads["token_emb"] = _row_sums(np.concatenate([run.ids.reshape(-1) for run in runs]),
+                                   np.concatenate([d.reshape(-1, d.shape[-1]) for d in de]),
+                                   params.config.vocab_size)
     return grads
 
 
-def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> None:
-    """Add the gradients of one run of the stack (``cache``) into ``grads``."""
+def _row_sums(ids: np.ndarray, values: np.ndarray, num_rows: int) -> RowSparseGrad:
+    """Sum the rows of ``values``, (len(ids), d), that share an id.
+
+    One weighted ``bincount`` over (row slot, column) adds each id's rows in
+    input order starting from 0.0, the order a scatter with ``np.add.at`` into
+    a zeroed (num_rows, d) table uses, so the sums match it bit for bit.
+    """
+    counts = np.bincount(ids, minlength=num_rows)
+    touched = np.flatnonzero(counts)
+    slot = np.zeros(num_rows, dtype=np.int64)
+    slot[touched] = np.arange(touched.size)
+    d = values.shape[1]
+    cells = (slot[ids][:, None] * d + np.arange(d)).reshape(-1)
+    sums = np.bincount(cells, weights=values.reshape(-1), minlength=touched.size * d)
+    return RowSparseGrad(touched, sums.reshape(touched.size, d))
+
+
+def _softmax_backward(probs, dprobs, ctx, dctx):
+    """Score gradient probs * (dprobs - rowsum(dprobs * probs)), built in the ``dprobs`` buffer.
+
+    With dprobs = dctx v^T and ctx = probs v (per head), the row term
+    sum_j dprobs_ij probs_ij equals dctx_i . ctx_i, a product over the head dim
+    rather than the key axis (the identity FlashAttention's backward uses).
+    Masked keys have prob 0 and thus zero score gradient.
+    """
+    dprobs -= (dctx * ctx).sum(axis=-1, keepdims=True)
+    return np.multiply(dprobs, probs, out=dprobs)
+
+
+def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> np.ndarray:
+    """Add the gradients of one run of the stack (``cache``) into ``grads``.
+
+    Returns the gradient w.r.t. the run's embedded tokens, (B, L, d), whose
+    rows ``backward`` sums per token id into the ``token_emb`` gradient.
+    """
     cfg = params.config
     t = params.tensors
     length = cache.ids.shape[1]
@@ -497,14 +561,11 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> None:
         grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
         dctx = _split_heads(dattn_out @ t[p + "attn.wo"].T, cfg.num_heads)
 
-        dprobs = dctx @ lc.v.transpose(0, 1, 3, 2)
         dv = lc.probs.transpose(0, 1, 3, 2) @ dctx
-        # Softmax backward, probs * (dprobs - sum(dprobs * probs)), in the dprobs buffer;
-        # masked keys have prob 0 and thus zero score grad.
-        dprobs -= (dprobs * lc.probs).sum(axis=-1, keepdims=True)
-        dscores = np.multiply(dprobs, lc.probs, out=dprobs)
+        dscores = _softmax_backward(lc.probs, dctx @ lc.v.transpose(0, 1, 3, 2),
+                                    _split_heads(lc.ctx, cfg.num_heads), dctx)
         dq = (dscores @ lc.k) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ lc.q) * scale
+        dk = dscores.transpose(0, 1, 3, 2) @ lc.q  # q carries the scale already
 
         # Queries (and the residual) come from the layer's rows only; keys and values from every row.
         # The sums keep the order ((dz1 + dq Wq^T) + dk Wk^T) + dv Wv^T of an all-rows layer.
@@ -525,8 +586,8 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> None:
     de, dg, dbias = _ln_backward(dx, t["emb_ln.gain"], cache.xhat0, cache.inv0)
     grads["emb_ln.gain"] += dg
     grads["emb_ln.bias"] += dbias
-    np.add.at(grads["token_emb"], cache.ids, de)
     grads["pos_emb"][:length] += de.sum(axis=0)
+    return de
 
 
 # --- numerical gradient oracle ----------------------------------------------
@@ -543,9 +604,10 @@ def finite_difference_check(
 
     ``loss_fn`` maps a name->array dict to ``(loss, grads)``; the analytic side
     is taken from one call at the base point, the numeric side from two loss
-    evaluations per sampled coordinate. The relative error for a coordinate is
-    ``|a - n| / max(|a|, |n|, 1e-12)``. ``loss_fn`` must be deterministic
-    (dropout off).
+    evaluations per sampled coordinate. A ``RowSparseGrad`` is read through its
+    ids, so every row outside them counts as 0. The relative error for a
+    coordinate is ``|a - n| / max(|a|, |n|, 1e-12)``. ``loss_fn`` must be
+    deterministic (dropout off).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -554,6 +616,7 @@ def finite_difference_check(
     loss, grads = loss_fn(params)
     if not np.isfinite(loss):
         raise ValueError("non-finite loss at the base point")
+    grads = {n: g.dense(params[n].shape[0]) if isinstance(g, RowSparseGrad) else g for n, g in grads.items()}
 
     names = sorted(params)
     sizes = np.array([params[n].size for n in names])

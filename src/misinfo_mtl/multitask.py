@@ -6,7 +6,6 @@ Heads are one hidden tanh layer (width tied to the encoder dim) followed by a
 linear softmax layer, with dropout 0.1 on the pooled input during training.
 """
 
-import copy
 import zlib
 from dataclasses import dataclass, field
 
@@ -66,7 +65,13 @@ class MultiTaskModel:
         return self.encoder.config
 
     def clone(self) -> "MultiTaskModel":
-        return copy.deepcopy(self)
+        """A copy with its own arrays and dicts; the frozen vocabulary and task specs are shared."""
+        return MultiTaskModel(
+            encoder=enc.EncoderParams(self.encoder.config, {k: v.copy() for k, v in self.encoder.tensors.items()}),
+            tasks=dict(self.tasks),
+            heads={task: {k: v.copy() for k, v in head.items()} for task, head in self.heads.items()},
+            vocab=self.vocab,
+        )
 
 
 def head_shapes(embed_dim: int, num_classes: int) -> dict[str, tuple[int, ...]]:

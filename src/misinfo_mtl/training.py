@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
+from .encoder import RowSparseGrad
 from .multitask import (
     MultiTaskModel, assign_params, encode_for_task, flatten_params, require_task, score, task_step_gradients,
 )
@@ -161,7 +162,11 @@ def adam_step(
 
     Keys without gradients keep their exact array objects (no moment decay, no
     update), which is what guarantees head isolation across tasks. lr == 0 is
-    a bit-exact parameter no-op (moments still advance).
+    a bit-exact parameter no-op (moments still advance). A ``RowSparseGrad``
+    still gets dense Adam: every row's moments decay and every row moves, and
+    only the gradient terms and the finiteness check run on its rows alone.
+    Parameters and moments come out bit-identical to the update with the
+    dense gradient, whose other rows would add exact zeros.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -170,34 +175,44 @@ def adam_step(
         g = grads[key]
         if key not in params:
             raise KeyError(f"gradient for unknown parameter {key!r}")
-        if g.shape != params[key].shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {params[key].shape} for {key!r}")
+        shape = params[key].shape
+        ids = g.ids if isinstance(g, RowSparseGrad) else None
+        if g.shape != (shape if ids is None else (ids.size,) + shape[1:]):
+            raise ValueError(f"gradient shape {g.shape} does not fit parameter {key!r} of shape {shape}")
+        if ids is not None and (ids.ndim != 1 or ids.size and (
+                ids[0] < 0 or ids[-1] >= shape[0] or np.any(ids[1:] <= ids[:-1]))):
+            raise ValueError(f"gradient rows for {key!r} must be sorted, unique and in [0, {shape[0]})")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {key!r}")
         if key not in state.m:
-            state.m[key] = np.zeros_like(g)
-            state.v[key] = np.zeros_like(g)
+            state.m[key] = np.zeros(shape)
+            state.v[key] = np.zeros(shape)
             state.t[key] = 0
         state.t[key] += 1
         t = state.t[key]
         m, v = state.m[key], state.v[key]
+        rows = slice(None) if ids is None else ids
         # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, in place
         tmp = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += tmp
+        m[rows] += tmp
+        if ids is not None and beta1 <= 0.5:
+            # Only then can beta1 * m round a negative subnormal to -0.0, which the dense
+            # gradient's +0.0 term on the other rows turns into +0.0.
+            m += 0.0
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - beta2
         v *= beta2
-        v += tmp
+        v[rows] += tmp
         if lr == 0.0:
             continue
-        # params - lr * m_hat / (sqrt(v_hat) + eps), built in a fresh array
-        np.divide(v, 1.0 - beta2**t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
+        # params - lr * m_hat / (sqrt(v_hat) + eps), built in fresh arrays
+        denom = np.divide(v, 1.0 - beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
         step = np.divide(m, 1.0 - beta1**t)
         step *= lr
-        step /= tmp
+        step /= denom
         new_params[key] = np.subtract(params[key], step, out=step)
     return new_params, state
 
@@ -214,6 +229,8 @@ class EarlyStopper:
 
     def update(self, epoch: int, value: float) -> bool:
         """Record one epoch's value; True means training should stop after it."""
+        if not math.isfinite(value):
+            raise ValueError(f"monitored value at epoch {epoch} is not finite: {value}")
         if value < self.best_value:
             self.best_value = value
             self.best_epoch = epoch
@@ -239,7 +256,7 @@ class EpochRecord:
 class TrainHistory:
     epochs: list[EpochRecord]
     best_epoch: int
-    stop_reason: str  # "early_stopping", "max_epochs" or "diverged" (a step's loss was not finite)
+    stop_reason: str  # "early_stopping", "max_epochs" or "diverged" (a step or validation loss was not finite)
 
     @property
     def best_val_loss(self) -> float:
@@ -263,8 +280,8 @@ def _fit(
     Trains the encoder (optionally) plus the heads of the tasks in ``splits``,
     early-stops on the summed validation loss of those tasks and returns a new
     model holding the best-epoch parameters. The input model is not modified.
-    A step with a non-finite loss stops training ("diverged") at the best
-    epoch so far, or raises ``ValueError`` if no epoch has finished.
+    A non-finite step or validation loss stops training ("diverged") at the
+    best epoch so far, or raises ``ValueError`` if no epoch has finished.
     """
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
@@ -344,6 +361,12 @@ def _fit(
             val_loss[task], preds = score(model, task, batch, labels, config.batch_size)
             val_reports[task] = metrics.compute_report(preds.tolist(), labels.tolist(), model.tasks[task].labels)
         val_total = sum(val_loss.values())
+        if not math.isfinite(val_total):
+            if best_flat is None:
+                raise ValueError(f"training diverged before any epoch finished: validation loss is {val_total} "
+                                 f"at epoch {epoch}")
+            stop_reason = "diverged"
+            break
         record = EpochRecord(
             epoch=epoch,
             train_loss={t: loss_sums[t] / max(loss_counts[t], 1) for t in sorted(sizes)},

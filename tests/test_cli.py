@@ -281,6 +281,18 @@ def test_diverged_training_exits_1_with_one_line(workdir, capsys, monkeypatch):
     assert "epoch 1, step 1" in err
 
 
+def test_non_finite_validation_loss_in_the_first_epoch_exits_1_with_one_line(workdir, capsys, monkeypatch):
+    from misinfo_mtl import training
+
+    real = training.score
+    monkeypatch.setattr(training, "score", lambda *args: (float("nan"), real(*args)[1]))
+    rc = main(["train", "--config", str(workdir / "run.cfg"), "--seed", "0", "--out", str(workdir / "run"),
+               "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: training diverged before any epoch finished: validation loss is nan at epoch 1\n"
+
+
 def test_unexpected_exception_exits_1_with_one_line(workdir, capsys, monkeypatch):
     from misinfo_mtl import cli
 

@@ -221,6 +221,9 @@ def test_zero_upstream_gives_zero_gradients():
     grads = backward(params, cache, np.zeros((3, 16)))
     assert set(grads) == set(params.tensors)
     for name, g in grads.items():
+        if name == "token_emb":  # summed rows for the ids the batch holds
+            assert set(g.ids.tolist()) <= set(batch.ids.ravel().tolist())
+            g = g.dense(params.tensors[name].shape[0])
         assert g.shape == params.tensors[name].shape
         assert np.all(g == 0.0), name
 
@@ -278,17 +281,27 @@ def test_gradcheck_full_encoder_cls_and_mean():
 
 @pytest.mark.parametrize("train_mode", [False, True])
 @pytest.mark.parametrize("num_layers", [1, 2])
-def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, train_mode):
-    # Mean pooling computes every row of the last layer; with the same generator
-    # seed both forwards see the same dropout masks.
+def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, train_mode, monkeypatch):
+    # Mean pooling computes every row of the last layer. It replays the CLS run's dropout
+    # masks; the CLS-only last layer draws (B, 1, d) ones, which go into row 0 of its full masks.
     config = tiny_config(num_layers=num_layers, max_seq_len=24, dropout_rate=0.2)
     params = init_encoder(config)
     padded = _short_ragged_batch(15, length=24)
     batch = trim_batch(padded.ids, padded.mask, np.arange(padded.size))
     assert batch.seq_len < padded.seq_len and not batch.mask.all()
+    drawn, real_mask = [], enc._dropout_mask
+    monkeypatch.setattr(enc, "_dropout_mask", lambda *args: drawn.append(real_mask(*args)) or drawn[-1])
     cls_pooled = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(6))
+
+    def replay(rng, shape, rate):
+        mask, recorded = np.ones(shape), drawn.pop(0)
+        mask[:, : recorded.shape[1]] = recorded
+        return mask
+
+    monkeypatch.setattr(enc, "_dropout_mask", replay)
     full = EncoderParams(config=replace(config, pooling="mean"), tensors=params.tensors)
     _, cache = encode_batch(full, batch, train_mode=train_mode, rng=np.random.default_rng(6), return_cache=True)
+    assert not drawn
     assert cache.x_final.shape[1] == batch.seq_len
     np.testing.assert_allclose(cls_pooled, cache.x_final[:, 0], rtol=1e-12, atol=0)
 
@@ -306,18 +319,30 @@ def test_cls_last_layer_caches_one_query_row():
     assert cache.x_final.shape == (4, 1, config.embed_dim)
 
 
+def _mask_shapes(config, rows, width):
+    """Dropout draws of one run: the embedding mask, then attention and FFN per layer at the rows it computes."""
+    shapes = [(rows, width, config.embed_dim)]
+    for i in range(config.num_layers):
+        last_cls = config.pooling == "cls" and i == config.num_layers - 1
+        shapes += 2 * [(rows, 1 if last_cls else width, config.embed_dim)]
+    return shapes
+
+
 @pytest.mark.parametrize("pooling", ["cls", "mean"])
-def test_train_forward_draws_full_size_dropout_masks(pooling):
+def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling):
     config = tiny_config(pooling=pooling, dropout_rate=0.2)
     batch = random_batch(np.random.default_rng(17), 40, 3, 12)
     used = np.random.default_rng(5)
-    encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
+    _, cache = encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
     width = int(batch.mask.sum(axis=1).max())  # the encoder cuts the batch to its longest real row
     assert width < batch.seq_len
     reference = np.random.default_rng(5)
-    for _ in range(1 + 2 * config.num_layers):  # embedding mask, then attention and FFN per layer
-        reference.random((3, width, config.embed_dim))
+    shapes = _mask_shapes(config, 3, width)
+    for shape in shapes:
+        reference.random(shape)
     assert used.bit_generator.state == reference.bit_generator.state
+    drawn = [cache.emb_drop] + [m for lc in cache.layers for m in (lc.attn_drop, lc.ffn_drop)]
+    assert [m.shape for m in drawn] == shapes
 
 
 @pytest.mark.parametrize("pooling", ["cls", "mean"])
@@ -363,9 +388,15 @@ def _one_width(params, batch, train_mode=False, rng=None):
 
 
 def _reference_grads(params, cache, upstream):
+    """Dense gradients of one run; the token_emb table is scattered with ``np.add.at``."""
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-    enc._backward_rows(params, cache, upstream, grads)
+    np.add.at(grads["token_emb"], cache.ids, enc._backward_rows(params, cache, upstream, grads))
     return grads
+
+
+def _dense(grads, params):
+    """``grads`` with the token_emb row gradient spread over the full table."""
+    return {**grads, "token_emb": grads["token_emb"].dense(params.config.vocab_size)}
 
 
 def _max_rel(a, b):
@@ -385,7 +416,7 @@ def test_grouped_encoder_matches_one_width_reference(num_layers, pooling, train_
     assert isinstance(cache, list) and len(cache) >= 3
     ref_pooled, ref_cache = _one_width(params, batch)
     assert _max_rel(pooled, ref_pooled) <= 1e-12
-    grads, ref = backward(params, cache, upstream), _reference_grads(params, ref_cache, upstream)
+    grads, ref = _dense(backward(params, cache, upstream), params), _reference_grads(params, ref_cache, upstream)
     assert set(grads) == set(ref)
     for name in ref:
         if np.any(ref[name]):
@@ -417,8 +448,8 @@ def test_two_class_train_forward_draws_masks_per_class_in_class_order(pooling):
     used = np.random.default_rng(5)
     pooled = encode_batch(params, Batch(ids=ids, mask=mask), train_mode=True, rng=used)
     reference = np.random.default_rng(5)
-    for shape in ((3, 7, config.embed_dim), (2, 40, config.embed_dim)):
-        for _ in range(1 + 2 * config.num_layers):
+    for rows, width in ((3, 7), (2, 40)):
+        for shape in _mask_shapes(config, rows, width):  # (rows, 1, d) in a CLS-only last layer
             reference.random(shape)
     assert used.bit_generator.state == reference.bit_generator.state
     # the same as encoding each class as its own batch, in class order, from one generator
@@ -440,8 +471,59 @@ def test_one_class_batch_runs_the_one_width_stack_bit_identically(pooling):
     assert isinstance(cache, enc.EncoderCache)
     assert used.bit_generator.state == reference.bit_generator.state
     assert np.array_equal(pooled, ref_pooled)
-    grads, ref = backward(params, cache, upstream), _reference_grads(params, ref_cache, upstream)
+    grads, ref = _dense(backward(params, cache, upstream), params), _reference_grads(params, ref_cache, upstream)
     assert all(np.array_equal(grads[name], ref[name]) for name in ref)
+
+
+def _repeated_id_batch(vocab_size):
+    """Three width classes over ids 3..vocab_size-1, so ids repeat within rows and across runs."""
+    batch = _three_class_batch(39, rows=6, length=100)
+    ids = np.where(batch.mask == 1, 3 + batch.ids % (vocab_size - 3), 0)
+    ids[:, 0] = 2
+    return Batch(ids=ids, mask=batch.mask)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_token_emb_gradient_sums_repeated_ids_like_a_dense_scatter(pooling):
+    config = tiny_config(pooling=pooling, vocab_size=12, max_seq_len=100)
+    params = init_encoder(config)
+    batch = _repeated_id_batch(config.vocab_size)
+    upstream = np.random.default_rng(40).standard_normal((batch.size, config.embed_dim))
+    _, caches = encode_batch(params, batch, return_cache=True)
+    runs = [set(c.ids.ravel().tolist()) for c in caches]
+    assert len(runs) >= 3 and set.intersection(*runs) - {0, 2}  # some word id occurs in every run
+    assert any(np.bincount(row).max() > 1 for row in caches[0].ids)  # and more than once in one row
+    got = backward(params, caches, upstream)["token_emb"]
+    assert isinstance(got, enc.RowSparseGrad) and got.shape == (len(set.union(*runs)), config.embed_dim)
+    assert got.ids.tolist() == sorted(set.union(*runs))
+    # reference: each run's token gradients scattered into a zeroed table with np.add.at, in class order
+    dense = np.zeros_like(params.tensors["token_emb"])
+    scratch = {n: np.zeros_like(a) for n, a in params.tensors.items()}
+    for c in caches:
+        np.add.at(dense, c.ids, enc._backward_rows(params, c, upstream[c.batch_rows], scratch))
+    assert got.dense(config.vocab_size).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_gradcheck_covers_every_token_emb_coordinate_through_the_row_gradient(pooling):
+    config = tiny_config(pooling=pooling, vocab_size=12, max_seq_len=100)
+    tensors = init_encoder(config).tensors
+    batch = _repeated_id_batch(config.vocab_size)
+    weights = np.random.default_rng(41).standard_normal((batch.size, config.embed_dim))
+    full_loss = _pooled_dot_loss(config, batch, weights)
+
+    def loss_fn(table, shift=0):
+        loss, grads = full_loss({**tensors, "token_emb": table["token_emb"]})
+        g = grads["token_emb"]
+        return loss, {"token_emb": enc.RowSparseGrad((g.ids + shift) % config.vocab_size, g)}
+
+    table = {"token_emb": tensors["token_emb"]}
+    every = table["token_emb"].size  # the rows outside the batch's ids are checked to be exactly 0
+    # epsilon 1e-5: over every coordinate, the CLS loss has one whose O(epsilon^2) error reaches 1.1e-4 at 1e-4
+    assert finite_difference_check(loss_fn, table, epsilon=1e-5, sample_count=every, seed=6) <= 1e-4
+    # the oracle reads values through the ids: rows moved to the wrong ids fail it
+    wrong = finite_difference_check(lambda t: loss_fn(t, shift=1), table, epsilon=1e-5, sample_count=48, seed=6)
+    assert wrong > 0.5
 
 
 def test_each_class_runs_at_its_longest_real_row():
@@ -584,22 +666,24 @@ def test_in_place_layer_norm_is_bit_identical_to_reference(shape):
 
 def test_in_place_softmax_and_its_backward_are_bit_identical_to_reference():
     rng = np.random.default_rng(22)
-    b, h, lq, lk = 6, 2, 11, 11
+    b, h, lq, lk, dh = 6, 2, 11, 11, 16
     mask = np.ones((b, lk), dtype=np.int64)
     for i in range(b):
         mask[i, int(rng.integers(1, lk + 1)):] = 0
-    scores = rng.normal(0.0, 3.0, (b, h, lq, lk))
-    scale = 1.0 / math.sqrt(8)
-    probs = _ref_masked_softmax(scores, mask[:, None, None, :] > 0, scale)
-    # the encoder's order: scale, -inf on PAD keys, then softmax, all in the scores buffer
-    got = scores.copy()
-    got *= scale
+    q, k, v = (rng.normal(0.0, 3.0, (b, h, n, dh)) for n in (lq, lk, lk))
+    scale = 1.0 / math.sqrt(dh)
+    probs = _ref_masked_softmax(q @ k.transpose(0, 1, 3, 2), mask[:, None, None, :] > 0, scale)
+    # the encoder's order: q scaled first (exact for head_dim 16), -inf on PAD keys, then softmax in place
+    got = (q * scale) @ k.transpose(0, 1, 3, 2)
     np.copyto(got, -np.inf, where=mask[:, None, None, :] == 0)
     assert np.array_equal(enc._softmax_inplace(got), probs)
-    dprobs = rng.standard_normal(probs.shape)
-    work = dprobs.copy()
-    work -= (work * probs).sum(axis=-1, keepdims=True)
-    assert np.array_equal(np.multiply(work, probs, out=work), _ref_softmax_backward(probs, dprobs))
+    # the backward's row term comes from the context vectors, so it matches to rounding only
+    ctx, dctx = probs @ v, rng.standard_normal((b, h, lq, dh))
+    dprobs = dctx @ v.transpose(0, 1, 3, 2)
+    expected = _ref_softmax_backward(probs, dprobs)
+    got = enc._softmax_backward(probs, dprobs.copy(), ctx, dctx)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.all(got[np.broadcast_to(mask[:, None, None, :] == 0, got.shape)] == 0.0)
 
 
 def test_in_place_gelu_and_dropout_are_bit_identical_to_reference():

@@ -223,3 +223,23 @@ def test_build_model_sorted_registration():
     for task in ("alpha", "zeta"):
         for k in m1.heads[task]:
             assert np.array_equal(m1.heads[task][k], m2.heads[task][k])
+
+
+def test_clone_copies_arrays_and_dicts_and_shares_the_vocabulary():
+    from misinfo_mtl.tokenization import Vocabulary
+
+    config = tiny_config(vocab_size=6)
+    model = build_model(config, [TaskSpec("t", ("a", "b"), "tweet")], vocab=Vocabulary.from_tokens(["x", "y", "z"]))
+    clone = model.clone()
+    assert clone.vocab is model.vocab and clone.tasks["t"] is model.tasks["t"]
+    assert clone.config == model.config
+    assert clone.tasks is not model.tasks and clone.heads is not model.heads
+    assert clone.encoder.tensors is not model.encoder.tensors and clone.heads["t"] is not model.heads["t"]
+    before, copied = flatten_params(model), flatten_params(clone)
+    assert before.keys() == copied.keys()
+    for key in before:
+        assert copied[key] is not before[key] and np.array_equal(copied[key], before[key])
+        copied[key] += 1.0  # writing into the clone's arrays leaves the original's alone
+        assert not np.array_equal(copied[key], before[key])
+    clone.tasks["u"] = TaskSpec("u", ("a", "b"), "tweet")
+    assert "u" not in model.tasks

@@ -8,7 +8,7 @@ from misinfo_mtl import training
 from misinfo_mtl.data import (
     Dataset, Example, SplitDataset, SyntheticSuiteConfig, generate_synthetic_suite, make_dataset, split,
 )
-from misinfo_mtl.encoder import EncoderConfig
+from misinfo_mtl.encoder import EncoderConfig, RowSparseGrad
 from misinfo_mtl.multitask import TaskSpec, build_model, flatten_params
 from misinfo_mtl.tokenization import WIDTH_CLASS, build_vocab
 from misinfo_mtl.training import (
@@ -236,12 +236,73 @@ def test_adam_rejects_shape_mismatch():
         adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, AdamState(), lr=0.1)
 
 
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("beta1", [0.9, 0.5])
+def test_adam_over_row_gradients_is_bit_identical_to_the_dense_update(beta1):
+    # At beta1 = 0.5 row 3's moment of -2**-1074 decays to -0.0; the dense update's zero term makes it +0.0.
+    rng = np.random.default_rng(32)
+    table = rng.standard_normal((30, 4))
+    table[3] = -0.0
+    table[4] = 0.0
+    params = {"emb": table, "b": rng.standard_normal(4)}
+    dense_params, dense_state, sparse_state = dict(params), AdamState(), AdamState()
+    touched = [[0, 3, 4, 7, 29], [1, 7], [0, 1, 2], [7], [3, 4, 5, 6], [0, 29]]  # rows 8-28 never, 3 and 4 rarely
+    for step, rows in enumerate(touched, start=1):
+        before = params["emb"].copy()
+        g = rng.normal(0.0, 10.0 ** rng.integers(-6, 2), (len(rows), 4))
+        g[0, 0] = -0.0
+        if step == 1:
+            g[1] = -2.0 * 5e-324  # row 3: (1 - beta1) g is a negative subnormal (exactly -2**-1074 at beta1 0.5)
+        grads = {"emb": RowSparseGrad(np.array(rows), g), "b": rng.standard_normal(4)}
+        dense = {"emb": grads["emb"].dense(30), "b": grads["b"]}
+        lr = 10.0 ** -step
+        params, sparse_state = adam_step(params, grads, sparse_state, lr, beta1=beta1)
+        dense_params, dense_state = adam_step(dense_params, dense, dense_state, lr, beta1=beta1)
+        if step == 1:
+            decayed = beta1 * sparse_state.m["emb"][3, 1]  # what row 3's moment decays to at step 2
+        if step == 2:  # row 29, touched at step 1 only, still moves on its moments: this is dense Adam
+            assert np.all(params["emb"][29] != before[29])
+        for key in ("emb", "b"):
+            assert _bits(params[key]) == _bits(dense_params[key]), (step, key)
+            assert _bits(sparse_state.m[key]) == _bits(dense_state.m[key]), (step, key)
+            assert _bits(sparse_state.v[key]) == _bits(dense_state.v[key]), (step, key)
+    assert sparse_state.t == dense_state.t == {"emb": 6, "b": 6}
+    if beta1 == 0.5:
+        assert decayed == 0.0 and np.signbit(decayed)  # the -0.0 case did arise
+
+
+def test_adam_rejects_malformed_row_gradients():
+    params = {"emb": np.zeros((5, 2))}
+    for ids, rows, match in (
+        ([0, 1], np.ones((3, 2)), "does not fit"),
+        ([0, 1], np.ones((2, 3)), "does not fit"),
+        ([2, 1], np.ones((2, 2)), "sorted, unique"),
+        ([1, 1], np.ones((2, 2)), "sorted, unique"),
+        ([1, 5], np.ones((2, 2)), r"in \[0, 5\)"),
+        ([-1, 1], np.ones((2, 2)), r"in \[0, 5\)"),
+        ([0, 1], np.array([[1.0, np.inf], [0.0, 0.0]]), "non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            adam_step(params, {"emb": RowSparseGrad(np.array(ids), rows)}, AdamState(), lr=0.1)
+
+
 def test_early_stopper_patience_trace():
     # val sequence [3,2,2,2,2,2,2] with patience 5: stop after epoch 7, best 2
     stopper = EarlyStopper(patience=5)
     stops = [stopper.update(e, v) for e, v in enumerate([3, 2, 2, 2, 2, 2, 2], start=1)]
     assert stops == [False, False, False, False, False, False, True]
     assert stopper.best_epoch == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_early_stopper_refuses_a_non_finite_value(value):
+    stopper = EarlyStopper(patience=2)
+    with pytest.raises(ValueError, match="not finite"):
+        stopper.update(1, value)
+    assert stopper.best_epoch is None
 
 
 # --- end-to-end loop behavior ---------------------------------------------------
@@ -392,6 +453,38 @@ def test_nan_loss_before_any_epoch_finished_raises_naming_where(monkeypatch):
     model, splits = _tiny_setup()
     _nan_loss_after(monkeypatch, 1)
     with pytest.raises(ValueError, match=r"diverged.*task '(alpha|beta)'.*epoch 1, step 2"):
+        train_multitask(model, splits, _quick_config())
+
+
+def _nan_validation_after(monkeypatch, good_calls):
+    """Make every validation score after the first ``good_calls`` NaN; returns the parameters each call saw."""
+    real, seen = training.score, []
+
+    def scored(model, *args, **kwargs):
+        seen.append({k: v.copy() for k, v in flatten_params(model).items()})
+        loss, preds = real(model, *args, **kwargs)
+        return (loss if len(seen) <= good_calls else float("nan")), preds
+
+    monkeypatch.setattr(training, "score", scored)
+    return seen
+
+
+def test_nan_validation_loss_stops_at_the_best_epoch_so_far(monkeypatch):
+    model, splits = _tiny_setup()
+    seen = _nan_validation_after(monkeypatch, 2)  # both tasks score at epoch 1, then NaN at epoch 2
+    trained, hist = train_multitask(model, splits, _quick_config(max_epochs=3, patience=3))
+    assert hist.stop_reason == "diverged"
+    assert [r.epoch for r in hist.epochs] == [1] and hist.best_epoch == 1
+    assert len(seen) == 4
+    flat = flatten_params(trained)
+    assert all(np.array_equal(flat[k], seen[0][k]) for k in flat)  # as it stood at epoch 1's validation
+    assert any(not np.array_equal(flat[k], seen[-1][k]) for k in flat)
+
+
+def test_nan_validation_loss_in_the_first_epoch_raises(monkeypatch):
+    model, splits = _tiny_setup()
+    _nan_validation_after(monkeypatch, 1)
+    with pytest.raises(ValueError, match=r"diverged before any epoch finished: validation loss is nan at epoch 1$"):
         train_multitask(model, splits, _quick_config())
 
 
