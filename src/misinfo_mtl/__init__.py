@@ -6,7 +6,6 @@ fine-tuning), plus few-shot and leave-one-event-out evaluation harnesses.
 """
 
 from .data import (
-    BUILTIN_TASKS,
     Dataset,
     Example,
     FilterRules,
@@ -30,7 +29,8 @@ from .evaluation import (
     published_targets,
 )
 from .metrics import MetricsReport, accuracy, macro_f1, seed_average
-from .multitask import MultiTaskModel, TaskSpec, build_model, predict, register_task, task_loss
+from .multitask import MultiTaskModel, build_model, predict, register_task, task_loss
+from .tasks import BUILTIN_TASKS, TaskSpec
 from .tokenization import Batch, TokenSequence, Vocabulary, build_vocab, encode, pad_batch
 from .training import (
     TrainConfig,

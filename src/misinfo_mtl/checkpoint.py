@@ -19,7 +19,8 @@ import numpy as np
 
 from .atomic import atomic_open
 from .encoder import EncoderConfig, EncoderParams, param_shapes
-from .multitask import MultiTaskModel, TaskSpec, head_shapes
+from .multitask import MultiTaskModel, head_shapes
+from .tasks import TaskSpec
 
 MAGIC = b"MMCKPT01"
 

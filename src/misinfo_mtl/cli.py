@@ -22,7 +22,8 @@ from . import data as datamod
 from . import evaluation, metrics, training
 from .atomic import atomic_open, write_text_atomic
 from .encoder import EncoderConfig
-from .multitask import MultiTaskModel, TaskSpec, build_model, require_task
+from .multitask import MultiTaskModel, build_model, require_task
+from .tasks import BUILTIN_TASKS, TaskSpec
 from .tokenization import build_vocab, load_vocab, save_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
@@ -103,8 +104,8 @@ def _task_spec(name: str, labels: str | None, granularity: str, positive: str | 
             return TaskSpec(name, _csv(labels), granularity, positive or None)
         except ValueError as exc:
             raise ConfigError(f"bad task definition for {name!r}: {exc}") from None
-    if name in datamod.BUILTIN_TASKS:
-        return datamod.BUILTIN_TASKS[name]
+    if name in BUILTIN_TASKS:
+        return BUILTIN_TASKS[name]
     raise ConfigError(f"task {name!r} is not built in; {hint}")
 
 
@@ -563,7 +564,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tune_allocator() -> None:
-    """Raise glibc's heap trim and mmap thresholds so freed buffers are reused, not re-faulted (glibc only)."""
+    """Tune glibc's heap (glibc only).
+
+    Raise the trim and mmap thresholds so freed buffers are reused, not
+    re-faulted, and keep one arena so the encoder's worker threads reuse the
+    main heap instead of each growing their own.
+    """
     import ctypes
 
     try:
@@ -573,6 +579,7 @@ def _tune_allocator() -> None:
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def main(argv=None) -> int:

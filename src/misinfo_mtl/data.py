@@ -16,27 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .multitask import TaskSpec
-
-BIAS_TYPES = ("lexical", "informational")
-POLARITIES = ("positive", "negative", "neutral")
-
-# Canonical task definitions: the four jointly trained tasks, the two
-# bias-subset auxiliary tasks derived from the news-bias corpus, and the
-# unseen corpora used only for few-shot evaluation (schema + loader support).
-BUILTIN_TASKS: dict[str, TaskSpec] = {
-    "newsbias": TaskSpec("newsbias", ("no-bias", "contains-bias"), "sentence", "contains-bias"),
-    "newsbias_type": TaskSpec("newsbias_type", BIAS_TYPES, "sentence"),
-    "newsbias_polarity": TaskSpec("newsbias_polarity", POLARITIES, "sentence"),
-    "fakenews": TaskSpec("fakenews", ("true", "fake"), "article", "fake"),
-    "rumor": TaskSpec("rumor", ("true", "false"), "tweet", "false"),
-    "clickbait": TaskSpec("clickbait", ("not-clickbait", "is-clickbait"), "headline", "is-clickbait"),
-    "propaganda": TaskSpec("propaganda", ("not-propaganda", "propaganda"), "sentence", "propaganda"),
-    "politifact": TaskSpec("politifact", ("true", "fake"), "article", "fake"),
-    "buzzfeed": TaskSpec("buzzfeed", ("true", "fake"), "headline", "fake"),
-    "covid_checkworthy": TaskSpec("covid_checkworthy", ("not-checkworthy", "checkworthy"), "tweet", "checkworthy"),
-    "covid_false_claim": TaskSpec("covid_false_claim", ("not-false", "false-claim"), "tweet", "false-claim"),
-}
+from .tasks import BIAS_TYPES, BUILTIN_TASKS, POLARITIES, TaskSpec  # noqa: F401  (BUILTIN_TASKS re-exported)
 
 # The rumor corpus carries a third label that the binary protocol drops.
 DEFAULT_DROP_LABELS: dict[str, tuple[str, ...]] = {"rumor": ("unverified",)}

@@ -6,12 +6,19 @@ intermediate needed for the hand-written backward pass, and
 analytic gradients. Parameters are a flat name->array dict so the optimizer,
 checkpointing and gradient checking can all treat them uniformly.
 
-Parameters are immutable during a forward/backward pair; eval-mode forwards
-over shared parameters are safe to run concurrently.
+A batch runs through the stack as independent runs: one per width class,
+cut into runs of at most ``RUN_CELLS`` (rows x width) cells. Runs of one
+call go to a thread pool with one worker per usable CPU; the cut never
+depends on the CPU count, and the calling thread draws every random number,
+so results do not either. Parameters are immutable during a forward/backward
+pair; eval-mode forwards over shared parameters are safe to run concurrently.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +26,7 @@ from .tokenization import Batch, width_groups
 
 LN_EPS = 1e-5
 GRADCHECK_FLOOR = 1e-12
+RUN_CELLS = 2048  # most rows x width cells in one run of the stack; wider classes run fewer rows per run
 
 # Cephes ndtr.c erf: x T(x^2) / U(x^2) for |x| <= 1, 1 - exp(-x^2) P(|x|) / Q(|x|)
 # above. Coefficients run from the highest degree down; U and Q are monic. Each
@@ -347,6 +355,48 @@ class EncoderCache:
     x_final: np.ndarray  # last layer's output; under CLS pooling only the CLS row, (B, 1, d)
 
 
+_pool = None  # a ThreadPoolExecutor with one worker per usable CPU, made on the first call with 2+ runs
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers do not exist there, so the next call makes a new pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_each(fn, jobs: list[tuple]) -> list:
+    """``[fn(*job) for job in jobs]``, on the thread pool when there are 2+ jobs and 2+ usable CPUs."""
+    global _pool
+    if len(jobs) > 1:
+        with _pool_lock:
+            if _pool is None:
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+                if cpus > 1:
+                    # imported here, not at start-up: concurrent.futures loads logging (about 6 ms)
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    _pool = ThreadPoolExecutor(cpus, thread_name_prefix="encoder-run")
+    if len(jobs) < 2 or _pool is None:
+        return [fn(*job) for job in jobs]
+    return list(_pool.map(fn, *zip(*jobs)))
+
+
+def _dropout_masks(rng, cfg: EncoderConfig, rows: int, width: int, rate: float) -> list[np.ndarray]:
+    """One width class's dropout masks in draw order: the embedding's, then attention and FFN per layer.
+
+    Each is drawn at the shape of the rows its layer computes: (rows, 1, d) for a CLS-only layer.
+    """
+    shapes = [(rows, width, cfg.embed_dim)]
+    for i in range(cfg.num_layers):
+        shapes += 2 * [(rows, len(range(width)[_query_rows(cfg, i)]), cfg.embed_dim)]
+    return [_dropout_mask(rng, shape, rate) for shape in shapes]
+
+
 def encode_batch(
     params: EncoderParams,
     batch: Batch,
@@ -356,16 +406,19 @@ def encode_batch(
 ):
     """Run the encoder stack and pool one vector per input.
 
-    The stack runs once per width class of the rows (``width_groups``), in
-    ascending class order, on that class's rows cut to their longest real row;
-    pooled rows come back in input order. PAD positions get a -inf pre-softmax
-    attention score, so their content can never reach the pooled output.
-    Under CLS pooling the last layer computes keys and values for every row
-    and everything else for the CLS row only. Dropout fires only in train
-    mode (and then requires ``rng``); each run draws its masks at its own
-    shape. Per-layer activations are kept only with ``return_cache=True``,
-    and then the result is ``(pooled, cache)`` for a subsequent ``backward``
-    call: one ``EncoderCache`` per run, a bare one when the batch has one class.
+    The rows are split by width class (``width_groups``), in ascending class
+    order, and each class is cut to its longest real row. A class then runs
+    in runs of at most ``max(1, RUN_CELLS // width)`` rows, in row order, each
+    an independent run of the stack; the runs go to the thread pool when there
+    are two or more. Pooled rows come back in input order. PAD positions get
+    a -inf pre-softmax attention score, so their content can never reach the
+    pooled output. Under CLS pooling the last layer computes keys and values
+    for every row and everything else for the CLS row only. Dropout fires only
+    in train mode (and then requires ``rng``): this thread draws each class's
+    masks at the class's shape, class by class, and each run takes its rows.
+    Per-layer activations are kept only with ``return_cache=True``, and then
+    the result is ``(pooled, cache)`` for a subsequent ``backward`` call: one
+    ``EncoderCache`` per run, a bare one when the batch makes one run.
     """
     cfg = params.config
     ids, mask = batch.ids, batch.mask
@@ -382,30 +435,39 @@ def encode_batch(
     if drop > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout requires an rng")
 
-    pooled = np.empty((ids.shape[0], cfg.embed_dim))
-    caches = []
+    jobs = []
     for group in width_groups(mask.sum(axis=1)):
-        sub = mask[group]
-        width = int(np.flatnonzero(sub.any(axis=0))[-1]) + 1
-        pooled[group], cache = _encode_rows(params, group, ids[group, :width], sub[:, :width], drop, rng,
-                                            return_cache)
-        caches.append(cache)
+        width = int(np.flatnonzero(mask[group].any(axis=0))[-1]) + 1
+        masks = _dropout_masks(rng, cfg, group.size, width, drop) if drop > 0.0 else None
+        step = max(1, RUN_CELLS // width)
+        for start in range(0, group.size, step):
+            run = slice(start, start + step)
+            rows = group[run]
+            run_masks = None if masks is None else [m[run] for m in masks]
+            jobs.append((rows, ids[rows, :width], mask[rows, :width], run_masks))
+    results = _run_each(partial(_encode_rows, params, return_cache=return_cache), jobs)
+    pooled = np.empty((ids.shape[0], cfg.embed_dim))
+    for (rows, *_), (out, _) in zip(jobs, results):
+        pooled[rows] = out
     if not return_cache:
         return pooled
+    caches = [cache for _, cache in results]
     return pooled, caches[0] if len(caches) == 1 else caches
 
 
-def _encode_rows(params, batch_rows, ids, mask, drop, rng, return_cache):
-    """One run of the stack over ``batch_rows`` of a batch, given as (ids, mask) at their own width."""
+def _encode_rows(params, batch_rows, ids, mask, drop_masks, return_cache):
+    """One run of the stack over ``batch_rows`` of a batch, given as (ids, mask) at their own width.
+
+    ``drop_masks`` is None or the run's rows of its class's ``_dropout_masks``.
+    """
     cfg = params.config
     t = params.tensors
     length = ids.shape[1]
     maskf = mask.astype(np.float64)
+    emb_drop, *layer_drops = drop_masks or [None] * (1 + 2 * cfg.num_layers)
     x = t["token_emb"][ids] + t["pos_emb"][:length]
     x, xhat0, inv0 = _ln_forward(x, t["emb_ln.gain"], t["emb_ln.bias"])
-    emb_drop = None
-    if drop > 0.0:
-        emb_drop = _dropout_mask(rng, x.shape, drop)
+    if emb_drop is not None:
         x *= emb_drop
     layer_caches: list[_LayerCache] = []
 
@@ -414,6 +476,7 @@ def _encode_rows(params, batch_rows, ids, mask, drop, rng, return_cache):
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
         rows = _query_rows(cfg, i)
+        attn_drop, ffn_drop = layer_drops[2 * i:2 * i + 2]
         x_in = x
         # 1/sqrt(head_dim) is folded into q, so the scores come out scaled (exactly so for a power of 2).
         q = x_in[:, rows] @ t[p + "attn.wq"] + t[p + "attn.bq"]
@@ -427,18 +490,13 @@ def _encode_rows(params, batch_rows, ids, mask, drop, rng, return_cache):
         probs = _softmax_inplace(scores)
         ctx = _merge_heads(probs @ v)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        # Masks are drawn at the shape of the rows the layer computes: (B, 1, d) for a CLS-only layer.
-        attn_drop = None
-        if drop > 0.0:
-            attn_drop = _dropout_mask(rng, attn_out.shape, drop)
+        if attn_drop is not None:
             attn_out *= attn_drop
         x_mid, xhat1, inv1 = _ln_forward(x_in[:, rows] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
         h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
         h_cdf = gelu_cdf(h_pre)
         ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
-        ffn_drop = None
-        if drop > 0.0:
-            ffn_drop = _dropout_mask(rng, ffn_out.shape, drop)
+        if ffn_drop is not None:
             ffn_out *= ffn_drop
         x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
         if return_cache:
@@ -468,17 +526,22 @@ def backward(
 
     ``upstream_grad`` has shape (batch, embed_dim) and is contracted with the
     pooled output's Jacobian; requires the cache produced by the matching
-    forward pass. Each width class's run adds its gradients into one dict.
-    ``token_emb`` gets a ``RowSparseGrad`` over the ids the batch holds; every
-    other gradient is a dense array of its parameter's shape.
+    forward pass. Each run of the forward fills its own gradient dict (on the
+    thread pool when there are two or more runs), and the dicts are summed in
+    run order. ``token_emb`` gets a ``RowSparseGrad`` over the ids the batch
+    holds, summed over every run's token gradients in run order; every other
+    gradient is a dense array of its parameter's shape.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a forward pass")
     runs = [cache] if isinstance(cache, EncoderCache) else cache
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items() if name != "token_emb"}
-    de = [_backward_rows(params, run, upstream_grad[run.batch_rows], grads) for run in runs]
+    results = _run_each(partial(_backward_rows, params), [(run, upstream_grad[run.batch_rows]) for run in runs])
+    grads = results[0][0]
+    for run_grads, _ in results[1:]:
+        for name, g in run_grads.items():
+            grads[name] += g
     grads["token_emb"] = _row_sums(np.concatenate([run.ids.reshape(-1) for run in runs]),
-                                   np.concatenate([d.reshape(-1, d.shape[-1]) for d in de]),
+                                   np.concatenate([de.reshape(-1, de.shape[-1]) for _, de in results]),
                                    params.config.vocab_size)
     return grads
 
@@ -512,15 +575,17 @@ def _softmax_backward(probs, dprobs, ctx, dctx):
     return np.multiply(dprobs, probs, out=dprobs)
 
 
-def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> np.ndarray:
-    """Add the gradients of one run of the stack (``cache``) into ``grads``.
+def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Gradients of one run of the stack (``cache``), each added once into its own zeroed array.
 
-    Returns the gradient w.r.t. the run's embedded tokens, (B, L, d), whose
-    rows ``backward`` sums per token id into the ``token_emb`` gradient.
+    Returns them (every parameter but ``token_emb``) with the gradient w.r.t.
+    the run's embedded tokens, (B, L, d), whose rows ``backward`` sums per
+    token id into the ``token_emb`` gradient.
     """
     cfg = params.config
     t = params.tensors
     length = cache.ids.shape[1]
+    grads = {name: np.zeros_like(arr) for name, arr in t.items() if name != "token_emb"}
 
     dx = np.zeros_like(cache.x_final)
     if cfg.pooling == "cls":
@@ -587,7 +652,7 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> np.ndar
     grads["emb_ln.gain"] += dg
     grads["emb_ln.bias"] += dbias
     grads["pos_emb"][:length] += de.sum(axis=0)
-    return de
+    return grads, de
 
 
 # --- numerical gradient oracle ----------------------------------------------
@@ -596,25 +661,26 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad, grads) -> np.ndar
 def finite_difference_check(
     loss_fn,
     params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
     epsilon: float = 1e-4,
     sample_count: int = 200,
     seed: int = 0,
 ) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    ``loss_fn`` maps a name->array dict to ``(loss, grads)``; the analytic side
-    is taken from one call at the base point, the numeric side from two loss
-    evaluations per sampled coordinate. A ``RowSparseGrad`` is read through its
-    ids, so every row outside them counts as 0. The relative error for a
-    coordinate is ``|a - n| / max(|a|, |n|, 1e-12)``. ``loss_fn`` must be
-    deterministic (dropout off).
+    ``grads`` holds the analytic gradients at ``params``, by name. ``loss_fn``
+    maps a name->array dict to the loss alone; it is evaluated at ``params``
+    (which must give a finite loss) and twice per sampled coordinate. A
+    ``RowSparseGrad`` is read through its ids, so every row outside them
+    counts as 0. The relative error for a coordinate is
+    ``|a - n| / max(|a|, |n|, 1e-12)``. ``loss_fn`` must be deterministic
+    (dropout off, or its masks fixed).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    loss, grads = loss_fn(params)
-    if not np.isfinite(loss):
+    if not np.isfinite(loss_fn(params)):
         raise ValueError("non-finite loss at the base point")
     grads = {n: g.dense(params[n].shape[0]) if isinstance(g, RowSparseGrad) else g for n, g in grads.items()}
 
@@ -632,9 +698,9 @@ def finite_difference_check(
         name, off = names[which], flat - int(offsets[which])
         base = work[name].flat[off]
         work[name].flat[off] = base + epsilon
-        loss_plus = loss_fn(work)[0]
+        loss_plus = loss_fn(work)
         work[name].flat[off] = base - epsilon
-        loss_minus = loss_fn(work)[0]
+        loss_minus = loss_fn(work)
         work[name].flat[off] = base
         if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
             raise ValueError(f"non-finite loss while perturbing {name}[{off}]")

@@ -12,42 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoder as enc
+from .tasks import TaskSpec
 from .tokenization import Batch, Vocabulary, encode, length_ordered_batches, pad_batch
 
-GRANULARITIES = ("sentence", "article", "tweet", "headline")
 HEAD_DROPOUT = 0.1
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """A task's name, ordered label set, granularity and (optional) positive class."""
-
-    name: str
-    labels: tuple[str, ...]
-    granularity: str
-    positive_label: str | None = None
-
-    def __post_init__(self):
-        if len(self.labels) < 2:
-            raise ValueError(f"task {self.name!r} needs >= 2 labels")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"task {self.name!r} has duplicate labels")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}")
-        if self.positive_label is not None and self.positive_label not in self.labels:
-            raise ValueError(f"positive label {self.positive_label!r} not in label set")
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.labels)
-
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown label {label!r} for task {self.name!r}") from None
-
-
 HEAD_TENSOR_NAMES = ("hidden_w", "hidden_b", "out_w", "out_b")
 
 
@@ -184,17 +152,21 @@ def task_loss(
     labels: np.ndarray,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    return_cache: bool = True,
 ):
-    """Mean cross-entropy of the task head over the batch, plus backward state."""
+    """Mean cross-entropy of the task head over the batch, plus backward state.
+
+    The state holds the encoder's backward cache only with ``return_cache``
+    (otherwise None); the dropout draws are the same either way.
+    """
     spec = require_task(model, task)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (batch.size,):
         raise ValueError(f"labels must have shape ({batch.size},)")
     if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError(f"label index out of range [0, {spec.num_classes}) for task {task!r}")
-    pooled, enc_cache = enc.encode_batch(
-        model.encoder, batch, train_mode=train_mode, rng=rng, return_cache=True
-    )
+    encoded = enc.encode_batch(model.encoder, batch, train_mode=train_mode, rng=rng, return_cache=return_cache)
+    pooled, enc_cache = encoded if return_cache else (encoded, None)
     logits, head_cache = _head_forward(model.heads[task], pooled, train_mode, rng)
     logp = _log_softmax(logits)
     loss = -logp[np.arange(batch.size), labels].mean()
@@ -224,7 +196,7 @@ def task_step_gradients(
     are returned; every dropout draw happens in the forward pass, so the rng
     stream is the same either way.
     """
-    loss, state = task_loss(model, task, batch, labels, train_mode=train_mode, rng=rng)
+    loss, state = task_loss(model, task, batch, labels, train_mode=train_mode, rng=rng, return_cache=train_encoder)
     head = model.heads[task]
     hc = state["head_cache"]
     b = batch.size

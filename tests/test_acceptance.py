@@ -23,6 +23,7 @@ from misinfo_mtl.multitask import (
     flatten_params,
     assign_params,
     register_task,
+    task_loss,
     task_step_gradients,
 )
 from misinfo_mtl.tokenization import Batch, build_vocab
@@ -69,12 +70,13 @@ def test_criterion_1_gradient_correctness():
             else:
                 task, name = rest.rsplit(".", 1)
                 model.heads[task][name] = arr
-        return task_step_gradients(model, "probe", batch, labels, train_mode=False)
+        return task_loss(model, "probe", batch, labels, train_mode=False, return_cache=False)[0]
 
     flat = flatten_params(model)
     total = sum(v.size for v in flat.values())
     assert total >= 200
-    err = finite_difference_check(loss_fn, flat, epsilon=1e-4, sample_count=250, seed=7)
+    _, grads = task_step_gradients(model, "probe", batch, labels, train_mode=False)
+    err = finite_difference_check(loss_fn, flat, grads, epsilon=1e-4, sample_count=250, seed=7)
     elapsed = time.monotonic() - started
     assert err <= 1e-4, f"max relative error {err}"
     assert elapsed < 60.0

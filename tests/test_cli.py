@@ -1,10 +1,13 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from misinfo_mtl import encoder as enc
 from misinfo_mtl.checkpoint import load_model
 from misinfo_mtl.cli import main
+from misinfo_mtl.data import SyntheticSuiteConfig, generate_synthetic_suite, save_dataset
 
 CFG_TEMPLATE = """
 # desk-scale settings
@@ -460,3 +463,26 @@ def test_fewshot_training_flags_get_their_own_run_directory(stage1, tmp_path, mo
     assert len(configs) == 4
     for line in ("learning_rate = 0.001\n", "patience = 1\n", "max_epochs = 3\n"):
         assert sum(line in c for c in configs) == 1, line
+
+
+def test_train_writes_the_same_bytes_on_one_and_two_encoder_workers(tmp_path, monkeypatch):
+    # texts of 90-124 words fill max_seq_len 128: train batches cut class 4 into runs of 16 rows
+    suite = SyntheticSuiteConfig(examples_per_task=48, min_tokens=90, max_tokens=124, vocab_size=200)
+    for name, dataset in generate_synthetic_suite(3, suite).items():
+        save_dataset(dataset, tmp_path / f"{name}.jsonl")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CFG_TEMPLATE.format(data=tmp_path).replace("max_seq_len = 16", "max_seq_len = 128")
+                   .replace("max_epochs = 2\npatience = 2", "max_epochs = 1\npatience = 1"))
+    run_rows = []
+    real = enc._encode_rows
+    monkeypatch.setattr(enc, "_encode_rows", lambda *a, **k: run_rows.append(a[1].size) or real(*a, **k))
+    for workers in (1, 2):
+        monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)
+        monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers) if workers > 1 else None)
+        assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / f"w{workers}"),
+                     "--quiet"]) == 0
+        if workers > 1:
+            enc._pool.shutdown()
+    assert 16 in run_rows
+    for rel in ("seed0/model.ckpt", "seed0/history.jsonl", "metrics.json"):
+        assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes(), rel

@@ -1,8 +1,11 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -119,10 +122,7 @@ def test_gradcheck_on_trimmed_ragged_batch():
     for pooling in ("cls", "mean"):
         config = tiny_config(pooling=pooling, max_seq_len=20)
         params = init_encoder(config)
-        err = finite_difference_check(
-            _pooled_dot_loss(config, batch, weights), params.tensors,
-            epsilon=1e-4, sample_count=150, seed=2,
-        )
+        err = _gradcheck_pooled_dot(config, params.tensors, batch, weights, epsilon=1e-4, sample_count=150, seed=2)
         assert err <= 1e-4, (pooling, err)
         _, cache = encode_batch(params, batch, return_cache=True)
         grads = backward(params, cache, weights)
@@ -240,15 +240,21 @@ def test_upstream_linearity_doubling():
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12, atol=0)
 
 
-def _pooled_dot_loss(config, batch, weights):
-    """loss = <pooled, W>; returns a (loss, grads) closure over a tensor dict."""
+def _gradcheck_pooled_dot(config, tensors, batch, weights, rng_seed=None, **oracle):
+    """The oracle on loss = <pooled, W> at ``tensors``.
 
-    def loss_fn(tensors):
-        params = EncoderParams(config=config, tensors=tensors)
-        pooled, cache = encode_batch(params, batch, return_cache=True)
-        return float((pooled * weights).sum()), backward(params, cache, weights)
+    With ``rng_seed`` every forward runs in train mode on a fresh generator
+    with that seed, so the dropout masks are the same on every call.
+    """
 
-    return loss_fn
+    def forward(t, return_cache=False):
+        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        params = EncoderParams(config=config, tensors=t)
+        return encode_batch(params, batch, train_mode=rng is not None, rng=rng, return_cache=return_cache)
+
+    _, cache = forward(tensors, return_cache=True)
+    grads = backward(EncoderParams(config=config, tensors=tensors), cache, weights)
+    return finite_difference_check(lambda t: float((forward(t) * weights).sum()), tensors, grads, **oracle)
 
 
 def test_gradcheck_quadratic_loss_is_nearly_exact():
@@ -256,9 +262,9 @@ def test_gradcheck_quadratic_loss_is_nearly_exact():
     theta = {"w": rng.standard_normal((8, 8))}
 
     def loss_fn(tree):
-        return 0.5 * float((tree["w"] ** 2).sum()), {"w": tree["w"].copy()}
+        return 0.5 * float((tree["w"] ** 2).sum())
 
-    err = finite_difference_check(loss_fn, theta, epsilon=1e-4, sample_count=64, seed=0)
+    err = finite_difference_check(loss_fn, theta, {"w": theta["w"].copy()}, epsilon=1e-4, sample_count=64, seed=0)
     assert err < 1e-8
 
 
@@ -272,10 +278,8 @@ def test_gradcheck_full_encoder_cls_and_mean():
         for pooling in ("cls", "mean"):
             config = tiny_config(pooling=pooling, num_layers=num_layers)
             params = init_encoder(config)
-            err = finite_difference_check(
-                _pooled_dot_loss(config, batch, weights), params.tensors,
-                epsilon=1e-4, sample_count=150, seed=1,
-            )
+            err = _gradcheck_pooled_dot(config, params.tensors, batch, weights,
+                                        epsilon=1e-4, sample_count=150, seed=1)
             assert err <= 1e-4, (num_layers, pooling, err)
 
 
@@ -352,14 +356,8 @@ def test_gradcheck_with_fixed_dropout_masks(pooling):
     batch = random_batch(rng, 40, 4, 12)
     weights = rng.standard_normal((4, 16))
     config = tiny_config(pooling=pooling, dropout_rate=0.3)
-
-    def loss_fn(tensors):
-        params = EncoderParams(config=config, tensors=tensors)
-        pooled, cache = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(4),
-                                     return_cache=True)
-        return float((pooled * weights).sum()), backward(params, cache, weights)
-
-    err = finite_difference_check(loss_fn, init_encoder(config).tensors, epsilon=1e-4, sample_count=150, seed=4)
+    err = _gradcheck_pooled_dot(config, init_encoder(config).tensors, batch, weights, rng_seed=4,
+                                epsilon=1e-4, sample_count=150, seed=4)
     assert err <= 1e-4, (pooling, err)
 
 
@@ -382,15 +380,17 @@ def _three_class_batch(seed, rows=32, length=128):
 def _one_width(params, batch, train_mode=False, rng=None):
     """Reference: one run of the stack over every row at the batch's longest real row."""
     width = int(batch.mask.sum(axis=1).max())
-    drop = params.config.dropout_rate if train_mode else 0.0
     rows = np.arange(batch.size)
-    return enc._encode_rows(params, rows, batch.ids[:, :width], batch.mask[:, :width], drop, rng, True)
+    cfg = params.config
+    masks = enc._dropout_masks(rng, cfg, batch.size, width, cfg.dropout_rate) if train_mode else None
+    return enc._encode_rows(params, rows, batch.ids[:, :width], batch.mask[:, :width], masks, True)
 
 
 def _reference_grads(params, cache, upstream):
     """Dense gradients of one run; the token_emb table is scattered with ``np.add.at``."""
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
-    np.add.at(grads["token_emb"], cache.ids, enc._backward_rows(params, cache, upstream, grads))
+    grads, de = enc._backward_rows(params, cache, upstream)
+    grads["token_emb"] = np.zeros_like(params.tensors["token_emb"])
+    np.add.at(grads["token_emb"], cache.ids, de)
     return grads
 
 
@@ -430,10 +430,8 @@ def test_gradcheck_on_a_three_class_batch(pooling):
     batch = _three_class_batch(33, rows=12, length=100)
     weights = np.random.default_rng(34).standard_normal((batch.size, 16))
     config = tiny_config(pooling=pooling, max_seq_len=100)
-    err = finite_difference_check(
-        _pooled_dot_loss(config, batch, weights), init_encoder(config).tensors,
-        epsilon=1e-4, sample_count=150, seed=5,
-    )
+    err = _gradcheck_pooled_dot(config, init_encoder(config).tensors, batch, weights,
+                                epsilon=1e-4, sample_count=150, seed=5)
     assert err <= 1e-4, (pooling, err)
 
 
@@ -498,9 +496,8 @@ def test_token_emb_gradient_sums_repeated_ids_like_a_dense_scatter(pooling):
     assert got.ids.tolist() == sorted(set.union(*runs))
     # reference: each run's token gradients scattered into a zeroed table with np.add.at, in class order
     dense = np.zeros_like(params.tensors["token_emb"])
-    scratch = {n: np.zeros_like(a) for n, a in params.tensors.items()}
     for c in caches:
-        np.add.at(dense, c.ids, enc._backward_rows(params, c, upstream[c.batch_rows], scratch))
+        np.add.at(dense, c.ids, enc._backward_rows(params, c, upstream[c.batch_rows])[1])
     assert got.dense(config.vocab_size).tobytes() == dense.tobytes()
 
 
@@ -510,19 +507,20 @@ def test_gradcheck_covers_every_token_emb_coordinate_through_the_row_gradient(po
     tensors = init_encoder(config).tensors
     batch = _repeated_id_batch(config.vocab_size)
     weights = np.random.default_rng(41).standard_normal((batch.size, config.embed_dim))
-    full_loss = _pooled_dot_loss(config, batch, weights)
+    params = EncoderParams(config=config, tensors=tensors)
+    _, cache = encode_batch(params, batch, return_cache=True)
+    g = backward(params, cache, weights)["token_emb"]
 
-    def loss_fn(table, shift=0):
-        loss, grads = full_loss({**tensors, "token_emb": table["token_emb"]})
-        g = grads["token_emb"]
-        return loss, {"token_emb": enc.RowSparseGrad((g.ids + shift) % config.vocab_size, g)}
+    def loss_fn(table):
+        return float((encode_batch(EncoderParams(config=config, tensors={**tensors, **table}), batch) * weights).sum())
 
     table = {"token_emb": tensors["token_emb"]}
     every = table["token_emb"].size  # the rows outside the batch's ids are checked to be exactly 0
     # epsilon 1e-5: over every coordinate, the CLS loss has one whose O(epsilon^2) error reaches 1.1e-4 at 1e-4
-    assert finite_difference_check(loss_fn, table, epsilon=1e-5, sample_count=every, seed=6) <= 1e-4
+    assert finite_difference_check(loss_fn, table, {"token_emb": g}, epsilon=1e-5, sample_count=every, seed=6) <= 1e-4
     # the oracle reads values through the ids: rows moved to the wrong ids fail it
-    wrong = finite_difference_check(lambda t: loss_fn(t, shift=1), table, epsilon=1e-5, sample_count=48, seed=6)
+    moved = {"token_emb": enc.RowSparseGrad((g.ids + 1) % config.vocab_size, g)}
+    wrong = finite_difference_check(loss_fn, table, moved, epsilon=1e-5, sample_count=48, seed=6)
     assert wrong > 0.5
 
 
@@ -539,20 +537,162 @@ def test_each_class_runs_at_its_longest_real_row():
             assert lc.x_in.shape[:2] == (c.batch_rows.size, lengths[c.batch_rows].max())
 
 
-def test_gradcheck_rejects_bad_epsilon():
-    def loss_fn(tree):
-        return 0.0, {k: np.zeros_like(v) for k, v in tree.items()}
+# --- runs of at most RUN_CELLS cells, on the thread pool ---------------------------
 
+
+def _batch_of_lengths(seed, lengths, length=128):
+    """Rows of the given real lengths over ids 3..39, padded to ``length``."""
+    lengths = np.asarray(lengths)
+    mask = (np.arange(length) < lengths[:, None]).astype(np.int64)
+    ids = np.where(mask == 1, np.random.default_rng(seed).integers(3, 40, size=mask.shape), 0)
+    ids[:, 0] = 2
+    return Batch(ids=ids, mask=mask)
+
+
+def _force_workers(monkeypatch, workers):
+    """Run the encoder's runs on ``workers`` threads (1: the calling thread alone), whatever the machine.
+
+    Returns the list of thread names the runs of the stack (forward and backward) ran on.
+    """
+    monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers) if workers > 1 else None)
+    names = []
+    for fn_name in ("_encode_rows", "_backward_rows"):
+        real = getattr(enc, fn_name)
+        monkeypatch.setattr(enc, fn_name, lambda *a, _real=real, **k: names.append(
+            threading.current_thread().name) or _real(*a, **k))
+    return names
+
+
+def _cached_masks(cache):
+    """A run's dropout masks in draw order: the embedding's, then attention and FFN per layer."""
+    return [cache.emb_drop] + [m for lc in cache.layers for m in (lc.attn_drop, lc.ffn_drop)]
+
+
+def _runs_by_class(caches, batch):
+    """Number of runs per width class, in class order."""
+    classes = [int(-(-batch.mask[c.batch_rows].sum(axis=1).max() // WIDTH_CLASS)) for c in caches]
+    return [classes.count(c) for c in sorted(set(classes))]
+
+
+# 34 rows of class 4 (longest 128: runs of 16 rows) and 6 of class 2 (longest 64: one run)
+_POOLED_LENGTHS = [128] + [97 + (7 * i) % 31 for i in range(33)] + [40, 64, 33, 50, 61, 45]
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkeypatch):
+    config = tiny_config(pooling=pooling, dropout_rate=0.2, max_seq_len=128)
+    params = init_encoder(config)
+    batch = _batch_of_lengths(42, _POOLED_LENGTHS)
+    upstream = np.random.default_rng(43).standard_normal((batch.size, config.embed_dim))
+    seen = {}
+    interval = sys.getswitchinterval()
+    for workers in (1, 2, 4):  # 4: more threads than runs, switching often
+        names = _force_workers(monkeypatch, workers)
+        rng = np.random.default_rng(9)
+        sys.setswitchinterval(1e-6 if workers == 4 else interval)
+        try:
+            pooled, caches = encode_batch(params, batch, train_mode=train_mode, rng=rng, return_cache=True)
+            grads = backward(params, caches, upstream)
+        finally:
+            sys.setswitchinterval(interval)
+        if workers > 1:
+            enc._pool.shutdown()
+        assert _runs_by_class(caches, batch) == [1, 3]
+        assert len(names) == 8 and (set(names) == {"MainThread"}) == (workers == 1), names
+        masks = [m for c in caches for m in _cached_masks(c)]
+        assert all(m is None for m in masks) != train_mode
+        seen[workers] = (
+            [pooled.tobytes(), grads["token_emb"].ids.tobytes(), rng.bit_generator.state]
+            + [grads[name].tobytes() for name in sorted(grads)]
+            + [None if m is None else m.tobytes() for m in masks]
+        )
+    assert seen[1] == seen[2] == seen[4]
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_a_class_cut_into_runs_matches_one_unsplit_run(num_layers, pooling):
+    config = tiny_config(num_layers=num_layers, pooling=pooling, dropout_rate=0.2, max_seq_len=128)
+    params = init_encoder(config)
+    batch = _batch_of_lengths(44, [128] + [97 + (5 * i) % 31 for i in range(31)])  # 32 x 128: 2 runs of 16
+    upstream = np.random.default_rng(45).standard_normal((batch.size, config.embed_dim))
+    for train_mode in (False, True):
+        used, reference = np.random.default_rng(10), np.random.default_rng(10)
+        pooled, caches = encode_batch(params, batch, train_mode=train_mode, rng=used, return_cache=True)
+        assert [c.batch_rows.tolist() for c in caches] == [list(range(16)), list(range(16, 32))]
+        ref_pooled, ref_cache = _one_width(params, batch, train_mode=train_mode, rng=reference)
+        assert used.bit_generator.state == reference.bit_generator.state
+        if train_mode:  # the runs' rows see the masks an unsplit run draws
+            for got, want in zip(zip(*map(_cached_masks, caches)), _cached_masks(ref_cache), strict=True):
+                assert np.array_equal(np.concatenate(got), want)
+        assert _max_rel(pooled, ref_pooled) <= 1e-12
+        grads = _dense(backward(params, caches, upstream), params)
+        ref = _reference_grads(params, ref_cache, upstream)
+        for name in ref:
+            assert _max_rel(grads[name], ref[name]) <= 1e-12, (train_mode, name)
+
+
+@pytest.mark.parametrize("pooling", ["cls", "mean"])
+def test_gradcheck_on_runs_cut_from_two_classes(pooling):
+    # class 4: 17 rows at width 128 (runs of 16 and 1); class 3: 22 rows at width 96 (runs of 21 and 1)
+    lengths = [128] + [100 + (3 * i) % 28 for i in range(16)] + [96] + [70 + (3 * i) % 26 for i in range(21)]
+    batch = _batch_of_lengths(46, lengths)
+    config = tiny_config(pooling=pooling, num_layers=1, max_seq_len=128)
+    tensors = init_encoder(config).tensors
+    _, caches = encode_batch(EncoderParams(config=config, tensors=tensors), batch, return_cache=True)
+    assert _runs_by_class(caches, batch) == [2, 2]
+    weights = np.random.default_rng(47).standard_normal((batch.size, config.embed_dim))
+    err = _gradcheck_pooled_dot(config, tensors, batch, weights, epsilon=1e-4, sample_count=100, seed=8)
+    assert err <= 1e-4, (pooling, err)
+
+
+def test_a_class_below_run_cells_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(enc, "_pool", None)
+    params = init_encoder(tiny_config(dropout_rate=0.2, max_seq_len=64))
+    threads = threading.active_count()
+    batch = _batch_of_lengths(48, [64] + [33 + i for i in range(31)], length=64)  # 32 x 64 = RUN_CELLS
+    _, cache = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(0), return_cache=True)
+    backward(params, cache, np.ones((batch.size, 16)))
+    assert isinstance(cache, enc.EncoderCache)
+    assert enc._pool is None and threading.active_count() == threads
+    # one row more makes two runs, which go to a new pool
+    batch = _batch_of_lengths(48, [64] + [33 + i for i in range(32)], length=64)
+    encode_batch(params, batch)
+    assert enc._pool is not None
+    enc._pool.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="needs fork")
+def test_a_forked_child_does_not_wait_on_the_parents_workers(monkeypatch):
+    monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(2))
+    params = init_encoder(tiny_config(max_seq_len=128))
+    batch = _batch_of_lengths(49, [128] * 17)  # two runs
+    expected = encode_batch(params, batch)  # the parent's workers now exist, and a fork copies none of them
+
+    def child():
+        assert np.array_equal(encode_batch(params, batch), expected)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(60)
+    hung = proc.is_alive()
+    if hung:
+        proc.kill()
+    enc._pool.shutdown()
+    assert not hung and proc.exitcode == 0
+
+
+def test_gradcheck_rejects_bad_epsilon():
     with pytest.raises(ValueError, match="epsilon"):
-        finite_difference_check(loss_fn, {"w": np.ones(3)}, epsilon=0.0)
+        finite_difference_check(lambda tree: 0.0, {"w": np.ones(3)}, {"w": np.zeros(3)}, epsilon=0.0)
 
 
 def test_gradcheck_rejects_nonfinite_loss():
-    def loss_fn(tree):
-        return float("nan"), {"w": np.zeros(3)}
-
     with pytest.raises(ValueError, match="non-finite"):
-        finite_difference_check(loss_fn, {"w": np.ones(3)})
+        finite_difference_check(lambda tree: float("nan"), {"w": np.ones(3)}, {"w": np.zeros(3)})
 
 
 # --- numpy erf (Cephes ndtr.c port) -------------------------------------------

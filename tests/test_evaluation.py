@@ -150,11 +150,18 @@ def test_head_only_fewshot_skips_encoder_backward_bit_identically(monkeypatch):
     base = build_model(_enc(vocab), [suite["alpha"].spec], vocab=vocab)
     cfg, tc = FewShotConfig(k=20, seed=1, mode="head-only"), _tc(batch_size=8, max_epochs=2, patience=2)
 
-    backward_calls = []
+    backward_calls, caches = [], []
     real_backward = enc.backward
     monkeypatch.setattr(enc, "backward", lambda *a, **kw: backward_calls.append(1) or real_backward(*a, **kw))
+
+    class CountedCache(enc.EncoderCache):
+        def __init__(self, *args, **kwargs):
+            caches.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "EncoderCache", CountedCache)
     skipped = fewshot_run(base, suite["unseen"], cfg, tc)
-    assert backward_calls == []
+    assert backward_calls == [] and caches == []  # no backward, and no cache built for one
 
     # reference: compute the full backward, then keep only the head gradients
     real_step = training.task_step_gradients
@@ -165,7 +172,7 @@ def test_head_only_fewshot_skips_encoder_backward_bit_identically(monkeypatch):
 
     monkeypatch.setattr(training, "task_step_gradients", full_then_filter)
     reference = fewshot_run(base, suite["unseen"], cfg, tc)
-    assert backward_calls
+    assert backward_calls and caches
     assert skipped.report == reference.report
     for k, v in reference.model.heads["unseen"].items():
         assert np.array_equal(skipped.model.heads["unseen"][k], v), k

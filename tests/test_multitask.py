@@ -198,10 +198,11 @@ def test_full_model_gradients_match_finite_differences(tiny_model):
             else:
                 task, name = rest.rsplit(".", 1)
                 tiny_model.heads[task][name] = arr
-        return task_step_gradients(tiny_model, "b_task", batch, labels, train_mode=False)
+        return task_loss(tiny_model, "b_task", batch, labels, train_mode=False, return_cache=False)[0]
 
     flat = flatten_params(tiny_model, tasks=["b_task"])
-    err = finite_difference_check(loss_fn, flat, epsilon=1e-4, sample_count=120, seed=2)
+    _, grads = task_step_gradients(tiny_model, "b_task", batch, labels, train_mode=False)
+    err = finite_difference_check(loss_fn, flat, grads, epsilon=1e-4, sample_count=120, seed=2)
     assert err <= 1e-4, err
 
 
