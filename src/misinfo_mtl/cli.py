@@ -313,7 +313,7 @@ def cmd_train(args) -> int:
         trained, history = train_multitask(model, splits, train_config, verbose=not args.quiet)
         _write_seed(out, seed, trained, history)
         per_seed[seed] = {
-            task: evaluation.evaluate_model(trained, task, splits[task].test.examples, train_config.batch_size)
+            task: evaluation.evaluate_model(trained, task, splits[task].test.examples)
             for task in sorted(splits)
         }
     averaged = {
@@ -339,7 +339,7 @@ def cmd_finetune(args) -> int:
     for seed, (_, train_config) in configs.items():
         tuned, history = finetune_task(model, args.task, split, train_config, verbose=not args.quiet)
         save_vocab(model.vocab, _write_seed(out, seed, tuned, history) / "vocab.txt")
-        per_seed[seed] = evaluation.evaluate_model(tuned, args.task, split.test.examples, train_config.batch_size)
+        per_seed[seed] = evaluation.evaluate_model(tuned, args.task, split.test.examples)
     averaged, entry = _seed_entry(per_seed)
     _finish_run(out, {"task": args.task, **entry}, [(args.task, averaged)], "fine-tuned test metrics")
     return 0

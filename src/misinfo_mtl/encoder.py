@@ -6,12 +6,12 @@ intermediate needed for the hand-written backward pass, and
 analytic gradients. Parameters are a flat name->array dict so the optimizer,
 checkpointing and gradient checking can all treat them uniformly.
 
-A batch runs through the stack as independent runs: one per width class,
-cut into runs of at most ``RUN_CELLS`` (rows x width) cells. Runs of one
-call go to a thread pool with one worker per usable CPU; the cut never
-depends on the CPU count, and the calling thread draws every random number,
-so results do not either. Parameters are immutable during a forward/backward
-pair; eval-mode forwards over shared parameters are safe to run concurrently.
+A batch runs through the stack as independent runs, each at its own longest
+real row (``split_runs``). The calling thread and a pool of one worker per
+further usable CPU take a call's runs from one queue; the cut never depends on
+the CPU count, and the calling thread draws every random number, so results
+do not either. Parameters are immutable during a forward/backward pair;
+eval-mode forwards over shared parameters are safe to run concurrently.
 """
 
 import math
@@ -19,6 +19,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .tokenization import Batch, width_groups
 
 LN_EPS = 1e-5
 GRADCHECK_FLOOR = 1e-12
-RUN_CELLS = 2048  # most rows x width cells in one run of the stack; wider classes run fewer rows per run
+RUN_ROWS = 32  # most rows in one run of the stack, so a scored split runs in train-batch-sized pieces
+RUN_CELLS = 2048  # most rows x class-width cells in one run; wider classes run fewer rows per run
 
 # Cephes ndtr.c erf: x T(x^2) / U(x^2) for |x| <= 1, 1 - exp(-x^2) P(|x|) / Q(|x|)
 # above. Coefficients run from the highest degree down; U and Q are monic. Each
@@ -355,7 +357,7 @@ class EncoderCache:
     x_final: np.ndarray  # last layer's output; under CLS pooling only the CLS row, (B, 1, d)
 
 
-_pool = None  # a ThreadPoolExecutor with one worker per usable CPU, made on the first call with 2+ runs
+_pool = None  # a ThreadPoolExecutor with one worker per usable CPU but one, made on the first call that needs one
 _pool_lock = threading.Lock()
 
 
@@ -370,20 +372,52 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_each(fn, jobs: list[tuple]) -> list:
-    """``[fn(*job) for job in jobs]``, on the thread pool when there are 2+ jobs and 2+ usable CPUs."""
-    global _pool
-    if len(jobs) > 1:
-        with _pool_lock:
-            if _pool is None:
-                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-                if cpus > 1:
-                    # imported here, not at start-up: concurrent.futures loads logging (about 6 ms)
-                    from concurrent.futures import ThreadPoolExecutor
+    """``[fn(*job) for job in jobs]``, the jobs taken in turn by this thread and up to cpus - 1 pool workers.
 
-                    _pool = ThreadPoolExecutor(cpus, thread_name_prefix="encoder-run")
-    if len(jobs) < 2 or _pool is None:
+    No job starts after one raised; the earliest such job's exception is raised once every worker stopped.
+    """
+    global _pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    helpers = min(len(jobs), cpus) - 1
+    if helpers < 1:
         return [fn(*job) for job in jobs]
-    return list(_pool.map(fn, *zip(*jobs)))
+    with _pool_lock:
+        if _pool is None:
+            # imported here, not at start-up: concurrent.futures loads logging (about 6 ms)
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="encoder-run")
+    taken, results, errors = count(), [None] * len(jobs), {}
+
+    def take():
+        while not errors and (i := next(taken)) < len(jobs):  # next() on a count is atomic: each job runs once
+            try:
+                results[i] = fn(*jobs[i])
+            except BaseException as exc:
+                errors[i] = exc
+
+    waits = [_pool.submit(take) for _ in range(helpers)]
+    take()
+    for wait in waits:
+        wait.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def split_runs(mask: np.ndarray):
+    """Yield how the encoder cuts a batch with this (rows, length) mask into runs of the stack, in run order.
+
+    Per width class (``width_groups``), ascending: its row indices, its width (longest real row) and its
+    runs: slices of its rows, in row order, of at most ``RUN_ROWS`` rows and ``RUN_CELLS`` cells at the
+    class width, each paired with its own width (its longest real row).
+    """
+    ends = mask.shape[1] - np.argmax(mask[:, ::-1] != 0, axis=1)  # one past each row's last real column
+    for group in width_groups(mask.sum(axis=1)):
+        width = int(ends[group].max())
+        step = min(RUN_ROWS, max(1, RUN_CELLS // width))
+        cuts = [slice(start, min(start + step, group.size)) for start in range(0, group.size, step)]
+        yield group, width, [(cut, int(ends[group[cut]].max())) for cut in cuts]
 
 
 def _dropout_masks(rng, cfg: EncoderConfig, rows: int, width: int, rate: float) -> list[np.ndarray]:
@@ -406,19 +440,18 @@ def encode_batch(
 ):
     """Run the encoder stack and pool one vector per input.
 
-    The rows are split by width class (``width_groups``), in ascending class
-    order, and each class is cut to its longest real row. A class then runs
-    in runs of at most ``max(1, RUN_CELLS // width)`` rows, in row order, each
-    an independent run of the stack; the runs go to the thread pool when there
-    are two or more. Pooled rows come back in input order. PAD positions get
-    a -inf pre-softmax attention score, so their content can never reach the
-    pooled output. Under CLS pooling the last layer computes keys and values
-    for every row and everything else for the CLS row only. Dropout fires only
-    in train mode (and then requires ``rng``): this thread draws each class's
-    masks at the class's shape, class by class, and each run takes its rows.
-    Per-layer activations are kept only with ``return_cache=True``, and then
-    the result is ``(pooled, cache)`` for a subsequent ``backward`` call: one
-    ``EncoderCache`` per run, a bare one when the batch makes one run.
+    The rows are cut into runs by ``split_runs``, each an independent run of
+    the stack at its own longest real row; this thread and the pool's workers
+    take them from one queue. Pooled rows come back in input order. PAD
+    positions get a -inf pre-softmax attention score, so their content can
+    never reach the pooled output. Under CLS pooling the last layer computes
+    keys and values for every row and everything else for the CLS row only.
+    Dropout fires only in train mode (and then requires ``rng``): this thread
+    draws each class's masks at the class's shape, class by class, and each
+    run takes its rows and columns of them (a CLS-only layer's one column
+    stays). Per-layer activations are kept only with ``return_cache=True``,
+    and then the result is ``(pooled, cache)`` for a subsequent ``backward``
+    call: one ``EncoderCache`` per run, a bare one when the batch makes one run.
     """
     cfg = params.config
     ids, mask = batch.ids, batch.mask
@@ -436,15 +469,12 @@ def encode_batch(
         raise ValueError("train-mode forward with dropout requires an rng")
 
     jobs = []
-    for group in width_groups(mask.sum(axis=1)):
-        width = int(np.flatnonzero(mask[group].any(axis=0))[-1]) + 1
+    for group, width, cuts in split_runs(mask):
         masks = _dropout_masks(rng, cfg, group.size, width, drop) if drop > 0.0 else None
-        step = max(1, RUN_CELLS // width)
-        for start in range(0, group.size, step):
-            run = slice(start, start + step)
-            rows = group[run]
-            run_masks = None if masks is None else [m[run] for m in masks]
-            jobs.append((rows, ids[rows, :width], mask[rows, :width], run_masks))
+        for cut, run_width in cuts:
+            rows = group[cut]
+            run_masks = None if masks is None else [m[cut, :run_width] for m in masks]
+            jobs.append((rows, ids[rows, :run_width], mask[rows, :run_width], run_masks))
     results = _run_each(partial(_encode_rows, params, return_cache=return_cache), jobs)
     pooled = np.empty((ids.shape[0], cfg.embed_dim))
     for (rows, *_), (out, _) in zip(jobs, results):
@@ -526,11 +556,11 @@ def backward(
 
     ``upstream_grad`` has shape (batch, embed_dim) and is contracted with the
     pooled output's Jacobian; requires the cache produced by the matching
-    forward pass. Each run of the forward fills its own gradient dict (on the
-    thread pool when there are two or more runs), and the dicts are summed in
-    run order. ``token_emb`` gets a ``RowSparseGrad`` over the ids the batch
-    holds, summed over every run's token gradients in run order; every other
-    gradient is a dense array of its parameter's shape.
+    forward pass. Each run of the forward fills its own gradient dict (taken
+    from one queue by this thread and the pool's workers), and the dicts are
+    summed in run order. ``token_emb`` gets a ``RowSparseGrad`` over the ids
+    the batch holds, summed over every run's token gradients in run order;
+    every other gradient is a dense array of its parameter's shape.
     """
     if cache is None:
         raise ValueError("backward requires the cache from a forward pass")

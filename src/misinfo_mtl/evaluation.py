@@ -31,17 +31,18 @@ def published_targets() -> dict:
     return json.loads(blob)
 
 
-def evaluate_model(model: MultiTaskModel, task: str, examples, batch_size: int = 32) -> MetricsReport:
+def evaluate_model(model: MultiTaskModel, task: str, examples) -> MetricsReport:
     """Score a model's predictions for one task over a list of examples.
 
-    Predictions come from ``multitask.score`` (length-ordered batches, input
-    order restored) and are compared with the gold labels in input order.
+    Predictions come from ``multitask.score`` (one forward pass over every
+    example, input order restored) and are compared with the gold labels in
+    input order.
     """
     spec = require_task(model, task)
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
     batch, labels = encode_for_task(examples, spec, model.vocab, model.config.max_seq_len)
-    _, preds = score(model, task, batch, labels, batch_size)
+    _, preds = score(model, task, batch, labels)
     return compute_report(preds.tolist(), labels.tolist(), spec.labels)
 
 
@@ -116,7 +117,7 @@ def fewshot_run(
     adapted, _ = training._fit(
         model, {spec.name: split}, train_config, train_encoder=(cfg.mode == "full-model")
     )
-    report = evaluate_model(adapted, spec.name, test_examples, batch_size=train_config.batch_size)
+    report = evaluate_model(adapted, spec.name, test_examples)
     return FewShotResult(
         task=spec.name,
         k=cfg.k,
@@ -159,7 +160,7 @@ def run_two_stage(
     model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
     stage1, hist1 = train_multitask(model, splits, train_config)
     stage2, hist2 = finetune_task(stage1, eval_task, splits[eval_task], train_config)
-    report = evaluate_model(stage2, eval_task, splits[eval_task].test.examples, train_config.batch_size)
+    report = evaluate_model(stage2, eval_task, splits[eval_task].test.examples)
     return report, hist1, hist2
 
 
@@ -259,7 +260,7 @@ def loocv_run(
             seed=train_config.seed + i, ratios=(1.0 - val_fraction, val_fraction, 0.0),
         )
         adapted, _ = finetune_task(fold_model, eval_task, split, train_config)
-        report = evaluate_model(adapted, eval_task, fold.test.examples, train_config.batch_size)
+        report = evaluate_model(adapted, eval_task, fold.test.examples)
         reports.append(report)
         fold_results.append(
             LoocvFold(

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import encoder as enc
 from .tasks import TaskSpec
-from .tokenization import Batch, Vocabulary, encode, length_ordered_batches, pad_batch
+from .tokenization import Batch, Vocabulary, encode, pad_batch
 
 HEAD_DROPOUT = 0.1
 HEAD_TENSOR_NAMES = ("hidden_w", "hidden_b", "out_w", "out_b")
@@ -127,22 +127,18 @@ def predict(model: MultiTaskModel, task: str, batch: Batch) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def score(
-    model: MultiTaskModel, task: str, batch: Batch, labels: np.ndarray, batch_size: int = 32
-) -> tuple[float, np.ndarray]:
+def score(model: MultiTaskModel, task: str, batch: Batch, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean NLL and argmax predictions of the ``task`` head over encoded rows.
 
-    Rows are run through ``predict`` in length-ordered batches, so no batch is
-    wider than its longest real row and no backward cache is built;
-    predictions come back in input order.
+    One ``predict`` call takes every row in stable length order, so the
+    encoder's runs hold rows of similar length and all stream through its
+    threads at once; no backward cache is built. Predictions are in input order.
     """
-    total_nll = 0.0
+    order = np.argsort(batch.mask.sum(axis=1), kind="stable")
+    probs = predict(model, task, Batch(ids=batch.ids[order], mask=batch.mask[order]))
     preds = np.empty(batch.size, dtype=np.int64)
-    for rows, sub in length_ordered_batches(batch.ids, batch.mask, batch_size):
-        probs = predict(model, task, sub)
-        total_nll -= np.log(probs[np.arange(rows.size), labels[rows]]).sum()
-        preds[rows] = probs.argmax(axis=1)
-    return float(total_nll / batch.size), preds
+    preds[order] = probs.argmax(axis=1)
+    return float(-np.log(probs[np.arange(order.size), labels[order]]).sum() / batch.size), preds
 
 
 def task_loss(

@@ -1,10 +1,10 @@
 """Word-level tokenization: text to fixed-length id sequences with attention masks.
 
 Rows are encoded to one fixed length. ``width_groups`` splits rows by width
-class, and the encoder runs each class of a batch at that class's own longest
-row; ``trim_batch`` cuts scoring batches to their longest row. The vocabulary
-is immutable once built and the encoding and batching functions are pure, so
-everything here is safe to share across threads.
+class; the encoder cuts each class of a batch into runs, each at its own
+longest real row, so no caller trims. The vocabulary is immutable once built
+and the encoding and batching functions are pure, so everything here is safe
+to share across threads.
 """
 
 import re
@@ -135,40 +135,11 @@ def pad_batch(seqs: list[TokenSequence]) -> Batch:
     return Batch(ids=ids, mask=mask)
 
 
-def trim_batch(ids: np.ndarray, mask: np.ndarray, rows) -> Batch:
-    """Select ``rows`` of an encoded (ids, mask) pair as one batch.
-
-    Trailing columns that are PAD in every selected row are dropped, so the
-    batch is exactly as wide as its longest real row. PAD keys are masked out
-    of attention and pooling, so eval-mode encoder outputs match the padded
-    batch up to float rounding.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("empty batch")
-    mask = mask[rows]
-    real_cols = np.flatnonzero(mask.any(axis=0))
-    width = int(real_cols[-1]) + 1 if real_cols.size else 1
-    return Batch(ids=ids[rows, :width], mask=mask[:, :width])
-
-
 def width_groups(lengths: np.ndarray) -> list[np.ndarray]:
     """Indices of ``lengths`` per width class, ascending by class, each in index order."""
     classes = -(-np.asarray(lengths) // WIDTH_CLASS)
     # bincount, not np.unique: unique imports numpy.ma, about 1.5 MB of resident memory
     return [np.flatnonzero(classes == c) for c in np.flatnonzero(np.bincount(classes))]
-
-
-def length_ordered_batches(ids: np.ndarray, mask: np.ndarray, batch_size: int):
-    """Yield ``(rows, trimmed batch)`` covering every row, shortest rows first.
-
-    The order is a stable argsort of real lengths, so one long row widens only
-    the batch of other long rows. Callers scatter results back through ``rows``.
-    """
-    order = np.argsort(mask.sum(axis=1), kind="stable")
-    for start in range(0, order.size, batch_size):
-        rows = order[start : start + batch_size]
-        yield rows, trim_batch(ids, mask, rows)
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:

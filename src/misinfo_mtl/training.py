@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .encoder import RowSparseGrad
+from .encoder import RowSparseGrad, split_runs
 from .multitask import (
     MultiTaskModel, assign_params, encode_for_task, flatten_params, require_task, score, task_step_gradients,
 )
@@ -329,10 +329,10 @@ def _fit(
         cells = {t: np.zeros(2, dtype=np.int64) for t in sizes}  # real tokens, computed cells
         for task, rows in width_grouped_batches(schedule.batches, lengths, seed):
             batch, labels = encoded[task]["train"]
-            lens = lengths[task][rows]
-            cells[task] += (lens.sum(), sum(g.size * lens[g].max() for g in width_groups(lens)))
+            mask = batch.mask[rows]
+            cells[task] += (mask.sum(), sum((c.stop - c.start) * w for *_, cuts in split_runs(mask) for c, w in cuts))
             loss, grads = task_step_gradients(
-                model, task, Batch(ids=batch.ids[rows], mask=batch.mask[rows]), labels[rows],
+                model, task, Batch(ids=batch.ids[rows], mask=mask), labels[rows],
                 train_mode=True, rng=drop_rng, train_encoder=train_encoder,
             )
             if not math.isfinite(loss):
@@ -358,7 +358,7 @@ def _fit(
         val_reports: dict[str, metrics.MetricsReport] = {}
         for task in sorted(sizes):
             batch, labels = encoded[task]["val"]
-            val_loss[task], preds = score(model, task, batch, labels, config.batch_size)
+            val_loss[task], preds = score(model, task, batch, labels)
             val_reports[task] = metrics.compute_report(preds.tolist(), labels.tolist(), model.tasks[task].labels)
         val_total = sum(val_loss.values())
         if not math.isfinite(val_total):

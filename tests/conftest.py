@@ -27,6 +27,17 @@ def random_batch(rng, vocab_size: int, batch: int, length: int, ragged: bool = T
     return Batch(ids=ids, mask=mask)
 
 
+def trim_batch(ids: np.ndarray, mask: np.ndarray, rows) -> Batch:
+    """Select ``rows`` of an encoded (ids, mask) pair as one batch as wide as its longest real row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("empty batch")
+    mask = mask[rows]
+    real_cols = np.flatnonzero(mask.any(axis=0))
+    width = int(real_cols[-1]) + 1 if real_cols.size else 1
+    return Batch(ids=ids[rows, :width], mask=mask[:, :width])
+
+
 @pytest.fixture
 def tiny_model():
     model = MultiTaskModel(encoder=init_encoder(tiny_config()))

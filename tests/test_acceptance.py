@@ -281,7 +281,7 @@ def test_criterion_8_protocol_audits():
     direct_model = build_model(direct_cfg, [alpha_split.train.spec], vocab=direct_vocab)
     stage1, _ = train_multitask(direct_model, {"alpha": alpha_split}, quick)
     stage2, _ = finetune_task(stage1, "alpha", alpha_split, quick)
-    direct_report = evaluate_model(stage2, "alpha", alpha_split.test.examples, quick.batch_size)
+    direct_report = evaluate_model(stage2, "alpha", alpha_split.test.examples)
     assert rows[0].report == direct_report
     _report(8, "few-shot partitions are exact k / N-k splits; LOOCV runs 9 folds with the "
                "eval task excluded from stage 1 and no test-event leakage; singleton "

@@ -1,14 +1,15 @@
-"""The benchmark's traced pass must keep working over the training loop's gradients.
+"""The benchmark's traced pass must keep working over the training loop and scoring.
 
 perfbench's ``Tracer`` reads ``.size``, ``.shape[0]`` and ``!= 0`` on every
 gradient that reaches ``adam_step``; a change to how gradients are held must
-not break it.
+not break it. Its ``required_spans`` needs a ``multitask.predict`` and an
+``encoder.forward_eval`` span from every workload's scoring.
 """
 
 import sys
 from pathlib import Path
 
-from misinfo_mtl import training
+from misinfo_mtl import evaluation, training
 from misinfo_mtl.data import SyntheticSuiteConfig, generate_synthetic_suite, split
 from misinfo_mtl.encoder import EncoderConfig
 from misinfo_mtl.multitask import build_model
@@ -42,3 +43,23 @@ def test_traced_train_and_finetune_record_every_adam_step():
     assert metrics["training.adam_step.calls"] == len(adams)
     assert metrics["training.adam_step.elements"] > 0
     assert 0.0 < metrics["training.adam_step.token_emb_touched_row_ratio"] <= 1.0
+
+
+def test_traced_evaluate_model_records_one_predict_and_one_eval_forward():
+    suite = generate_synthetic_suite(1, SyntheticSuiteConfig(task_names=("alpha", "beta"), examples_per_task=80))
+    examples = list(suite["alpha"].examples)
+    vocab = build_vocab([ex.text for ex in examples])
+    config = EncoderConfig(vocab_size=vocab.size, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32,
+                           max_seq_len=16, seed=0)
+    model = build_model(config, [suite["alpha"].spec], vocab=vocab)
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        for _ in range(2):
+            evaluation.evaluate_model(model, "alpha", examples)  # 80 rows: more than one run
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    for name in ("evaluation.evaluate_model", "multitask.predict", "encoder.forward_eval"):
+        assert names.count(name) == 2, name
+    assert "encoder.forward_train" not in names

@@ -478,7 +478,7 @@ def test_train_writes_the_same_bytes_on_one_and_two_encoder_workers(tmp_path, mo
     monkeypatch.setattr(enc, "_encode_rows", lambda *a, **k: run_rows.append(a[1].size) or real(*a, **k))
     for workers in (1, 2):
         monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)
-        monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers) if workers > 1 else None)
+        monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)
         assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / f"w{workers}"),
                      "--quiet"]) == 0
         if workers > 1:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -23,9 +24,9 @@ from misinfo_mtl.encoder import (
     param_shapes,
 )
 from misinfo_mtl import encoder as enc
-from misinfo_mtl.tokenization import WIDTH_CLASS, Batch, trim_batch
+from misinfo_mtl.tokenization import WIDTH_CLASS, Batch
 
-from conftest import random_batch, tiny_config
+from conftest import random_batch, tiny_config, trim_batch
 
 
 def test_config_rejects_indivisible_heads():
@@ -552,15 +553,16 @@ def _batch_of_lengths(seed, lengths, length=128):
 def _force_workers(monkeypatch, workers):
     """Run the encoder's runs on ``workers`` threads (1: the calling thread alone), whatever the machine.
 
-    Returns the list of thread names the runs of the stack (forward and backward) ran on.
+    Returns the list of thread names the runs of the stack (forward and backward)
+    ran on. Each run starts with a 20 ms sleep, so every thread takes one.
     """
     monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers) if workers > 1 else None)
+    monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)
     names = []
     for fn_name in ("_encode_rows", "_backward_rows"):
         real = getattr(enc, fn_name)
         monkeypatch.setattr(enc, fn_name, lambda *a, _real=real, **k: names.append(
-            threading.current_thread().name) or _real(*a, **k))
+            threading.current_thread().name) or time.sleep(0.02) or _real(*a, **k))
     return names
 
 
@@ -600,7 +602,7 @@ def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkey
         if workers > 1:
             enc._pool.shutdown()
         assert _runs_by_class(caches, batch) == [1, 3]
-        assert len(names) == 8 and (set(names) == {"MainThread"}) == (workers == 1), names
+        assert len(names) == 8 and "MainThread" in names and (len(set(names)) > 1) == (workers > 1), names
         masks = [m for c in caches for m in _cached_masks(c)]
         assert all(m is None for m in masks) != train_mode
         seen[workers] = (
@@ -616,17 +618,20 @@ def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkey
 def test_a_class_cut_into_runs_matches_one_unsplit_run(num_layers, pooling):
     config = tiny_config(num_layers=num_layers, pooling=pooling, dropout_rate=0.2, max_seq_len=128)
     params = init_encoder(config)
-    batch = _batch_of_lengths(44, [128] + [97 + (5 * i) % 31 for i in range(31)])  # 32 x 128: 2 runs of 16
+    # 32 x 128: 2 runs of 16 rows, the second as wide as its own longest row, 125
+    batch = _batch_of_lengths(44, [128] + [97 + (5 * i) % 31 for i in range(31)])
     upstream = np.random.default_rng(45).standard_normal((batch.size, config.embed_dim))
     for train_mode in (False, True):
         used, reference = np.random.default_rng(10), np.random.default_rng(10)
         pooled, caches = encode_batch(params, batch, train_mode=train_mode, rng=used, return_cache=True)
         assert [c.batch_rows.tolist() for c in caches] == [list(range(16)), list(range(16, 32))]
+        assert [c.ids.shape[1] for c in caches] == [128, 125]
         ref_pooled, ref_cache = _one_width(params, batch, train_mode=train_mode, rng=reference)
         assert used.bit_generator.state == reference.bit_generator.state
-        if train_mode:  # the runs' rows see the masks an unsplit run draws
-            for got, want in zip(zip(*map(_cached_masks, caches)), _cached_masks(ref_cache), strict=True):
-                assert np.array_equal(np.concatenate(got), want)
+        if train_mode:  # each run sees its rows and columns of the masks an unsplit run draws
+            for c in caches:
+                for got, want in zip(_cached_masks(c), _cached_masks(ref_cache), strict=True):
+                    assert np.array_equal(got, want[c.batch_rows, :c.ids.shape[1]])  # (rows, 1, d) keeps its column
         assert _max_rel(pooled, ref_pooled) <= 1e-12
         grads = _dense(backward(params, caches, upstream), params)
         ref = _reference_grads(params, ref_cache, upstream)
@@ -683,6 +688,52 @@ def test_a_forked_child_does_not_wait_on_the_parents_workers(monkeypatch):
         proc.kill()
     enc._pool.shutdown()
     assert not hung and proc.exitcode == 0
+
+
+@pytest.mark.parametrize("raiser", ["caller", "worker"])
+def test_a_raising_run_reaches_the_caller_after_every_worker_stopped(raiser, monkeypatch):
+    monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(2))
+    all_three = threading.Barrier(3, timeout=30)  # each of the three threads holds one run before any goes on
+    claim = threading.Lock()
+    started, raised, finished = [], [], []
+
+    def run(i):
+        started.append(i)
+        all_three.wait()
+        name = threading.current_thread().name
+        with claim:
+            if (name == "MainThread") == (raiser == "caller") and not raised:
+                raised.append(name)
+                raise RuntimeError(name)
+        time.sleep(0.2)
+        finished.append(name)
+
+    with pytest.raises(RuntimeError) as caught:
+        enc._run_each(run, [(i,) for i in range(4)])
+    assert raised == [str(caught.value)] and (raised == ["MainThread"]) == (raiser == "caller")
+    assert len(finished) == 2  # the two runs that did not raise had ended
+    assert sorted(started) == [0, 1, 2]  # and no run started after one raised
+
+    def thread_name(i):  # the pool still takes runs on the next call
+        all_three.wait()
+        return threading.current_thread().name
+
+    all_three.reset()
+    names = enc._run_each(thread_name, [(i,) for i in range(3)])
+    assert len(set(names)) == 3 and "MainThread" in names
+    enc._pool.shutdown()
+
+
+def test_one_cpu_makes_no_pool(monkeypatch):
+    monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(enc, "_pool", None)
+    threads = threading.active_count()
+    params = init_encoder(tiny_config(max_seq_len=128))
+    batch = _batch_of_lengths(50, [128] * 40)  # three runs
+    _, caches = encode_batch(params, batch, return_cache=True)
+    backward(params, caches, np.ones((batch.size, 16)))
+    assert len(caches) == 3 and enc._pool is None and threading.active_count() == threads
 
 
 def test_gradcheck_rejects_bad_epsilon():

@@ -63,9 +63,7 @@ def _trained_alpha():
 def test_evaluate_model_ignores_input_order():
     model, examples = _trained_alpha()
     shuffled = [examples[i] for i in np.random.default_rng(0).permutation(len(examples))]
-    assert evaluate_model(model, "alpha", shuffled, batch_size=8) == evaluate_model(
-        model, "alpha", examples, batch_size=8
-    )
+    assert evaluate_model(model, "alpha", shuffled) == evaluate_model(model, "alpha", examples)
 
 
 def test_evaluate_model_scores_predictions_in_input_order(monkeypatch):
@@ -80,7 +78,7 @@ def test_evaluate_model_scores_predictions_in_input_order(monkeypatch):
         return real_report(preds, gold, labels)
 
     monkeypatch.setattr(ev, "compute_report", capture)
-    evaluate_model(model, "alpha", examples, batch_size=8)
+    evaluate_model(model, "alpha", examples)
     batch, labels = encode_for_task(examples, model.tasks["alpha"], model.vocab, 16)
     assert len(set(batch.mask.sum(axis=1).tolist())) > 1  # ragged, so length order differs from input order
     expected = predict(model, "alpha", batch).argmax(axis=1)  # one padded batch, input order

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_score_matches_task_loss_on_the_same_rows(tiny_model):
     rng = np.random.default_rng(21)
     batch = random_batch(rng, 40, 11, 12)
     labels = rng.integers(0, 3, size=11)
-    nll, preds = score(tiny_model, "b_task", batch, labels, batch_size=4)
+    nll, preds = score(tiny_model, "b_task", batch, labels)
     loss, state = task_loss(tiny_model, "b_task", batch, labels)
     assert len(set(batch.mask.sum(axis=1).tolist())) > 1  # ragged, so length order differs from input order
     assert nll == pytest.approx(loss, rel=1e-12, abs=0.0)
@@ -157,8 +158,51 @@ def test_score_builds_no_backward_cache(tiny_model, monkeypatch):
     monkeypatch.setattr(enc, "EncoderCache", refuse)
     monkeypatch.setattr(enc, "_LayerCache", refuse)
     batch = random_batch(np.random.default_rng(22), 40, 5, 12)
-    nll, preds = score(tiny_model, "a_task", batch, np.array([0, 1, 0, 1, 1]), batch_size=2)
+    nll, preds = score(tiny_model, "a_task", batch, np.array([0, 1, 0, 1, 1]))
     assert np.isfinite(nll) and preds.shape == (5,)
+
+
+def _long_model():
+    model = MultiTaskModel(encoder=init_encoder(tiny_config(max_seq_len=128)))
+    return register_task(model, TaskSpec("b_task", ("x", "y", "z"), "sentence"), seed=12)
+
+
+def _ragged_split(seed, rows=150, length=128):
+    """Rows of 2..length real tokens in every width class, some classes over RUN_ROWS rows, in random order."""
+    rng = np.random.default_rng(seed)
+    lengths = np.concatenate([rng.integers(2, 33, size=rows // 2), rng.integers(33, length + 1, size=rows - rows // 2)])
+    lengths = rng.permutation(lengths)
+    mask = (np.arange(length) < lengths[:, None]).astype(np.int64)
+    ids = np.where(mask == 1, rng.integers(3, 40, size=mask.shape), 0)
+    ids[:, 0] = 2
+    return Batch(ids=ids, mask=mask), rng.integers(0, 3, size=rows)
+
+
+def test_score_gives_the_same_bits_on_one_two_and_four_threads(monkeypatch):
+    model = _long_model()
+    batch, labels = _ragged_split(23)
+    runs = [len(cuts) for _, _, cuts in enc.split_runs(batch.mask)]
+    assert len(runs) >= 3 and max(runs) >= 2
+    seen = []
+    for threads in (1, 2, 4):
+        monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+        monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(threads - 1) if threads > 1 else None)
+        nll, preds = score(model, "b_task", batch, labels)
+        seen.append((np.float64(nll).tobytes(), preds.tobytes()))
+        if threads > 1:
+            enc._pool.shutdown()
+    assert seen[0] == seen[1] == seen[2]
+
+
+def test_score_matches_per_row_predict():
+    model = _long_model()
+    batch, labels = _ragged_split(24)
+    nll, preds = score(model, "b_task", batch, labels)
+    probs = np.concatenate([predict(model, "b_task", Batch(ids=batch.ids[i:i + 1], mask=batch.mask[i:i + 1]))
+                            for i in range(batch.size)])
+    expected = -np.log(probs[np.arange(batch.size), labels]).mean()
+    assert abs(nll - expected) <= 1e-12 * abs(expected)
+    assert np.array_equal(preds, probs.argmax(axis=1))
 
 
 def test_task_loss_rejects_bad_labels(tiny_model):

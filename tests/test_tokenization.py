@@ -9,13 +9,13 @@ from misinfo_mtl.tokenization import (
     Vocabulary,
     build_vocab,
     encode,
-    length_ordered_batches,
     load_vocab,
     pad_batch,
     save_vocab,
     tokenize,
-    trim_batch,
 )
+
+from conftest import trim_batch
 
 
 def test_reserved_ids_fixed():
@@ -156,20 +156,6 @@ def test_trim_batch_refuses_empty_selection(small_vocab):
     full = _ragged(small_vocab)
     with pytest.raises(ValueError, match="empty batch"):
         trim_batch(full.ids, full.mask, [])
-
-
-def test_length_ordered_batches_cover_every_row_once(small_vocab):
-    full = _ragged(small_vocab)
-    got = list(length_ordered_batches(full.ids, full.mask, batch_size=2))
-    rows = np.concatenate([r for r, _ in got])
-    assert sorted(rows.tolist()) == list(range(5))
-    lengths = full.mask.sum(axis=1)
-    assert np.all(np.diff(lengths[rows]) >= 0)
-    # stable: equal lengths keep input order (rows 0 and 2 both hold one token)
-    assert rows.tolist()[:2] == [0, 2]
-    for r, batch in got:
-        assert batch.size == r.size <= 2
-        assert batch.seq_len == lengths[r].max()
 
 
 def test_vocab_ids_dense_and_injective():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from misinfo_mtl import encoder as enc
 from misinfo_mtl import training
 from misinfo_mtl.data import (
     Dataset, Example, SplitDataset, SyntheticSuiteConfig, generate_synthetic_suite, make_dataset, split,
@@ -111,10 +112,16 @@ def _width_classes(lengths, rows):
 
 
 def _computed_cells(mask):
-    """Cells the encoder computes for a batch: per width class, its rows times its longest row."""
+    """Cells the encoder computes for a batch: per width class, its runs of min(32, 2048 // class width)
+    rows, each run's rows times its own longest row."""
     lengths = mask.sum(axis=1)
     classes = _width_classes(lengths, slice(None))
-    return sum(int((classes == c).sum() * lengths[classes == c].max()) for c in np.unique(classes))
+    cells = 0
+    for c in np.unique(classes):
+        rows = lengths[classes == c]
+        step = min(32, max(1, 2048 // rows.max()))
+        cells += sum(int(rows[i:i + step].size * rows[i:i + step].max()) for i in range(0, rows.size, step))
+    return cells
 
 
 @settings(max_examples=300, deadline=None)
@@ -604,6 +611,31 @@ def test_width_grouping_leaves_the_dropout_stream_alone(monkeypatch):
                 masks = [m for t, m, _ in epoch_steps if t == task]
                 expected = 1.0 - sum(int(m.sum()) for m in masks) / sum(_computed_cells(m) for m in masks)
                 assert record.train_pad_fraction[task] == pytest.approx(expected, rel=1e-12)
+
+
+def test_train_pad_fraction_counts_the_runs_the_encoder_computes(monkeypatch):
+    # 32 train rows of width class 4, one of 127 tokens and the rest of 97-110: one batch, cut into
+    # 2 runs of 16 rows, each as wide as its own longest row
+    rng = np.random.default_rng(29)
+    spec = TaskSpec("alpha", ("neg", "pos"), "article")
+    words = [126] + rng.integers(96, 110, size=35).tolist()
+    examples = [Example(id=f"a{i}", text=" ".join(f"w{j}" for j in rng.integers(0, 30, size=n)),
+                        task="alpha", label=spec.labels[i % 2]) for i, n in enumerate(words)]
+    data = SplitDataset(train=Dataset(spec=spec, examples=tuple(examples[:32])),
+                        validation=Dataset(spec=spec, examples=tuple(examples[32:])),
+                        test=Dataset(spec=spec, examples=()), seed=0, ratios=(0.9, 0.1, 0.0))
+    vocab = build_vocab([ex.text for ex in examples])
+    config = EncoderConfig(vocab_size=vocab.size, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32,
+                           max_seq_len=128, dropout_rate=0.1, seed=0)
+    model = build_model(config, [spec], vocab=vocab)
+    runs, real = [], enc._encode_rows
+    monkeypatch.setattr(enc, "_encode_rows", lambda params, rows, ids, mask, drop_masks, return_cache: (
+        drop_masks is not None and runs.append(mask)) or real(params, rows, ids, mask, drop_masks, return_cache))
+    _, hist = train_multitask(model, {"alpha": data}, _quick_config(max_epochs=1, patience=1, max_seq_len=128))
+    widths = [m.shape[1] for m in runs]
+    assert len(runs) == 2 and widths[0] != widths[1]  # one run is narrower than the class
+    expected = 1.0 - sum(int(m.sum()) for m in runs) / sum(m.size for m in runs)
+    assert hist.epochs[0].train_pad_fraction["alpha"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_width_grouped_training_reruns_bit_identically():
