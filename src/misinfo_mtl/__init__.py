@@ -31,7 +31,7 @@ from .evaluation import (
 from .metrics import MetricsReport, accuracy, macro_f1, seed_average
 from .multitask import MultiTaskModel, build_model, predict, register_task, task_loss
 from .tasks import BUILTIN_TASKS, TaskSpec
-from .tokenization import Batch, TokenSequence, Vocabulary, build_vocab, encode, pad_batch
+from .tokenization import Batch, Vocabulary, build_vocab, encode, pad_batch
 from .training import (
     TrainConfig,
     TrainHistory,

@@ -24,7 +24,7 @@ from .atomic import atomic_open, write_text_atomic
 from .encoder import EncoderConfig
 from .multitask import MultiTaskModel, build_model, require_task
 from .tasks import BUILTIN_TASKS, TaskSpec
-from .tokenization import build_vocab, load_vocab, save_vocab
+from .tokenization import load_vocab, save_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
 DEFAULT_SEEDS = (0, 1, 2)
@@ -301,8 +301,7 @@ def _unseen_spec(args) -> TaskSpec:
 def cmd_train(args) -> int:
     spec, datasets, configs = _config_run(args)
     splits = split_all(spec, datasets)
-    texts = [ex.text for task in sorted(splits) for ex in splits[task].train.examples]
-    vocab = build_vocab(texts, min_freq=spec.min_freq, max_size=spec.max_vocab)
+    vocab = evaluation.train_vocab(splits, spec.min_freq, spec.max_vocab)
     out = _open_run(args, "train", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()])
     save_vocab(vocab, out / "vocab.txt")
 
@@ -383,7 +382,8 @@ def cmd_loocv(args) -> int:
     results: dict[int, evaluation.LoocvResult] = {}
     for seed, (enc_config, train_config) in configs.items():
         # vocab_size is a placeholder: loocv_run swaps in its own vocabulary size
-        result = evaluation.loocv_run(splits, datasets[args.task], enc_config, train_config)
+        result = evaluation.loocv_run(splits, datasets[args.task], enc_config, train_config,
+                                      min_freq=spec.min_freq, max_vocab=spec.max_vocab)
         results[seed] = result
         rows = [(fold.event, fold.report) for fold in result.folds] + [("average", result.average)]
         _write_report_lines(out / f"report-seed{seed}.jsonl", rows)
@@ -416,7 +416,8 @@ def cmd_ablation(args) -> int:
     rows_by_subset: dict[tuple[str, ...], dict[int, metrics.MetricsReport]] = {}
     for seed, (enc_config, train_config) in configs.items():
         # vocab_size is a placeholder: each ablation row builds its own vocabulary
-        for row in evaluation.ablation_run(subsets, args.task, splits, enc_config, train_config):
+        for row in evaluation.ablation_run(subsets, args.task, splits, enc_config, train_config,
+                                           spec.min_freq, spec.max_vocab):
             rows_by_subset.setdefault(row.subset, {})[seed] = row.report
     table = []
     payload = {}

@@ -213,6 +213,29 @@ def _largest_remainder(n: int, ratios) -> list[int]:
     return counts
 
 
+def _stratified_deal(dataset: Dataset, seed: int, bucket_counts) -> list[Dataset]:
+    """Deal each class's examples into parts, ``bucket_counts(class size)[i]`` to part i, in part order.
+
+    ``len(bucket_counts(0))`` is the number of parts. Classes go in label
+    order, and each non-empty one draws one permutation of its examples (in
+    dataset order) from one generator seeded with ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    by_class: dict[str, list[Example]] = {label: [] for label in dataset.spec.labels}
+    for ex in dataset.examples:
+        by_class[ex.label].append(ex)
+    buckets: list[list[Example]] = [[] for _ in bucket_counts(0)]
+    for examples in by_class.values():
+        if not examples:
+            continue
+        order = rng.permutation(len(examples))
+        pos = 0
+        for bucket, count in zip(buckets, bucket_counts(len(examples))):
+            bucket.extend(examples[j] for j in order[pos : pos + count])
+            pos += count
+    return [make_dataset(b, dataset.spec) for b in buckets]
+
+
 def split(dataset: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDataset:
     """Seed-deterministic stratified split; per-class counts track the ratios within 1.
 
@@ -225,50 +248,26 @@ def split(dataset: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDatas
         raise ValueError("ratios must be three values summing to 1")
     if any(r <= 0 for r in ratios):
         raise ValueError("all ratios must be > 0 (validation and test splits are required)")
-    by_class: dict[str, list[int]] = {label: [] for label in dataset.spec.labels}
-    for i, ex in enumerate(dataset.examples):
-        by_class[ex.label].append(i)
-    for label, idx in by_class.items():
-        if 0 < len(idx) < 3:
-            raise ValueError(f"class {label!r} has {len(idx)} examples; need >= 3 to stratify")
-    rng = np.random.default_rng(seed)
-    buckets: tuple[list[Example], list[Example], list[Example]] = ([], [], [])
-    for label in dataset.spec.labels:
-        idx = by_class[label]
-        if not idx:
-            continue
-        order = rng.permutation(len(idx))
-        counts = _largest_remainder(len(idx), ratios)
-        pos = 0
-        for bucket, count in zip(buckets, counts):
-            for j in order[pos : pos + count]:
-                bucket.append(dataset.examples[idx[j]])
-            pos += count
-    parts = [make_dataset(b, dataset.spec) for b in buckets]
-    return SplitDataset(train=parts[0], validation=parts[1], test=parts[2], seed=seed, ratios=tuple(ratios))
+    for label, n in dataset.class_counts().items():
+        if 0 < n < 3:
+            raise ValueError(f"class {label!r} has {n} examples; need >= 3 to stratify")
+    train, validation, test = _stratified_deal(dataset, seed, lambda n: _largest_remainder(n, ratios))
+    return SplitDataset(train=train, validation=validation, test=test, seed=seed, ratios=tuple(ratios))
 
 
 def carve_validation(dataset: Dataset, fraction: float = 0.1, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Two-way stratified carve: (rest, held-out validation)."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    rest: list[Example] = []
-    held: list[Example] = []
-    by_class: dict[str, list[int]] = {label: [] for label in dataset.spec.labels}
-    for i, ex in enumerate(dataset.examples):
-        by_class[ex.label].append(i)
-    for label in dataset.spec.labels:
-        idx = by_class[label]
-        if not idx:
-            continue
-        order = rng.permutation(len(idx))
-        n_held = max(1, math.floor(len(idx) * fraction)) if len(idx) > 1 else 0
-        for pos, j in enumerate(order):
-            (held if pos < n_held else rest).append(dataset.examples[idx[j]])
-    if not rest or not held:
+
+    def held_rest(n: int) -> list[int]:
+        held = max(1, math.floor(n * fraction)) if n > 1 else 0
+        return [held, n - held]
+
+    held, rest = _stratified_deal(dataset, seed, held_rest)
+    if not rest.size or not held.size:
         raise ValueError("carve produced an empty part; dataset too small")
-    return make_dataset(rest, dataset.spec), make_dataset(held, dataset.spec)
+    return rest, held
 
 
 # --- leave-one-event-out folds --------------------------------------------------

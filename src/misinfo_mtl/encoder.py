@@ -348,8 +348,8 @@ class EncoderCache:
     """Activations from one run of the stack over some rows of a batch, consumed by ``backward``."""
 
     batch_rows: np.ndarray  # the rows of the batch this run covered
-    ids: np.ndarray
-    maskf: np.ndarray
+    ids: np.ndarray  # their ids at the run's width
+    lengths: np.ndarray
     emb_drop: np.ndarray | None
     xhat0: np.ndarray
     inv0: np.ndarray
@@ -405,19 +405,18 @@ def _run_each(fn, jobs: list[tuple]) -> list:
     return results
 
 
-def split_runs(mask: np.ndarray):
-    """Yield how the encoder cuts a batch with this (rows, length) mask into runs of the stack, in run order.
+def split_runs(lengths: np.ndarray):
+    """Yield how the encoder cuts a batch with these row lengths into runs of the stack, in run order.
 
     Per width class (``width_groups``), ascending: its row indices, its width (longest real row) and its
     runs: slices of its rows, in row order, of at most ``RUN_ROWS`` rows and ``RUN_CELLS`` cells at the
     class width, each paired with its own width (its longest real row).
     """
-    ends = mask.shape[1] - np.argmax(mask[:, ::-1] != 0, axis=1)  # one past each row's last real column
-    for group in width_groups(mask.sum(axis=1)):
-        width = int(ends[group].max())
+    for group in width_groups(lengths):
+        width = int(lengths[group].max())
         step = min(RUN_ROWS, max(1, RUN_CELLS // width))
         cuts = [slice(start, min(start + step, group.size)) for start in range(0, group.size, step)]
-        yield group, width, [(cut, int(ends[group[cut]].max())) for cut in cuts]
+        yield group, width, [(cut, int(lengths[group[cut]].max())) for cut in cuts]
 
 
 def _dropout_masks(rng, cfg: EncoderConfig, rows: int, width: int, rate: float) -> list[np.ndarray]:
@@ -440,68 +439,67 @@ def encode_batch(
 ):
     """Run the encoder stack and pool one vector per input.
 
-    The rows are cut into runs by ``split_runs``, each an independent run of
-    the stack at its own longest real row; this thread and the pool's workers
-    take them from one queue. Pooled rows come back in input order. PAD
-    positions get a -inf pre-softmax attention score, so their content can
-    never reach the pooled output. Under CLS pooling the last layer computes
-    keys and values for every row and everything else for the CLS row only.
+    ``batch.lengths`` must hold one length in [1, width] per row. The rows are
+    cut into runs by ``split_runs``, each an independent run of the stack that
+    gathers its rows at its own longest row; this thread and the pool's
+    workers take them from one queue. Pooled rows come back in input order.
+    Keys past a row's length get a -inf pre-softmax attention score, so PAD
+    content can never reach the pooled output. Under CLS pooling the last
+    layer computes keys and values for every row and everything else for the
+    CLS row only.
     Dropout fires only in train mode (and then requires ``rng``): this thread
     draws each class's masks at the class's shape, class by class, and each
     run takes its rows and columns of them (a CLS-only layer's one column
     stays). Per-layer activations are kept only with ``return_cache=True``,
-    and then the result is ``(pooled, cache)`` for a subsequent ``backward``
-    call: one ``EncoderCache`` per run, a bare one when the batch makes one run.
+    and then the result is ``(pooled, caches)`` for a subsequent ``backward``
+    call: a list of one ``EncoderCache`` per run.
     """
     cfg = params.config
-    ids, mask = batch.ids, batch.mask
+    ids, lengths = batch.ids, batch.lengths
     if ids.size == 0:
         raise ValueError(f"empty batch: ids have shape {ids.shape}, need at least one row and column")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise ValueError(f"token id out of range [0, {cfg.vocab_size})")
-    length = ids.shape[1]
-    if length > cfg.max_seq_len:
-        raise ValueError(f"sequence length {length} exceeds max_seq_len {cfg.max_seq_len}")
-    if not np.all(mask[:, 0] == 1):
-        raise ValueError("position 0 (CLS) must be unmasked in every row")
+    rows, width = ids.shape
+    if width > cfg.max_seq_len:
+        raise ValueError(f"sequence length {width} exceeds max_seq_len {cfg.max_seq_len}")
+    if lengths.shape != (rows,) or lengths.min() < 1 or lengths.max() > width:
+        raise ValueError(f"lengths must be {rows} values in [1, {width}], got shape {lengths.shape}")
     drop = cfg.dropout_rate if train_mode else 0.0
     if drop > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout requires an rng")
 
     jobs = []
-    for group, width, cuts in split_runs(mask):
-        masks = _dropout_masks(rng, cfg, group.size, width, drop) if drop > 0.0 else None
+    for group, class_width, cuts in split_runs(lengths):
+        masks = _dropout_masks(rng, cfg, group.size, class_width, drop) if drop > 0.0 else None
         for cut, run_width in cuts:
-            rows = group[cut]
-            run_masks = None if masks is None else [m[cut, :run_width] for m in masks]
-            jobs.append((rows, ids[rows, :run_width], mask[rows, :run_width], run_masks))
-    results = _run_each(partial(_encode_rows, params, return_cache=return_cache), jobs)
-    pooled = np.empty((ids.shape[0], cfg.embed_dim))
-    for (rows, *_), (out, _) in zip(jobs, results):
-        pooled[rows] = out
+            jobs.append((group[cut], run_width, None if masks is None else [m[cut, :run_width] for m in masks]))
+    results = _run_each(partial(_encode_rows, params, ids, lengths, return_cache=return_cache), jobs)
+    pooled = np.empty((rows, cfg.embed_dim))
+    for (run_rows, *_), (out, _) in zip(jobs, results):
+        pooled[run_rows] = out
     if not return_cache:
         return pooled
-    caches = [cache for _, cache in results]
-    return pooled, caches[0] if len(caches) == 1 else caches
+    return pooled, [cache for _, cache in results]
 
 
-def _encode_rows(params, batch_rows, ids, mask, drop_masks, return_cache):
-    """One run of the stack over ``batch_rows`` of a batch, given as (ids, mask) at their own width.
+def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks, return_cache):
+    """One run of the stack over ``batch_rows`` of a batch (ids, lengths), gathered at ``width`` columns.
 
     ``drop_masks`` is None or the run's rows of its class's ``_dropout_masks``.
     """
     cfg = params.config
     t = params.tensors
-    length = ids.shape[1]
-    maskf = mask.astype(np.float64)
+    ids, lengths = batch_ids[batch_rows, :width], batch_lengths[batch_rows]
     emb_drop, *layer_drops = drop_masks or [None] * (1 + 2 * cfg.num_layers)
-    x = t["token_emb"][ids] + t["pos_emb"][:length]
+    x = t["token_emb"][ids] + t["pos_emb"][:width]
     x, xhat0, inv0 = _ln_forward(x, t["emb_ln.gain"], t["emb_ln.bias"])
     if emb_drop is not None:
         x *= emb_drop
     layer_caches: list[_LayerCache] = []
 
-    key_pad = None if mask.all() else mask[:, None, None, :] == 0  # (B,1,1,L) over the key axis
+    real = np.arange(width) < lengths[:, None]  # (B, L): True below each row's length
+    key_pad = None if real.all() else ~real[:, None, None, :]  # (B,1,1,L) over the key axis
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
@@ -541,36 +539,32 @@ def _encode_rows(params, batch_rows, ids, mask, drop_masks, return_cache):
     if cfg.pooling == "cls":
         pooled = x[:, 0, :]
     else:
-        denom = maskf.sum(axis=1, keepdims=True)
-        pooled = (x * maskf[:, :, None]).sum(axis=1) / denom
+        pooled = (x * real[:, :, None]).sum(axis=1) / lengths[:, None]
     if not return_cache:
         return pooled, None
-    return pooled, EncoderCache(batch_rows=batch_rows, ids=ids, maskf=maskf, emb_drop=emb_drop, xhat0=xhat0,
+    return pooled, EncoderCache(batch_rows=batch_rows, ids=ids, lengths=lengths, emb_drop=emb_drop, xhat0=xhat0,
                                 inv0=inv0, layers=layer_caches, x_final=x)
 
 
-def backward(
-    params: EncoderParams, cache: EncoderCache | list[EncoderCache], upstream_grad: np.ndarray
-) -> dict[str, np.ndarray]:
+def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Exact reverse-mode gradients of the pooled output w.r.t. every parameter.
 
     ``upstream_grad`` has shape (batch, embed_dim) and is contracted with the
-    pooled output's Jacobian; requires the cache produced by the matching
+    pooled output's Jacobian; requires the caches produced by the matching
     forward pass. Each run of the forward fills its own gradient dict (taken
     from one queue by this thread and the pool's workers), and the dicts are
     summed in run order. ``token_emb`` gets a ``RowSparseGrad`` over the ids
     the batch holds, summed over every run's token gradients in run order;
     every other gradient is a dense array of its parameter's shape.
     """
-    if cache is None:
-        raise ValueError("backward requires the cache from a forward pass")
-    runs = [cache] if isinstance(cache, EncoderCache) else cache
-    results = _run_each(partial(_backward_rows, params), [(run, upstream_grad[run.batch_rows]) for run in runs])
+    if caches is None:
+        raise ValueError("backward requires the caches from a forward pass")
+    results = _run_each(partial(_backward_rows, params), [(run, upstream_grad[run.batch_rows]) for run in caches])
     grads = results[0][0]
     for run_grads, _ in results[1:]:
         for name, g in run_grads.items():
             grads[name] += g
-    grads["token_emb"] = _row_sums(np.concatenate([run.ids.reshape(-1) for run in runs]),
+    grads["token_emb"] = _row_sums(np.concatenate([run.ids.reshape(-1) for run in caches]),
                                    np.concatenate([de.reshape(-1, de.shape[-1]) for _, de in results]),
                                    params.config.vocab_size)
     return grads
@@ -621,8 +615,8 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
     if cfg.pooling == "cls":
         dx[:, 0, :] = upstream_grad
     else:
-        denom = cache.maskf.sum(axis=1)
-        dx += (upstream_grad / denom[:, None])[:, None, :] * cache.maskf[:, :, None]
+        real = np.arange(length) < cache.lengths[:, None]
+        dx += (upstream_grad / cache.lengths[:, None])[:, None, :] * real[:, :, None]
 
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in reversed(range(cfg.num_layers)):

@@ -16,7 +16,7 @@ from . import data as datamod
 from . import training
 from .metrics import MetricsReport, average_reports, compute_report
 from .multitask import MultiTaskModel, build_model, encode_for_task, head_seed, register_task, require_task, score
-from .tokenization import build_vocab
+from .tokenization import Vocabulary, build_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
 
@@ -141,11 +141,10 @@ class AblationRow:
     stage2_best_epoch: int
 
 
-def _vocab_for(splits):
-    texts = []
-    for task in sorted(splits):
-        texts.extend(ex.text for ex in splits[task].train.examples)
-    return build_vocab(texts)
+def train_vocab(splits, min_freq: int = 1, max_vocab: int | None = None) -> Vocabulary:
+    """The vocabulary of every task's train texts, tasks in sorted order (``build_vocab``'s options)."""
+    texts = [ex.text for task in sorted(splits) for ex in splits[task].train.examples]
+    return build_vocab(texts, min_freq=min_freq, max_size=max_vocab)
 
 
 def run_two_stage(
@@ -153,9 +152,10 @@ def run_two_stage(
     splits,
     eval_task: str,
     train_config: TrainConfig,
+    min_freq: int = 1, max_vocab: int | None = None,
 ):
     """Stage-1 train on ``splits``, stage-2 fine-tune on ``eval_task``, score its test split."""
-    vocab = _vocab_for(splits)
+    vocab = train_vocab(splits, min_freq, max_vocab)
     config = replace(encoder_config, vocab_size=vocab.size)
     model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
     stage1, hist1 = train_multitask(model, splits, train_config)
@@ -170,11 +170,13 @@ def ablation_run(
     datasets,
     encoder_config,
     train_config: TrainConfig,
+    min_freq: int = 1, max_vocab: int | None = None,
 ) -> list[AblationRow]:
     """Train one two-stage model per task subset and score each on ``eval_task``.
 
     Every subset must contain ``eval_task``; duplicate subsets are dropped with
-    a warning. A singleton subset reduces to plain single-task training.
+    a warning. A singleton subset reduces to plain single-task training. Each
+    subset builds its own vocabulary with ``min_freq`` and ``max_vocab``.
     """
     seen: set[tuple[str, ...]] = set()
     rows: list[AblationRow] = []
@@ -190,7 +192,7 @@ def ablation_run(
             continue
         seen.add(key)
         splits = {task: datasets[task] for task in key}
-        report, hist1, hist2 = run_two_stage(encoder_config, splits, eval_task, train_config)
+        report, hist1, hist2 = run_two_stage(encoder_config, splits, eval_task, train_config, min_freq, max_vocab)
         rows.append(
             AblationRow(
                 subset=key,
@@ -227,14 +229,16 @@ def loocv_run(
     encoder_config,
     train_config: TrainConfig,
     val_fraction: float = 0.1,
+    min_freq: int = 1, max_vocab: int | None = None,
 ) -> LoocvResult:
     """Leave-one-event-out evaluation with an encoder trained without the eval task.
 
     Stage 1 trains on every dataset in ``all_datasets`` except the eval task
     (its data is excluded entirely, so no fold's test event can leak into the
-    shared encoder). Each fold then registers a fresh head, fine-tunes on the
-    remaining events (with a stratified carve-out for early stopping) and is
-    scored on the held-out event.
+    shared encoder or the vocabulary, ``train_vocab(..., min_freq, max_vocab)``).
+    Each fold then registers a fresh head, fine-tunes on the remaining events
+    (with a stratified carve-out for early stopping) and is scored on the
+    held-out event.
     """
     eval_task = eval_dataset.spec.name
     stage1_splits = {t: ds for t, ds in all_datasets.items() if t != eval_task}
@@ -242,7 +246,7 @@ def loocv_run(
         raise ValueError("no stage-1 tasks left after excluding the eval task")
     folds = datamod.leave_one_event_folds(eval_dataset)
 
-    vocab = _vocab_for(stage1_splits)
+    vocab = train_vocab(stage1_splits, min_freq, max_vocab)
     config = replace(encoder_config, vocab_size=vocab.size)
     model = build_model(config, [stage1_splits[t].train.spec for t in sorted(stage1_splits)], vocab=vocab)
     stage1, _ = train_multitask(model, stage1_splits, train_config)

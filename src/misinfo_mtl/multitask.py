@@ -134,8 +134,8 @@ def score(model: MultiTaskModel, task: str, batch: Batch, labels: np.ndarray) ->
     encoder's runs hold rows of similar length and all stream through its
     threads at once; no backward cache is built. Predictions are in input order.
     """
-    order = np.argsort(batch.mask.sum(axis=1), kind="stable")
-    probs = predict(model, task, Batch(ids=batch.ids[order], mask=batch.mask[order]))
+    order = np.argsort(batch.lengths, kind="stable")
+    probs = predict(model, task, Batch(batch.ids[order], batch.lengths[order]))
     preds = np.empty(batch.size, dtype=np.int64)
     preds[order] = probs.argmax(axis=1)
     return float(-np.log(probs[np.arange(order.size), labels[order]]).sum() / batch.size), preds

@@ -1,10 +1,10 @@
-"""Word-level tokenization: text to fixed-length id sequences with attention masks.
+"""Word-level tokenization: text to CLS-prefixed id sequences, batched with their lengths.
 
-Rows are encoded to one fixed length. ``width_groups`` splits rows by width
-class; the encoder cuts each class of a batch into runs, each at its own
-longest real row, so no caller trims. The vocabulary is immutable once built
-and the encoding and batching functions are pure, so everything here is safe
-to share across threads.
+A batch holds every row's real length, and PAD after each row's real ids.
+``width_groups`` splits rows by width class; the encoder cuts each class of a
+batch into runs, each at its own longest real row. The vocabulary is immutable
+once built and the encoding and batching functions are pure, so everything
+here is safe to share across threads.
 """
 
 import re
@@ -81,38 +81,30 @@ def build_vocab(corpus: list[str], min_freq: int = 1, max_size: int | None = Non
     return Vocabulary.from_tokens(kept)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """One encoded text: CLS-prefixed ids padded to a fixed length, plus mask."""
-
-    ids: tuple[int, ...]
-    mask: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def encode(text: str, vocab: Vocabulary, max_seq_len: int = 128) -> TokenSequence:
-    """Encode one text to exactly ``max_seq_len`` ids: CLS + tokens, PAD-filled.
+def encode(text: str, vocab: Vocabulary, max_seq_len: int = 128) -> tuple[int, ...]:
+    """Encode one text to its real ids: CLS, then at most ``max_seq_len - 1`` token ids.
 
     Out-of-vocabulary tokens map to UNK; overlong texts are truncated from the
     end (the head of the document is kept).
     """
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
-    ids = [CLS_ID] + [vocab.lookup(tok) for tok in tokenize(text)[: max_seq_len - 1]]
-    n_real = len(ids)
-    ids.extend([PAD_ID] * (max_seq_len - n_real))
-    mask = [1] * n_real + [0] * (max_seq_len - n_real)
-    return TokenSequence(ids=tuple(ids), mask=tuple(mask))
+    return (CLS_ID, *[vocab.lookup(tok) for tok in tokenize(text)[: max_seq_len - 1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Batch:
-    """Stacked token ids and attention mask, both of shape (batch, seq_len)."""
+    """Stacked token ids, (rows, width): each row's real ids, then PAD; and each row's real length."""
 
     ids: np.ndarray
-    mask: np.ndarray
+    lengths: np.ndarray
+
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray | None = None, *, mask: np.ndarray | None = None):
+        # perfbench/anchors.py, which may not change, builds batches from a prefix mask, read here into lengths
+        object.__setattr__(self, "ids", np.asarray(ids))
+        object.__setattr__(self, "lengths", np.asarray(lengths if mask is None else np.sum(mask, axis=1)))
+        if mask is not None and not np.array_equal(self.mask, np.asarray(mask) != 0):
+            raise ValueError("mask must be a prefix of ones in every row")
 
     @property
     def size(self) -> int:
@@ -122,17 +114,24 @@ class Batch:
     def seq_len(self) -> int:
         return self.ids.shape[1]
 
+    @property
+    def mask(self) -> np.ndarray:
+        """(rows, width) bool, True below each row's length: derived on every read, never stored.
 
-def pad_batch(seqs: list[TokenSequence]) -> Batch:
-    """Stack same-length sequences into id / mask matrices."""
+        ``pad_batch`` fills ids through it. It is public because perfbench/bench_trace.py, which may not
+        change, counts a forward's real tokens as ``batch.mask.sum()``.
+        """
+        return np.arange(self.seq_len) < self.lengths[:, None]
+
+
+def pad_batch(seqs: list[tuple[int, ...]]) -> Batch:
+    """Stack encoded sequences of any lengths, PAD-filled to the longest."""
     if not seqs:
         raise ValueError("empty batch")
-    length = len(seqs[0])
-    if any(len(s) != length for s in seqs):
-        raise ValueError("mixed sequence lengths in batch")
-    ids = np.array([s.ids for s in seqs], dtype=np.int64)
-    mask = np.array([s.mask for s in seqs], dtype=np.int64)
-    return Batch(ids=ids, mask=mask)
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    batch = Batch(np.full((lengths.size, lengths.max()), PAD_ID, dtype=np.int64), lengths)
+    batch.ids[batch.mask] = [i for seq in seqs for i in seq]
+    return batch
 
 
 def width_groups(lengths: np.ndarray) -> list[np.ndarray]:

@@ -308,7 +308,7 @@ def _fit(
         }
 
     sizes = {task: encoded[task]["train"][0].size for task in encoded}
-    lengths = {task: encoded[task]["train"][0].mask.sum(axis=1) for task in encoded}
+    lengths = {task: encoded[task]["train"][0].lengths for task in encoded}
     batches_per_epoch = len(sizes) * math.ceil(max(sizes.values()) / config.batch_size)
     # Decay horizon is fixed up front so lr is defined even under early stopping.
     total_steps = batches_per_epoch * config.max_epochs
@@ -329,10 +329,11 @@ def _fit(
         cells = {t: np.zeros(2, dtype=np.int64) for t in sizes}  # real tokens, computed cells
         for task, rows in width_grouped_batches(schedule.batches, lengths, seed):
             batch, labels = encoded[task]["train"]
-            mask = batch.mask[rows]
-            cells[task] += (mask.sum(), sum((c.stop - c.start) * w for *_, cuts in split_runs(mask) for c, w in cuts))
+            batch = Batch(batch.ids[rows], lengths[task][rows])
+            cells[task] += (batch.lengths.sum(),
+                            sum((c.stop - c.start) * w for *_, cuts in split_runs(batch.lengths) for c, w in cuts))
             loss, grads = task_step_gradients(
-                model, task, Batch(ids=batch.ids[rows], mask=mask), labels[rows],
+                model, task, batch, labels[rows],
                 train_mode=True, rng=drop_rng, train_encoder=train_encoder,
             )
             if not math.isfinite(loss):

@@ -17,25 +17,25 @@ def tiny_config(**overrides) -> EncoderConfig:
 
 def random_batch(rng, vocab_size: int, batch: int, length: int, ragged: bool = True) -> Batch:
     ids = rng.integers(3, vocab_size, size=(batch, length))
-    ids[:, 0] = 2
-    mask = np.ones((batch, length), dtype=np.int64)
-    if ragged:
-        for i in range(batch):
-            cut = int(rng.integers(max(2, length // 2), length + 1))
-            mask[i, cut:] = 0
-            ids[i, cut:] = 0
-    return Batch(ids=ids, mask=mask)
+    lengths = [int(rng.integers(max(2, length // 2), length + 1)) if ragged else length for _ in range(batch)]
+    return with_lengths(ids, lengths)
 
 
-def trim_batch(ids: np.ndarray, mask: np.ndarray, rows) -> Batch:
-    """Select ``rows`` of an encoded (ids, mask) pair as one batch as wide as its longest real row."""
+def trim_batch(batch: Batch, rows) -> Batch:
+    """Select ``rows`` of a batch as one batch as wide as its longest row."""
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("empty batch")
-    mask = mask[rows]
-    real_cols = np.flatnonzero(mask.any(axis=0))
-    width = int(real_cols[-1]) + 1 if real_cols.size else 1
-    return Batch(ids=ids[rows, :width], mask=mask[:, :width])
+    lengths = batch.lengths[rows]
+    return Batch(batch.ids[rows, : lengths.max()], lengths)
+
+
+def with_lengths(ids: np.ndarray, lengths) -> Batch:
+    """A batch of ``ids`` rows with CLS in column 0 and PAD from each row's length on."""
+    lengths = np.asarray(lengths)
+    ids = np.where(np.arange(ids.shape[1]) < lengths[:, None], ids, 0)
+    ids[:, 0] = 2
+    return Batch(ids, lengths)
 
 
 @pytest.fixture

@@ -54,12 +54,9 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(0)
     ids = rng.integers(3, 50, size=(6, 12))
     ids[:, 0] = 2
-    mask = np.ones((6, 12), dtype=np.int64)
-    for i in range(6):
-        cut = int(rng.integers(5, 13))
-        mask[i, cut:] = 0
-        ids[i, cut:] = 0
-    batch = Batch(ids=ids, mask=mask)
+    lengths = np.array([int(rng.integers(5, 13)) for _ in range(6)])
+    ids[np.arange(12) >= lengths[:, None]] = 0
+    batch = Batch(ids, lengths)
     labels = rng.integers(0, 3, size=6)
 
     def loss_fn(tree):

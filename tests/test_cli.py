@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from misinfo_mtl import cli, evaluation
 from misinfo_mtl import encoder as enc
 from misinfo_mtl.checkpoint import load_model
 from misinfo_mtl.cli import main
@@ -203,6 +204,27 @@ def test_loocv_command(workdir, capsys, tmp_path):
     assert payload["stage1_tasks"] == ["alpha", "beta"]
     assert len(payload["per_seed"]["0"]["folds"]) == 3
     assert "average" in capsys.readouterr().out
+
+
+def test_train_ablation_and_loocv_build_the_vocabulary_the_config_asks_for(tmp_path, monkeypatch):
+    sizes = []
+    for module in (cli, evaluation):
+        monkeypatch.setattr(module, "build_model", lambda config, specs, vocab, _real=module.build_model: (
+            sizes.append(vocab.size) or _real(config, specs, vocab=vocab)))
+    events = tmp_path / "events"
+    assert main(["gen-synthetic", "--tasks", "alpha,beta,rumorlike", "--examples", "60",
+                 "--p-shared", "0.5", "--events", "3", "--out", str(events), "--seed", "7"]) == 0
+    cfg = tmp_path / "small-vocab.cfg"
+    cfg.write_text(CFG_TEMPLATE.format(data=events).replace("tasks = alpha,beta", "tasks = alpha,beta,rumorlike")
+                   .replace("max_epochs = 2\npatience = 2", "max_epochs = 1\npatience = 1")
+                   + f"dataset.rumorlike = {events}/rumorlike.jsonl\nlabels.rumorlike = negative,positive\n"
+                   + "max_vocab = 12\n")
+    common = ["--config", str(cfg), "--seed", "0", "--quiet"]
+    assert main(["train", *common, "--out", str(tmp_path / "train")]) == 0
+    assert main(["ablation", *common, "--task", "alpha", "--subset", "alpha,beta", "--out", str(tmp_path / "abl")]) == 0
+    assert main(["loocv", *common, "--task", "rumorlike", "--out", str(tmp_path / "lo")]) == 0
+    assert sizes == [12, 12, 12]  # train, the one ablation row, loocv's stage 1
+    assert len((tmp_path / "train" / "vocab.txt").read_text().splitlines()) == 12
 
 
 def test_usage_error_exits_2():
@@ -475,7 +497,7 @@ def test_train_writes_the_same_bytes_on_one_and_two_encoder_workers(tmp_path, mo
                    .replace("max_epochs = 2\npatience = 2", "max_epochs = 1\npatience = 1"))
     run_rows = []
     real = enc._encode_rows
-    monkeypatch.setattr(enc, "_encode_rows", lambda *a, **k: run_rows.append(a[1].size) or real(*a, **k))
+    monkeypatch.setattr(enc, "_encode_rows", lambda *a, **k: run_rows.append(a[3].size) or real(*a, **k))
     for workers in (1, 2):
         monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)
         monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)

@@ -26,7 +26,7 @@ from misinfo_mtl.encoder import (
 from misinfo_mtl import encoder as enc
 from misinfo_mtl.tokenization import WIDTH_CLASS, Batch
 
-from conftest import random_batch, tiny_config, trim_batch
+from conftest import random_batch, tiny_config, trim_batch, with_lengths
 
 
 def test_config_rejects_indivisible_heads():
@@ -77,38 +77,37 @@ def test_parameter_count_matches_closed_form():
 
 def test_out_of_range_ids_rejected():
     params = init_encoder(tiny_config(vocab_size=10))
-    ids = np.array([[2, 9, 10]])
-    mask = np.ones_like(ids)
     with pytest.raises(ValueError, match="out of range"):
-        encode_batch(params, Batch(ids=ids, mask=mask))
+        encode_batch(params, Batch(np.array([[2, 9, 10]]), np.array([3])))
 
 
 def test_empty_batch_rejected():
     params = init_encoder(tiny_config())
     for shape in ((0, 8), (3, 0)):
-        empty = np.zeros(shape, dtype=np.int64)
         with pytest.raises(ValueError, match="empty batch"):
-            encode_batch(params, Batch(ids=empty, mask=empty))
+            encode_batch(params, Batch(np.zeros(shape, dtype=np.int64), np.zeros(shape[0], dtype=np.int64)))
+
+
+@pytest.mark.parametrize("lengths", [[3, 0, 2], [3, 5, 2], [3, 2], [[3, 1, 2]]])
+def test_lengths_outside_one_to_width_or_of_the_wrong_shape_rejected(lengths):
+    ids = np.array([[2, 5, 6, 0], [2, 0, 0, 0], [2, 7, 0, 0]])
+    with pytest.raises(ValueError, match=r"lengths must be 3 values in \[1, 4\]"):
+        encode_batch(init_encoder(tiny_config()), Batch(ids, np.array(lengths)))
 
 
 def _short_ragged_batch(seed, rows=6, length=12):
     """Rows of 2..6 real tokens padded to ``length``, so trimming drops columns."""
     rng = np.random.default_rng(seed)
     batch = random_batch(rng, 40, rows, length, ragged=False)
-    ids, mask = batch.ids.copy(), batch.mask.copy()
-    for i in range(rows):
-        cut = int(rng.integers(2, 7))
-        ids[i, cut:] = 0
-        mask[i, cut:] = 0
-    return Batch(ids=ids, mask=mask)
+    return with_lengths(batch.ids, [int(rng.integers(2, 7)) for _ in range(rows)])
 
 
 @pytest.mark.parametrize("pooling", ["cls", "mean"])
 def test_trimmed_batch_matches_padded_batch(pooling):
     params = init_encoder(tiny_config(pooling=pooling, max_seq_len=24))
     padded = _short_ragged_batch(10, length=24)
-    trimmed = trim_batch(padded.ids, padded.mask, np.arange(padded.size))
-    assert trimmed.seq_len < padded.seq_len
+    trimmed = trim_batch(padded, np.arange(padded.size))
+    assert trimmed.seq_len == padded.lengths.max() < padded.seq_len
     np.testing.assert_allclose(
         encode_batch(params, trimmed), encode_batch(params, padded), rtol=0, atol=1e-12
     )
@@ -117,8 +116,8 @@ def test_trimmed_batch_matches_padded_batch(pooling):
 def test_gradcheck_on_trimmed_ragged_batch():
     rng = np.random.default_rng(11)
     padded = _short_ragged_batch(12, rows=4)
-    batch = trim_batch(padded.ids, padded.mask, np.arange(padded.size))
-    assert batch.seq_len < 12 and not batch.mask.all()
+    batch = trim_batch(padded, np.arange(padded.size))
+    assert batch.seq_len < 12 and batch.lengths.min() < batch.seq_len
     weights = rng.standard_normal((4, 16))
     for pooling in ("cls", "mean"):
         config = tiny_config(pooling=pooling, max_seq_len=20)
@@ -135,7 +134,7 @@ def test_cached_gelu_cdf_gives_bit_identical_gradients(monkeypatch):
     batch = random_batch(np.random.default_rng(13), 40, 4, 12)
     up = np.random.default_rng(14).standard_normal((4, 16))
     _, cache = encode_batch(params, batch, return_cache=True)
-    for lc in cache.layers:
+    for lc in cache[0].layers:
         assert np.array_equal(lc.h_pre * lc.h_cdf, 0.5 * lc.h_pre * (1.0 + enc.erf(lc.h_pre / math.sqrt(2.0))))
         assert np.array_equal(gelu_grad(lc.h_pre, lc.h_cdf), gelu_grad(lc.h_pre))
     cached = backward(params, cache, up)
@@ -150,10 +149,8 @@ def test_all_pad_after_cls_equals_cls_alone():
     params = init_encoder(tiny_config())
     ids = np.zeros((1, 8), dtype=np.int64)
     ids[0, 0] = 2
-    mask = np.zeros((1, 8), dtype=np.int64)
-    mask[0, 0] = 1
-    padded = encode_batch(params, Batch(ids=ids, mask=mask))
-    alone = encode_batch(params, Batch(ids=np.array([[2]]), mask=np.array([[1]])))
+    padded = encode_batch(params, Batch(ids, np.array([1])))
+    alone = encode_batch(params, Batch(np.array([[2]]), np.array([1])))
     np.testing.assert_allclose(padded, alone, rtol=0, atol=1e-12)
 
 
@@ -163,8 +160,8 @@ def test_mask_invariance_exact():
     batch = random_batch(rng, 40, 4, 12)
     pooled = encode_batch(params, batch)
     ids2 = batch.ids.copy()
-    ids2[batch.mask == 0] = 7  # overwrite PAD content
-    pooled2 = encode_batch(params, Batch(ids=ids2, mask=batch.mask))
+    ids2[np.arange(12) >= batch.lengths[:, None]] = 7  # overwrite PAD content
+    pooled2 = encode_batch(params, Batch(ids2, batch.lengths))
     assert np.array_equal(pooled, pooled2)
 
 
@@ -174,7 +171,7 @@ def test_batch_permutation_permutes_rows():
     batch = random_batch(rng, 40, 5, 12)
     pooled = encode_batch(params, batch)
     perm = rng.permutation(5)
-    shuffled = Batch(ids=batch.ids[perm], mask=batch.mask[perm])
+    shuffled = Batch(batch.ids[perm], batch.lengths[perm])
     np.testing.assert_allclose(encode_batch(params, shuffled), pooled[perm], rtol=0, atol=0)
 
 
@@ -272,7 +269,7 @@ def test_gradcheck_quadratic_loss_is_nearly_exact():
 def test_gradcheck_full_encoder_cls_and_mean():
     rng = np.random.default_rng(9)
     batch = random_batch(rng, 40, 4, 12)
-    assert not batch.mask.all()
+    assert batch.lengths.min() < batch.seq_len
     weights = rng.standard_normal((4, 16))
     # With one layer under CLS pooling, the only layer is the one that computes the CLS row alone.
     for num_layers in (1, 2):
@@ -292,8 +289,8 @@ def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, trai
     config = tiny_config(num_layers=num_layers, max_seq_len=24, dropout_rate=0.2)
     params = init_encoder(config)
     padded = _short_ragged_batch(15, length=24)
-    batch = trim_batch(padded.ids, padded.mask, np.arange(padded.size))
-    assert batch.seq_len < padded.seq_len and not batch.mask.all()
+    batch = trim_batch(padded, np.arange(padded.size))
+    assert batch.seq_len < padded.seq_len and batch.lengths.min() < batch.seq_len
     drawn, real_mask = [], enc._dropout_mask
     monkeypatch.setattr(enc, "_dropout_mask", lambda *args: drawn.append(real_mask(*args)) or drawn[-1])
     cls_pooled = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(6))
@@ -305,7 +302,7 @@ def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, trai
 
     monkeypatch.setattr(enc, "_dropout_mask", replay)
     full = EncoderParams(config=replace(config, pooling="mean"), tensors=params.tensors)
-    _, cache = encode_batch(full, batch, train_mode=train_mode, rng=np.random.default_rng(6), return_cache=True)
+    _, [cache] = encode_batch(full, batch, train_mode=train_mode, rng=np.random.default_rng(6), return_cache=True)
     assert not drawn
     assert cache.x_final.shape[1] == batch.seq_len
     np.testing.assert_allclose(cls_pooled, cache.x_final[:, 0], rtol=1e-12, atol=0)
@@ -314,7 +311,7 @@ def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, trai
 def test_cls_last_layer_caches_one_query_row():
     config = tiny_config(num_layers=2)
     batch = random_batch(np.random.default_rng(16), 40, 4, 12)
-    _, cache = encode_batch(init_encoder(config), batch, return_cache=True)
+    _, [cache] = encode_batch(init_encoder(config), batch, return_cache=True)
     first, last = cache.layers
     length = batch.seq_len
     assert first.q.shape[2] == first.probs.shape[2] == first.x_mid.shape[1] == first.h_pre.shape[1] == length
@@ -338,8 +335,8 @@ def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling):
     config = tiny_config(pooling=pooling, dropout_rate=0.2)
     batch = random_batch(np.random.default_rng(17), 40, 3, 12)
     used = np.random.default_rng(5)
-    _, cache = encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
-    width = int(batch.mask.sum(axis=1).max())  # the encoder cuts the batch to its longest real row
+    _, [cache] = encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
+    width = int(batch.lengths.max())  # the encoder cuts the batch to its longest real row
     assert width < batch.seq_len
     reference = np.random.default_rng(5)
     shapes = _mask_shapes(config, 3, width)
@@ -370,21 +367,16 @@ def _three_class_batch(seed, rows=32, length=128):
     rng = np.random.default_rng(seed)
     lengths = rng.integers(2, length + 1, size=rows)
     lengths[:4] = (9, 40, 90, length)
-    ids = rng.integers(3, 40, size=(rows, length))
-    ids[:, 0] = 2
-    mask = (np.arange(length) < lengths[:, None]).astype(np.int64)
-    ids[mask == 0] = 0
     assert np.unique(-(-lengths // WIDTH_CLASS)).size >= 3
-    return Batch(ids=ids, mask=mask)
+    return with_lengths(rng.integers(3, 40, size=(rows, length)), lengths)
 
 
 def _one_width(params, batch, train_mode=False, rng=None):
     """Reference: one run of the stack over every row at the batch's longest real row."""
-    width = int(batch.mask.sum(axis=1).max())
-    rows = np.arange(batch.size)
+    width = int(batch.lengths.max())
     cfg = params.config
     masks = enc._dropout_masks(rng, cfg, batch.size, width, cfg.dropout_rate) if train_mode else None
-    return enc._encode_rows(params, rows, batch.ids[:, :width], batch.mask[:, :width], masks, True)
+    return enc._encode_rows(params, batch.ids, batch.lengths, np.arange(batch.size), width, masks, True)
 
 
 def _reference_grads(params, cache, upstream):
@@ -441,11 +433,9 @@ def test_two_class_train_forward_draws_masks_per_class_in_class_order(pooling):
     config = tiny_config(pooling=pooling, dropout_rate=0.2, max_seq_len=48)
     params = init_encoder(config)
     lengths = np.array([40, 5, 33, 7, 3])  # class 2 rows 0, 2 (width 40); class 1 rows 1, 3, 4 (width 7)
-    mask = (np.arange(48) < lengths[:, None]).astype(np.int64)
-    ids = np.where(mask == 1, np.random.default_rng(35).integers(3, 40, size=mask.shape), 0)
-    ids[:, 0] = 2
+    batch = with_lengths(np.random.default_rng(35).integers(3, 40, size=(5, 48)), lengths)
     used = np.random.default_rng(5)
-    pooled = encode_batch(params, Batch(ids=ids, mask=mask), train_mode=True, rng=used)
+    pooled = encode_batch(params, batch, train_mode=True, rng=used)
     reference = np.random.default_rng(5)
     for rows, width in ((3, 7), (2, 40)):
         for shape in _mask_shapes(config, rows, width):  # (rows, 1, d) in a CLS-only last layer
@@ -454,7 +444,7 @@ def test_two_class_train_forward_draws_masks_per_class_in_class_order(pooling):
     # the same as encoding each class as its own batch, in class order, from one generator
     again = np.random.default_rng(5)
     for rows in ([1, 3, 4], [0, 2]):
-        alone = encode_batch(params, Batch(ids=ids[rows], mask=mask[rows]), train_mode=True, rng=again)
+        alone = encode_batch(params, trim_batch(batch, rows), train_mode=True, rng=again)
         assert np.array_equal(pooled[rows], alone)
 
 
@@ -467,7 +457,7 @@ def test_one_class_batch_runs_the_one_width_stack_bit_identically(pooling):
     used, reference = np.random.default_rng(8), np.random.default_rng(8)
     pooled, cache = encode_batch(params, batch, train_mode=True, rng=used, return_cache=True)
     ref_pooled, ref_cache = _one_width(params, batch, train_mode=True, rng=reference)
-    assert isinstance(cache, enc.EncoderCache)
+    assert len(cache) == 1
     assert used.bit_generator.state == reference.bit_generator.state
     assert np.array_equal(pooled, ref_pooled)
     grads, ref = _dense(backward(params, cache, upstream), params), _reference_grads(params, ref_cache, upstream)
@@ -477,9 +467,7 @@ def test_one_class_batch_runs_the_one_width_stack_bit_identically(pooling):
 def _repeated_id_batch(vocab_size):
     """Three width classes over ids 3..vocab_size-1, so ids repeat within rows and across runs."""
     batch = _three_class_batch(39, rows=6, length=100)
-    ids = np.where(batch.mask == 1, 3 + batch.ids % (vocab_size - 3), 0)
-    ids[:, 0] = 2
-    return Batch(ids=ids, mask=batch.mask)
+    return with_lengths(3 + batch.ids % (vocab_size - 3), batch.lengths)
 
 
 @pytest.mark.parametrize("pooling", ["cls", "mean"])
@@ -528,7 +516,7 @@ def test_gradcheck_covers_every_token_emb_coordinate_through_the_row_gradient(po
 def test_each_class_runs_at_its_longest_real_row():
     config = tiny_config(max_seq_len=128, pooling="mean")
     batch = _three_class_batch(38)
-    lengths = batch.mask.sum(axis=1)
+    lengths = batch.lengths
     _, caches = encode_batch(init_encoder(config), batch, return_cache=True)
     classes = [np.unique(-(-lengths[c.batch_rows] // WIDTH_CLASS)) for c in caches]
     assert all(c.size == 1 for c in classes) and [int(c[0]) for c in classes] == sorted(int(c[0]) for c in classes)
@@ -543,11 +531,7 @@ def test_each_class_runs_at_its_longest_real_row():
 
 def _batch_of_lengths(seed, lengths, length=128):
     """Rows of the given real lengths over ids 3..39, padded to ``length``."""
-    lengths = np.asarray(lengths)
-    mask = (np.arange(length) < lengths[:, None]).astype(np.int64)
-    ids = np.where(mask == 1, np.random.default_rng(seed).integers(3, 40, size=mask.shape), 0)
-    ids[:, 0] = 2
-    return Batch(ids=ids, mask=mask)
+    return with_lengths(np.random.default_rng(seed).integers(3, 40, size=(len(lengths), length)), lengths)
 
 
 def _force_workers(monkeypatch, workers):
@@ -573,7 +557,7 @@ def _cached_masks(cache):
 
 def _runs_by_class(caches, batch):
     """Number of runs per width class, in class order."""
-    classes = [int(-(-batch.mask[c.batch_rows].sum(axis=1).max() // WIDTH_CLASS)) for c in caches]
+    classes = [int(-(-batch.lengths[c.batch_rows].max() // WIDTH_CLASS)) for c in caches]
     return [classes.count(c) for c in sorted(set(classes))]
 
 
@@ -661,7 +645,7 @@ def test_a_class_below_run_cells_starts_no_thread(monkeypatch):
     batch = _batch_of_lengths(48, [64] + [33 + i for i in range(31)], length=64)  # 32 x 64 = RUN_CELLS
     _, cache = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(0), return_cache=True)
     backward(params, cache, np.ones((batch.size, 16)))
-    assert isinstance(cache, enc.EncoderCache)
+    assert len(cache) == 1
     assert enc._pool is None and threading.active_count() == threads
     # one row more makes two runs, which go to a new pool
     batch = _batch_of_lengths(48, [64] + [33 + i for i in range(32)], length=64)

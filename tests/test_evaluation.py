@@ -80,7 +80,7 @@ def test_evaluate_model_scores_predictions_in_input_order(monkeypatch):
     monkeypatch.setattr(ev, "compute_report", capture)
     evaluate_model(model, "alpha", examples)
     batch, labels = encode_for_task(examples, model.tasks["alpha"], model.vocab, 16)
-    assert len(set(batch.mask.sum(axis=1).tolist())) > 1  # ragged, so length order differs from input order
+    assert len(set(batch.lengths.tolist())) > 1  # ragged, so length order differs from input order
     expected = predict(model, "alpha", batch).argmax(axis=1)  # one padded batch, input order
     assert 0 < expected.sum() < len(expected)
     assert seen == [(expected.tolist(), labels.tolist())]

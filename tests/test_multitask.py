@@ -21,7 +21,7 @@ from misinfo_mtl import encoder as enc
 from misinfo_mtl.encoder import finite_difference_check
 from misinfo_mtl.tokenization import Batch
 
-from conftest import random_batch, tiny_config
+from conftest import random_batch, tiny_config, trim_batch, with_lengths
 
 
 def test_task_spec_validation():
@@ -146,7 +146,7 @@ def test_score_matches_task_loss_on_the_same_rows(tiny_model):
     labels = rng.integers(0, 3, size=11)
     nll, preds = score(tiny_model, "b_task", batch, labels)
     loss, state = task_loss(tiny_model, "b_task", batch, labels)
-    assert len(set(batch.mask.sum(axis=1).tolist())) > 1  # ragged, so length order differs from input order
+    assert len(set(batch.lengths.tolist())) > 1  # ragged, so length order differs from input order
     assert nll == pytest.approx(loss, rel=1e-12, abs=0.0)
     assert np.array_equal(preds, state["probs"].argmax(axis=1))
 
@@ -172,16 +172,13 @@ def _ragged_split(seed, rows=150, length=128):
     rng = np.random.default_rng(seed)
     lengths = np.concatenate([rng.integers(2, 33, size=rows // 2), rng.integers(33, length + 1, size=rows - rows // 2)])
     lengths = rng.permutation(lengths)
-    mask = (np.arange(length) < lengths[:, None]).astype(np.int64)
-    ids = np.where(mask == 1, rng.integers(3, 40, size=mask.shape), 0)
-    ids[:, 0] = 2
-    return Batch(ids=ids, mask=mask), rng.integers(0, 3, size=rows)
+    return with_lengths(rng.integers(3, 40, size=(rows, length)), lengths), rng.integers(0, 3, size=rows)
 
 
 def test_score_gives_the_same_bits_on_one_two_and_four_threads(monkeypatch):
     model = _long_model()
     batch, labels = _ragged_split(23)
-    runs = [len(cuts) for _, _, cuts in enc.split_runs(batch.mask)]
+    runs = [len(cuts) for _, _, cuts in enc.split_runs(batch.lengths)]
     assert len(runs) >= 3 and max(runs) >= 2
     seen = []
     for threads in (1, 2, 4):
@@ -198,8 +195,7 @@ def test_score_matches_per_row_predict():
     model = _long_model()
     batch, labels = _ragged_split(24)
     nll, preds = score(model, "b_task", batch, labels)
-    probs = np.concatenate([predict(model, "b_task", Batch(ids=batch.ids[i:i + 1], mask=batch.mask[i:i + 1]))
-                            for i in range(batch.size)])
+    probs = np.concatenate([predict(model, "b_task", trim_batch(batch, [i])) for i in range(batch.size)])
     expected = -np.log(probs[np.arange(batch.size), labels]).mean()
     assert abs(nll - expected) <= 1e-12 * abs(expected)
     assert np.array_equal(preds, probs.argmax(axis=1))
@@ -224,7 +220,7 @@ def test_duplicated_batch_keeps_mean_gradients(tiny_model):
     batch = random_batch(rng, 40, 3, 12)
     labels = np.array([0, 1, 0])
     _, g1 = task_step_gradients(tiny_model, "a_task", batch, labels, train_mode=False)
-    doubled = Batch(ids=np.concatenate([batch.ids] * 2), mask=np.concatenate([batch.mask] * 2))
+    doubled = Batch(np.concatenate([batch.ids] * 2), np.concatenate([batch.lengths] * 2))
     _, g2 = task_step_gradients(tiny_model, "a_task", doubled, np.concatenate([labels] * 2), train_mode=False)
     for k in g1:
         np.testing.assert_allclose(g2[k], g1[k], rtol=1e-12, atol=1e-14)

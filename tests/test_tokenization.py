@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misinfo_mtl.tokenization import (
     CLS_ID,
     PAD_ID,
     RESERVED_TOKENS,
     UNK_ID,
+    Batch,
     Vocabulary,
     build_vocab,
     encode,
@@ -60,27 +63,20 @@ def small_vocab():
 
 
 def test_encode_empty_text(small_vocab):
-    seq = encode("", small_vocab, max_seq_len=6)
-    assert seq.ids == (CLS_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID)
-    assert seq.mask == (1, 0, 0, 0, 0, 0)
+    assert encode("", small_vocab, max_seq_len=6) == (CLS_ID,)
 
 
 def test_encode_hand_trace(small_vocab):
-    seq = encode("a b", small_vocab, max_seq_len=4)
-    assert seq.ids == (2, 3, 4, 0)
-    assert seq.mask == (1, 1, 1, 0)
+    assert encode("a b", small_vocab, max_seq_len=4) == (2, 3, 4)
 
 
 def test_encode_truncates_long_text(small_vocab):
     text = " ".join(["a"] * 500)
-    seq = encode(text, small_vocab, max_seq_len=128)
-    assert len(seq.ids) == 128
-    assert all(m == 1 for m in seq.mask)
+    assert encode(text, small_vocab, max_seq_len=128) == (CLS_ID,) + 127 * (3,)
 
 
 def test_encode_unknown_tokens_map_to_unk(small_vocab):
-    seq = encode("a zzz", small_vocab, max_seq_len=4)
-    assert seq.ids == (CLS_ID, 3, UNK_ID, PAD_ID)
+    assert encode("a zzz", small_vocab, max_seq_len=4) == (CLS_ID, 3, UNK_ID)
 
 
 def test_encode_requires_room_for_cls(small_vocab):
@@ -97,32 +93,28 @@ def test_encode_deterministic_and_fixed_length(small_vocab):
         s1 = encode(text, small_vocab, max_seq_len=12)
         s2 = encode(text, small_vocab, max_seq_len=12)
         assert s1 == s2
-        assert len(s1.ids) == 12 and len(s1.mask) == 12
-        assert all(0 <= i < small_vocab.size for i in s1.ids)
-        # mask is a prefix of ones
-        assert list(s1.mask) == sorted(s1.mask, reverse=True)
+        assert len(s1) == min(n + 1, 12) and s1[0] == CLS_ID  # every word here is one token
+        assert all(0 <= i < small_vocab.size and i != PAD_ID for i in s1)
 
 
 def test_round_trip_in_vocab_tokens(small_vocab):
     text = "a b c a"
     seq = encode(text, small_vocab, max_seq_len=10)
     # PAD, UNK and CLS map back to no token
-    assert [small_vocab.id_to_token[i] for i in seq.ids if i >= len(RESERVED_TOKENS)] == tokenize(text)
+    assert [small_vocab.id_to_token[i] for i in seq if i >= len(RESERVED_TOKENS)] == tokenize(text)
 
 
 def test_pad_batch_single_sequence(small_vocab):
     seq = encode("a b", small_vocab, max_seq_len=128)
     batch = pad_batch([seq])
-    assert batch.ids.shape == (1, 128)
-    assert batch.mask.shape == (1, 128)
-    assert tuple(batch.ids[0]) == seq.ids
+    assert batch.ids.shape == (1, 3) and batch.lengths.tolist() == [3]
+    assert tuple(batch.ids[0]) == seq
 
 
 def test_pad_batch_minibatch_of_32(small_vocab):
     seqs = [encode("a b c", small_vocab, max_seq_len=128) for _ in range(32)]
     batch = pad_batch(seqs)
-    assert batch.ids.shape == (32, 128)
-    assert batch.mask.shape == (32, 128)
+    assert batch.ids.shape == (32, 4) and batch.lengths.tolist() == 32 * [4]
 
 
 def test_pad_batch_empty():
@@ -130,9 +122,23 @@ def test_pad_batch_empty():
         pad_batch([])
 
 
-def test_pad_batch_mixed_lengths(small_vocab):
-    with pytest.raises(ValueError, match="mixed"):
-        pad_batch([encode("a", small_vocab, 8), encode("a", small_vocab, 9)])
+def test_pad_batch_pads_mixed_lengths_to_the_longest(small_vocab):
+    batch = pad_batch([encode("a", small_vocab, 8), encode("a b c a", small_vocab, 9)])
+    assert batch.ids.tolist() == [[2, 3, 0, 0, 0], [2, 3, 4, 5, 3]] and batch.lengths.tolist() == [2, 5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.text(alphabet="ab c!zé\t", max_size=40), min_size=1, max_size=8),
+       max_seq_len=st.integers(2, 12))
+def test_pad_batch_of_encoded_texts_keeps_ids_and_lengths_with_pad_after(texts, max_seq_len):
+    vocab = build_vocab(["a b", "a c"])
+    seqs = [encode(t, vocab, max_seq_len) for t in texts]
+    batch = pad_batch(seqs)
+    assert batch.lengths.tolist() == [min(len(tokenize(t)) + 1, max_seq_len) for t in texts]
+    assert batch.seq_len == batch.lengths.max()
+    for row, seq, n in zip(batch.ids.tolist(), seqs, batch.lengths.tolist()):
+        assert tuple(row[:n]) == seq and row[n:] == [PAD_ID] * (batch.seq_len - n)
+    assert np.array_equal(batch.mask, batch.ids != PAD_ID)  # no real id is PAD
 
 
 def _ragged(small_vocab):
@@ -143,19 +149,24 @@ def _ragged(small_vocab):
 def test_trim_batch_width_is_longest_real_row(small_vocab):
     full = _ragged(small_vocab)
     for rows in ([0], [0, 2], [3, 0], [1, 4], [4, 3, 2, 1, 0]):
-        batch = trim_batch(full.ids, full.mask, rows)
-        longest = int(full.mask[rows].sum(axis=1).max())
+        batch = trim_batch(full, rows)
+        longest = int(full.lengths[rows].max())
         assert batch.seq_len == longest
         assert np.array_equal(batch.ids, full.ids[rows, :longest])
-        assert np.array_equal(batch.mask, full.mask[rows, :longest])
-        # only all-PAD columns were dropped
-        assert batch.mask.sum() == full.mask[rows].sum()
+        assert np.array_equal(batch.lengths, full.lengths[rows])
 
 
 def test_trim_batch_refuses_empty_selection(small_vocab):
-    full = _ragged(small_vocab)
     with pytest.raises(ValueError, match="empty batch"):
-        trim_batch(full.ids, full.mask, [])
+        trim_batch(_ragged(small_vocab), [])
+
+
+def test_batch_reads_a_prefix_mask_into_lengths_and_refuses_holes():
+    ids = np.array([[2, 5, 0], [2, 5, 6]])
+    batch = Batch(ids, mask=np.array([[1, 1, 0], [1, 1, 1]]))
+    assert batch.lengths.tolist() == [2, 3] and batch.mask.tolist() == [[True, True, False], [True, True, True]]
+    with pytest.raises(ValueError, match="prefix"):
+        Batch(ids, mask=np.array([[1, 0, 1], [1, 1, 1]]))
 
 
 def test_vocab_ids_dense_and_injective():

@@ -111,10 +111,9 @@ def _width_classes(lengths, rows):
     return -(-lengths[rows] // WIDTH_CLASS)
 
 
-def _computed_cells(mask):
+def _computed_cells(lengths):
     """Cells the encoder computes for a batch: per width class, its runs of min(32, 2048 // class width)
     rows, each run's rows times its own longest row."""
-    lengths = mask.sum(axis=1)
     classes = _width_classes(lengths, slice(None))
     cells = 0
     for c in np.unique(classes):
@@ -579,7 +578,7 @@ def _record_steps(monkeypatch, model, splits, config):
     steps = []
 
     def stub(model, task, batch, labels, train_mode, rng, train_encoder):
-        steps.append((task, batch.mask.copy(), rng.random(2)))
+        steps.append((task, batch.lengths.copy(), rng.random(2)))
         return 0.0, {}
 
     monkeypatch.setattr(training, "task_step_gradients", stub)
@@ -597,10 +596,10 @@ def test_width_grouping_leaves_the_dropout_stream_alone(monkeypatch):
     assert [task for task, _, _ in grouped] == [task for task, _, _ in scheduled]
     assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(grouped, scheduled))
     # grouping fired: the same rows, with fewer batches mixing width classes
-    mixed = [sum(np.unique(_width_classes(m.sum(axis=1), slice(None))).size > 1 for _, m, _ in steps)
+    mixed = [sum(np.unique(_width_classes(n, slice(None))).size > 1 for _, n, _ in steps)
              for steps in (grouped, scheduled)]
     assert mixed[0] < mixed[1]
-    assert sum(int(m.sum()) for _, m, _ in grouped) == sum(int(m.sum()) for _, m, _ in scheduled)
+    assert sum(int(n.sum()) for _, n, _ in grouped) == sum(int(n.sum()) for _, n, _ in scheduled)
 
     # train_pad_fraction is 1 - real tokens / computed cells over each task's batches of an epoch
     per_epoch = len(grouped) // len(hist.epochs)
@@ -608,8 +607,8 @@ def test_width_grouping_leaves_the_dropout_stream_alone(monkeypatch):
         for e, record in enumerate(h.epochs):
             epoch_steps = steps[e * per_epoch : (e + 1) * per_epoch]
             for task in ("alpha", "beta"):
-                masks = [m for t, m, _ in epoch_steps if t == task]
-                expected = 1.0 - sum(int(m.sum()) for m in masks) / sum(_computed_cells(m) for m in masks)
+                lengths = [n for t, n, _ in epoch_steps if t == task]
+                expected = 1.0 - sum(int(n.sum()) for n in lengths) / sum(_computed_cells(n) for n in lengths)
                 assert record.train_pad_fraction[task] == pytest.approx(expected, rel=1e-12)
 
 
@@ -629,12 +628,13 @@ def test_train_pad_fraction_counts_the_runs_the_encoder_computes(monkeypatch):
                            max_seq_len=128, dropout_rate=0.1, seed=0)
     model = build_model(config, [spec], vocab=vocab)
     runs, real = [], enc._encode_rows
-    monkeypatch.setattr(enc, "_encode_rows", lambda params, rows, ids, mask, drop_masks, return_cache: (
-        drop_masks is not None and runs.append(mask)) or real(params, rows, ids, mask, drop_masks, return_cache))
+    monkeypatch.setattr(enc, "_encode_rows", lambda params, ids, lengths, rows, width, drop_masks, return_cache: (
+        drop_masks is not None and runs.append((lengths[rows], width))
+    ) or real(params, ids, lengths, rows, width, drop_masks, return_cache))
     _, hist = train_multitask(model, {"alpha": data}, _quick_config(max_epochs=1, patience=1, max_seq_len=128))
-    widths = [m.shape[1] for m in runs]
+    widths = [width for _, width in runs]
     assert len(runs) == 2 and widths[0] != widths[1]  # one run is narrower than the class
-    expected = 1.0 - sum(int(m.sum()) for m in runs) / sum(m.size for m in runs)
+    expected = 1.0 - sum(int(n.sum()) for n, _ in runs) / sum(n.size * width for n, width in runs)
     assert hist.epochs[0].train_pad_fraction["alpha"] == pytest.approx(expected, rel=1e-12)
 
 
