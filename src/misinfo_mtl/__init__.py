@@ -8,7 +8,6 @@ fine-tuning), plus few-shot and leave-one-event-out evaluation harnesses.
 from .data import (
     Dataset,
     Example,
-    FilterRules,
     SplitDataset,
     SyntheticSuiteConfig,
     generate_synthetic_suite,
@@ -37,7 +36,6 @@ from .training import (
     TrainHistory,
     adam_step,
     finetune_task,
-    grid_search,
     lr_at,
     make_epoch_schedule,
     train_multitask,

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .encoder import EncoderConfig, EncoderParams, param_shapes
-from .multitask import MultiTaskModel, head_shapes
+from .encoder import EncoderConfig, EncoderParams
+from .multitask import MultiTaskModel, assign_params, flat_shapes, flatten_params
 from .tasks import TaskSpec
 
 MAGIC = b"MMCKPT01"
@@ -27,10 +27,7 @@ MAGIC = b"MMCKPT01"
 
 def save_model(path: str | Path, model: MultiTaskModel) -> None:
     """Full-model checkpoint: encoder tensors plus per-task head blocks."""
-    tensors = {f"encoder.{k}": v for k, v in model.encoder.tensors.items()}
-    for task in sorted(model.heads):
-        for name, arr in model.heads[task].items():
-            tensors[f"head.{task}.{name}"] = arr
+    tensors = flatten_params(model)
     names = sorted(tensors)
     for n in names:
         if not np.isfinite(tensors[n]).all():
@@ -140,10 +137,7 @@ def _check_shapes(path: Path, config: EncoderConfig, tasks: dict[str, TaskSpec],
     """Refuse a tensor set that differs from what ``config`` and ``tasks`` imply."""
     if config.num_layers > len(shapes):  # every layer has tensors; also bounds the loop below
         raise ValueError(f"{path}: tensor set mismatch; {config.num_layers} layers but {len(shapes)} tensors")
-    expected = {f"encoder.{name}": shape for name, shape in param_shapes(config).items()}
-    for task in sorted(tasks):
-        for name, shape in head_shapes(config.embed_dim, tasks[task].num_classes).items():
-            expected[f"head.{task}.{name}"] = shape
+    expected = flat_shapes(config, tasks)
     missing = sorted(set(expected) - set(shapes))
     extra = sorted(set(shapes) - set(expected))
     if missing or extra:
@@ -185,14 +179,6 @@ def load_model(path: str | Path) -> MultiTaskModel:
     tasks = _task_specs(path, header["tasks"])
     shapes = _tensor_shapes(path, header["tensors"])
     _check_shapes(path, config, tasks, shapes)
-    tensors = _read_tensors(path, raw, offset, shapes)
-    encoder = EncoderParams(
-        config=config,
-        tensors={k.split(".", 1)[1]: v for k, v in tensors.items() if k.startswith("encoder.")},
-    )
-    heads: dict[str, dict[str, np.ndarray]] = {name: {} for name in tasks}
-    for key, arr in tensors.items():
-        if key.startswith("head."):
-            task, name = key[len("head.") :].rsplit(".", 1)
-            heads[task][name] = arr
-    return MultiTaskModel(encoder=encoder, tasks=tasks, heads=heads)
+    model = MultiTaskModel(encoder=EncoderParams(config, {}), tasks=tasks, heads={name: {} for name in tasks})
+    assign_params(model, _read_tensors(path, raw, offset, shapes))
+    return model

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -29,12 +29,10 @@ from .training import TrainConfig, finetune_task, train_multitask
 
 DEFAULT_SEEDS = (0, 1, 2)
 
-_SCALAR_KEYS = {
-    "embed_dim", "num_layers", "num_heads", "ffn_dim", "max_seq_len", "dropout_rate",
-    "pooling", "learning_rate", "batch_size", "max_epochs", "patience",
-    "adam_beta1", "adam_beta2", "adam_epsilon", "lr_schedule",
-    "tasks", "seeds", "max_vocab", "min_freq", "split_seed", "split_ratios",
-}
+# Config keys naming an EncoderConfig / TrainConfig field, with its type; unset keys take the field's default.
+_ENCODER_KEYS = {f.name: f.type for f in fields(EncoderConfig) if f.name not in ("vocab_size", "seed")}
+_TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig) if f.name != "seed"}
+_SCALAR_KEYS = {*_ENCODER_KEYS, *_TRAIN_KEYS, "tasks", "seeds", "max_vocab", "min_freq", "split_seed", "split_ratios"}
 _PREFIX_KEYS = ("dataset.", "labels.", "granularity.", "positive.", "drop_labels.", "derive.")
 
 
@@ -76,6 +74,14 @@ def _get(raw, key, cast, default):
 
 def _csv(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+def _seeds(cli_seeds, raw: dict[str, str]) -> tuple[int, ...]:
+    """The ``--seed`` values, else the config's ``seeds``, else ``DEFAULT_SEEDS``; each run once, all >= 0."""
+    seeds = tuple(cli_seeds) if cli_seeds else _get(raw, "seeds", lambda v: tuple(map(int, _csv(v))), DEFAULT_SEEDS)
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be one or more distinct integers >= 0, got {list(seeds)}")
+    return seeds
 
 
 @dataclass
@@ -134,30 +140,6 @@ def parse_config(raw: dict[str, str], cli_seeds=None) -> RunSpec:
         if f"drop_labels.{task}" in raw:
             drop_labels[task] = _csv(raw[f"drop_labels.{task}"])
 
-    encoder_kwargs = {
-        "embed_dim": _get(raw, "embed_dim", int, 64),
-        "num_layers": _get(raw, "num_layers", int, 2),
-        "num_heads": _get(raw, "num_heads", int, 4),
-        "ffn_dim": _get(raw, "ffn_dim", int, 128),
-        "max_seq_len": _get(raw, "max_seq_len", int, 128),
-        "dropout_rate": _get(raw, "dropout_rate", float, 0.1),
-        "pooling": raw.get("pooling", "cls"),
-    }
-    train_kwargs = {
-        "learning_rate": _get(raw, "learning_rate", float, 5e-6),
-        "batch_size": _get(raw, "batch_size", int, 32),
-        "max_epochs": _get(raw, "max_epochs", int, 15),
-        "patience": _get(raw, "patience", int, 5),
-        "max_seq_len": encoder_kwargs["max_seq_len"],
-        "adam_beta1": _get(raw, "adam_beta1", float, 0.9),
-        "adam_beta2": _get(raw, "adam_beta2", float, 0.999),
-        "adam_epsilon": _get(raw, "adam_epsilon", float, 1e-8),
-        "lr_schedule": raw.get("lr_schedule", "linear-decay"),
-    }
-    if cli_seeds:
-        seeds = tuple(cli_seeds)
-    else:
-        seeds = _get(raw, "seeds", lambda v: tuple(int(s) for s in _csv(v)), DEFAULT_SEEDS)
     ratios = _get(raw, "split_ratios", lambda v: tuple(float(r) for r in _csv(v)), (0.8, 0.1, 0.1))
     return RunSpec(
         tasks=tasks,
@@ -165,9 +147,9 @@ def parse_config(raw: dict[str, str], cli_seeds=None) -> RunSpec:
         derived=derived,
         specs=specs,
         drop_labels=drop_labels,
-        encoder_kwargs=encoder_kwargs,
-        train_kwargs=train_kwargs,
-        seeds=seeds,
+        encoder_kwargs={key: _get(raw, key, cast, None) for key, cast in _ENCODER_KEYS.items() if key in raw},
+        train_kwargs={key: _get(raw, key, cast, None) for key, cast in _TRAIN_KEYS.items() if key in raw},
+        seeds=_seeds(cli_seeds, raw),
         max_vocab=_get(raw, "max_vocab", int, None),
         min_freq=_get(raw, "min_freq", int, 1),
         split_seed=_get(raw, "split_seed", int, 0),
@@ -199,8 +181,7 @@ def _config_run(args, task_listed: bool = False):
         raise ConfigError(str(exc)) from None
     datasets: dict[str, datamod.Dataset] = {}
     for task, path in spec.dataset_paths.items():
-        rules = datamod.FilterRules(drop_labels=spec.drop_labels.get(task, ()))
-        datasets[task] = datamod.load_dataset(path, spec.specs[task], rules)
+        datasets[task] = datamod.load_dataset(path, spec.specs[task], spec.drop_labels.get(task, ()))
     for task, (source, fname) in spec.derived.items():
         datasets[task] = datamod.derive_field_task(datasets[source], fname, spec.specs[task])
     return spec, datasets, configs
@@ -347,11 +328,11 @@ def cmd_finetune(args) -> int:
 def cmd_fewshot(args) -> int:
     dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
     base = _load_model_and_vocab(args.checkpoint, args.vocab)
-    seeds = tuple(args.seed) if args.seed else DEFAULT_SEEDS
+    seeds = _seeds(args.seed, {})
     fewshot_config = evaluation.FewShotConfig(k=args.k, mode=args.mode)
     evaluation.check_fewshot_inputs(base, dataset, args.k)
     train_config = TrainConfig(learning_rate=args.learning_rate, max_epochs=args.max_epochs,
-                               patience=min(args.patience, args.max_epochs), max_seq_len=base.config.max_seq_len)
+                               patience=min(args.patience, args.max_epochs))
     raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode,
            "learning_rate": str(train_config.learning_rate), "max_epochs": str(train_config.max_epochs),
            "patience": str(train_config.patience)}
@@ -376,6 +357,7 @@ def cmd_fewshot(args) -> int:
 def cmd_loocv(args) -> int:
     spec, datasets, configs = _config_run(args, task_listed=True)
     splits = split_all(spec, {t: d for t, d in datasets.items() if t != args.task})
+    evaluation.event_folds(splits, datasets[args.task])  # refuse untagged or one-event data before writing
     out = _open_run(args, "loocv", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
                     {"task": args.task})
 
@@ -408,8 +390,8 @@ def cmd_ablation(args) -> int:
     if not args.subset:
         raise ConfigError("pass at least one --subset")
     spec, datasets, configs = _config_run(args)
-    subsets = [tuple(sorted(_csv(s))) for s in args.subset]
     splits = split_all(spec, datasets)
+    subsets = evaluation.ablation_subsets([_csv(s) for s in args.subset], args.task, splits)
     out = _open_run(args, "ablation", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
                     {"task": args.task, "subsets": [list(s) for s in subsets]})
 
@@ -444,8 +426,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_validate_data(args) -> int:
-    rules = datamod.FilterRules(drop_labels=_csv(args.drop_labels)) if args.drop_labels else None
-    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args), rules)
+    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args), _csv(args.drop_labels or ""))
     print(datamod.format_dataset_summary([dataset]))
     return 0
 
@@ -460,8 +441,7 @@ def cmd_gen_synthetic(args) -> int:
         p_shared=args.p_shared,
         num_events=args.events,
     )
-    seed = args.seed[0] if args.seed else DEFAULT_SEEDS[0]
-    suite = datamod.generate_synthetic_suite(seed, config)
+    suite = datamod.generate_synthetic_suite(_seeds(args.seed, {})[0], config)
     out = Path(args.out) if args.out else Path("runs") / "synthetic"
     out.mkdir(parents=True, exist_ok=True)
     for task, dataset in sorted(suite.items()):
@@ -516,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_spec_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", default="full-model", choices=("full-model", "head-only"))
-    p.add_argument("--learning-rate", type=float, default=5e-6)
-    p.add_argument("--max-epochs", type=int, default=15)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     _add_common(p)
     p.set_defaults(func=cmd_fewshot)
 

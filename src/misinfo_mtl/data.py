@@ -62,13 +62,6 @@ class Example:
 
 
 @dataclass(frozen=True)
-class FilterRules:
-    """Declarative row filters applied before validation."""
-
-    drop_labels: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A task spec plus its validated examples."""
 
@@ -122,17 +115,16 @@ def make_dataset(examples, spec: TaskSpec) -> Dataset:
     return Dataset(spec=spec, examples=tuple(examples))
 
 
-def load_dataset(path: str | Path, spec: TaskSpec, filter_rules: FilterRules | None = None) -> Dataset:
+def load_dataset(path: str | Path, spec: TaskSpec, drop_labels: tuple[str, ...] = ()) -> Dataset:
     """Load and validate one canonical line-delimited file for a task.
 
-    ``filter_rules.drop_labels`` removes rows (e.g. the rumor corpus's
-    ``unverified`` label) before label validation; any other unknown label is
-    an error naming the offending line.
+    Rows labelled in ``drop_labels`` (e.g. the rumor corpus's ``unverified``)
+    are removed before label validation; any other unknown label is an error
+    naming the offending line.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    drop = set(filter_rules.drop_labels) if filter_rules else set()
     examples: list[Example] = []
     seen_ids: set[str] = set()
     # Undecodable bytes become lone surrogates, refused per line below.
@@ -151,7 +143,7 @@ def load_dataset(path: str | Path, spec: TaskSpec, filter_rules: FilterRules | N
                 raise ValueError(f"line {line_no}: invalid record ({exc})") from None
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
-            if ex.label in drop:
+            if ex.label in drop_labels:
                 continue
             if ex.id in seen_ids:
                 raise ValueError(f"line {line_no}: duplicate id {ex.id!r}")

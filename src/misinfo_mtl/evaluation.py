@@ -164,6 +164,18 @@ def run_two_stage(
     return report, hist1, hist2
 
 
+def ablation_subsets(task_subsets, eval_task: str, datasets) -> list[tuple[str, ...]]:
+    """Each subset as a sorted tuple; refuses one without ``eval_task`` or naming a task with no dataset."""
+    keys = [tuple(sorted(subset)) for subset in task_subsets]
+    for key in keys:
+        if eval_task not in key:
+            raise ValueError(f"eval task {eval_task!r} missing from subset {key}")
+        for task in key:
+            if task not in datasets:
+                raise KeyError(f"no dataset provided for task {task!r}")
+    return keys
+
+
 def ablation_run(
     task_subsets,
     eval_task: str,
@@ -180,13 +192,7 @@ def ablation_run(
     """
     seen: set[tuple[str, ...]] = set()
     rows: list[AblationRow] = []
-    for subset in task_subsets:
-        key = tuple(sorted(subset))
-        if eval_task not in key:
-            raise ValueError(f"eval task {eval_task!r} missing from subset {key}")
-        for task in key:
-            if task not in datasets:
-                raise KeyError(f"no dataset provided for task {task!r}")
+    for key in ablation_subsets(task_subsets, eval_task, datasets):
         if key in seen:
             warnings.warn(f"duplicate task subset {key} skipped", stacklevel=2)
             continue
@@ -223,6 +229,13 @@ class LoocvResult:
     average: MetricsReport
 
 
+def event_folds(stage1_datasets, eval_dataset: datamod.Dataset) -> list[datamod.EventFold]:
+    """The eval task's leave-one-event-out folds; refused if ``stage1_datasets`` (the other tasks) is empty."""
+    if not stage1_datasets:
+        raise ValueError("no stage-1 tasks left after excluding the eval task")
+    return datamod.leave_one_event_folds(eval_dataset)
+
+
 def loocv_run(
     all_datasets,
     eval_dataset: datamod.Dataset,
@@ -242,9 +255,7 @@ def loocv_run(
     """
     eval_task = eval_dataset.spec.name
     stage1_splits = {t: ds for t, ds in all_datasets.items() if t != eval_task}
-    if not stage1_splits:
-        raise ValueError("no stage-1 tasks left after excluding the eval task")
-    folds = datamod.leave_one_event_folds(eval_dataset)
+    folds = event_folds(stage1_splits, eval_dataset)
 
     vocab = train_vocab(stage1_splits, min_freq, max_vocab)
     config = replace(encoder_config, vocab_size=vocab.size)

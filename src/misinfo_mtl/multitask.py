@@ -235,6 +235,15 @@ def flatten_params(model: MultiTaskModel, tasks=None) -> dict[str, np.ndarray]:
     return flat
 
 
+def flat_shapes(config: enc.EncoderConfig, tasks: dict[str, TaskSpec]) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor ``flatten_params`` names for a model of ``config`` with heads for ``tasks``."""
+    shapes = {f"encoder.{k}": shape for k, shape in enc.param_shapes(config).items()}
+    for task in sorted(tasks):
+        for k, shape in head_shapes(config.embed_dim, tasks[task].num_classes).items():
+            shapes[f"head.{task}.{k}"] = shape
+    return shapes
+
+
 def assign_params(model: MultiTaskModel, flat: dict[str, np.ndarray]) -> None:
     for key, arr in flat.items():
         scope, rest = key.split(".", 1)

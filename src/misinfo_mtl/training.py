@@ -11,7 +11,7 @@ independent runs can be parallelized as separate processes.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,35 +22,30 @@ from .multitask import (
 )
 from .tokenization import Batch, width_groups
 
-GRID_LEARNING_RATES = (5e-5, 5e-6, 5e-7)
-GRID_BATCH_SIZES = (16, 32)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings; defaults follow the published recipe."""
+    """Loop settings; defaults follow the published recipe.
+
+    The rest of the recipe is fixed: Adam at ``adam_step``'s defaults, with
+    the learning rate decayed linearly to 0 over ``max_epochs`` (``lr_at``),
+    on texts cut at the encoder's ``max_seq_len``.
+    """
 
     learning_rate: float = 5e-6
     batch_size: int = 32
     max_epochs: int = 15
     patience: int = 5
-    max_seq_len: int = 128
     seed: int = 0
-    lr_schedule: str = "linear-decay"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.patience > self.max_epochs:
             raise ValueError("patience must be <= max_epochs")
-        for name in ("batch_size", "max_epochs", "patience", "max_seq_len"):
+        for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.lr_schedule != "linear-decay":
-            raise ValueError(f"unsupported lr_schedule {self.lr_schedule!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -292,8 +287,7 @@ def _fit(
             raise KeyError(f"task {task!r} is not registered on the model")
 
     model = model.clone()
-    # The positional table is the hard length bound.
-    seq_len = min(config.max_seq_len, model.config.max_seq_len)
+    seq_len = model.config.max_seq_len  # the positional table's length
     encoded = {}
     for task in sorted(splits):
         spec = model.tasks[task]
@@ -341,10 +335,7 @@ def _fit(
                 break
             current_lr = lr_at(step, total_steps, config.learning_rate)
             flat = flatten_params(model)
-            updated, opt_state = adam_step(
-                flat, grads, opt_state, current_lr,
-                beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_epsilon,
-            )
+            updated, opt_state = adam_step(flat, grads, opt_state, current_lr)
             assign_params(model, updated)
             loss_sums[task] += loss
             loss_counts[task] += 1
@@ -426,42 +417,3 @@ def finetune_task(
     require_task(model, task)
     return _fit(model, {task: dataset}, config, train_encoder=True, verbose=verbose)
 
-
-@dataclass(frozen=True)
-class GridPoint:
-    learning_rate: float
-    batch_size: int
-    best_val_loss: float
-    best_epoch: int
-
-
-def hyperparameter_grid(
-    learning_rates=GRID_LEARNING_RATES, batch_sizes=GRID_BATCH_SIZES
-) -> list[tuple[float, int]]:
-    """The (learning rate, batch size) grid used for validation-loss search."""
-    return [(lr, bs) for lr in learning_rates for bs in batch_sizes]
-
-
-def grid_search(
-    model_factory,
-    datasets,
-    config: TrainConfig,
-    learning_rates=GRID_LEARNING_RATES,
-    batch_sizes=GRID_BATCH_SIZES,
-    verbose: bool = False,
-) -> tuple[TrainConfig, list[GridPoint]]:
-    """Train one model per grid point; pick the config with the best summed val loss.
-
-    ``model_factory`` must return a fresh, identically initialized model per call.
-    """
-    points: list[GridPoint] = []
-    for lr, bs in hyperparameter_grid(learning_rates, batch_sizes):
-        cfg = replace(config, learning_rate=lr, batch_size=bs)
-        _, hist = train_multitask(model_factory(), datasets, cfg, verbose=verbose)
-        points.append(
-            GridPoint(learning_rate=lr, batch_size=bs, best_val_loss=hist.best_val_loss, best_epoch=hist.best_epoch)
-        )
-        if verbose:
-            print(f"[grid] lr={lr:g} batch={bs} best_val={hist.best_val_loss:.4f}")
-    best = min(points, key=lambda p: p.best_val_loss)
-    return replace(config, learning_rate=best.learning_rate, batch_size=best.batch_size), points

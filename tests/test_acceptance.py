@@ -133,8 +133,7 @@ def test_criterion_4_head_isolation():
         assert np.array_equal(model.heads["beta"][name], head_b_before[name])
     assert any(np.any(grads[k] != 0) for k in grads if k.startswith("encoder."))
 
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=2, patience=2,
-                      max_seq_len=16, seed=0)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=2, patience=2, seed=0)
     stage1, _ = train_multitask(model, splits, cfg)
     stage2, _ = finetune_task(stage1, "alpha", splits["alpha"], cfg)
     for name in stage1.heads["beta"]:
@@ -166,8 +165,7 @@ def test_criterion_5_optimizer_and_schedule_contracts():
 
     assert TrainConfig().max_epochs == 15 and TrainConfig().patience == 5
     model, splits = _two_task_setup()
-    cfg = TrainConfig(learning_rate=5e-2, batch_size=32, max_epochs=15, patience=3,
-                      max_seq_len=16, seed=0)
+    cfg = TrainConfig(learning_rate=5e-2, batch_size=32, max_epochs=15, patience=3, seed=0)
     _, hist = train_multitask(model, splits, cfg)
     assert len(hist.epochs) <= 15
     assert len(hist.epochs) - hist.best_epoch <= cfg.patience
@@ -187,8 +185,7 @@ def test_criterion_6_learning_sanity():
         config = EncoderConfig(vocab_size=vocab.size, embed_dim=32, num_layers=2, num_heads=4,
                                ffn_dim=64, max_seq_len=16, dropout_rate=0.1, seed=seed)
         model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=50, patience=10,
-                          max_seq_len=16, seed=seed)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=50, patience=10, seed=seed)
         trained, hist = train_multitask(model, splits, cfg)
         assert len(hist.epochs) <= 50
         for task in splits:
@@ -216,10 +213,8 @@ def test_criterion_7_fewshot_transfer_analogue():
     for seed in (0, 1, 2):
         config = EncoderConfig(vocab_size=vocab.size, embed_dim=32, num_layers=2, num_heads=4,
                                ffn_dim=64, max_seq_len=16, dropout_rate=0.1, seed=seed)
-        stage1_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=30, patience=8,
-                                 max_seq_len=16, seed=seed)
-        adapt_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=15, patience=15,
-                                max_seq_len=16, seed=seed)
+        stage1_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=30, patience=8, seed=seed)
+        adapt_cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=15, patience=15, seed=seed)
         model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
         stage1, _ = train_multitask(model, splits, stage1_cfg)
         fresh = build_model(config, [], vocab=vocab)
@@ -244,8 +239,7 @@ def test_criterion_8_protocol_audits():
     vocab = build_vocab([ex.text for t in sorted(suite) for ex in suite[t].examples])
     enc = EncoderConfig(vocab_size=vocab.size, embed_dim=16, num_layers=1, num_heads=2,
                         ffn_dim=32, max_seq_len=16, dropout_rate=0.1, seed=0)
-    quick = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=1, patience=1,
-                        max_seq_len=16, seed=0)
+    quick = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=1, patience=1, seed=0)
     base = build_model(enc, [suite["alpha"].spec], vocab=vocab)
     result = fewshot_run(base, suite["unseen"], FewShotConfig(k=10, seed=0), quick)
     assert len(result.train_ids) == 10 and len(result.test_ids) == 50

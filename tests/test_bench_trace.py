@@ -31,8 +31,7 @@ def test_traced_train_and_finetune_record_every_adam_step():
     config = EncoderConfig(vocab_size=vocab.size, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32,
                            max_seq_len=16, dropout_rate=0.1, seed=0)
     model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
-    train_config = training.TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2,
-                                        max_seq_len=16, seed=0)
+    train_config = training.TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2, seed=0)
     tracer = bench_trace.Tracer()
     tracer.install()
     try:
@@ -86,8 +85,7 @@ def test_traced_forwards_count_the_batchs_summed_lengths_as_real(monkeypatch):
     config = EncoderConfig(vocab_size=vocab.size, embed_dim=16, num_layers=1, num_heads=2, ffn_dim=32,
                            max_seq_len=24, dropout_rate=0.1, seed=0)
     model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
-    train_config = training.TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=1, patience=1,
-                                        max_seq_len=24, seed=0)
+    train_config = training.TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=1, patience=1, seed=0)
     tracer = bench_trace.Tracer()
     tracer.install()
     try:

@@ -462,6 +462,26 @@ BAD_ADAPTATIONS = {
                    "--checkpoint", str(r / "run" / "seed0" / "model.ckpt")],
         "error: unknown task 'gamma'; registered: ['alpha', 'beta']\n",
     ),
+    "fewshot-learning-rate-nan": (
+        lambda r: RUN_COMMANDS["fewshot"](r) + ["--learning-rate", "nan"],
+        "error: learning_rate must be finite and > 0, got nan\n",
+    ),
+    "ablation-subset-task-not-in-config": (
+        lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "alpha", "--subset", "alpha,zzz"],
+        "error: no dataset provided for task 'zzz'\n",
+    ),
+    "ablation-subset-without-eval-task": (
+        lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "alpha", "--subset", "beta"],
+        "error: eval task 'alpha' missing from subset ('beta',)\n",
+    ),
+    "ablation-eval-task-not-in-config": (
+        lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "zzz", "--subset", "alpha"],
+        "error: eval task 'zzz' missing from subset ('alpha',)\n",
+    ),
+    "loocv-task-without-events": (
+        lambda r: ["loocv", "--config", str(r / "run.cfg"), "--task", "alpha"],
+        "has no event tag",
+    ),
 }
 
 
@@ -472,6 +492,36 @@ def test_bad_adaptation_exits_1_before_writing(stage1, tmp_path, capsys, case):
     assert main(argv(stage1) + ["--seed", "0", "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
+def _train_with(line):
+    """``train`` on a copy of the stage-1 config in which ``line`` sets its key."""
+    def argv(root, tmp):
+        key = line.split("=")[0].strip()
+        kept = [ln for ln in (root / "run.cfg").read_text().splitlines() if ln.split("=")[0].strip() != key]
+        (tmp / "edited.cfg").write_text("\n".join(kept + [line]) + "\n")
+        return ["train", "--config", str(tmp / "edited.cfg")]
+    return argv
+
+
+BAD_SETTINGS = {
+    "seeds-empty": (_train_with("seeds ="), "seeds must be one or more distinct integers >= 0, got []"),
+    "seeds-repeated-in-config": (_train_with("seeds = 1,2,1"), "got [1, 2, 1]"),
+    "seed-repeated": (lambda r, t: RUN_COMMANDS["train"](r) + ["--seed", "0", "--seed", "0"], "got [0, 0]"),
+    "seed-negative-fewshot": (lambda r, t: RUN_COMMANDS["fewshot"](r) + ["--seed", "-1"], "got [-1]"),
+    "learning-rate-nan": (_train_with("learning_rate = nan"), "learning_rate must be finite and > 0, got nan"),
+    "adam-setting-is-not-a-key": (_train_with("adam_epsilon = -1"), "unknown config key 'adam_epsilon'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_bad_training_settings_exit_2_before_writing(stage1, tmp_path, capsys, case):
+    argv, message = BAD_SETTINGS[case]
+    out = tmp_path / "run"
+    assert main(argv(stage1, tmp_path) + ["--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()
 
 

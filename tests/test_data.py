@@ -8,7 +8,6 @@ from misinfo_mtl.data import (
     BUILTIN_TASKS,
     Dataset,
     Example,
-    FilterRules,
     SyntheticSuiteConfig,
     carve_validation,
     derive_field_task,
@@ -43,7 +42,7 @@ def _rumor_records(n_true=4, n_false=3, n_unverified=2):
 def test_loader_drops_unverified(tmp_path):
     path = tmp_path / "rumor.jsonl"
     _write_jsonl(path, _rumor_records())
-    ds = load_dataset(path, BUILTIN_TASKS["rumor"], FilterRules(drop_labels=("unverified",)))
+    ds = load_dataset(path, BUILTIN_TASKS["rumor"], drop_labels=("unverified",))
     assert ds.size == 7
     assert ds.class_counts() == {"true": 4, "false": 3}
     assert all(ex.label != "unverified" for ex in ds.examples)
@@ -393,11 +392,10 @@ _LINES = st.one_of(
 @given(lines=st.lists(_LINES, max_size=8))
 def test_fuzzed_lines_load_or_raise_value_error_naming_the_line(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
-    rules = FilterRules(drop_labels=("skip",))
 
     def load(upto):
         path.write_bytes(b"".join(line + b"\n" for line in lines[:upto]))
-        return load_dataset(path, _FUZZ_SPEC, rules)
+        return load_dataset(path, _FUZZ_SPEC, ("skip",))
 
     try:
         dataset = load(len(lines))

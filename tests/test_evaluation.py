@@ -35,7 +35,7 @@ def _enc(vocab, seed=0, **overrides):
 
 
 def _tc(**overrides):
-    base = dict(learning_rate=1e-3, batch_size=32, max_epochs=2, patience=2, max_seq_len=16, seed=0)
+    base = dict(learning_rate=1e-3, batch_size=32, max_epochs=2, patience=2, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 

@@ -1,4 +1,6 @@
+import inspect
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,14 +15,11 @@ from misinfo_mtl.encoder import EncoderConfig, RowSparseGrad
 from misinfo_mtl.multitask import TaskSpec, build_model, flatten_params
 from misinfo_mtl.tokenization import WIDTH_CLASS, build_vocab
 from misinfo_mtl.training import (
-    GRID_BATCH_SIZES,
-    GRID_LEARNING_RATES,
     AdamState,
     EarlyStopper,
     TrainConfig,
     adam_step,
     finetune_task,
-    hyperparameter_grid,
     lr_at,
     make_epoch_schedule,
     train_multitask,
@@ -36,14 +35,17 @@ def test_train_config_defaults_match_protocol():
     assert cfg.batch_size == 32
     assert cfg.max_epochs == 15
     assert cfg.patience == 5
-    assert cfg.max_seq_len == 128
-    assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon) == (0.9, 0.999, 1e-8)
-    assert cfg.lr_schedule == "linear-decay"
+    assert [f.name for f in fields(TrainConfig)] == ["learning_rate", "batch_size", "max_epochs", "patience", "seed"]
+    # the rest of the recipe: texts cut at the encoder's length, Adam at its defaults
+    assert EncoderConfig(vocab_size=3).max_seq_len == 128
+    adam_defaults = {k: p.default for k, p in inspect.signature(adam_step).parameters.items() if p.default is not p.empty}
+    assert adam_defaults == {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(patience=20, max_epochs=15)
 
@@ -329,7 +331,7 @@ def _tiny_setup(task_names=("alpha", "beta"), examples=60, seed=0, p_shared=0.0)
 
 
 def _quick_config(**overrides):
-    base = dict(learning_rate=1e-3, batch_size=32, max_epochs=3, patience=3, max_seq_len=16, seed=0)
+    base = dict(learning_rate=1e-3, batch_size=32, max_epochs=3, patience=3, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -499,14 +501,6 @@ def test_finetune_unknown_task(tiny_model):
         finetune_task(tiny_model, "nope", None, _quick_config())
 
 
-def test_grid_bounds_are_the_published_ones():
-    assert GRID_LEARNING_RATES == (5e-5, 5e-6, 5e-7)
-    assert GRID_BATCH_SIZES == (16, 32)
-    grid = hyperparameter_grid()
-    assert len(grid) == 6
-    assert (5e-6, 32) in grid
-
-
 def test_stage2_improves_or_ties_validation_macro_f1():
     # Mean over 3 seeds: specializing on one task must not hurt its val macro-F1.
     from misinfo_mtl.evaluation import evaluate_model
@@ -520,8 +514,7 @@ def test_stage2_improves_or_ties_validation_macro_f1():
         vocab = build_vocab([ex.text for t in sorted(splits) for ex in splits[t].train.examples])
         enc = EncoderConfig(vocab_size=vocab.size, embed_dim=32, num_layers=2, num_heads=4,
                             ffn_dim=64, max_seq_len=16, dropout_rate=0.1, seed=seed)
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=10, patience=10,
-                          max_seq_len=16, seed=seed)
+        cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=10, patience=10, seed=seed)
         model = build_model(enc, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
         stage1, _ = train_multitask(model, splits, cfg)
         stage2, _ = finetune_task(stage1, "alpha", splits["alpha"], cfg)
@@ -529,21 +522,6 @@ def test_stage2_improves_or_ties_validation_macro_f1():
         stage1_scores.append(evaluate_model(stage1, "alpha", val).macro_f1)
         stage2_scores.append(evaluate_model(stage2, "alpha", val).macro_f1)
     assert np.mean(stage2_scores) >= np.mean(stage1_scores) - 1e-9
-
-
-def test_grid_search_picks_lowest_validation_loss():
-    from misinfo_mtl.training import grid_search
-
-    model, splits = _tiny_setup(examples=40)
-    best_cfg, points = grid_search(
-        lambda: model, splits, _quick_config(max_epochs=2, patience=2),
-        learning_rates=(1e-2, 1e-3), batch_sizes=(32,),
-    )
-    assert len(points) == 2
-    winner = min(points, key=lambda p: p.best_val_loss)
-    assert best_cfg.learning_rate == winner.learning_rate
-    assert best_cfg.batch_size == winner.batch_size
-    assert best_cfg.max_epochs == 2  # other settings carried over
 
 
 # --- width-grouped batches in the loop --------------------------------------------
@@ -588,7 +566,7 @@ def _record_steps(monkeypatch, model, splits, config):
 
 def test_width_grouping_leaves_the_dropout_stream_alone(monkeypatch):
     model, splits = _long_tailed_setup()
-    config = _quick_config(max_epochs=2, patience=2, max_seq_len=96)
+    config = _quick_config(max_epochs=2, patience=2)
     grouped, hist = _record_steps(monkeypatch, model, splits, config)
     monkeypatch.setattr(training, "width_grouped_batches", _scheduled_order)
     scheduled, scheduled_hist = _record_steps(monkeypatch, model, splits, config)
@@ -631,7 +609,7 @@ def test_train_pad_fraction_counts_the_runs_the_encoder_computes(monkeypatch):
     monkeypatch.setattr(enc, "_encode_rows", lambda params, ids, lengths, rows, width, drop_masks, return_cache: (
         drop_masks is not None and runs.append((lengths[rows], width))
     ) or real(params, ids, lengths, rows, width, drop_masks, return_cache))
-    _, hist = train_multitask(model, {"alpha": data}, _quick_config(max_epochs=1, patience=1, max_seq_len=128))
+    _, hist = train_multitask(model, {"alpha": data}, _quick_config(max_epochs=1, patience=1))
     widths = [width for _, width in runs]
     assert len(runs) == 2 and widths[0] != widths[1]  # one run is narrower than the class
     expected = 1.0 - sum(int(n.sum()) for n, _ in runs) / sum(n.size * width for n, width in runs)
@@ -640,7 +618,7 @@ def test_train_pad_fraction_counts_the_runs_the_encoder_computes(monkeypatch):
 
 def test_width_grouped_training_reruns_bit_identically():
     model, splits = _long_tailed_setup()
-    config = _quick_config(max_epochs=2, patience=2, max_seq_len=96)
+    config = _quick_config(max_epochs=2, patience=2)
     m1, h1 = train_multitask(model, splits, config)
     m2, h2 = train_multitask(model, splits, config)
     f1, f2 = flatten_params(m1), flatten_params(m2)
