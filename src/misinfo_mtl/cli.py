@@ -2,7 +2,8 @@
 plus dataset validation and synthetic-suite generation.
 
 Every command is non-interactive and deterministic given its config and seeds.
-Once every input is validated, and before any training starts, runs write a
+``parse_config`` is the one place where a config file becomes settings, and it
+refuses every bad key or value. Once every input is validated, and before any training starts, runs write a
 manifest (command, resolved config, input digests, seeds) and a config
 snapshot; output directories default to a content-addressed name derived from
 the config digest so reruns with different settings never silently overwrite
@@ -14,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -24,7 +25,7 @@ from .atomic import atomic_open, write_text_atomic
 from .encoder import EncoderConfig
 from .multitask import MultiTaskModel, build_model, require_task
 from .tasks import BUILTIN_TASKS, TaskSpec
-from .tokenization import load_vocab, save_vocab
+from .tokenization import RESERVED_TOKENS, check_vocab_settings, load_vocab, save_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
 DEFAULT_SEEDS = (0, 1, 2)
@@ -63,13 +64,17 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
-def _get(raw, key, cast, default):
+def _get(raw, key, cast, default, check=None):
+    """``cast(raw[key])``, or ``default`` if ``key`` is unset; a value ``cast`` or ``check`` refuses is a ConfigError."""
     if key not in raw:
         return default
     try:
-        return cast(raw[key])
+        value = cast(raw[key])
+        if check is not None:
+            check(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
+    return value
 
 
 def _csv(value: str) -> tuple[str, ...]:
@@ -86,15 +91,16 @@ def _seeds(cli_seeds, raw: dict[str, str]) -> tuple[int, ...]:
 
 @dataclass
 class RunSpec:
-    """Everything a command needs, resolved from one config file."""
+    """Everything a command needs, resolved and validated from one config file."""
 
     tasks: tuple[str, ...]
+    inputs: tuple[Path, ...]  # the config file and every dataset file
     dataset_paths: dict[str, Path]
     derived: dict[str, tuple[str, str]]  # task -> (source task, field)
     specs: dict[str, TaskSpec]
     drop_labels: dict[str, tuple[str, ...]]
-    encoder_kwargs: dict
-    train_kwargs: dict
+    encoder: EncoderConfig  # vocab_size is the reserved ids' count until a run builds its vocabulary
+    train: TrainConfig
     seeds: tuple[int, ...]
     max_vocab: int | None
     min_freq: int
@@ -115,7 +121,9 @@ def _task_spec(name: str, labels: str | None, granularity: str, positive: str | 
     raise ConfigError(f"task {name!r} is not built in; {hint}")
 
 
-def parse_config(raw: dict[str, str], cli_seeds=None) -> RunSpec:
+def parse_config(path: str | Path, cli_seeds=None) -> RunSpec:
+    """Read a config file into validated settings; any bad key or value raises ``ConfigError``."""
+    raw = load_config_file(path)
     tasks = _get(raw, "tasks", _csv, ())
     if not tasks:
         raise ConfigError("config key 'tasks' is required and must name >= 1 task")
@@ -140,21 +148,28 @@ def parse_config(raw: dict[str, str], cli_seeds=None) -> RunSpec:
         if f"drop_labels.{task}" in raw:
             drop_labels[task] = _csv(raw[f"drop_labels.{task}"])
 
-    ratios = _get(raw, "split_ratios", lambda v: tuple(float(r) for r in _csv(v)), (0.8, 0.1, 0.1))
+    try:
+        encoder = EncoderConfig(vocab_size=len(RESERVED_TOKENS), **{
+            key: _get(raw, key, cast, None) for key, cast in _ENCODER_KEYS.items() if key in raw})
+        train = TrainConfig(**{key: _get(raw, key, cast, None) for key, cast in _TRAIN_KEYS.items() if key in raw})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return RunSpec(
         tasks=tasks,
+        inputs=(Path(path), *dataset_paths.values()),
         dataset_paths=dataset_paths,
         derived=derived,
         specs=specs,
         drop_labels=drop_labels,
-        encoder_kwargs={key: _get(raw, key, cast, None) for key, cast in _ENCODER_KEYS.items() if key in raw},
-        train_kwargs={key: _get(raw, key, cast, None) for key, cast in _TRAIN_KEYS.items() if key in raw},
+        encoder=encoder,
+        train=train,
         seeds=_seeds(cli_seeds, raw),
-        max_vocab=_get(raw, "max_vocab", int, None),
-        min_freq=_get(raw, "min_freq", int, 1),
-        split_seed=_get(raw, "split_seed", int, 0),
-        split_ratios=ratios,
-        raw=dict(raw),
+        max_vocab=_get(raw, "max_vocab", int, None, lambda n: check_vocab_settings(max_size=n)),
+        min_freq=_get(raw, "min_freq", int, 1, lambda n: check_vocab_settings(min_freq=n)),
+        split_seed=_get(raw, "split_seed", int, 0, lambda n: datamod.check_split_settings(seed=n)),
+        split_ratios=_get(raw, "split_ratios", lambda v: tuple(float(r) for r in _csv(v)), (0.8, 0.1, 0.1),
+                          lambda r: datamod.check_split_settings(ratios=r)),
+        raw=raw,
     )
 
 
@@ -165,26 +180,17 @@ def split_all(spec: RunSpec, datasets: dict[str, datamod.Dataset]) -> dict[str, 
     }
 
 
-def _config_run(args, task_listed: bool = False):
-    """Parse ``--config``, check ``--task`` is one of its tasks, then load (or derive) every dataset.
-
-    Returns ``(spec, datasets, {seed: (encoder config, train config)})``. The
-    encoder config's vocab_size is a placeholder; config-value errors exit 2.
-    """
-    spec = parse_config(load_config_file(args.config), args.seed)
+def _config_run(args, task_listed: bool = False) -> tuple[RunSpec, dict[str, datamod.Dataset]]:
+    """Parse ``--config``, check ``--task`` is one of its tasks, then load (or derive) every dataset."""
+    spec = parse_config(args.config, args.seed)
     if task_listed and args.task not in spec.tasks:
         raise ConfigError(f"task {args.task!r} is not listed in the config 'tasks'")
-    try:
-        configs = {seed: (EncoderConfig(vocab_size=3, seed=seed, **spec.encoder_kwargs),
-                          TrainConfig(seed=seed, **spec.train_kwargs)) for seed in spec.seeds}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     datasets: dict[str, datamod.Dataset] = {}
     for task, path in spec.dataset_paths.items():
         datasets[task] = datamod.load_dataset(path, spec.specs[task], spec.drop_labels.get(task, ()))
     for task, (source, fname) in spec.derived.items():
         datasets[task] = datamod.derive_field_task(datasets[source], fname, spec.specs[task])
-    return spec, datasets, configs
+    return spec, datasets
 
 
 def _write_json(path: Path, obj) -> None:
@@ -224,7 +230,7 @@ def _write_report_lines(path: Path, rows) -> None:
     """One line-delimited record per (row name, MetricsReport)."""
     with atomic_open(path) as fh:
         for name, report in rows:
-            fh.write(json.dumps({"row": name, **report.to_dict()}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"row": name, **asdict(report)}, sort_keys=True) + "\n")
 
 
 def _finish_run(out: Path, payload: dict, rows, title: str) -> None:
@@ -239,8 +245,8 @@ def _seed_entry(per_seed: dict[int, metrics.MetricsReport]) -> tuple[metrics.Met
     """The mean over seeds, and the ``{"per_seed", "averaged"}`` entry recording it."""
     averaged = metrics.seed_average(per_seed)
     return averaged, {
-        "per_seed": {str(s): r.to_dict() for s, r in per_seed.items()},
-        "averaged": averaged.to_dict(),
+        "per_seed": {str(s): asdict(r) for s, r in per_seed.items()},
+        "averaged": asdict(averaged),
     }
 
 
@@ -280,17 +286,17 @@ def _unseen_spec(args) -> TaskSpec:
 
 
 def cmd_train(args) -> int:
-    spec, datasets, configs = _config_run(args)
+    spec, datasets = _config_run(args)
     splits = split_all(spec, datasets)
     vocab = evaluation.train_vocab(splits, spec.min_freq, spec.max_vocab)
-    out = _open_run(args, "train", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()])
+    out = _open_run(args, "train", spec.raw, spec.seeds, spec.inputs)
     save_vocab(vocab, out / "vocab.txt")
 
     per_seed: dict[int, dict[str, metrics.MetricsReport]] = {}
-    for seed, (enc_config, train_config) in configs.items():
-        enc_config = replace(enc_config, vocab_size=vocab.size)
-        model = build_model(enc_config, [spec.specs[t] for t in spec.tasks], vocab=vocab)
-        trained, history = train_multitask(model, splits, train_config, verbose=not args.quiet)
+    for seed in spec.seeds:
+        model = build_model(replace(spec.encoder, vocab_size=vocab.size, seed=seed),
+                            [spec.specs[t] for t in spec.tasks], vocab=vocab)
+        trained, history = train_multitask(model, splits, replace(spec.train, seed=seed), verbose=not args.quiet)
         _write_seed(out, seed, trained, history)
         per_seed[seed] = {
             task: evaluation.evaluate_model(trained, task, splits[task].test.examples)
@@ -301,23 +307,24 @@ def cmd_train(args) -> int:
         for task in sorted(splits)
     }
     _finish_run(out, {
-        "per_seed": {str(s): {t: r.to_dict() for t, r in reports.items()} for s, reports in per_seed.items()},
-        "averaged": {t: r.to_dict() for t, r in averaged.items()},
+        "per_seed": {str(s): {t: asdict(r) for t, r in reports.items()} for s, reports in per_seed.items()},
+        "averaged": {t: asdict(r) for t, r in averaged.items()},
     }, sorted(averaged.items()), f"test metrics (mean of {len(spec.seeds)} seeds)")
     return 0
 
 
 def cmd_finetune(args) -> int:
-    spec, datasets, configs = _config_run(args, task_listed=True)
+    spec, datasets = _config_run(args, task_listed=True)
     split = split_all(spec, datasets)[args.task]
     model = _load_model_and_vocab(args.checkpoint, args.vocab)
     require_task(model, args.task)
-    out = _open_run(args, "finetune", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
+    out = _open_run(args, "finetune", spec.raw, spec.seeds, spec.inputs,
                     {"task": args.task, "checkpoint": args.checkpoint})
 
     per_seed: dict[int, metrics.MetricsReport] = {}
-    for seed, (_, train_config) in configs.items():
-        tuned, history = finetune_task(model, args.task, split, train_config, verbose=not args.quiet)
+    for seed in spec.seeds:
+        tuned, history = finetune_task(model, args.task, split, replace(spec.train, seed=seed),
+                                       verbose=not args.quiet)
         save_vocab(model.vocab, _write_seed(out, seed, tuned, history) / "vocab.txt")
         per_seed[seed] = evaluation.evaluate_model(tuned, args.task, split.test.examples)
     averaged, entry = _seed_entry(per_seed)
@@ -355,17 +362,15 @@ def cmd_fewshot(args) -> int:
 
 
 def cmd_loocv(args) -> int:
-    spec, datasets, configs = _config_run(args, task_listed=True)
+    spec, datasets = _config_run(args, task_listed=True)
     splits = split_all(spec, {t: d for t, d in datasets.items() if t != args.task})
     evaluation.event_folds(splits, datasets[args.task])  # refuse untagged or one-event data before writing
-    out = _open_run(args, "loocv", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
-                    {"task": args.task})
+    out = _open_run(args, "loocv", spec.raw, spec.seeds, spec.inputs, {"task": args.task})
 
     results: dict[int, evaluation.LoocvResult] = {}
-    for seed, (enc_config, train_config) in configs.items():
-        # vocab_size is a placeholder: loocv_run swaps in its own vocabulary size
-        result = evaluation.loocv_run(splits, datasets[args.task], enc_config, train_config,
-                                      min_freq=spec.min_freq, max_vocab=spec.max_vocab)
+    for seed in spec.seeds:
+        result = evaluation.loocv_run(splits, datasets[args.task], replace(spec.encoder, seed=seed),
+                                      replace(spec.train, seed=seed), min_freq=spec.min_freq, max_vocab=spec.max_vocab)
         results[seed] = result
         rows = [(fold.event, fold.report) for fold in result.folds] + [("average", result.average)]
         _write_report_lines(out / f"report-seed{seed}.jsonl", rows)
@@ -376,12 +381,12 @@ def cmd_loocv(args) -> int:
         "stage1_tasks": list(results[spec.seeds[0]].stage1_tasks),
         "per_seed": {
             str(s): {
-                "folds": {f.event: f.report.to_dict() for f in r.folds},
-                "average": r.average.to_dict(),
+                "folds": {f.event: asdict(f.report) for f in r.folds},
+                "average": asdict(r.average),
             }
             for s, r in results.items()
         },
-        "averaged": averaged.to_dict(),
+        "averaged": asdict(averaged),
     }, [("average", averaged)], f"loocv mean of {len(spec.seeds)} seeds")
     return 0
 
@@ -389,17 +394,16 @@ def cmd_loocv(args) -> int:
 def cmd_ablation(args) -> int:
     if not args.subset:
         raise ConfigError("pass at least one --subset")
-    spec, datasets, configs = _config_run(args)
+    spec, datasets = _config_run(args)
     splits = split_all(spec, datasets)
     subsets = evaluation.ablation_subsets([_csv(s) for s in args.subset], args.task, splits)
-    out = _open_run(args, "ablation", spec.raw, spec.seeds, [Path(args.config), *spec.dataset_paths.values()],
+    out = _open_run(args, "ablation", spec.raw, spec.seeds, spec.inputs,
                     {"task": args.task, "subsets": [list(s) for s in subsets]})
 
     rows_by_subset: dict[tuple[str, ...], dict[int, metrics.MetricsReport]] = {}
-    for seed, (enc_config, train_config) in configs.items():
-        # vocab_size is a placeholder: each ablation row builds its own vocabulary
-        for row in evaluation.ablation_run(subsets, args.task, splits, enc_config, train_config,
-                                           spec.min_freq, spec.max_vocab):
+    for seed in spec.seeds:
+        for row in evaluation.ablation_run(subsets, args.task, splits, replace(spec.encoder, seed=seed),
+                                           replace(spec.train, seed=seed), spec.min_freq, spec.max_vocab):
             rows_by_subset.setdefault(row.subset, {})[seed] = row.report
     table = []
     payload = {}
@@ -420,7 +424,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "metrics.json", {args.task: report.to_dict()})
+        _write_json(out / "metrics.json", {args.task: asdict(report)})
         print(f"run directory: {out}")
     return 0
 
@@ -441,7 +445,10 @@ def cmd_gen_synthetic(args) -> int:
         p_shared=args.p_shared,
         num_events=args.events,
     )
-    suite = datamod.generate_synthetic_suite(_seeds(args.seed, {})[0], config)
+    seeds = _seeds(args.seed or [0], {})
+    if len(seeds) > 1:
+        raise ConfigError(f"gen-synthetic takes one --seed, got {list(seeds)}")
+    suite = datamod.generate_synthetic_suite(seeds[0], config)
     out = Path(args.out) if args.out else Path("runs") / "synthetic"
     out.mkdir(parents=True, exist_ok=True)
     for task, dataset in sorted(suite.items()):
@@ -454,19 +461,22 @@ def cmd_gen_synthetic(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, action="append",
-                        help="run seed; repeat for multiple (default: 0 1 2)")
-    parser.add_argument("--out", help="output directory (default: content-addressed under runs/)")
-    parser.add_argument("--quiet", action="store_true", help="suppress per-epoch progress")
-
-
-def _add_task_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--task", required=True, help="task name")
-    parser.add_argument("--labels", help="comma-separated label names for non-built-in tasks")
-    parser.add_argument("--granularity", default="sentence",
-                        choices=("sentence", "article", "tweet", "headline"))
-    parser.add_argument("--positive", help="positive class name (optional)")
+# Flags that several commands read, declared once; each command adds the ones its handler reads.
+_FLAGS = {
+    "--config": {"required": True, "help": "config file of 'key = value' lines"},
+    "--checkpoint": {"required": True},
+    "--vocab": {"help": "vocabulary file (default: vocab.txt next to the checkpoint or one directory up)"},
+    "--dataset": {"required": True},
+    "--task": {"required": True, "help": "task name"},
+    "--labels": {"help": "comma-separated label names for non-built-in tasks"},
+    "--granularity": {"default": "sentence", "choices": ("sentence", "article", "tweet", "headline")},
+    "--positive": {"help": "positive class name (optional)"},
+    "--seed": {"type": int, "action": "append", "help": "run seed; repeat for multiple (default: 0 1 2)"},
+    "--out": {"help": "output directory (default: content-addressed under runs/)"},
+    "--quiet": {"action": "store_true", "help": "suppress per-epoch progress"},
+}
+_TASK_SPEC = ("--task", "--labels", "--granularity", "--positive")
+_RUN = ("--seed", "--out", "--quiet")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,61 +486,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="stage-1 joint multi-task training")
-    p.add_argument("--config", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
+    def command(name, func, help, *flags):
+        """A subcommand that runs ``func``, with the named ``_FLAGS``."""
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("finetune", help="stage-2 per-task fine-tuning of a checkpoint")
-    p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--task", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_finetune)
-
-    p = sub.add_parser("fewshot", help="k-shot adaptation to an unseen dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--dataset", required=True)
-    _add_task_spec_flags(p)
+    command("train", cmd_train, "stage-1 joint multi-task training", "--config", *_RUN)
+    command("finetune", cmd_finetune, "stage-2 per-task fine-tuning of a checkpoint",
+            "--config", "--checkpoint", "--vocab", "--task", *_RUN)
+    p = command("fewshot", cmd_fewshot, "k-shot adaptation to an unseen dataset",
+                "--checkpoint", "--vocab", "--dataset", *_TASK_SPEC, *_RUN)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", default="full-model", choices=("full-model", "head-only"))
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
-    _add_common(p)
-    p.set_defaults(func=cmd_fewshot)
-
-    p = sub.add_parser("loocv", help="leave-one-event-out cross-validation")
-    p.add_argument("--config", required=True)
+    p = command("loocv", cmd_loocv, "leave-one-event-out cross-validation", "--config", *_RUN)
     p.add_argument("--task", required=True, help="event-tagged eval task (excluded from stage 1)")
-    _add_common(p)
-    p.set_defaults(func=cmd_loocv)
-
-    p = sub.add_parser("ablation", help="task-combination ablation")
-    p.add_argument("--config", required=True)
+    p = command("ablation", cmd_ablation, "task-combination ablation", "--config", *_RUN)
     p.add_argument("--task", required=True, help="eval task present in every subset")
-    p.add_argument("--subset", action="append", help="comma-separated task subset; repeatable")
-    _add_common(p)
-    p.set_defaults(func=cmd_ablation)
-
-    p = sub.add_parser("eval", help="score a checkpoint on a dataset file")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--dataset", required=True)
-    _add_task_spec_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("validate-data", help="validate a canonical dataset file")
-    p.add_argument("--dataset", required=True)
-    _add_task_spec_flags(p)
+    p.add_argument("--subset", action="append", help="comma-separated task subset; repeatable, each subset once")
+    p = command("eval", cmd_eval, "score a checkpoint on a dataset file",
+                "--checkpoint", "--vocab", "--dataset", *_TASK_SPEC)
+    p.add_argument("--out", help="directory for metrics.json (default: print only)")
+    p = command("validate-data", cmd_validate_data, "validate a canonical dataset file", "--dataset", *_TASK_SPEC)
     p.add_argument("--drop-labels", help="comma-separated labels to drop before validation")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate_data)
-
-    p = sub.add_parser("gen-synthetic", help="generate a synthetic task suite")
+    p = command("gen-synthetic", cmd_gen_synthetic, "generate a synthetic task suite")
+    p.add_argument("--seed", type=int, action="append", help="suite seed, given at most once (default: 0)")
+    p.add_argument("--out", help="output directory (default: runs/synthetic)")
     p.add_argument("--tasks", default="alpha,beta")
     p.add_argument("--examples", type=int, default=200)
     p.add_argument("--vocab-size", type=int, default=60)
@@ -538,9 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared-size", type=int, default=6)
     p.add_argument("--p-shared", type=float, default=0.0)
     p.add_argument("--events", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_synthetic)
-
     return parser
 
 

@@ -191,8 +191,16 @@ class SplitDataset:
     train: Dataset
     validation: Dataset
     test: Dataset
-    seed: int
-    ratios: tuple[float, float, float]
+
+
+def check_split_settings(ratios=(0.8, 0.1, 0.1), seed: int = 0) -> None:
+    """Refuse ratios that are not three positive values summing to 1, and a negative seed."""
+    if len(ratios) != 3 or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError("ratios must be three values summing to 1")
+    if not all(r > 0 for r in ratios):
+        raise ValueError("all ratios must be > 0 (validation and test splits are required)")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _largest_remainder(n: int, ratios) -> list[int]:
@@ -236,15 +244,11 @@ def split(dataset: Dataset, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitDatas
     """
     if dataset.size < 10:
         raise ValueError(f"dataset too small to split ({dataset.size} < 10)")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be three values summing to 1")
-    if any(r <= 0 for r in ratios):
-        raise ValueError("all ratios must be > 0 (validation and test splits are required)")
+    check_split_settings(ratios, seed)
     for label, n in dataset.class_counts().items():
         if 0 < n < 3:
             raise ValueError(f"class {label!r} has {n} examples; need >= 3 to stratify")
-    train, validation, test = _stratified_deal(dataset, seed, lambda n: _largest_remainder(n, ratios))
-    return SplitDataset(train=train, validation=validation, test=test, seed=seed, ratios=tuple(ratios))
+    return SplitDataset(*_stratified_deal(dataset, seed, lambda n: _largest_remainder(n, ratios)))
 
 
 def carve_validation(dataset: Dataset, fraction: float = 0.1, seed: int = 0) -> tuple[Dataset, Dataset]:

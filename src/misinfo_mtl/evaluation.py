@@ -7,7 +7,6 @@ folds/seeds/rows, so callers may parallelize them as separate processes.
 
 import importlib.resources
 import json
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,10 +65,6 @@ class FewShotConfig:
 
 @dataclass(frozen=True)
 class FewShotResult:
-    task: str
-    k: int
-    mode: str
-    seed: int
     report: MetricsReport
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
@@ -111,18 +106,12 @@ def fewshot_run(
     register_task(model, spec, head_seed(cfg.seed, spec.name))
     shots = datamod.Dataset(spec=spec, examples=tuple(train_examples))
     split = datamod.SplitDataset(
-        train=shots, validation=shots, test=datamod.Dataset(spec=spec, examples=tuple(test_examples)),
-        seed=cfg.seed, ratios=(1.0, 0.0, 0.0),
-    )
+        train=shots, validation=shots, test=datamod.Dataset(spec=spec, examples=tuple(test_examples)))
     adapted, _ = training._fit(
         model, {spec.name: split}, train_config, train_encoder=(cfg.mode == "full-model")
     )
     report = evaluate_model(adapted, spec.name, test_examples)
     return FewShotResult(
-        task=spec.name,
-        k=cfg.k,
-        mode=cfg.mode,
-        seed=cfg.seed,
         report=report,
         train_ids=tuple(ex.id for ex in train_examples),
         test_ids=tuple(ex.id for ex in test_examples),
@@ -137,8 +126,6 @@ def fewshot_run(
 class AblationRow:
     subset: tuple[str, ...]
     report: MetricsReport
-    stage1_best_epoch: int
-    stage2_best_epoch: int
 
 
 def train_vocab(splits, min_freq: int = 1, max_vocab: int | None = None) -> Vocabulary:
@@ -153,21 +140,28 @@ def run_two_stage(
     eval_task: str,
     train_config: TrainConfig,
     min_freq: int = 1, max_vocab: int | None = None,
-):
+) -> MetricsReport:
     """Stage-1 train on ``splits``, stage-2 fine-tune on ``eval_task``, score its test split."""
     vocab = train_vocab(splits, min_freq, max_vocab)
     config = replace(encoder_config, vocab_size=vocab.size)
     model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
-    stage1, hist1 = train_multitask(model, splits, train_config)
-    stage2, hist2 = finetune_task(stage1, eval_task, splits[eval_task], train_config)
-    report = evaluate_model(stage2, eval_task, splits[eval_task].test.examples)
-    return report, hist1, hist2
+    stage1, _ = train_multitask(model, splits, train_config)
+    stage2, _ = finetune_task(stage1, eval_task, splits[eval_task], train_config)
+    return evaluate_model(stage2, eval_task, splits[eval_task].test.examples)
 
 
 def ablation_subsets(task_subsets, eval_task: str, datasets) -> list[tuple[str, ...]]:
-    """Each subset as a sorted tuple; refuses one without ``eval_task`` or naming a task with no dataset."""
+    """Each subset as a sorted tuple.
+
+    Refuses a subset given twice (in any order), one naming a task twice, one
+    without ``eval_task`` and one naming a task with no dataset.
+    """
     keys = [tuple(sorted(subset)) for subset in task_subsets]
-    for key in keys:
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"task subset {key} is given more than once")
+        if len(set(key)) < len(key):
+            raise ValueError(f"task subset {key} names a task more than once")
         if eval_task not in key:
             raise ValueError(f"eval task {eval_task!r} missing from subset {key}")
         for task in key:
@@ -186,28 +180,15 @@ def ablation_run(
 ) -> list[AblationRow]:
     """Train one two-stage model per task subset and score each on ``eval_task``.
 
-    Every subset must contain ``eval_task``; duplicate subsets are dropped with
-    a warning. A singleton subset reduces to plain single-task training. Each
-    subset builds its own vocabulary with ``min_freq`` and ``max_vocab``.
+    Every subset must contain ``eval_task`` and be given once. A singleton
+    subset reduces to plain single-task training. Each subset builds its own
+    vocabulary with ``min_freq`` and ``max_vocab``.
     """
-    seen: set[tuple[str, ...]] = set()
-    rows: list[AblationRow] = []
-    for key in ablation_subsets(task_subsets, eval_task, datasets):
-        if key in seen:
-            warnings.warn(f"duplicate task subset {key} skipped", stacklevel=2)
-            continue
-        seen.add(key)
-        splits = {task: datasets[task] for task in key}
-        report, hist1, hist2 = run_two_stage(encoder_config, splits, eval_task, train_config, min_freq, max_vocab)
-        rows.append(
-            AblationRow(
-                subset=key,
-                report=report,
-                stage1_best_epoch=hist1.best_epoch,
-                stage2_best_epoch=hist2.best_epoch,
-            )
-        )
-    return rows
+    return [
+        AblationRow(key, run_two_stage(encoder_config, {task: datasets[task] for task in key}, eval_task,
+                                       train_config, min_freq, max_vocab))
+        for key in ablation_subsets(task_subsets, eval_task, datasets)
+    ]
 
 
 # --- leave-one-event-out cross-validation -----------------------------------------
@@ -270,10 +251,7 @@ def loocv_run(
         rest, held = datamod.carve_validation(
             fold.train, fraction=val_fraction, seed=train_config.seed + i
         )
-        split = datamod.SplitDataset(
-            train=rest, validation=held, test=fold.test,
-            seed=train_config.seed + i, ratios=(1.0 - val_fraction, val_fraction, 0.0),
-        )
+        split = datamod.SplitDataset(train=rest, validation=held, test=fold.test)
         adapted, _ = finetune_task(fold_model, eval_task, split, train_config)
         report = evaluate_model(adapted, eval_task, fold.test.examples)
         reports.append(report)

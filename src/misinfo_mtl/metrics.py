@@ -8,6 +8,8 @@ from the reference labels.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ClassMetrics:
@@ -31,94 +33,55 @@ class MetricsReport:
     macro_f1_std: float = 0.0
     std_defined: bool = False
 
-    def to_dict(self) -> dict:
-        d = {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "num_examples": self.num_examples,
-            "n_runs": self.n_runs,
-            "accuracy_std": self.accuracy_std,
-            "macro_f1_std": self.macro_f1_std,
-            "std_defined": self.std_defined,
-            "per_class": [vars(c) for c in self.per_class],
-        }
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        per_class = tuple(ClassMetrics(**c) for c in d["per_class"])
-        return cls(
-            accuracy=d["accuracy"], macro_f1=d["macro_f1"], per_class=per_class,
-            num_examples=d["num_examples"], n_runs=d.get("n_runs", 1),
-            accuracy_std=d.get("accuracy_std", 0.0), macro_f1_std=d.get("macro_f1_std", 0.0),
-            std_defined=d.get("std_defined", False),
-        )
-
-
-def _check_inputs(preds, labels):
+def _confusion(preds, labels, num_classes: int | None = None) -> np.ndarray:
+    """(C, C) counts, gold class by row and predicted class by column; C defaults to the largest index + 1."""
     if len(preds) != len(labels):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(labels)} labels")
     if len(preds) == 0:
         raise ValueError("empty prediction list")
+    preds, labels = np.asarray(preds, dtype=np.int64), np.asarray(labels, dtype=np.int64)
+    both = np.concatenate([preds, labels])
+    num_classes = int(both.max()) + 1 if num_classes is None else num_classes
+    if both.min() < 0 or both.max() >= num_classes:
+        raise ValueError(f"class index out of range [0, {num_classes})")
+    return np.bincount(labels * num_classes + preds, minlength=num_classes**2).reshape(num_classes, num_classes)
+
+
+def _scores(cm: np.ndarray) -> tuple[float, float, list[tuple[float, float, float, int]]]:
+    """Accuracy, macro-F1 and per-class (precision, recall, F1, support) of a confusion matrix.
+
+    Every value is a plain Python int or float, so reports serialize with ``json``.
+    """
+    tps, predicted, support = np.diag(cm).tolist(), cm.sum(axis=0).tolist(), cm.sum(axis=1).tolist()
+    per_class = []
+    f1_total = 0.0
+    for c, tp in enumerate(tps):
+        precision = tp / predicted[c] if predicted[c] else 0.0
+        recall = tp / support[c] if support[c] else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        f1_total += f1
+        per_class.append((precision, recall, f1, support[c]))
+    return sum(tps) / sum(support), f1_total / len(support), per_class
 
 
 def accuracy(preds, labels) -> float:
-    """Fraction of positions where prediction equals label."""
-    _check_inputs(preds, labels)
-    matches = sum(1 for p, y in zip(preds, labels) if p == y)
-    return matches / len(labels)
-
-
-def per_class_counts(preds, labels, num_classes: int):
-    """(tp, fp, fn, support) per class index."""
-    _check_inputs(preds, labels)
-    tp = [0] * num_classes
-    fp = [0] * num_classes
-    fn = [0] * num_classes
-    support = [0] * num_classes
-    for p, y in zip(preds, labels):
-        p, y = int(p), int(y)
-        if not (0 <= p < num_classes and 0 <= y < num_classes):
-            raise ValueError(f"class index out of range [0, {num_classes})")
-        support[y] += 1
-        if p == y:
-            tp[y] += 1
-        else:
-            fp[p] += 1
-            fn[y] += 1
-    return tp, fp, fn, support
-
-
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+    """Fraction of positions where the predicted class index equals the label's."""
+    return _scores(_confusion(preds, labels))[0]
 
 
 def macro_f1(preds, labels, num_classes: int) -> float:
     """Unweighted mean of per-class F1 over all ``num_classes`` classes."""
-    tp, fp, fn, _ = per_class_counts(preds, labels, num_classes)
-    total = 0.0
-    for c in range(num_classes):
-        total += _prf(tp[c], fp[c], fn[c])[2]
-    return total / num_classes
+    return _scores(_confusion(preds, labels, num_classes))[1]
 
 
 def compute_report(preds, labels, class_names) -> MetricsReport:
     """Full metrics report for integer predictions against integer labels."""
-    num_classes = len(class_names)
-    tp, fp, fn, support = per_class_counts(preds, labels, num_classes)
-    per_class = []
-    f1_total = 0.0
-    for c, name in enumerate(class_names):
-        p, r, f1 = _prf(tp[c], fp[c], fn[c])
-        f1_total += f1
-        per_class.append(ClassMetrics(label=name, precision=p, recall=r, f1=f1, support=support[c]))
+    acc, macro, per_class = _scores(_confusion(preds, labels, len(class_names)))
     return MetricsReport(
-        accuracy=accuracy(preds, labels),
-        macro_f1=f1_total / num_classes,
-        per_class=tuple(per_class),
+        accuracy=acc,
+        macro_f1=macro,
+        per_class=tuple(ClassMetrics(name, *scores) for name, scores in zip(class_names, per_class)),
         num_examples=len(labels),
     )
 

@@ -58,6 +58,14 @@ class Vocabulary:
         return cls(token_to_id=token_to_id, id_to_token=id_to_token)
 
 
+def check_vocab_settings(min_freq: int = 1, max_size: int | None = None) -> None:
+    """Refuse a ``min_freq`` below 1 and a ``max_size`` below the reserved ids' count."""
+    if min_freq < 1:
+        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+    if max_size is not None and max_size < len(RESERVED_TOKENS):
+        raise ValueError(f"max_size must be >= {len(RESERVED_TOKENS)}, got {max_size}")
+
+
 def build_vocab(corpus: list[str], min_freq: int = 1, max_size: int | None = None) -> Vocabulary:
     """Count tokens over a corpus and keep the most frequent ones.
 
@@ -67,10 +75,7 @@ def build_vocab(corpus: list[str], min_freq: int = 1, max_size: int | None = Non
     """
     if not corpus:
         raise ValueError("empty corpus")
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-    if max_size is not None and max_size < len(RESERVED_TOKENS):
-        raise ValueError(f"max_size must be >= {len(RESERVED_TOKENS)}")
+    check_vocab_settings(min_freq, max_size)
     counts = Counter()
     for text in corpus:
         counts.update(tokenize(text))

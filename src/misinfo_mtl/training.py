@@ -27,9 +27,9 @@ from .tokenization import Batch, width_groups
 class TrainConfig:
     """Loop settings; defaults follow the published recipe.
 
-    The rest of the recipe is fixed: Adam at ``adam_step``'s defaults, with
-    the learning rate decayed linearly to 0 over ``max_epochs`` (``lr_at``),
-    on texts cut at the encoder's ``max_seq_len``.
+    The rest of the recipe is fixed: Adam at ``ADAM_BETA1``, ``ADAM_BETA2``
+    and ``ADAM_EPS``, with the learning rate decayed linearly to 0 over
+    ``max_epochs`` (``lr_at``), on texts cut at the encoder's ``max_seq_len``.
     """
 
     learning_rate: float = 5e-6
@@ -55,8 +55,6 @@ class EpochSchedule:
     """Deterministic sequence of task-homogeneous (task, index-batch) draws."""
 
     batches: tuple[tuple[str, tuple[int, ...]], ...]
-    batch_size: int
-    seed: int
 
     def example_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -94,9 +92,7 @@ def make_epoch_schedule(dataset_sizes: dict[str, int], batch_size: int, seed: in
             chunk = order[b * batch_size : (b + 1) * batch_size]
             batches.append((task, tuple(int(i) for i in chunk)))
     shuffled = rng.permutation(len(batches))
-    return EpochSchedule(
-        batches=tuple(batches[i] for i in shuffled), batch_size=batch_size, seed=seed
-    )
+    return EpochSchedule(batches=tuple(batches[i] for i in shuffled))
 
 
 def width_grouped_batches(batches, lengths: dict[str, np.ndarray], seed: int) -> list[tuple[str, np.ndarray]]:
@@ -135,6 +131,11 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * (1.0 - step / total_steps)
 
 
+# Adam's recipe constants. At beta1 > 0.5, beta1 * m never rounds a negative subnormal moment
+# to -0.0, so updating only a RowSparseGrad's rows keeps the dense update's bits.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moments and update counts."""
@@ -149,9 +150,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update for every key present in ``grads``.
 
@@ -188,24 +186,20 @@ def adam_step(
         m, v = state.m[key], state.v[key]
         rows = slice(None) if ids is None else ids
         # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, in place
-        tmp = np.multiply(g, 1.0 - beta1)
-        m *= beta1
+        tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+        m *= ADAM_BETA1
         m[rows] += tmp
-        if ids is not None and beta1 <= 0.5:
-            # Only then can beta1 * m round a negative subnormal to -0.0, which the dense
-            # gradient's +0.0 term on the other rows turns into +0.0.
-            m += 0.0
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        v *= beta2
+        tmp *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v[rows] += tmp
         if lr == 0.0:
             continue
         # params - lr * m_hat / (sqrt(v_hat) + eps), built in fresh arrays
-        denom = np.divide(v, 1.0 - beta2**t)
+        denom = np.divide(v, 1.0 - ADAM_BETA2**t)
         np.sqrt(denom, out=denom)
-        denom += eps
-        step = np.divide(m, 1.0 - beta1**t)
+        denom += ADAM_EPS
+        step = np.divide(m, 1.0 - ADAM_BETA1**t)
         step *= lr
         step /= denom
         new_params[key] = np.subtract(params[key], step, out=step)
@@ -252,10 +246,6 @@ class TrainHistory:
     epochs: list[EpochRecord]
     best_epoch: int
     stop_reason: str  # "early_stopping", "max_epochs" or "diverged" (a step or validation loss was not finite)
-
-    @property
-    def best_val_loss(self) -> float:
-        return self.epochs[self.best_epoch - 1].val_loss_total
 
 
 def epoch_seed(base_seed: int, epoch: int) -> int:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from misinfo_mtl import checkpoint as ckpt
 from misinfo_mtl import cli
 from misinfo_mtl.atomic import atomic_open, write_text_atomic
-from misinfo_mtl.metrics import MetricsReport, compute_report
+from misinfo_mtl.metrics import compute_report
 from misinfo_mtl.tokenization import build_vocab, save_vocab
 
 
@@ -73,12 +74,8 @@ def test_report_lines_failing_midway_keep_the_old_report(tmp_path):
     cli._write_report_lines(path, [("old", good)])
     old = path.read_bytes()
 
-    class BrokenReport(MetricsReport):
-        def to_dict(self):
-            raise Boom
-
-    broken = BrokenReport(**{k: getattr(good, k) for k in good.__dataclass_fields__})
-    with pytest.raises(Boom):
+    broken = replace(good, accuracy=object())  # the second line cannot be written as JSON
+    with pytest.raises(TypeError):
         cli._write_report_lines(path, [("a", good), ("b", broken)])
     assert path.read_bytes() == old
     assert _leftovers(tmp_path, {"report.jsonl"}) == []

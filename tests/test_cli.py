@@ -1,5 +1,6 @@
 import json
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,6 +479,15 @@ BAD_ADAPTATIONS = {
         lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "zzz", "--subset", "alpha"],
         "error: eval task 'zzz' missing from subset ('alpha',)\n",
     ),
+    "ablation-subset-repeated": (
+        lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "alpha",
+                   "--subset", "alpha,beta", "--subset", "beta,alpha"],
+        "error: task subset ('alpha', 'beta') is given more than once\n",
+    ),
+    "ablation-subset-names-a-task-twice": (
+        lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "alpha", "--subset", "alpha,alpha"],
+        "error: task subset ('alpha', 'alpha') names a task more than once\n",
+    ),
     "loocv-task-without-events": (
         lambda r: ["loocv", "--config", str(r / "run.cfg"), "--task", "alpha"],
         "has no event tag",
@@ -495,13 +505,16 @@ def test_bad_adaptation_exits_1_before_writing(stage1, tmp_path, capsys, case):
     assert not out.exists()
 
 
-def _train_with(line):
-    """``train`` on a copy of the stage-1 config in which ``line`` sets its key."""
+def _train_with(line, command="train"):
+    """``command`` of ``RUN_COMMANDS`` on a copy of its config in which ``line`` sets its key."""
     def argv(root, tmp):
+        argv = RUN_COMMANDS[command](root)
+        at = argv.index("--config") + 1
         key = line.split("=")[0].strip()
-        kept = [ln for ln in (root / "run.cfg").read_text().splitlines() if ln.split("=")[0].strip() != key]
+        kept = [ln for ln in Path(argv[at]).read_text().splitlines() if ln.split("=")[0].strip() != key]
         (tmp / "edited.cfg").write_text("\n".join(kept + [line]) + "\n")
-        return ["train", "--config", str(tmp / "edited.cfg")]
+        argv[at] = str(tmp / "edited.cfg")
+        return argv
     return argv
 
 
@@ -513,6 +526,15 @@ BAD_SETTINGS = {
     "learning-rate-nan": (_train_with("learning_rate = nan"), "learning_rate must be finite and > 0, got nan"),
     "adam-setting-is-not-a-key": (_train_with("adam_epsilon = -1"), "unknown config key 'adam_epsilon'"),
 }
+for _command in ("train", "finetune", "loocv", "ablation"):
+    for _line, _message in (
+        ("min_freq = 0", "config key 'min_freq': min_freq must be >= 1, got 0"),
+        ("max_vocab = 2", "config key 'max_vocab': max_size must be >= 3, got 2"),
+        ("max_seq_len = 1", "max_seq_len must be >= 2"),
+        ("split_ratios = 0.5,0.5,0.1", "config key 'split_ratios': ratios must be three values summing to 1"),
+        ("split_seed = -1", "config key 'split_seed': seed must be >= 0, got -1"),
+    ):
+        BAD_SETTINGS[f"{_command}-{_line.replace(' = ', '-')}"] = (_train_with(_line, _command), _message)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
@@ -523,6 +545,30 @@ def test_bad_training_settings_exit_2_before_writing(stage1, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-data", "--out", "X"],
+    ["validate-data", "--seed", "0"],
+    ["eval", "--seed", "0"],
+    ["eval", "--quiet"],
+    ["gen-synthetic", "--quiet"],
+    ["gen-synthetic", "--seed", "1", "--seed", "2"],
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_flags_a_command_does_not_read_exit_2_writing_nothing(stage1, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    needs = {
+        "validate-data": ["--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha",
+                          "--labels", "negative,positive"],
+        "eval": ["--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"),
+                 "--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
+        "gen-synthetic": ["--out", "suite"],
+    }[command]
+    assert main([command, *needs, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "gen-synthetic takes one --seed, got [1, 2]" in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fewshot_training_flags_get_their_own_run_directory(stage1, tmp_path, monkeypatch):

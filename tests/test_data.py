@@ -205,6 +205,10 @@ def test_split_guards():
         split(ds, ratios=(1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="sum"):
         split(ds, ratios=(0.5, 0.2, 0.2))
+    with pytest.raises(ValueError, match="sum"):
+        split(ds, ratios=(float("nan"), 0.5, 0.5))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        split(ds, seed=-1)
     small = _balanced_dataset(8)
     with pytest.raises(ValueError, match="too small"):
         split(small)

@@ -39,6 +39,8 @@ def test_config_rejects_bad_dropout_and_pooling():
         EncoderConfig(vocab_size=10, dropout_rate=1.0)
     with pytest.raises(ValueError):
         EncoderConfig(vocab_size=10, pooling="max")
+    with pytest.raises(ValueError, match="max_seq_len must be >= 2"):  # encode refuses it too: CLS plus one token
+        EncoderConfig(vocab_size=10, max_seq_len=1)
 
 
 def test_init_deterministic_per_seed():

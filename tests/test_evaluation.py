@@ -210,14 +210,13 @@ def test_ablation_requires_eval_task_in_every_subset():
         ablation_run([("beta",)], "alpha", splits, _enc(vocab), _tc())
 
 
-def test_ablation_deduplicates_with_warning():
+def test_ablation_refuses_a_repeated_subset():
     suite, vocab = _suite_and_vocab(("alpha", "beta"))
     splits = {t: split(ds, seed=0) for t, ds in suite.items()}
-    with pytest.warns(UserWarning, match="duplicate task subset"):
-        rows = ablation_run(
-            [("alpha",), ("alpha", "beta"), ("beta", "alpha")], "alpha", splits, _enc(vocab), _tc()
-        )
-    assert [r.subset for r in rows] == [("alpha",), ("alpha", "beta")]
+    with pytest.raises(ValueError, match=r"subset \('alpha', 'beta'\) is given more than once"):
+        ablation_run([("alpha",), ("alpha", "beta"), ("beta", "alpha")], "alpha", splits, _enc(vocab), _tc())
+    with pytest.raises(ValueError, match="names a task more than once"):
+        ablation_run([("alpha", "alpha")], "alpha", splits, _enc(vocab), _tc())
 
 
 def test_ablation_accepts_the_full_combination_grid():
@@ -244,7 +243,7 @@ def test_ablation_singleton_reduces_to_single_task_training():
     suite, vocab = _suite_and_vocab(("alpha", "beta"))
     splits = {t: split(ds, seed=0) for t, ds in suite.items()}
     rows = ablation_run([("alpha",)], "alpha", splits, _enc(vocab), _tc())
-    direct_report, _, _ = run_two_stage(_enc(vocab), {"alpha": splits["alpha"]}, "alpha", _tc())
+    direct_report = run_two_stage(_enc(vocab), {"alpha": splits["alpha"]}, "alpha", _tc())
     assert rows[0].report == direct_report
 
 
