@@ -16,7 +16,7 @@ from .data import (
     save_dataset,
     split,
 )
-from .encoder import EncoderConfig, EncoderParams, finite_difference_check, init_encoder
+from .encoder import EncoderConfig, EncoderParams, init_encoder
 from .evaluation import (
     FewShotConfig,
     FewShotResult,
@@ -25,7 +25,6 @@ from .evaluation import (
     evaluate_model,
     fewshot_run,
     loocv_run,
-    published_targets,
 )
 from .metrics import MetricsReport, accuracy, macro_f1, seed_average
 from .multitask import MultiTaskModel, build_model, predict, register_task, task_loss

@@ -77,6 +77,14 @@ def _get(raw, key, cast, default, check=None):
     return value
 
 
+def _settings(cls, **values):
+    """``cls(**values)``; a value the settings class refuses is a ConfigError."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _csv(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
@@ -148,12 +156,10 @@ def parse_config(path: str | Path, cli_seeds=None) -> RunSpec:
         if f"drop_labels.{task}" in raw:
             drop_labels[task] = _csv(raw[f"drop_labels.{task}"])
 
-    try:
-        encoder = EncoderConfig(vocab_size=len(RESERVED_TOKENS), **{
-            key: _get(raw, key, cast, None) for key, cast in _ENCODER_KEYS.items() if key in raw})
-        train = TrainConfig(**{key: _get(raw, key, cast, None) for key, cast in _TRAIN_KEYS.items() if key in raw})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    encoder = _settings(EncoderConfig, vocab_size=len(RESERVED_TOKENS), **{
+        key: _get(raw, key, cast, None) for key, cast in _ENCODER_KEYS.items() if key in raw})
+    train = _settings(TrainConfig, **{
+        key: _get(raw, key, cast, None) for key, cast in _TRAIN_KEYS.items() if key in raw})
     return RunSpec(
         tasks=tasks,
         inputs=(Path(path), *dataset_paths.values()),
@@ -333,13 +339,13 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_fewshot(args) -> int:
+    seeds = _seeds(args.seed, {})
+    fewshot_config = _settings(evaluation.FewShotConfig, k=args.k, mode=args.mode)
+    train_config = _settings(TrainConfig, learning_rate=args.learning_rate, max_epochs=args.max_epochs,
+                             patience=min(args.patience, args.max_epochs))
     dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
     base = _load_model_and_vocab(args.checkpoint, args.vocab)
-    seeds = _seeds(args.seed, {})
-    fewshot_config = evaluation.FewShotConfig(k=args.k, mode=args.mode)
     evaluation.check_fewshot_inputs(base, dataset, args.k)
-    train_config = TrainConfig(learning_rate=args.learning_rate, max_epochs=args.max_epochs,
-                               patience=min(args.patience, args.max_epochs))
     raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode,
            "learning_rate": str(train_config.learning_rate), "max_epochs": str(train_config.max_epochs),
            "patience": str(train_config.patience)}
@@ -436,7 +442,8 @@ def cmd_validate_data(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    config = datamod.SyntheticSuiteConfig(
+    config = _settings(
+        datamod.SyntheticSuiteConfig,
         task_names=_csv(args.tasks),
         examples_per_task=args.examples,
         vocab_size=args.vocab_size,

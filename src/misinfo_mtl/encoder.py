@@ -1,10 +1,9 @@
 """Shared text encoder: a small Transformer with exact reverse-mode gradients.
 
 All math runs in float64. On request the forward pass caches every
-intermediate needed for the hand-written backward pass, and
-``finite_difference_check`` provides an independent numerical oracle for the
-analytic gradients. Parameters are a flat name->array dict so the optimizer,
-checkpointing and gradient checking can all treat them uniformly.
+intermediate needed for the hand-written backward pass. The pooled output is
+the last layer's CLS row. Parameters are a flat name->array dict so the
+optimizer, checkpointing and gradient checking can all treat them uniformly.
 
 A batch runs through the stack as independent runs, each at its own longest
 real row (``split_runs``). The calling thread and a pool of one worker per
@@ -26,7 +25,6 @@ import numpy as np
 from .tokenization import Batch, width_groups
 
 LN_EPS = 1e-5
-GRADCHECK_FLOOR = 1e-12
 RUN_ROWS = 32  # most rows in one run of the stack, so a scored split runs in train-batch-sized pieces
 RUN_CELLS = 2048  # most rows x class-width cells in one run; wider classes run fewer rows per run
 
@@ -69,7 +67,6 @@ class EncoderConfig:
     max_seq_len: int = 128
     dropout_rate: float = 0.1
     seed: int = 0
-    pooling: str = "cls"
 
     def __post_init__(self):
         if self.embed_dim % self.num_heads != 0:
@@ -83,8 +80,6 @@ class EncoderConfig:
             raise ValueError(f"max_seq_len must be >= 2 (CLS plus one token), got {self.max_seq_len}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.pooling not in ("cls", "mean"):
-            raise ValueError(f"pooling must be 'cls' or 'mean', got {self.pooling!r}")
 
     @property
     def head_dim(self) -> int:
@@ -317,13 +312,11 @@ def _merge_heads(x):
 def _query_rows(cfg: EncoderConfig, layer: int) -> slice:
     """Rows whose outputs a layer computes: its consumer reads only those.
 
-    CLS pooling reads row 0 of the last layer, so that layer runs queries,
+    The pooled output is row 0 of the last layer, so that layer runs queries,
     attention, residual, LayerNorms and FFN for the CLS row alone (keys and
     values still cover every row). Every other layer computes all rows.
     """
-    if cfg.pooling == "cls" and layer == cfg.num_layers - 1:
-        return slice(0, 1)
-    return slice(None)
+    return slice(0, 1) if layer == cfg.num_layers - 1 else slice(None)
 
 
 @dataclass
@@ -351,12 +344,10 @@ class EncoderCache:
 
     batch_rows: np.ndarray  # the rows of the batch this run covered
     ids: np.ndarray  # their ids at the run's width
-    lengths: np.ndarray
     emb_drop: np.ndarray | None
     xhat0: np.ndarray
     inv0: np.ndarray
     layers: list[_LayerCache]
-    x_final: np.ndarray  # last layer's output; under CLS pooling only the CLS row, (B, 1, d)
 
 
 _pool = None  # a ThreadPoolExecutor with one worker per usable CPU but one, made on the first call that needs one
@@ -439,16 +430,15 @@ def encode_batch(
     rng: np.random.Generator | None = None,
     return_cache: bool = False,
 ):
-    """Run the encoder stack and pool one vector per input.
+    """Run the encoder stack and return each input's CLS row of the last layer.
 
     ``batch.lengths`` must hold one length in [1, width] per row. The rows are
     cut into runs by ``split_runs``, each an independent run of the stack that
     gathers its rows at its own longest row; this thread and the pool's
     workers take them from one queue. Pooled rows come back in input order.
     Keys past a row's length get a -inf pre-softmax attention score, so PAD
-    content can never reach the pooled output. Under CLS pooling the last
-    layer computes keys and values for every row and everything else for the
-    CLS row only.
+    content can never reach the pooled output. The last layer computes keys
+    and values for every row and everything else for the CLS row only.
     Dropout fires only in train mode (and then requires ``rng``): this thread
     draws each class's masks at the class's shape, class by class, and each
     run takes its rows and columns of them (a CLS-only layer's one column
@@ -538,14 +528,10 @@ def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks
                 )
             )
 
-    if cfg.pooling == "cls":
-        pooled = x[:, 0, :]
-    else:
-        pooled = (x * real[:, :, None]).sum(axis=1) / lengths[:, None]
     if not return_cache:
-        return pooled, None
-    return pooled, EncoderCache(batch_rows=batch_rows, ids=ids, lengths=lengths, emb_drop=emb_drop, xhat0=xhat0,
-                                inv0=inv0, layers=layer_caches, x_final=x)
+        return x[:, 0, :], None
+    return x[:, 0, :], EncoderCache(batch_rows=batch_rows, ids=ids, emb_drop=emb_drop, xhat0=xhat0, inv0=inv0,
+                                    layers=layer_caches)
 
 
 def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
@@ -613,12 +599,7 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
     length = cache.ids.shape[1]
     grads = {name: np.zeros_like(arr) for name, arr in t.items() if name != "token_emb"}
 
-    dx = np.zeros_like(cache.x_final)
-    if cfg.pooling == "cls":
-        dx[:, 0, :] = upstream_grad
-    else:
-        real = np.arange(length) < cache.lengths[:, None]
-        dx += (upstream_grad / cache.lengths[:, None])[:, None, :] * real[:, :, None]
+    dx = upstream_grad[:, None, :]  # the last layer's one (CLS) row
 
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in reversed(range(cfg.num_layers)):
@@ -679,59 +660,3 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
     grads["emb_ln.bias"] += dbias
     grads["pos_emb"][:length] += de.sum(axis=0)
     return grads, de
-
-
-# --- numerical gradient oracle ----------------------------------------------
-
-
-def finite_difference_check(
-    loss_fn,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    epsilon: float = 1e-4,
-    sample_count: int = 200,
-    seed: int = 0,
-) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``grads`` holds the analytic gradients at ``params``, by name. ``loss_fn``
-    maps a name->array dict to the loss alone; it is evaluated at ``params``
-    (which must give a finite loss) and twice per sampled coordinate. A
-    ``RowSparseGrad`` is read through its ids, so every row outside them
-    counts as 0. The relative error for a coordinate is
-    ``|a - n| / max(|a|, |n|, 1e-12)``. ``loss_fn`` must be deterministic
-    (dropout off, or its masks fixed).
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    if not np.isfinite(loss_fn(params)):
-        raise ValueError("non-finite loss at the base point")
-    grads = {n: g.dense(params[n].shape[0]) if isinstance(g, RowSparseGrad) else g for n, g in grads.items()}
-
-    names = sorted(params)
-    sizes = np.array([params[n].size for n in names])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(sample_count, total), replace=False)
-
-    work = {n: params[n].copy() for n in names}
-    worst = 0.0
-    for flat in sorted(int(i) for i in picks):
-        which = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name, off = names[which], flat - int(offsets[which])
-        base = work[name].flat[off]
-        work[name].flat[off] = base + epsilon
-        loss_plus = loss_fn(work)
-        work[name].flat[off] = base - epsilon
-        loss_minus = loss_fn(work)
-        work[name].flat[off] = base
-        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
-            raise ValueError(f"non-finite loss while perturbing {name}[{off}]")
-        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-        analytic = grads[name].flat[off]
-        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), GRADCHECK_FLOOR)
-        worst = max(worst, err)
-    return worst

@@ -5,8 +5,6 @@ return the exact id partitions they used) and independent across
 folds/seeds/rows, so callers may parallelize them as separate processes.
 """
 
-import importlib.resources
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,17 +15,6 @@ from .metrics import MetricsReport, average_reports, compute_report
 from .multitask import MultiTaskModel, build_model, encode_for_task, head_seed, register_task, require_task, score
 from .tokenization import Vocabulary, build_vocab
 from .training import TrainConfig, finetune_task, train_multitask
-
-
-def published_targets() -> dict:
-    """Published full-scale reference numbers for the misinformation tasks.
-
-    Bundled for documentation and comparison; produced with a pretrained
-    355M-parameter encoder on the original licensed corpora, so the desk-scale
-    stand-in cannot reproduce them.
-    """
-    blob = importlib.resources.files("misinfo_mtl").joinpath("published_targets.json").read_text("utf-8")
-    return json.loads(blob)
 
 
 def evaluate_model(model: MultiTaskModel, task: str, examples) -> MetricsReport:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from misinfo_mtl.encoder import EncoderConfig, init_encoder
+from misinfo_mtl.encoder import EncoderConfig, RowSparseGrad, init_encoder
 from misinfo_mtl.multitask import MultiTaskModel, TaskSpec, register_task
 from misinfo_mtl.tokenization import Batch
+
+GRADCHECK_FLOOR = 1e-12
 
 
 def tiny_config(**overrides) -> EncoderConfig:
@@ -44,3 +46,56 @@ def tiny_model():
     register_task(model, TaskSpec("a_task", ("neg", "pos"), "tweet", "pos"), seed=11)
     register_task(model, TaskSpec("b_task", ("x", "y", "z"), "sentence"), seed=12)
     return model
+
+
+def finite_difference_check(
+    loss_fn,
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    epsilon: float = 1e-4,
+    sample_count: int = 200,
+    seed: int = 0,
+) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    ``grads`` holds the analytic gradients at ``params``, by name. ``loss_fn``
+    maps a name->array dict to the loss alone; it is evaluated at ``params``
+    (which must give a finite loss) and twice per sampled coordinate. A
+    ``RowSparseGrad`` is read through its ids, so every row outside them
+    counts as 0. The relative error for a coordinate is
+    ``|a - n| / max(|a|, |n|, 1e-12)``. ``loss_fn`` must be deterministic
+    (dropout off, or its masks fixed).
+    """
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    if not np.isfinite(loss_fn(params)):
+        raise ValueError("non-finite loss at the base point")
+    grads = {n: g.dense(params[n].shape[0]) if isinstance(g, RowSparseGrad) else g for n, g in grads.items()}
+
+    names = sorted(params)
+    sizes = np.array([params[n].size for n in names])
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(total, size=min(sample_count, total), replace=False)
+
+    work = {n: params[n].copy() for n in names}
+    worst = 0.0
+    for flat in sorted(int(i) for i in picks):
+        which = int(np.searchsorted(offsets, flat, side="right") - 1)
+        name, off = names[which], flat - int(offsets[which])
+        base = work[name].flat[off]
+        work[name].flat[off] = base + epsilon
+        loss_plus = loss_fn(work)
+        work[name].flat[off] = base - epsilon
+        loss_minus = loss_fn(work)
+        work[name].flat[off] = base
+        if not (np.isfinite(loss_plus) and np.isfinite(loss_minus)):
+            raise ValueError(f"non-finite loss while perturbing {name}[{off}]")
+        numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
+        analytic = grads[name].flat[off]
+        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), GRADCHECK_FLOOR)
+        worst = max(worst, err)
+    return worst

@@ -13,7 +13,7 @@ import numpy as np
 
 from misinfo_mtl.cli import main
 from misinfo_mtl.data import SyntheticSuiteConfig, generate_synthetic_suite, split
-from misinfo_mtl.encoder import EncoderConfig, finite_difference_check, init_encoder
+from misinfo_mtl.encoder import EncoderConfig, init_encoder
 from misinfo_mtl.evaluation import FewShotConfig, ablation_run, evaluate_model, fewshot_run, loocv_run
 from misinfo_mtl.metrics import accuracy, macro_f1
 from misinfo_mtl.multitask import (
@@ -38,6 +38,7 @@ from misinfo_mtl.training import (
     train_multitask,
 )
 
+from conftest import finite_difference_check
 from test_metrics import oracle_accuracy, oracle_macro_f1
 
 

@@ -149,7 +149,7 @@ def test_rejects_malformed_header_naming_the_file(tmp_path, raw, message):
     [
         lambda h: h["encoder_config"].__setitem__("embed_dim", "16"),
         lambda h: h["encoder_config"].__setitem__("num_layers", 2.0),
-        lambda h: h["encoder_config"].__setitem__("pooling", None),
+        lambda h: h["encoder_config"].__setitem__("pooling", "cls"),  # written when pooling was a setting
         lambda h: h["encoder_config"].__setitem__("bogus", 1),
         lambda h: h["encoder_config"].pop("seed"),
         lambda h: h["encoder_config"].__setitem__("num_layers", 10**9),

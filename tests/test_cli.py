@@ -463,10 +463,6 @@ BAD_ADAPTATIONS = {
                    "--checkpoint", str(r / "run" / "seed0" / "model.ckpt")],
         "error: unknown task 'gamma'; registered: ['alpha', 'beta']\n",
     ),
-    "fewshot-learning-rate-nan": (
-        lambda r: RUN_COMMANDS["fewshot"](r) + ["--learning-rate", "nan"],
-        "error: learning_rate must be finite and > 0, got nan\n",
-    ),
     "ablation-subset-task-not-in-config": (
         lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "alpha", "--subset", "alpha,zzz"],
         "error: no dataset provided for task 'zzz'\n",
@@ -525,6 +521,12 @@ BAD_SETTINGS = {
     "seed-negative-fewshot": (lambda r, t: RUN_COMMANDS["fewshot"](r) + ["--seed", "-1"], "got [-1]"),
     "learning-rate-nan": (_train_with("learning_rate = nan"), "learning_rate must be finite and > 0, got nan"),
     "adam-setting-is-not-a-key": (_train_with("adam_epsilon = -1"), "unknown config key 'adam_epsilon'"),
+    "pooling-is-not-a-key": (_train_with("pooling = mean"), "unknown config key 'pooling'"),
+    "fewshot-learning-rate-nan": (lambda r, t: RUN_COMMANDS["fewshot"](r) + ["--learning-rate", "nan"],
+                                  "learning_rate must be finite and > 0, got nan"),
+    "fewshot-k-0": (lambda r, t: RUN_COMMANDS["fewshot"](r) + ["--k", "0"], "k must be >= 1"),
+    "fewshot-max-epochs-0": (lambda r, t: RUN_COMMANDS["fewshot"](r) + ["--max-epochs", "0"],
+                             "max_epochs must be >= 1"),
 }
 for _command in ("train", "finetune", "loocv", "ablation"):
     for _line, _message in (
@@ -545,6 +547,18 @@ def test_bad_training_settings_exit_2_before_writing(stage1, tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--examples", "0"], "examples_per_task must be >= 4"),
+    (["--p-shared", "2"], "p_shared must be in [0, 1]"),
+], ids=["examples-0", "p-shared-2"])
+def test_bad_suite_settings_exit_2_writing_nothing(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-synthetic", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,6 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,6 @@ from misinfo_mtl.encoder import (
     EncoderParams,
     backward,
     encode_batch,
-    finite_difference_check,
     gelu_grad,
     init_encoder,
     param_shapes,
@@ -26,7 +24,7 @@ from misinfo_mtl.encoder import (
 from misinfo_mtl import encoder as enc
 from misinfo_mtl.tokenization import WIDTH_CLASS, Batch
 
-from conftest import random_batch, tiny_config, trim_batch, with_lengths
+from conftest import finite_difference_check, random_batch, tiny_config, trim_batch, with_lengths
 
 
 def test_config_rejects_indivisible_heads():
@@ -34,11 +32,9 @@ def test_config_rejects_indivisible_heads():
         EncoderConfig(vocab_size=10, embed_dim=10, num_heads=4)
 
 
-def test_config_rejects_bad_dropout_and_pooling():
+def test_config_rejects_bad_dropout_and_max_seq_len():
     with pytest.raises(ValueError):
         EncoderConfig(vocab_size=10, dropout_rate=1.0)
-    with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, pooling="max")
     with pytest.raises(ValueError, match="max_seq_len must be >= 2"):  # encode refuses it too: CLS plus one token
         EncoderConfig(vocab_size=10, max_seq_len=1)
 
@@ -104,9 +100,10 @@ def _short_ragged_batch(seed, rows=6, length=12):
     return with_lengths(batch.ids, [int(rng.integers(2, 7)) for _ in range(rows)])
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+# The pooled output is always the CLS row; the one-value ``pooling`` parameter keeps these tests' ids stable.
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_trimmed_batch_matches_padded_batch(pooling):
-    params = init_encoder(tiny_config(pooling=pooling, max_seq_len=24))
+    params = init_encoder(tiny_config(max_seq_len=24))
     padded = _short_ragged_batch(10, length=24)
     trimmed = trim_batch(padded, np.arange(padded.size))
     assert trimmed.seq_len == padded.lengths.max() < padded.seq_len
@@ -121,14 +118,13 @@ def test_gradcheck_on_trimmed_ragged_batch():
     batch = trim_batch(padded, np.arange(padded.size))
     assert batch.seq_len < 12 and batch.lengths.min() < batch.seq_len
     weights = rng.standard_normal((4, 16))
-    for pooling in ("cls", "mean"):
-        config = tiny_config(pooling=pooling, max_seq_len=20)
-        params = init_encoder(config)
-        err = _gradcheck_pooled_dot(config, params.tensors, batch, weights, epsilon=1e-4, sample_count=150, seed=2)
-        assert err <= 1e-4, (pooling, err)
-        _, cache = encode_batch(params, batch, return_cache=True)
-        grads = backward(params, cache, weights)
-        assert np.all(grads["pos_emb"][batch.seq_len:] == 0.0)
+    config = tiny_config(max_seq_len=20)
+    params = init_encoder(config)
+    err = _gradcheck_pooled_dot(config, params.tensors, batch, weights, epsilon=1e-4, sample_count=150, seed=2)
+    assert err <= 1e-4, err
+    _, cache = encode_batch(params, batch, return_cache=True)
+    grads = backward(params, cache, weights)
+    assert np.all(grads["pos_emb"][batch.seq_len:] == 0.0)
 
 
 def test_cached_gelu_cdf_gives_bit_identical_gradients(monkeypatch):
@@ -199,15 +195,6 @@ def test_train_mode_dropout_needs_rng_and_perturbs():
     assert np.array_equal(dropped, again)
 
 
-def test_mean_pooling_matches_masked_average():
-    config = tiny_config(pooling="mean", num_layers=1)
-    params = init_encoder(config)
-    batch = random_batch(np.random.default_rng(4), 40, 3, 12)
-    pooled = encode_batch(params, batch)
-    assert pooled.shape == (3, config.embed_dim)
-    assert np.all(np.isfinite(pooled))
-
-
 def test_backward_without_forward_errors():
     params = init_encoder(tiny_config())
     with pytest.raises(ValueError, match="forward"):
@@ -268,25 +255,23 @@ def test_gradcheck_quadratic_loss_is_nearly_exact():
     assert err < 1e-8
 
 
-def test_gradcheck_full_encoder_cls_and_mean():
+def test_gradcheck_full_encoder():
     rng = np.random.default_rng(9)
     batch = random_batch(rng, 40, 4, 12)
     assert batch.lengths.min() < batch.seq_len
     weights = rng.standard_normal((4, 16))
-    # With one layer under CLS pooling, the only layer is the one that computes the CLS row alone.
+    # With one layer, the only layer is the one that computes the CLS row alone.
     for num_layers in (1, 2):
-        for pooling in ("cls", "mean"):
-            config = tiny_config(pooling=pooling, num_layers=num_layers)
-            params = init_encoder(config)
-            err = _gradcheck_pooled_dot(config, params.tensors, batch, weights,
-                                        epsilon=1e-4, sample_count=150, seed=1)
-            assert err <= 1e-4, (num_layers, pooling, err)
+        config = tiny_config(num_layers=num_layers)
+        params = init_encoder(config)
+        err = _gradcheck_pooled_dot(config, params.tensors, batch, weights, epsilon=1e-4, sample_count=150, seed=1)
+        assert err <= 1e-4, (num_layers, err)
 
 
 @pytest.mark.parametrize("train_mode", [False, True])
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, train_mode, monkeypatch):
-    # Mean pooling computes every row of the last layer. It replays the CLS run's dropout
+    # The reference computes every row of the last layer. It replays the CLS run's dropout
     # masks; the CLS-only last layer draws (B, 1, d) ones, which go into row 0 of its full masks.
     config = tiny_config(num_layers=num_layers, max_seq_len=24, dropout_rate=0.2)
     params = init_encoder(config)
@@ -303,11 +288,12 @@ def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, trai
         return mask
 
     monkeypatch.setattr(enc, "_dropout_mask", replay)
-    full = EncoderParams(config=replace(config, pooling="mean"), tensors=params.tensors)
-    _, [cache] = encode_batch(full, batch, train_mode=train_mode, rng=np.random.default_rng(6), return_cache=True)
+    monkeypatch.setattr(enc, "_query_rows", lambda cfg, layer: slice(None))
+    full_pooled, [cache] = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(6),
+                                        return_cache=True)
     assert not drawn
-    assert cache.x_final.shape[1] == batch.seq_len
-    np.testing.assert_allclose(cls_pooled, cache.x_final[:, 0], rtol=1e-12, atol=0)
+    assert cache.layers[-1].xhat2.shape[1] == batch.seq_len
+    np.testing.assert_allclose(cls_pooled, full_pooled, rtol=1e-12, atol=0)
 
 
 def test_cls_last_layer_caches_one_query_row():
@@ -320,21 +306,21 @@ def test_cls_last_layer_caches_one_query_row():
     assert last.q.shape[2] == last.probs.shape[2] == last.x_mid.shape[1] == last.h_pre.shape[1] == 1
     # keys and values (and the attention's key axis) still cover every row
     assert last.k.shape[2] == last.v.shape[2] == last.probs.shape[3] == length
-    assert cache.x_final.shape == (4, 1, config.embed_dim)
+    assert last.xhat2.shape == (4, 1, config.embed_dim)
 
 
 def _mask_shapes(config, rows, width):
     """Dropout draws of one run: the embedding mask, then attention and FFN per layer at the rows it computes."""
     shapes = [(rows, width, config.embed_dim)]
     for i in range(config.num_layers):
-        last_cls = config.pooling == "cls" and i == config.num_layers - 1
+        last_cls = i == config.num_layers - 1
         shapes += 2 * [(rows, 1 if last_cls else width, config.embed_dim)]
     return shapes
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling):
-    config = tiny_config(pooling=pooling, dropout_rate=0.2)
+    config = tiny_config(dropout_rate=0.2)
     batch = random_batch(np.random.default_rng(17), 40, 3, 12)
     used = np.random.default_rng(5)
     _, [cache] = encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
@@ -349,16 +335,16 @@ def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling):
     assert [m.shape for m in drawn] == shapes
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_gradcheck_with_fixed_dropout_masks(pooling):
     # A fresh generator with one seed on every call fixes the masks, so the loss is deterministic.
     rng = np.random.default_rng(19)
     batch = random_batch(rng, 40, 4, 12)
     weights = rng.standard_normal((4, 16))
-    config = tiny_config(pooling=pooling, dropout_rate=0.3)
+    config = tiny_config(dropout_rate=0.3)
     err = _gradcheck_pooled_dot(config, init_encoder(config).tensors, batch, weights, rng_seed=4,
                                 epsilon=1e-4, sample_count=150, seed=4)
-    assert err <= 1e-4, (pooling, err)
+    assert err <= 1e-4, err
 
 
 # --- one run of the stack per width class ---------------------------------------
@@ -399,10 +385,10 @@ def _max_rel(a, b):
 
 
 @pytest.mark.parametrize("train_mode", [False, True])
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_grouped_encoder_matches_one_width_reference(num_layers, pooling, train_mode):
-    config = tiny_config(num_layers=num_layers, pooling=pooling, max_seq_len=128, dropout_rate=0.0)
+    config = tiny_config(num_layers=num_layers, max_seq_len=128, dropout_rate=0.0)
     params = init_encoder(config)
     batch = _three_class_batch(31)
     upstream = np.random.default_rng(32).standard_normal((batch.size, config.embed_dim))
@@ -420,19 +406,19 @@ def test_grouped_encoder_matches_one_width_reference(num_layers, pooling, train_
             assert not np.any(grads[name]), name
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_gradcheck_on_a_three_class_batch(pooling):
     batch = _three_class_batch(33, rows=12, length=100)
     weights = np.random.default_rng(34).standard_normal((batch.size, 16))
-    config = tiny_config(pooling=pooling, max_seq_len=100)
+    config = tiny_config(max_seq_len=100)
     err = _gradcheck_pooled_dot(config, init_encoder(config).tensors, batch, weights,
                                 epsilon=1e-4, sample_count=150, seed=5)
-    assert err <= 1e-4, (pooling, err)
+    assert err <= 1e-4, err
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_two_class_train_forward_draws_masks_per_class_in_class_order(pooling):
-    config = tiny_config(pooling=pooling, dropout_rate=0.2, max_seq_len=48)
+    config = tiny_config(dropout_rate=0.2, max_seq_len=48)
     params = init_encoder(config)
     lengths = np.array([40, 5, 33, 7, 3])  # class 2 rows 0, 2 (width 40); class 1 rows 1, 3, 4 (width 7)
     batch = with_lengths(np.random.default_rng(35).integers(3, 40, size=(5, 48)), lengths)
@@ -450,9 +436,9 @@ def test_two_class_train_forward_draws_masks_per_class_in_class_order(pooling):
         assert np.array_equal(pooled[rows], alone)
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_one_class_batch_runs_the_one_width_stack_bit_identically(pooling):
-    config = tiny_config(pooling=pooling, dropout_rate=0.2, max_seq_len=24)
+    config = tiny_config(dropout_rate=0.2, max_seq_len=24)
     params = init_encoder(config)
     batch = _short_ragged_batch(36, length=24)  # rows of 2..6 tokens: one class, padded past the longest
     upstream = np.random.default_rng(37).standard_normal((batch.size, config.embed_dim))
@@ -472,9 +458,9 @@ def _repeated_id_batch(vocab_size):
     return with_lengths(3 + batch.ids % (vocab_size - 3), batch.lengths)
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_token_emb_gradient_sums_repeated_ids_like_a_dense_scatter(pooling):
-    config = tiny_config(pooling=pooling, vocab_size=12, max_seq_len=100)
+    config = tiny_config(vocab_size=12, max_seq_len=100)
     params = init_encoder(config)
     batch = _repeated_id_batch(config.vocab_size)
     upstream = np.random.default_rng(40).standard_normal((batch.size, config.embed_dim))
@@ -492,9 +478,9 @@ def test_token_emb_gradient_sums_repeated_ids_like_a_dense_scatter(pooling):
     assert got.dense(config.vocab_size).tobytes() == dense.tobytes()
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_gradcheck_covers_every_token_emb_coordinate_through_the_row_gradient(pooling):
-    config = tiny_config(pooling=pooling, vocab_size=12, max_seq_len=100)
+    config = tiny_config(vocab_size=12, max_seq_len=100)
     tensors = init_encoder(config).tensors
     batch = _repeated_id_batch(config.vocab_size)
     weights = np.random.default_rng(41).standard_normal((batch.size, config.embed_dim))
@@ -516,7 +502,7 @@ def test_gradcheck_covers_every_token_emb_coordinate_through_the_row_gradient(po
 
 
 def test_each_class_runs_at_its_longest_real_row():
-    config = tiny_config(max_seq_len=128, pooling="mean")
+    config = tiny_config(max_seq_len=128)
     batch = _three_class_batch(38)
     lengths = batch.lengths
     _, caches = encode_batch(init_encoder(config), batch, return_cache=True)
@@ -568,9 +554,9 @@ _POOLED_LENGTHS = [128] + [97 + (7 * i) % 31 for i in range(33)] + [40, 64, 33, 
 
 
 @pytest.mark.parametrize("train_mode", [False, True])
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkeypatch):
-    config = tiny_config(pooling=pooling, dropout_rate=0.2, max_seq_len=128)
+    config = tiny_config(dropout_rate=0.2, max_seq_len=128)
     params = init_encoder(config)
     batch = _batch_of_lengths(42, _POOLED_LENGTHS)
     upstream = np.random.default_rng(43).standard_normal((batch.size, config.embed_dim))
@@ -599,10 +585,10 @@ def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkey
     assert seen[1] == seen[2] == seen[4]
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_a_class_cut_into_runs_matches_one_unsplit_run(num_layers, pooling):
-    config = tiny_config(num_layers=num_layers, pooling=pooling, dropout_rate=0.2, max_seq_len=128)
+    config = tiny_config(num_layers=num_layers, dropout_rate=0.2, max_seq_len=128)
     params = init_encoder(config)
     # 32 x 128: 2 runs of 16 rows, the second as wide as its own longest row, 125
     batch = _batch_of_lengths(44, [128] + [97 + (5 * i) % 31 for i in range(31)])
@@ -625,18 +611,18 @@ def test_a_class_cut_into_runs_matches_one_unsplit_run(num_layers, pooling):
             assert _max_rel(grads[name], ref[name]) <= 1e-12, (train_mode, name)
 
 
-@pytest.mark.parametrize("pooling", ["cls", "mean"])
+@pytest.mark.parametrize("pooling", ["cls"])
 def test_gradcheck_on_runs_cut_from_two_classes(pooling):
     # class 4: 17 rows at width 128 (runs of 16 and 1); class 3: 22 rows at width 96 (runs of 21 and 1)
     lengths = [128] + [100 + (3 * i) % 28 for i in range(16)] + [96] + [70 + (3 * i) % 26 for i in range(21)]
     batch = _batch_of_lengths(46, lengths)
-    config = tiny_config(pooling=pooling, num_layers=1, max_seq_len=128)
+    config = tiny_config(num_layers=1, max_seq_len=128)
     tensors = init_encoder(config).tensors
     _, caches = encode_batch(EncoderParams(config=config, tensors=tensors), batch, return_cache=True)
     assert _runs_by_class(caches, batch) == [2, 2]
     weights = np.random.default_rng(47).standard_normal((batch.size, config.embed_dim))
     err = _gradcheck_pooled_dot(config, tensors, batch, weights, epsilon=1e-4, sample_count=100, seed=8)
-    assert err <= 1e-4, (pooling, err)
+    assert err <= 1e-4, err
 
 
 def test_a_class_below_run_cells_starts_no_thread(monkeypatch):

@@ -278,13 +278,3 @@ def test_independent_tasks_give_chance_level_zero_shot():
 def test_shared_lexicon_transfers_zero_shot():
     score = _direct_zero_shot(0.9, seeds=(0, 1))
     assert score > 0.5, score
-
-
-def test_published_targets_reference_parses():
-    from misinfo_mtl.evaluation import published_targets
-
-    targets = published_targets()
-    assert "NOT reproducible" in targets["note"]
-    assert targets["jointly_trained_tasks"]["rumor"] == {"accuracy": 0.929, "f1": 0.925}
-    assert targets["leave_one_event_out_rumor"] == {"accuracy": 0.6474, "macro_f1": 0.4474}
-    assert targets["few_shot_macro_f1_averages"]["k=10"]["multitask"] == 0.5398

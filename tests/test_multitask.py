@@ -18,10 +18,9 @@ from misinfo_mtl.multitask import (
     task_step_gradients,
 )
 from misinfo_mtl import encoder as enc
-from misinfo_mtl.encoder import finite_difference_check
 from misinfo_mtl.tokenization import Batch
 
-from conftest import random_batch, tiny_config, trim_batch, with_lengths
+from conftest import finite_difference_check, random_batch, tiny_config, trim_batch, with_lengths
 
 
 def test_task_spec_validation():
