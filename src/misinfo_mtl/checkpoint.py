@@ -51,8 +51,7 @@ def save_model(path: str | Path, model: MultiTaskModel) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for n in names:
-            arr = np.ascontiguousarray(tensors[n], dtype="<f8")
-            fh.write(arr.tobytes())
+            fh.write(np.ascontiguousarray(tensors[n], dtype="<f8"))  # the array's own buffer, not a bytes copy
 
 
 def _malformed(path: Path, what: str) -> ValueError:
@@ -155,7 +154,8 @@ def _read_tensors(path: Path, raw: bytes, offset: int, shapes) -> dict[str, np.n
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(raw):
             raise ValueError(f"{path}: truncated payload at tensor {name!r}")
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").astype(np.float64).reshape(shape)
+        # a view of the file bytes, then the one copy that makes the tensor a writable array of its own
+        arr = np.frombuffer(raw, dtype="<f8", count=nbytes // 8, offset=offset).astype(np.float64).reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: non-finite values in tensor {name!r}")
         tensors[name] = arr

@@ -27,6 +27,7 @@ from .tokenization import Batch, width_groups
 LN_EPS = 1e-5
 RUN_ROWS = 32  # most rows in one run of the stack, so a scored split runs in train-batch-sized pieces
 RUN_CELLS = 2048  # most rows x class-width cells in one run; wider classes run fewer rows per run
+SCORE_GRAD_CELLS = 1 << 16  # most attention-score gradient elements built at once in backward (512 KiB)
 
 # Cephes ndtr.c erf: x T(x^2) / U(x^2) for |x| <= 1, 1 - exp(-x^2) P(|x|) / Q(|x|)
 # above. Coefficients run from the highest degree down; U and Q are monic. Each
@@ -340,7 +341,7 @@ class _LayerCache:
 
 @dataclass
 class EncoderCache:
-    """Activations from one run of the stack over some rows of a batch, consumed by ``backward``."""
+    """Activations from one run of the stack over some rows of a batch, consumed by one ``backward``."""
 
     batch_rows: np.ndarray  # the rows of the batch this run covered
     ids: np.ndarray  # their ids at the run's width
@@ -443,8 +444,9 @@ def encode_batch(
     draws each class's masks at the class's shape, class by class, and each
     run takes its rows and columns of them (a CLS-only layer's one column
     stays). Per-layer activations are kept only with ``return_cache=True``,
-    and then the result is ``(pooled, caches)`` for a subsequent ``backward``
-    call: a list of one ``EncoderCache`` per run.
+    and then the result is ``(pooled, caches)`` for one subsequent
+    ``backward`` call, which consumes them: a list of one ``EncoderCache``
+    per run.
     """
     cfg = params.config
     ids, lengths = batch.ids, batch.lengths
@@ -539,7 +541,10 @@ def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: n
 
     ``upstream_grad`` has shape (batch, embed_dim) and is contracted with the
     pooled output's Jacobian; requires the caches produced by the matching
-    forward pass. Each run of the forward fills its own gradient dict (taken
+    forward pass. The caches are single-use: backward releases each layer's
+    activations once its gradients are taken and builds the score gradient
+    over the cached attention probabilities, so a second call on them raises
+    ``ValueError``. Each run of the forward fills its own gradient dict (taken
     from one queue by this thread and the pool's workers), and the dicts are
     summed in run order. ``token_emb`` gets a ``RowSparseGrad`` over the ids
     the batch holds, summed over every run's token gradients in run order;
@@ -547,6 +552,8 @@ def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: n
     """
     if caches is None:
         raise ValueError("backward requires the caches from a forward pass")
+    if any(len(run.layers) != params.config.num_layers for run in caches):
+        raise ValueError("encoder caches already consumed by a backward call; run the forward pass again")
     results = _run_each(partial(_backward_rows, params), [(run, upstream_grad[run.batch_rows]) for run in caches])
     grads = results[0][0]
     for run_grads, _ in results[1:]:
@@ -575,8 +582,8 @@ def _row_sums(ids: np.ndarray, values: np.ndarray, num_rows: int) -> RowSparseGr
     return RowSparseGrad(touched, sums.reshape(touched.size, d))
 
 
-def _softmax_backward(probs, dprobs, ctx, dctx):
-    """Score gradient probs * (dprobs - rowsum(dprobs * probs)), built in the ``dprobs`` buffer.
+def _softmax_backward(probs, dprobs, ctx, dctx, out):
+    """Score gradient probs * (dprobs - rowsum(dprobs * probs)), built in ``out`` (``dprobs`` is overwritten).
 
     With dprobs = dctx v^T and ctx = probs v (per head), the row term
     sum_j dprobs_ij probs_ij equals dctx_i . ctx_i, a product over the head dim
@@ -584,7 +591,77 @@ def _softmax_backward(probs, dprobs, ctx, dctx):
     Masked keys have prob 0 and thus zero score gradient.
     """
     dprobs -= (dctx * ctx).sum(axis=-1, keepdims=True)
-    return np.multiply(dprobs, probs, out=dprobs)
+    return np.multiply(dprobs, probs, out=out)
+
+
+def _score_grads_into_probs(probs, v, ctx, dctx):
+    """Overwrite the (B, H, Lq, L) ``probs`` with the score gradient, a few rows of the batch at a time.
+
+    Each row's dprobs = dctx v^T comes from the same per-head gemm as one
+    batched product, so the result is bit-identical to building the whole
+    (B, H, Lq, L) dprobs; the scratch holds at most ``SCORE_GRAD_CELLS``
+    elements (or one row's heads).
+    """
+    step = max(1, SCORE_GRAD_CELLS // probs[0].size)
+    scratch = np.empty((min(step, probs.shape[0]),) + probs.shape[1:])
+    for start in range(0, probs.shape[0], step):
+        b = slice(start, start + step)
+        dprobs = np.matmul(dctx[b], v[b].transpose(0, 1, 3, 2), out=scratch[:probs[b].shape[0]])
+        _softmax_backward(probs[b], dprobs, ctx[b], dctx[b], out=probs[b])
+    return probs
+
+
+def _ffn_backward(cfg, t, p, lc: _LayerCache, dx, grads):
+    """One layer's FFN block (its LayerNorm, W2, GELU, W1) backward: returns the gradient w.r.t. ``x_mid``."""
+    dz2, dg, dbias = _ln_backward(dx, t[p + "ffn_ln.gain"], lc.xhat2, lc.inv2)
+    grads[p + "ffn_ln.gain"] += dg
+    grads[p + "ffn_ln.bias"] += dbias
+    dffn_out = dz2 if lc.ffn_drop is None else dz2 * lc.ffn_drop
+    # GELU output, recomputed from the cache as a temporary freed right after use.
+    h_act = (lc.h_pre * lc.h_cdf).reshape(-1, cfg.ffn_dim)
+    grads[p + "ffn.w2"] += h_act.T @ dffn_out.reshape(-1, cfg.embed_dim)
+    del h_act
+    grads[p + "ffn.b2"] += dffn_out.sum(axis=(0, 1))
+    dh_pre = gelu_grad(lc.h_pre, lc.h_cdf)
+    dh_pre *= dffn_out @ t[p + "ffn.w2"].T
+    del dffn_out
+    grads[p + "ffn.w1"] += lc.x_mid.reshape(-1, cfg.embed_dim).T @ dh_pre.reshape(-1, cfg.ffn_dim)
+    grads[p + "ffn.b1"] += dh_pre.sum(axis=(0, 1))
+    return dz2 + dh_pre @ t[p + "ffn.w1"].T
+
+
+def _attn_backward(cfg, t, p, rows, lc: _LayerCache, dx_mid, grads):
+    """One layer's attention block (its LayerNorm, Wo, softmax, Wq/Wk/Wv) backward: returns the gradient
+    w.r.t. ``x_in``. The score gradient is built in ``lc.probs``."""
+    d = cfg.embed_dim
+    dz1, dg, dbias = _ln_backward(dx_mid, t[p + "attn_ln.gain"], lc.xhat1, lc.inv1)
+    grads[p + "attn_ln.gain"] += dg
+    grads[p + "attn_ln.bias"] += dbias
+    dattn_out = dz1 if lc.attn_drop is None else dz1 * lc.attn_drop
+    grads[p + "attn.wo"] += lc.ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
+    grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
+    dctx = _split_heads(dattn_out @ t[p + "attn.wo"].T, cfg.num_heads)
+    del dattn_out
+
+    dv = lc.probs.transpose(0, 1, 3, 2) @ dctx  # before the probabilities give way to the score gradient
+    dscores = _score_grads_into_probs(lc.probs, lc.v, _split_heads(lc.ctx, cfg.num_heads), dctx)
+    dq = (dscores @ lc.k) * (1.0 / math.sqrt(cfg.head_dim))
+    dk = dscores.transpose(0, 1, 3, 2) @ lc.q  # q carries the scale already
+
+    # Queries (and the residual) come from the layer's rows only; keys and values from every row.
+    # The sums keep the order ((dz1 + dq Wq^T) + dk Wk^T) + dv Wv^T of an all-rows layer.
+    dq, dk, dv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    x_all = lc.x_in.reshape(-1, d)
+    grads[p + "attn.wq"] += lc.x_in[:, rows].reshape(-1, d).T @ dq.reshape(-1, d)
+    grads[p + "attn.bq"] += dq.sum(axis=(0, 1))
+    grads[p + "attn.wk"] += x_all.T @ dk.reshape(-1, d)  # the key projection has no bias
+    grads[p + "attn.wv"] += x_all.T @ dv.reshape(-1, d)
+    grads[p + "attn.bv"] += dv.sum(axis=(0, 1))
+    dx = np.zeros_like(lc.x_in)
+    dx[:, rows] = dz1 + dq @ t[p + "attn.wq"].T
+    dx += dk @ t[p + "attn.wk"].T
+    dx += dv @ t[p + "attn.wv"].T
+    return dx
 
 
 def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -592,7 +669,8 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
 
     Returns them (every parameter but ``token_emb``) with the gradient w.r.t.
     the run's embedded tokens, (B, L, d), whose rows ``backward`` sums per
-    token id into the ``token_emb`` gradient.
+    token id into the ``token_emb`` gradient. Consumes the cache: each layer's
+    activations leave ``cache.layers`` once its gradients are taken.
     """
     cfg = params.config
     t = params.tensors
@@ -600,58 +678,12 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
     grads = {name: np.zeros_like(arr) for name, arr in t.items() if name != "token_emb"}
 
     dx = upstream_grad[:, None, :]  # the last layer's one (CLS) row
-
-    scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in reversed(range(cfg.num_layers)):
         p = f"layers.{i}."
-        rows = _query_rows(cfg, i)
-        lc = cache.layers[i]
-
-        dz2, dg, dbias = _ln_backward(dx, t[p + "ffn_ln.gain"], lc.xhat2, lc.inv2)
-        grads[p + "ffn_ln.gain"] += dg
-        grads[p + "ffn_ln.bias"] += dbias
-        dffn_out = dz2 if lc.ffn_drop is None else dz2 * lc.ffn_drop
-        # GELU output, recomputed from the cache as a temporary freed right after use.
-        h_act = (lc.h_pre * lc.h_cdf).reshape(-1, cfg.ffn_dim)
-        grads[p + "ffn.w2"] += h_act.T @ dffn_out.reshape(-1, cfg.embed_dim)
-        del h_act
-        grads[p + "ffn.b2"] += dffn_out.sum(axis=(0, 1))
-        dh_act = dffn_out @ t[p + "ffn.w2"].T
-        dh_pre = gelu_grad(lc.h_pre, lc.h_cdf)
-        dh_pre *= dh_act
-        x_mid2d = lc.x_mid.reshape(-1, cfg.embed_dim)
-        grads[p + "ffn.w1"] += x_mid2d.T @ dh_pre.reshape(-1, cfg.ffn_dim)
-        grads[p + "ffn.b1"] += dh_pre.sum(axis=(0, 1))
-        dx_mid = dz2 + dh_pre @ t[p + "ffn.w1"].T
-
-        dz1, dg, dbias = _ln_backward(dx_mid, t[p + "attn_ln.gain"], lc.xhat1, lc.inv1)
-        grads[p + "attn_ln.gain"] += dg
-        grads[p + "attn_ln.bias"] += dbias
-        dattn_out = dz1 if lc.attn_drop is None else dz1 * lc.attn_drop
-        ctx2d = lc.ctx.reshape(-1, cfg.embed_dim)
-        grads[p + "attn.wo"] += ctx2d.T @ dattn_out.reshape(-1, cfg.embed_dim)
-        grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
-        dctx = _split_heads(dattn_out @ t[p + "attn.wo"].T, cfg.num_heads)
-
-        dv = lc.probs.transpose(0, 1, 3, 2) @ dctx
-        dscores = _softmax_backward(lc.probs, dctx @ lc.v.transpose(0, 1, 3, 2),
-                                    _split_heads(lc.ctx, cfg.num_heads), dctx)
-        dq = (dscores @ lc.k) * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ lc.q  # q carries the scale already
-
-        # Queries (and the residual) come from the layer's rows only; keys and values from every row.
-        # The sums keep the order ((dz1 + dq Wq^T) + dk Wk^T) + dv Wv^T of an all-rows layer.
-        dx = np.zeros_like(lc.x_in)
-        for name, dproj in (("q", dq), ("k", dk), ("v", dv)):
-            dmerged = _merge_heads(dproj)
-            x_src = lc.x_in[:, rows] if name == "q" else lc.x_in
-            grads[p + f"attn.w{name}"] += x_src.reshape(-1, cfg.embed_dim).T @ dmerged.reshape(-1, cfg.embed_dim)
-            if name != "k":  # the key projection has no bias
-                grads[p + f"attn.b{name}"] += dmerged.sum(axis=(0, 1))
-            if name == "q":
-                dx[:, rows] = dz1 + dmerged @ t[p + "attn.wq"].T
-            else:
-                dx += dmerged @ t[p + f"attn.w{name}"].T
+        lc = cache.layers.pop()
+        dx = _ffn_backward(cfg, t, p, lc, dx, grads)
+        dx = _attn_backward(cfg, t, p, _query_rows(cfg, i), lc, dx, grads)
+    del lc
 
     if cache.emb_drop is not None:
         dx = dx * cache.emb_drop

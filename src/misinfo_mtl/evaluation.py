@@ -67,6 +67,11 @@ def check_fewshot_inputs(stage1_model: MultiTaskModel, unseen_dataset: datamod.D
         raise ValueError(f"task {name!r} is already registered; few-shot targets unseen tasks")
 
 
+def _with_new_head(model: MultiTaskModel, spec, seed: int) -> MultiTaskModel:
+    """``model`` plus a fresh head for ``spec``, sharing every existing array with it (``_fit`` copies them)."""
+    return register_task(replace(model, tasks=dict(model.tasks), heads=dict(model.heads)), spec, seed)
+
+
 def fewshot_run(
     stage1_model: MultiTaskModel,
     unseen_dataset: datamod.Dataset,
@@ -89,8 +94,7 @@ def fewshot_run(
     train_examples = [unseen_dataset.examples[i] for i in order[: cfg.k]]
     test_examples = [unseen_dataset.examples[i] for i in order[cfg.k :]]
 
-    model = stage1_model.clone()
-    register_task(model, spec, head_seed(cfg.seed, spec.name))
+    model = _with_new_head(stage1_model, spec, head_seed(cfg.seed, spec.name))
     shots = datamod.Dataset(spec=spec, examples=tuple(train_examples))
     split = datamod.SplitDataset(
         train=shots, validation=shots, test=datamod.Dataset(spec=spec, examples=tuple(test_examples)))
@@ -233,8 +237,7 @@ def loocv_run(
     fold_results: list[LoocvFold] = []
     reports: list[MetricsReport] = []
     for i, fold in enumerate(folds):
-        fold_model = stage1.clone()
-        register_task(fold_model, eval_dataset.spec, head_seed(train_config.seed + i, eval_task))
+        fold_model = _with_new_head(stage1, eval_dataset.spec, head_seed(train_config.seed + i, eval_task))
         rest, held = datamod.carve_validation(
             fold.train, fraction=val_fraction, seed=train_config.seed + i
         )

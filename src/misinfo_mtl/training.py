@@ -324,9 +324,10 @@ def _fit(
                 stop_reason = "diverged"
                 break
             current_lr = lr_at(step, total_steps, config.learning_rate)
-            flat = flatten_params(model)
-            updated, opt_state = adam_step(flat, grads, opt_state, current_lr)
-            assign_params(model, updated)
+            # One parameter generation between steps: the old arrays die as the updated ones are assigned,
+            # and the gradients before the next forward (adam_step updates opt_state in place).
+            assign_params(model, adam_step(flatten_params(model), grads, opt_state, current_lr)[0])
+            del grads
             loss_sums[task] += loss
             loss_counts[task] += 1
             step += 1

@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,25 @@ def test_checkpoint_bytes_are_deterministic(tmp_path, tiny_model):
     save_model(p1, tiny_model)
     save_model(p2, tiny_model)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_and_load_copy_each_tensor_at_most_once(tmp_path):
+    # A 4,000-row table dominates the file, so each full copy of the tensors shows as one file size of traced memory.
+    model = MultiTaskModel(encoder=init_encoder(tiny_config(vocab_size=4000, embed_dim=64, num_heads=4)))
+    path = tmp_path / "big.ckpt"
+    tracemalloc.start()
+    try:
+        save_model(path, model)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_model(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert save_peak < 0.5 * size  # the arrays' own buffers are written, not bytes copies
+    assert load_peak < 2.25 * size  # the file's bytes plus one copy per tensor
+    assert all(arr.flags.writeable for arr in loaded.encoder.tensors.values())  # copies, not views of the file
 
 
 def test_rejects_bad_magic(tmp_path):

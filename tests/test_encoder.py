@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -136,8 +137,10 @@ def test_cached_gelu_cdf_gives_bit_identical_gradients(monkeypatch):
         assert np.array_equal(lc.h_pre * lc.h_cdf, 0.5 * lc.h_pre * (1.0 + enc.erf(lc.h_pre / math.sqrt(2.0))))
         assert np.array_equal(gelu_grad(lc.h_pre, lc.h_cdf), gelu_grad(lc.h_pre))
     cached = backward(params, cache, up)
-    # reference: the backward pass recomputing erf from h_pre in every layer
+    # reference: the backward pass recomputing erf from h_pre in every layer, over a cache of its own
+    # (backward consumes its cache; eval mode draws nothing, so the second forward caches the same values)
     monkeypatch.setattr(enc, "gelu_grad", lambda x, cdf=None: gelu_grad(x))
+    _, cache = encode_batch(params, batch, return_cache=True)
     recomputed = backward(params, cache, up)
     for name in cached:
         assert np.array_equal(cached[name], recomputed[name]), name
@@ -199,6 +202,41 @@ def test_backward_without_forward_errors():
     params = init_encoder(tiny_config())
     with pytest.raises(ValueError, match="forward"):
         backward(params, None, np.zeros((2, 16)))
+
+
+def test_backward_refuses_a_spent_cache():
+    params = init_encoder(tiny_config(max_seq_len=100))
+    batch = _three_class_batch(12, rows=6, length=100)
+    up = np.random.default_rng(13).standard_normal((batch.size, 16))
+    _, caches = encode_batch(params, batch, return_cache=True)
+    assert len(caches) >= 3
+    first = backward(params, caches, up)
+    assert all(c.layers == [] for c in caches)  # every layer's activations were released
+    with pytest.raises(ValueError, match="already consumed by a backward call"):
+        backward(params, caches, up)
+    with pytest.raises(ValueError, match="already consumed"):  # one spent run among fresh ones
+        backward(params, encode_batch(params, batch, return_cache=True)[1][:-1] + caches[-1:], up)
+    again = backward(params, encode_batch(params, batch, return_cache=True)[1], up)
+    assert all(np.array_equal(first[name], again[name]) for name in first)
+
+
+def test_one_long_run_backward_allocates_under_two_score_arrays():
+    # One 16-row run at width 128 (RUN_CELLS / 128 rows), d=64, H=4: its (B, H, L, L) probabilities are 8 MiB.
+    config = EncoderConfig(vocab_size=300, embed_dim=64, num_heads=4, ffn_dim=128, max_seq_len=128)
+    params = init_encoder(config)
+    batch = Batch(np.random.default_rng(15).integers(3, 300, size=(16, 128)), np.full(16, 128))
+    up = np.random.default_rng(16).standard_normal((16, 64))
+    _, caches = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(17), return_cache=True)
+    assert len(caches) == 1
+    score_bytes = caches[0].layers[0].probs.nbytes
+    assert score_bytes == 16 * 4 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        backward(params, caches, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * score_bytes, peak / 2**20
 
 
 def test_zero_upstream_gives_zero_gradients():
@@ -471,9 +509,10 @@ def test_token_emb_gradient_sums_repeated_ids_like_a_dense_scatter(pooling):
     got = backward(params, caches, upstream)["token_emb"]
     assert isinstance(got, enc.RowSparseGrad) and got.shape == (len(set.union(*runs)), config.embed_dim)
     assert got.ids.tolist() == sorted(set.union(*runs))
-    # reference: each run's token gradients scattered into a zeroed table with np.add.at, in class order
+    # reference: each run's token gradients scattered into a zeroed table with np.add.at, in class order,
+    # from caches of their own (backward consumed the first ones; eval mode caches the same values again)
     dense = np.zeros_like(params.tensors["token_emb"])
-    for c in caches:
+    for c in encode_batch(params, batch, return_cache=True)[1]:
         np.add.at(dense, c.ids, enc._backward_rows(params, c, upstream[c.batch_rows])[1])
     assert got.dense(config.vocab_size).tobytes() == dense.tobytes()
 
@@ -568,6 +607,7 @@ def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkey
         sys.setswitchinterval(1e-6 if workers == 4 else interval)
         try:
             pooled, caches = encode_batch(params, batch, train_mode=train_mode, rng=rng, return_cache=True)
+            masks = [m for c in caches for m in _cached_masks(c)]  # before backward consumes the layers
             grads = backward(params, caches, upstream)
         finally:
             sys.setswitchinterval(interval)
@@ -575,7 +615,7 @@ def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkey
             enc._pool.shutdown()
         assert _runs_by_class(caches, batch) == [1, 3]
         assert len(names) == 8 and "MainThread" in names and (len(set(names)) > 1) == (workers > 1), names
-        masks = [m for c in caches for m in _cached_masks(c)]
+        assert len(masks) == len(caches) * (1 + 2 * config.num_layers)  # every layer's masks are compared
         assert all(m is None for m in masks) != train_mode
         seen[workers] = (
             [pooled.tobytes(), grads["token_emb"].ids.tobytes(), rng.bit_generator.state]
@@ -844,7 +884,7 @@ def test_in_place_softmax_and_its_backward_are_bit_identical_to_reference():
     ctx, dctx = probs @ v, rng.standard_normal((b, h, lq, dh))
     dprobs = dctx @ v.transpose(0, 1, 3, 2)
     expected = _ref_softmax_backward(probs, dprobs)
-    got = enc._softmax_backward(probs, dprobs.copy(), ctx, dctx)
+    got = enc._softmax_backward(probs, dprobs.copy(), ctx, dctx, out=np.empty_like(probs))
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.all(got[np.broadcast_to(mask[:, None, None, :] == 0, got.shape)] == 0.0)
 

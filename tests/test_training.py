@@ -1,4 +1,5 @@
 import inspect
+import weakref
 from collections import Counter
 from dataclasses import fields
 
@@ -369,6 +370,27 @@ def test_training_leaves_input_model_untouched():
     after = flatten_params(model)
     for k in before:
         assert np.array_equal(before[k], after[k])
+
+
+def test_training_holds_one_parameter_generation_between_steps(monkeypatch):
+    # When a step starts, the token table the previous step started from (updated away since) and that
+    # step's gradients are gone: nothing of the previous generation lives through the next forward and backward.
+    model, splits = _tiny_setup()
+    real, previous = training.task_step_gradients, []
+
+    def step(model, *args, **kwargs):
+        if previous:
+            table, grad = previous[-1]
+            assert table() is None, f"step {len(previous) + 1}: the previous step's token table is alive"
+            assert grad() is None, f"step {len(previous) + 1}: the previous step's token gradient is alive"
+        table = weakref.ref(model.encoder.tensors["token_emb"])
+        loss, grads = real(model, *args, **kwargs)
+        previous.append((table, weakref.ref(grads["encoder.token_emb"])))
+        return loss, grads
+
+    monkeypatch.setattr(training, "task_step_gradients", step)
+    train_multitask(model, splits, _quick_config(max_epochs=2, patience=2))
+    assert len(previous) >= 4  # two epochs of at least two steps
 
 
 def test_single_task_multitask_equals_finetune_loop():
