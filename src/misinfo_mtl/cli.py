@@ -483,7 +483,7 @@ _FLAGS = {
     "--quiet": {"action": "store_true", "help": "suppress per-epoch progress"},
 }
 _TASK_SPEC = ("--task", "--labels", "--granularity", "--positive")
-_RUN = ("--seed", "--out", "--quiet")
+_RUN = ("--seed", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,11 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("train", cmd_train, "stage-1 joint multi-task training", "--config", *_RUN)
+    command("train", cmd_train, "stage-1 joint multi-task training", "--config", *_RUN, "--quiet")
     command("finetune", cmd_finetune, "stage-2 per-task fine-tuning of a checkpoint",
-            "--config", "--checkpoint", "--vocab", "--task", *_RUN)
+            "--config", "--checkpoint", "--vocab", "--task", *_RUN, "--quiet")
     p = command("fewshot", cmd_fewshot, "k-shot adaptation to an unseen dataset",
-                "--checkpoint", "--vocab", "--dataset", *_TASK_SPEC, *_RUN)
+                "--checkpoint", "--vocab", "--dataset", *_TASK_SPEC, *_RUN, "--quiet")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", default="full-model", choices=("full-model", "head-only"))
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)

@@ -1,10 +1,9 @@
 """Word-level tokenization: text to CLS-prefixed id sequences, batched with their lengths.
 
-A batch holds every row's real length, and PAD after each row's real ids.
-``width_groups`` splits rows by width class; the encoder cuts each class of a
-batch into runs, each at its own longest real row. The vocabulary is immutable
-once built and the encoding and batching functions are pure, so everything
-here is safe to share across threads.
+A batch holds every row's real length, and PAD after each row's real ids; how
+a batch is cut into runs by those lengths is the encoder's decision. The
+vocabulary is immutable once built and the encoding and batching functions
+are pure, so everything here is safe to share across threads.
 """
 
 import re
@@ -20,10 +19,6 @@ PAD_ID = 0
 UNK_ID = 1
 CLS_ID = 2
 RESERVED_TOKENS = ("<pad>", "<unk>", "<cls>")
-# A row's width class is ceil(real length / WIDTH_CLASS). Classes this coarse
-# keep all short texts together: where length tracks the label, an exact length
-# sort builds label-pure train batches and training suffers.
-WIDTH_CLASS = 32
 
 # Words are runs of word characters; every punctuation mark is its own token.
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
@@ -137,13 +132,6 @@ def pad_batch(seqs: list[tuple[int, ...]]) -> Batch:
     batch = Batch(np.full((lengths.size, lengths.max()), PAD_ID, dtype=np.int64), lengths)
     batch.ids[batch.mask] = [i for seq in seqs for i in seq]
     return batch
-
-
-def width_groups(lengths: np.ndarray) -> list[np.ndarray]:
-    """Indices of ``lengths`` per width class, ascending by class, each in index order."""
-    classes = -(-np.asarray(lengths) // WIDTH_CLASS)
-    # bincount, not np.unique: unique imports numpy.ma, about 1.5 MB of resident memory
-    return [np.flatnonzero(classes == c) for c in np.flatnonzero(np.bincount(classes))]
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:

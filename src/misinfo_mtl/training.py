@@ -6,8 +6,9 @@ applies one Adam update, so each epoch exposes every task to (nearly) the same
 number of examples. Stage 2 continues training the jointly trained model on a
 single task, selected by that task's validation loss.
 
-The loop is single-threaded and fully determined by (datasets, config.seed);
-independent runs can be parallelized as separate processes.
+A run is fully determined by (datasets, config.seed): the encoder spreads a
+step's runs over a thread pool, but its results do not depend on the CPU count.
+Independent runs can be parallelized as separate processes.
 """
 
 import math
@@ -20,7 +21,7 @@ from .encoder import RowSparseGrad, split_runs
 from .multitask import (
     MultiTaskModel, assign_params, encode_for_task, flatten_params, require_task, score, task_step_gradients,
 )
-from .tokenization import Batch, width_groups
+from .tokenization import Batch
 
 
 @dataclass(frozen=True)
@@ -93,33 +94,6 @@ def make_epoch_schedule(dataset_sizes: dict[str, int], batch_size: int, seed: in
             batches.append((task, tuple(int(i) for i in chunk)))
     shuffled = rng.permutation(len(batches))
     return EpochSchedule(batches=tuple(batches[i] for i in shuffled))
-
-
-def width_grouped_batches(batches, lengths: dict[str, np.ndarray], seed: int) -> list[tuple[str, np.ndarray]]:
-    """Regroup each task's scheduled rows so that rows of one width class share a batch.
-
-    A task's rows (``lengths`` holds each row's real length) are pooled, stably
-    sorted by width class, cut back into its batch sizes and dealt to its slots
-    in an order drawn from ``seed``. Every slot keeps its task and batch size;
-    a task with one slot, or whose rows share one class, keeps its batches.
-    """
-    out = [(task, np.asarray(idx, dtype=np.int64)) for task, idx in batches]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 209]))  # the dropout stream uses 208
-    for task in sorted(lengths):
-        slots = [s for s, (t, _) in enumerate(out) if t == task]
-        if len(slots) < 2:
-            continue
-        pool = np.concatenate([out[s][1] for s in slots])
-        groups = width_groups(lengths[task][pool])
-        if len(groups) == 1:
-            continue
-        pool = pool[np.concatenate(groups)]
-        start = 0
-        for s in rng.permutation(slots):
-            size = out[s][1].size
-            out[s] = (task, pool[start : start + size])
-            start += size
-    return out
 
 
 def lr_at(step: int, total_steps: int, base_lr: float) -> float:
@@ -292,7 +266,6 @@ def _fit(
         }
 
     sizes = {task: encoded[task]["train"][0].size for task in encoded}
-    lengths = {task: encoded[task]["train"][0].lengths for task in encoded}
     batches_per_epoch = len(sizes) * math.ceil(max(sizes.values()) / config.batch_size)
     # Decay horizon is fixed up front so lr is defined even under early stopping.
     total_steps = batches_per_epoch * config.max_epochs
@@ -306,14 +279,14 @@ def _fit(
     current_lr = config.learning_rate
 
     for epoch in range(1, config.max_epochs + 1):
-        seed = epoch_seed(config.seed, epoch)
-        schedule = make_epoch_schedule(sizes, config.batch_size, seed)
+        schedule = make_epoch_schedule(sizes, config.batch_size, epoch_seed(config.seed, epoch))
         loss_sums: dict[str, float] = {t: 0.0 for t in sizes}
         loss_counts: dict[str, int] = {t: 0 for t in sizes}
         cells = {t: np.zeros(2, dtype=np.int64) for t in sizes}  # real tokens, computed cells
-        for task, rows in width_grouped_batches(schedule.batches, lengths, seed):
+        for task, idx in schedule.batches:
             batch, labels = encoded[task]["train"]
-            batch = Batch(batch.ids[rows], lengths[task][rows])
+            rows = np.asarray(idx)
+            batch = Batch(batch.ids[rows], batch.lengths[rows])
             cells[task] += (batch.lengths.sum(),
                             sum((c.stop - c.start) * w for *_, cuts in split_runs(batch.lengths) for c, w in cuts))
             loss, grads = task_step_gradients(

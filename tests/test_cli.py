@@ -177,7 +177,7 @@ def test_ablation_command_rows(workdir, capsys):
     out = workdir / "abl"
     rc = main(["ablation", "--config", str(workdir / "run.cfg"), "--task", "alpha",
                "--subset", "alpha", "--subset", "alpha,beta", "--seed", "0",
-               "--out", str(out), "--quiet"])
+               "--out", str(out)])
     assert rc == 0
     payload = json.loads((out / "metrics.json").read_text())
     assert set(payload["rows"]) == {"alpha", "alpha+beta"}
@@ -199,7 +199,7 @@ def test_loocv_command(workdir, capsys, tmp_path):
     cfg.write_text(cfg.read_text().replace("tasks = alpha,beta", "tasks = alpha,beta,rumorlike"))
     out = tmp_path / "lo"
     rc = main(["loocv", "--config", str(cfg), "--task", "rumorlike", "--seed", "0",
-               "--out", str(out), "--quiet"])
+               "--out", str(out)])
     assert rc == 0
     payload = json.loads((out / "metrics.json").read_text())
     assert payload["stage1_tasks"] == ["alpha", "beta"]
@@ -220,8 +220,8 @@ def test_train_ablation_and_loocv_build_the_vocabulary_the_config_asks_for(tmp_p
                    .replace("max_epochs = 2\npatience = 2", "max_epochs = 1\npatience = 1")
                    + f"dataset.rumorlike = {events}/rumorlike.jsonl\nlabels.rumorlike = negative,positive\n"
                    + "max_vocab = 12\n")
-    common = ["--config", str(cfg), "--seed", "0", "--quiet"]
-    assert main(["train", *common, "--out", str(tmp_path / "train")]) == 0
+    common = ["--config", str(cfg), "--seed", "0"]
+    assert main(["train", *common, "--quiet", "--out", str(tmp_path / "train")]) == 0
     assert main(["ablation", *common, "--task", "alpha", "--subset", "alpha,beta", "--out", str(tmp_path / "abl")]) == 0
     assert main(["loocv", *common, "--task", "rumorlike", "--out", str(tmp_path / "lo")]) == 0
     assert sizes == [12, 12, 12]  # train, the one ablation row, loocv's stage 1
@@ -384,12 +384,12 @@ def stage1(tmp_path_factory):
 
 
 RUN_COMMANDS = {
-    "train": lambda r: ["train", "--config", str(r / "run.cfg")],
+    "train": lambda r: ["train", "--config", str(r / "run.cfg"), "--quiet"],
     "finetune": lambda r: ["finetune", "--config", str(r / "run.cfg"), "--task", "alpha",
-                           "--checkpoint", str(r / "run" / "seed0" / "model.ckpt")],
+                           "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"), "--quiet"],
     "fewshot": lambda r: ["fewshot", "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"),
                           "--dataset", str(r / "data" / "gamma.jsonl"), "--task", "gamma",
-                          "--labels", "negative,positive", "--k", "10", "--max-epochs", "1"],
+                          "--labels", "negative,positive", "--k", "10", "--max-epochs", "1", "--quiet"],
     "loocv": lambda r: ["loocv", "--config", str(r / "loocv.cfg"), "--task", "rumorlike"],
     "ablation": lambda r: ["ablation", "--config", str(r / "run.cfg"), "--task", "alpha",
                            "--subset", "alpha", "--subset", "alpha,beta"],
@@ -400,7 +400,7 @@ RUN_COMMANDS = {
 def test_run_directory_is_complete_and_rerun_identical(stage1, tmp_path, command):
     first, second = tmp_path / "first", tmp_path / "second"
     for out in (first, second):
-        assert main(RUN_COMMANDS[command](stage1) + ["--seed", "0", "--out", str(out), "--quiet"]) == 0
+        assert main(RUN_COMMANDS[command](stage1) + ["--seed", "0", "--out", str(out)]) == 0
     for name in ("manifest.json", "config.txt", "metrics.json", "report.jsonl"):
         assert (first / name).is_file(), name
     if command in ("train", "finetune"):
@@ -421,8 +421,8 @@ def test_vocab_of_another_size_exits_2_before_writing(stage1, tmp_path, capsys, 
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("\n".join(lines) + "\n")
     argv = {
-        "finetune": RUN_COMMANDS["finetune"](stage1) + ["--seed", "0", "--quiet"],
-        "fewshot": RUN_COMMANDS["fewshot"](stage1) + ["--seed", "0", "--quiet"],
+        "finetune": RUN_COMMANDS["finetune"](stage1) + ["--seed", "0"],
+        "fewshot": RUN_COMMANDS["fewshot"](stage1) + ["--seed", "0"],
         "eval": ["eval", "--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"),
                  "--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
     }[command]
@@ -495,7 +495,7 @@ BAD_ADAPTATIONS = {
 def test_bad_adaptation_exits_1_before_writing(stage1, tmp_path, capsys, case):
     argv, message = BAD_ADAPTATIONS[case]
     out = tmp_path / "run"
-    assert main(argv(stage1) + ["--seed", "0", "--out", str(out), "--quiet"]) == 1
+    assert main(argv(stage1) + ["--seed", "0", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err, err
     assert not out.exists()
@@ -543,7 +543,7 @@ for _command in ("train", "finetune", "loocv", "ablation"):
 def test_bad_training_settings_exit_2_before_writing(stage1, tmp_path, capsys, case):
     argv, message = BAD_SETTINGS[case]
     out = tmp_path / "run"
-    assert main(argv(stage1, tmp_path) + ["--out", str(out), "--quiet"]) == 2
+    assert main(argv(stage1, tmp_path) + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
     assert not out.exists()
@@ -567,6 +567,8 @@ def test_bad_suite_settings_exit_2_writing_nothing(tmp_path, monkeypatch, capsys
     ["eval", "--seed", "0"],
     ["eval", "--quiet"],
     ["gen-synthetic", "--quiet"],
+    ["loocv", "--quiet"],
+    ["ablation", "--quiet"],
     ["gen-synthetic", "--seed", "1", "--seed", "2"],
 ], ids=lambda argv: "-".join(argv).replace("--", ""))
 def test_flags_a_command_does_not_read_exit_2_writing_nothing(stage1, tmp_path, monkeypatch, capsys, argv):
@@ -578,6 +580,8 @@ def test_flags_a_command_does_not_read_exit_2_writing_nothing(stage1, tmp_path, 
         "eval": ["--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"),
                  "--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
         "gen-synthetic": ["--out", "suite"],
+        "loocv": ["--config", str(stage1 / "loocv.cfg"), "--task", "rumorlike", "--seed", "0"],
+        "ablation": ["--config", str(stage1 / "run.cfg"), "--task", "alpha", "--subset", "alpha", "--seed", "0"],
     }[command]
     assert main([command, *needs, *flags]) == 2
     err = capsys.readouterr().err
@@ -588,7 +592,7 @@ def test_flags_a_command_does_not_read_exit_2_writing_nothing(stage1, tmp_path, 
 def test_fewshot_training_flags_get_their_own_run_directory(stage1, tmp_path, monkeypatch):
     # each run differs from the first in one training flag only
     monkeypatch.chdir(tmp_path)
-    base = RUN_COMMANDS["fewshot"](stage1) + ["--max-epochs", "2", "--seed", "0", "--quiet"]
+    base = RUN_COMMANDS["fewshot"](stage1) + ["--max-epochs", "2", "--seed", "0"]
     for flags in ([], ["--learning-rate", "1e-3"], ["--patience", "1"], ["--max-epochs", "3"]):
         assert main(base + flags) == 0
     configs = sorted((run / "config.txt").read_text() for run in (tmp_path / "runs").iterdir())

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from misinfo_mtl.encoder import (
+    WIDTH_CLASS,
     EncoderConfig,
     EncoderParams,
     backward,
@@ -23,7 +24,7 @@ from misinfo_mtl.encoder import (
     param_shapes,
 )
 from misinfo_mtl import encoder as enc
-from misinfo_mtl.tokenization import WIDTH_CLASS, Batch
+from misinfo_mtl.tokenization import Batch
 
 from conftest import finite_difference_check, random_batch, tiny_config, trim_batch, with_lengths
 

@@ -1,0 +1,46 @@
+"""The data layer imports nothing from the model layer, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import misinfo_mtl
+
+PACKAGE = Path(misinfo_mtl.__file__).parent
+DATA_LAYER = ("atomic", "tasks", "tokenization", "data", "metrics")
+MODEL_LAYER = {"encoder", "multitask", "training", "evaluation", "checkpoint", "cli"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``misinfo_mtl`` modules a source imports, anywhere in the file, in any import form."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["misinfo_mtl" if node.level else None, node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return {name.split(".")[1] for name in names if name.startswith("misinfo_mtl.")}
+
+
+@pytest.mark.parametrize("source", [
+    "from .encoder import EncoderConfig",
+    "from . import encoder as enc",
+    "from misinfo_mtl.encoder import split_runs",
+    "from misinfo_mtl import atomic, encoder",
+    "import misinfo_mtl.encoder",
+    "def f():\n    from .encoder import split_runs\n",
+])
+def test_every_import_form_is_read(source):
+    assert "encoder" in package_imports(source)
+
+
+def test_the_model_layer_is_seen_where_it_is_imported():
+    assert {"encoder", "multitask"} <= package_imports((PACKAGE / "training.py").read_text())
+
+
+@pytest.mark.parametrize("module", DATA_LAYER)
+def test_data_layer_module_imports_no_model_layer_module(module):
+    assert package_imports((PACKAGE / f"{module}.py").read_text()) & MODEL_LAYER == set()

@@ -5,16 +5,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from misinfo_mtl import encoder as enc
 from misinfo_mtl import training
 from misinfo_mtl.data import (
     Dataset, Example, SplitDataset, SyntheticSuiteConfig, generate_synthetic_suite, make_dataset, split,
 )
-from misinfo_mtl.encoder import EncoderConfig, RowSparseGrad
-from misinfo_mtl.multitask import TaskSpec, build_model, flatten_params
-from misinfo_mtl.tokenization import WIDTH_CLASS, build_vocab
+from misinfo_mtl.encoder import WIDTH_CLASS, EncoderConfig, RowSparseGrad
+from misinfo_mtl.multitask import TaskSpec, build_model, encode_for_task, flatten_params
+from misinfo_mtl.tokenization import build_vocab
 from misinfo_mtl.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -23,11 +22,11 @@ from misinfo_mtl.training import (
     EarlyStopper,
     TrainConfig,
     adam_step,
+    epoch_seed,
     finetune_task,
     lr_at,
     make_epoch_schedule,
     train_multitask,
-    width_grouped_batches,
 )
 
 TABLE1_SIZES = {"newsbias": 7984, "fakenews": 1627, "rumor": 1705, "clickbait": 19538}
@@ -99,68 +98,6 @@ def test_schedule_rejects_bad_input():
         make_epoch_schedule({}, 32, 0)
     with pytest.raises(ValueError, match="no examples"):
         make_epoch_schedule({"A": 0}, 32, 0)
-
-
-@st.composite
-def _scheduled_lengths(draw):
-    """An epoch schedule over 1-3 tasks plus a real length for every row of every task."""
-    sizes = {f"t{i}": draw(st.integers(1, 40)) for i in range(draw(st.integers(1, 3)))}
-    lengths = {}
-    for task, n in sizes.items():
-        longest = draw(st.sampled_from([8, WIDTH_CLASS, 2 * WIDTH_CLASS, 130]))
-        lengths[task] = np.array(draw(st.lists(st.integers(1, longest), min_size=n, max_size=n)), dtype=np.int64)
-    seed = draw(st.integers(0, 2**32))
-    return make_epoch_schedule(sizes, draw(st.integers(1, 12)), seed), lengths, seed
-
-
-def _width_classes(lengths, rows):
-    return -(-lengths[rows] // WIDTH_CLASS)
-
-
-def _computed_cells(lengths):
-    """Cells the encoder computes for a batch: per width class, its runs of min(32, 2048 // class width)
-    rows, each run's rows times its own longest row."""
-    classes = _width_classes(lengths, slice(None))
-    cells = 0
-    for c in np.unique(classes):
-        rows = lengths[classes == c]
-        step = min(32, max(1, 2048 // rows.max()))
-        cells += sum(int(rows[i:i + step].size * rows[i:i + step].max()) for i in range(0, rows.size, step))
-    return cells
-
-
-@settings(max_examples=300, deadline=None)
-@given(_scheduled_lengths())
-def test_width_grouping_keeps_slots_and_rows(case):
-    schedule, lengths, seed = case
-    grouped = width_grouped_batches(schedule.batches, lengths, seed)
-    assert [(t, len(idx)) for t, idx in schedule.batches] == [(t, rows.size) for t, rows in grouped]
-    assert all(rows.dtype == np.int64 for _, rows in grouped)
-    for task in lengths:
-        before = [np.asarray(idx) for t, idx in schedule.batches if t == task]
-        after = [rows for t, rows in grouped if t == task]
-        assert sorted(np.concatenate(before).tolist()) == sorted(np.concatenate(after).tolist())
-        classes = np.unique(_width_classes(lengths[task], np.concatenate(before)))
-        if classes.size == 1 or len(before) == 1:
-            assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        mixed = sum(np.unique(_width_classes(lengths[task], rows)).size > 1 for rows in after)
-        assert mixed <= classes.size - 1
-    again = width_grouped_batches(schedule.batches, lengths, seed)
-    assert all(t == u and np.array_equal(a, b) for (t, a), (u, b) in zip(grouped, again))
-
-
-def test_width_grouping_deals_batches_from_its_seed():
-    sizes = {"a": 64, "b": 64}
-    lengths = {t: np.where(np.arange(64) % 4 == 0, 100, 5) for t in sizes}
-    schedule = make_epoch_schedule(sizes, 8, seed=3)
-    deals = {
-        tuple(tuple(rows.tolist()) for _, rows in width_grouped_batches(schedule.batches, lengths, seed))
-        for seed in range(6)
-    }
-    assert len(deals) > 1
-    # the long rows fill two batches of each task whichever slots they land in
-    for _, rows in width_grouped_batches(schedule.batches, lengths, 0):
-        assert np.unique(_width_classes(lengths["a"], rows)).size == 1
 
 
 def test_lr_at_linear_decay():
@@ -542,7 +479,7 @@ def test_stage2_improves_or_ties_validation_macro_f1():
     assert np.mean(stage2_scores) >= np.mean(stage1_scores) - 1e-9
 
 
-# --- width-grouped batches in the loop --------------------------------------------
+# --- scheduled batches in the loop, over long-tailed lengths ------------------------
 
 
 def _long_tailed_setup():
@@ -565,16 +502,12 @@ def _long_tailed_setup():
     return model, splits
 
 
-def _scheduled_order(batches, lengths, seed):
-    return [(task, np.asarray(idx, dtype=np.int64)) for task, idx in batches]
-
-
 def _record_steps(monkeypatch, model, splits, config):
-    """Run the loop with a stub step that draws from the dropout generator and updates nothing."""
+    """Run the loop with a stub step that records its batch and labels and updates nothing."""
     steps = []
 
     def stub(model, task, batch, labels, train_mode, rng, train_encoder):
-        steps.append((task, batch.lengths.copy(), rng.random(2)))
+        steps.append((task, batch.ids.copy(), batch.lengths.copy(), labels.copy()))
         return 0.0, {}
 
     monkeypatch.setattr(training, "task_step_gradients", stub)
@@ -582,30 +515,49 @@ def _record_steps(monkeypatch, model, splits, config):
     return steps, hist
 
 
-def test_width_grouping_leaves_the_dropout_stream_alone(monkeypatch):
+def _computed_cells(lengths):
+    """Cells the encoder computes for a batch: per width class, its runs of min(32, 2048 // class width)
+    rows, each run's rows times its own longest row."""
+    classes = -(-lengths // WIDTH_CLASS)
+    cells = 0
+    for c in np.unique(classes):
+        rows = lengths[classes == c]
+        step = min(32, max(1, 2048 // rows.max()))
+        cells += sum(int(rows[i:i + step].size * rows[i:i + step].max()) for i in range(0, rows.size, step))
+    return cells
+
+
+def test_training_steps_take_the_scheduled_batches_in_order(monkeypatch):
     model, splits = _long_tailed_setup()
     config = _quick_config(max_epochs=2, patience=2)
-    grouped, hist = _record_steps(monkeypatch, model, splits, config)
-    monkeypatch.setattr(training, "width_grouped_batches", _scheduled_order)
-    scheduled, scheduled_hist = _record_steps(monkeypatch, model, splits, config)
+    steps, hist = _record_steps(monkeypatch, model, splits, config)
+    encoded = {t: encode_for_task(splits[t].train.examples, model.tasks[t], model.vocab, model.config.max_seq_len)
+               for t in splits}
+    sizes = {t: batch.size for t, (batch, _) in encoded.items()}
+    expected = [b for e in range(1, len(hist.epochs) + 1)
+                for b in make_epoch_schedule(sizes, config.batch_size, epoch_seed(config.seed, e)).batches]
+    assert len(hist.epochs) == 2 and len(steps) == len(expected)
+    for (task, ids, lengths, labels), (want, idx) in zip(steps, expected):
+        batch, task_labels = encoded[want]
+        rows = np.asarray(idx)
+        assert task == want
+        assert np.array_equal(lengths, batch.lengths[rows]) and np.array_equal(labels, task_labels[rows])
+        assert np.array_equal(ids, batch.ids[rows])
+    # the long rows land in batches with short ones, which the encoder then runs by width class
+    assert any(np.unique(-(-lengths // WIDTH_CLASS)).size > 1 for _, _, lengths, _ in steps)
 
-    assert [task for task, _, _ in grouped] == [task for task, _, _ in scheduled]
-    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(grouped, scheduled))
-    # grouping fired: the same rows, with fewer batches mixing width classes
-    mixed = [sum(np.unique(_width_classes(n, slice(None))).size > 1 for _, n, _ in steps)
-             for steps in (grouped, scheduled)]
-    assert mixed[0] < mixed[1]
-    assert sum(int(n.sum()) for _, n, _ in grouped) == sum(int(n.sum()) for _, n, _ in scheduled)
 
+def test_train_pad_fraction_is_over_each_tasks_batches_of_the_epoch(monkeypatch):
+    model, splits = _long_tailed_setup()
+    steps, hist = _record_steps(monkeypatch, model, splits, _quick_config(max_epochs=2, patience=2))
     # train_pad_fraction is 1 - real tokens / computed cells over each task's batches of an epoch
-    per_epoch = len(grouped) // len(hist.epochs)
-    for steps, h in ((grouped, hist), (scheduled, scheduled_hist)):
-        for e, record in enumerate(h.epochs):
-            epoch_steps = steps[e * per_epoch : (e + 1) * per_epoch]
-            for task in ("alpha", "beta"):
-                lengths = [n for t, n, _ in epoch_steps if t == task]
-                expected = 1.0 - sum(int(n.sum()) for n in lengths) / sum(_computed_cells(n) for n in lengths)
-                assert record.train_pad_fraction[task] == pytest.approx(expected, rel=1e-12)
+    per_epoch = len(steps) // len(hist.epochs)
+    for e, record in enumerate(hist.epochs):
+        epoch_steps = steps[e * per_epoch : (e + 1) * per_epoch]
+        for task in ("alpha", "beta"):
+            lengths = [n for t, _, n, _ in epoch_steps if t == task]
+            expected = 1.0 - sum(int(n.sum()) for n in lengths) / sum(_computed_cells(n) for n in lengths)
+            assert record.train_pad_fraction[task] == pytest.approx(expected, rel=1e-12)
 
 
 def test_train_pad_fraction_counts_the_runs_the_encoder_computes(monkeypatch):
@@ -634,7 +586,7 @@ def test_train_pad_fraction_counts_the_runs_the_encoder_computes(monkeypatch):
     assert hist.epochs[0].train_pad_fraction["alpha"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_width_grouped_training_reruns_bit_identically():
+def test_long_tailed_training_reruns_bit_identically():
     model, splits = _long_tailed_setup()
     config = _quick_config(max_epochs=2, patience=2)
     m1, h1 = train_multitask(model, splits, config)
