@@ -1,12 +1,13 @@
 """Self-describing binary checkpoint container.
 
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON header
-(kind "multitask", encoder config, task registry, tensor names + shapes), then
-the tensor payloads as row-major float64 little-endian bytes in header order.
-Loading rejects wrong magic, a malformed header, truncated payloads, non-finite
-values and any shape that does not match what the stored config and task
-registry imply, always with a ``ValueError`` naming the file. Saving refuses
-non-finite values.
+(kind "multitask", encoder config, task registry, tensor names + shapes, and
+the vocabulary's tokens after the reserved ids), then the tensor payloads as
+row-major float64 little-endian bytes in header order. Loading rejects wrong
+magic, a malformed header, truncated payloads, non-finite values, any shape
+that does not match what the stored config and task registry imply and a
+vocabulary of another size than the config's, always with a ``ValueError``
+naming the file. Saving refuses non-finite values.
 """
 
 import json
@@ -21,12 +22,13 @@ from .atomic import atomic_open
 from .encoder import EncoderConfig, EncoderParams
 from .multitask import MultiTaskModel, assign_params, flat_shapes, flatten_params
 from .tasks import TaskSpec
+from .tokenization import RESERVED_TOKENS, Vocabulary
 
 MAGIC = b"MMCKPT01"
 
 
 def save_model(path: str | Path, model: MultiTaskModel) -> None:
-    """Full-model checkpoint: encoder tensors plus per-task head blocks."""
+    """Full-model checkpoint: encoder tensors, per-task head blocks and the vocabulary (null if it has none)."""
     tensors = flatten_params(model)
     names = sorted(tensors)
     for n in names:
@@ -44,6 +46,7 @@ def save_model(path: str | Path, model: MultiTaskModel) -> None:
             for name, spec in sorted(model.tasks.items())
         },
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
+        "vocab": None if model.vocab is None else model.vocab.id_to_token[len(RESERVED_TOKENS):],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, binary=True) as fh:
@@ -72,8 +75,8 @@ def _read_header(path: Path, raw: bytes) -> tuple[dict, int]:
         header = json.loads(raw[start : start + header_len].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from None
-    if not isinstance(header, dict) or sorted(header) != ["encoder_config", "kind", "tasks", "tensors"]:
-        raise _malformed(path, "expected an object with the keys encoder_config, kind, tasks, tensors")
+    if not isinstance(header, dict) or sorted(header) != ["encoder_config", "kind", "tasks", "tensors", "vocab"]:
+        raise _malformed(path, "expected an object with the keys encoder_config, kind, tasks, tensors, vocab")
     return header, start + header_len
 
 
@@ -132,6 +135,21 @@ def _tensor_shapes(path: Path, entries) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _vocabulary(path: Path, tokens, config: EncoderConfig) -> Vocabulary | None:
+    """The vocabulary of the header's tokens (None for null), which must fill the config's ``vocab_size``."""
+    if tokens is None:
+        return None
+    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+        raise _malformed(path, "vocab must be a list of strings or null")
+    if len(RESERVED_TOKENS) + len(tokens) != config.vocab_size:
+        raise ValueError(f"{path}: vocab has {len(tokens)} tokens after the {len(RESERVED_TOKENS)} reserved ids "
+                         f"but vocab_size is {config.vocab_size}")
+    try:
+        return Vocabulary.from_tokens(tokens)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad vocab: {exc}") from None
+
+
 def _check_shapes(path: Path, config: EncoderConfig, tasks: dict[str, TaskSpec], shapes) -> None:
     """Refuse a tensor set that differs from what ``config`` and ``tasks`` imply."""
     if config.num_layers > len(shapes):  # every layer has tensors; also bounds the loop below
@@ -166,7 +184,7 @@ def _read_tensors(path: Path, raw: bytes, offset: int, shapes) -> dict[str, np.n
 
 
 def load_model(path: str | Path) -> MultiTaskModel:
-    """Load a full-model checkpoint (the vocabulary is stored separately).
+    """Load a full-model checkpoint with its vocabulary.
 
     Any malformed file raises a ``ValueError`` naming it.
     """
@@ -179,6 +197,7 @@ def load_model(path: str | Path) -> MultiTaskModel:
     tasks = _task_specs(path, header["tasks"])
     shapes = _tensor_shapes(path, header["tensors"])
     _check_shapes(path, config, tasks, shapes)
-    model = MultiTaskModel(encoder=EncoderParams(config, {}), tasks=tasks, heads={name: {} for name in tasks})
+    model = MultiTaskModel(encoder=EncoderParams(config, {}), tasks=tasks, heads={name: {} for name in tasks},
+                           vocab=_vocabulary(path, header["vocab"], config))
     assign_params(model, _read_tensors(path, raw, offset, shapes))
     return model

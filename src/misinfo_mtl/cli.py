@@ -25,7 +25,7 @@ from .atomic import atomic_open, write_text_atomic
 from .encoder import EncoderConfig
 from .multitask import MultiTaskModel, build_model, require_task
 from .tasks import BUILTIN_TASKS, TaskSpec
-from .tokenization import RESERVED_TOKENS, check_vocab_settings, load_vocab, save_vocab
+from .tokenization import RESERVED_TOKENS, check_vocab_settings
 from .training import TrainConfig, finetune_task, train_multitask
 
 DEFAULT_SEEDS = (0, 1, 2)
@@ -256,8 +256,8 @@ def _seed_entry(per_seed: dict[int, metrics.MetricsReport]) -> tuple[metrics.Met
     }
 
 
-def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.TrainHistory) -> Path:
-    """Write one seed's ``model.ckpt`` and ``history.jsonl``; returns the seed directory."""
+def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.TrainHistory) -> None:
+    """Write one seed's ``model.ckpt`` and ``history.jsonl``."""
     seed_dir = out / f"seed{seed}"
     seed_dir.mkdir(exist_ok=True)
     ckpt.save_model(seed_dir / "model.ckpt", model)
@@ -265,23 +265,17 @@ def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.T
         for record in history.epochs:
             fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
         fh.write(json.dumps({"best_epoch": history.best_epoch, "stop_reason": history.stop_reason}, sort_keys=True) + "\n")
-    return seed_dir
 
 
-def _load_model_and_vocab(checkpoint_path: str, vocab_path: str | None) -> MultiTaskModel:
+def _load_model(checkpoint_path: str) -> MultiTaskModel:
+    """The checkpoint's model, which must carry the vocabulary that maps text to its embedding rows."""
     cp = Path(checkpoint_path)
     if not cp.exists():
         raise ConfigError(f"checkpoint not found: {cp}")
     model = ckpt.load_model(cp)
-    candidates = [Path(vocab_path)] if vocab_path else [cp.parent / "vocab.txt", cp.parent.parent / "vocab.txt"]
-    for cand in candidates:
-        if cand.exists():
-            model.vocab = load_vocab(cand)
-            if model.vocab.size != model.config.vocab_size:
-                raise ConfigError(f"vocabulary {cand} has {model.vocab.size} entries but checkpoint {cp} "
-                                  f"has vocab_size {model.config.vocab_size}")
-            return model
-    raise ConfigError(f"vocabulary file not found next to {cp}; pass --vocab")
+    if model.vocab is None:
+        raise ConfigError(f"checkpoint {cp} has no vocabulary")
+    return model
 
 
 def _unseen_spec(args) -> TaskSpec:
@@ -296,7 +290,6 @@ def cmd_train(args) -> int:
     splits = split_all(spec, datasets)
     vocab = evaluation.train_vocab(splits, spec.min_freq, spec.max_vocab)
     out = _open_run(args, "train", spec.raw, spec.seeds, spec.inputs)
-    save_vocab(vocab, out / "vocab.txt")
 
     per_seed: dict[int, dict[str, metrics.MetricsReport]] = {}
     for seed in spec.seeds:
@@ -322,7 +315,7 @@ def cmd_train(args) -> int:
 def cmd_finetune(args) -> int:
     spec, datasets = _config_run(args, task_listed=True)
     split = split_all(spec, datasets)[args.task]
-    model = _load_model_and_vocab(args.checkpoint, args.vocab)
+    model = _load_model(args.checkpoint)
     require_task(model, args.task)
     out = _open_run(args, "finetune", spec.raw, spec.seeds, spec.inputs,
                     {"task": args.task, "checkpoint": args.checkpoint})
@@ -331,7 +324,7 @@ def cmd_finetune(args) -> int:
     for seed in spec.seeds:
         tuned, history = finetune_task(model, args.task, split, replace(spec.train, seed=seed),
                                        verbose=not args.quiet)
-        save_vocab(model.vocab, _write_seed(out, seed, tuned, history) / "vocab.txt")
+        _write_seed(out, seed, tuned, history)
         per_seed[seed] = evaluation.evaluate_model(tuned, args.task, split.test.examples)
     averaged, entry = _seed_entry(per_seed)
     _finish_run(out, {"task": args.task, **entry}, [(args.task, averaged)], "fine-tuned test metrics")
@@ -344,7 +337,7 @@ def cmd_fewshot(args) -> int:
     train_config = _settings(TrainConfig, learning_rate=args.learning_rate, max_epochs=args.max_epochs,
                              patience=min(args.patience, args.max_epochs))
     dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
-    base = _load_model_and_vocab(args.checkpoint, args.vocab)
+    base = _load_model(args.checkpoint)
     evaluation.check_fewshot_inputs(base, dataset, args.k)
     raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode,
            "learning_rate": str(train_config.learning_rate), "max_epochs": str(train_config.max_epochs),
@@ -424,7 +417,7 @@ def cmd_ablation(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
-    model = _load_model_and_vocab(args.checkpoint, args.vocab)
+    model = _load_model(args.checkpoint)
     report = evaluation.evaluate_model(model, args.task, dataset.examples)
     print(metrics.format_report_table([(args.task, report)], title="evaluation"))
     if args.out:
@@ -472,7 +465,6 @@ def cmd_gen_synthetic(args) -> int:
 _FLAGS = {
     "--config": {"required": True, "help": "config file of 'key = value' lines"},
     "--checkpoint": {"required": True},
-    "--vocab": {"help": "vocabulary file (default: vocab.txt next to the checkpoint or one directory up)"},
     "--dataset": {"required": True},
     "--task": {"required": True, "help": "task name"},
     "--labels": {"help": "comma-separated label names for non-built-in tasks"},
@@ -503,9 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("train", cmd_train, "stage-1 joint multi-task training", "--config", *_RUN, "--quiet")
     command("finetune", cmd_finetune, "stage-2 per-task fine-tuning of a checkpoint",
-            "--config", "--checkpoint", "--vocab", "--task", *_RUN, "--quiet")
+            "--config", "--checkpoint", "--task", *_RUN, "--quiet")
     p = command("fewshot", cmd_fewshot, "k-shot adaptation to an unseen dataset",
-                "--checkpoint", "--vocab", "--dataset", *_TASK_SPEC, *_RUN, "--quiet")
+                "--checkpoint", "--dataset", *_TASK_SPEC, *_RUN, "--quiet")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", default="full-model", choices=("full-model", "head-only"))
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
@@ -517,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True, help="eval task present in every subset")
     p.add_argument("--subset", action="append", help="comma-separated task subset; repeatable, each subset once")
     p = command("eval", cmd_eval, "score a checkpoint on a dataset file",
-                "--checkpoint", "--vocab", "--dataset", *_TASK_SPEC)
+                "--checkpoint", "--dataset", *_TASK_SPEC)
     p.add_argument("--out", help="directory for metrics.json (default: print only)")
     p = command("validate-data", cmd_validate_data, "validate a canonical dataset file", "--dataset", *_TASK_SPEC)
     p.add_argument("--drop-labels", help="comma-separated labels to drop before validation")

@@ -73,13 +73,13 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("vocab_size", "embed_dim", "num_layers", "num_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(
                 f"embed_dim ({self.embed_dim}) must be divisible by num_heads ({self.num_heads})"
             )
-        for name in ("vocab_size", "embed_dim", "num_layers", "num_heads", "ffn_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.max_seq_len < 2:
             raise ValueError(f"max_seq_len must be >= 2 (CLS plus one token), got {self.max_seq_len}")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -213,7 +213,6 @@ def loocv_run(
     eval_dataset: datamod.Dataset,
     encoder_config,
     train_config: TrainConfig,
-    val_fraction: float = 0.1,
     min_freq: int = 1, max_vocab: int | None = None,
 ) -> LoocvResult:
     """Leave-one-event-out evaluation with an encoder trained without the eval task.
@@ -238,9 +237,7 @@ def loocv_run(
     reports: list[MetricsReport] = []
     for i, fold in enumerate(folds):
         fold_model = _with_new_head(stage1, eval_dataset.spec, head_seed(train_config.seed + i, eval_task))
-        rest, held = datamod.carve_validation(
-            fold.train, fraction=val_fraction, seed=train_config.seed + i
-        )
+        rest, held = datamod.carve_validation(fold.train, seed=train_config.seed + i)
         split = datamod.SplitDataset(train=rest, validation=held, test=fold.test)
         adapted, _ = finetune_task(fold_model, eval_task, split, train_config)
         report = evaluate_model(adapted, eval_task, fold.test.examples)

@@ -16,7 +16,6 @@ from .tasks import TaskSpec
 from .tokenization import Batch, Vocabulary, encode, pad_batch
 
 HEAD_DROPOUT = 0.1
-HEAD_TENSOR_NAMES = ("hidden_w", "hidden_b", "out_w", "out_b")
 
 
 @dataclass

@@ -9,11 +9,8 @@ are pure, so everything here is safe to share across threads.
 import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .atomic import write_text_atomic
 
 PAD_ID = 0
 UNK_ID = 1
@@ -132,15 +129,3 @@ def pad_batch(seqs: list[tuple[int, ...]]) -> Batch:
     batch = Batch(np.full((lengths.size, lengths.max()), PAD_ID, dtype=np.int64), lengths)
     batch.ids[batch.mask] = [i for seq in seqs for i in seq]
     return batch
-
-
-def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    """Write one token per line; the first three lines are the reserved tokens."""
-    write_text_atomic(path, "\n".join(vocab.id_to_token) + "\n")
-
-
-def load_vocab(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if tuple(lines[:3]) != RESERVED_TOKENS:
-        raise ValueError(f"vocabulary file must start with reserved lines {RESERVED_TOKENS}")
-    return Vocabulary.from_tokens(lines[3:])

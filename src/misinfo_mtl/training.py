@@ -129,11 +129,12 @@ def adam_step(
 
     Keys without gradients keep their exact array objects (no moment decay, no
     update), which is what guarantees head isolation across tasks. lr == 0 is
-    a bit-exact parameter no-op (moments still advance). A ``RowSparseGrad``
-    still gets dense Adam: every row's moments decay and every row moves, and
-    only the gradient terms and the finiteness check run on its rows alone.
-    Parameters and moments come out bit-identical to the update with the
-    dense gradient, whose other rows would add exact zeros.
+    a bit-exact parameter no-op (moments still advance). Parameter arrays are
+    only read, never written: an updated parameter is a fresh array. A
+    ``RowSparseGrad`` still gets dense Adam: every row's moments decay and
+    every row moves, and only the gradient terms and the finiteness check run
+    on its rows alone. Parameters and moments come out bit-identical to the
+    update with the dense gradient, whose other rows would add exact zeros.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -340,7 +341,7 @@ def _fit(
 
         should_stop = stopper.update(epoch, val_total)
         if stopper.best_epoch == epoch:
-            best_flat = {k: v.copy() for k, v in flatten_params(model).items()}
+            best_flat = flatten_params(model)  # references: adam_step never writes into a parameter array
         if should_stop:
             stop_reason = "early_stopping"
             break

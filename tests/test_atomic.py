@@ -8,7 +8,6 @@ from misinfo_mtl import checkpoint as ckpt
 from misinfo_mtl import cli
 from misinfo_mtl.atomic import atomic_open, write_text_atomic
 from misinfo_mtl.metrics import compute_report
-from misinfo_mtl.tokenization import build_vocab, save_vocab
 
 
 class Boom(Exception):
@@ -92,8 +91,8 @@ def test_json_and_vocab_writes_go_through_the_helper(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "write_text_atomic", spy)
     cli._write_json(tmp_path / "metrics.json", {"x": 1})
     assert json.loads((tmp_path / "metrics.json").read_text()) == {"x": 1} and written == ["metrics.json"]
-    # a vocabulary write that cannot replace its target (a directory) leaves no temp file behind
-    (tmp_path / "vocab.txt").mkdir()
+    # a text write that cannot replace its target (a directory) leaves no temp file behind
+    (tmp_path / "config.txt").mkdir()
     with pytest.raises(IsADirectoryError):
-        save_vocab(build_vocab(["a b"]), tmp_path / "vocab.txt")
-    assert _leftovers(tmp_path, {"metrics.json", "vocab.txt"}) == []
+        write_text_atomic(tmp_path / "config.txt", "a = b\n")
+    assert _leftovers(tmp_path, {"metrics.json", "config.txt"}) == []

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from misinfo_mtl.checkpoint import MAGIC, load_model, save_model
 from misinfo_mtl.encoder import init_encoder
 from misinfo_mtl.multitask import MultiTaskModel, TaskSpec, register_task
+from misinfo_mtl.tokenization import RESERVED_TOKENS, Vocabulary
 
 from conftest import tiny_config
 
@@ -46,6 +47,22 @@ def test_model_checkpoint_round_trip(tmp_path, tiny_model):
     for name in tiny_model.encoder.tensors:
         assert np.array_equal(loaded.encoder.tensors[name], tiny_model.encoder.tensors[name])
         assert loaded.encoder.tensors[name].dtype == np.float64
+
+
+def _vocab_of(config) -> Vocabulary:
+    """A vocabulary that fills ``config.vocab_size``."""
+    return Vocabulary.from_tokens([f"tok{i}" for i in range(config.vocab_size - len(RESERVED_TOKENS))])
+
+
+def test_vocabulary_round_trips_through_the_header(tmp_path, tiny_model):
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model)
+    assert load_model(path).vocab is None  # a model built without a vocabulary stores null
+    tiny_model.vocab = _vocab_of(tiny_model.config)
+    save_model(path, tiny_model)
+    loaded = load_model(path).vocab
+    assert loaded.id_to_token == tiny_model.vocab.id_to_token and loaded == tiny_model.vocab
+    assert loaded.lookup("tok0") == len(RESERVED_TOKENS) and loaded.lookup("unseen") == 1
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path, tiny_model):
@@ -134,6 +151,32 @@ def test_rejects_missing_tensor(tmp_path, tiny_model):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda toks: ",".join(toks), "vocab must be a list of strings or null"),
+        (lambda toks: toks[:-1] + [7], "vocab must be a list of strings or null"),
+        (lambda toks: toks[:-1] + [toks[0]], "bad vocab: duplicate tokens"),
+        (lambda toks: toks[:-1] + ["<cls>"], "bad vocab: duplicate tokens"),
+        (lambda toks: toks + ["extra"], "vocab has 38 tokens after the 3 reserved ids but vocab_size is 40"),
+        (lambda toks: toks[:-1], "vocab has 36 tokens after the 3 reserved ids but vocab_size is 40"),
+    ],
+    ids=["not-a-list", "non-string-entry", "repeated", "reserved", "one-too-many", "one-too-few"],
+)
+def test_rejects_a_bad_vocab_naming_the_file(tmp_path, tiny_model, mutate, message):
+    tiny_model.vocab = _vocab_of(tiny_model.config)
+    path = tmp_path / "model.ckpt"
+    save_model(path, tiny_model)
+
+    def bad_vocab(header):
+        header["vocab"] = mutate(header["vocab"])
+
+    path.write_bytes(_tamper_header(path.read_bytes(), bad_vocab))
+    with pytest.raises(ValueError, match=message) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
 def test_magic_prefix_written(tmp_path, tiny_model):
     path = tmp_path / "model.ckpt"
     save_model(path, tiny_model)
@@ -207,7 +250,8 @@ def test_refuses_non_finite_tensors_on_save_and_load(tmp_path, tiny_model):
 
 @pytest.fixture(scope="module")
 def valid_checkpoint():
-    model = MultiTaskModel(encoder=init_encoder(tiny_config(num_layers=1, vocab_size=12, max_seq_len=4)))
+    config = tiny_config(num_layers=1, vocab_size=12, max_seq_len=4)
+    model = MultiTaskModel(encoder=init_encoder(config), vocab=_vocab_of(config))
     register_task(model, TaskSpec("t", ("neg", "pos"), "tweet", "pos"), seed=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
@@ -233,3 +277,4 @@ def test_fuzzed_checkpoint_bytes_load_or_raise_value_error(valid_checkpoint, tmp
     else:
         assert isinstance(model, MultiTaskModel)
         assert all(np.isfinite(arr).all() for arr in model.encoder.tensors.values())
+        assert model.vocab.size == model.config.vocab_size

@@ -7,7 +7,7 @@ import pytest
 
 from misinfo_mtl import cli, evaluation
 from misinfo_mtl import encoder as enc
-from misinfo_mtl.checkpoint import load_model
+from misinfo_mtl.checkpoint import load_model, save_model
 from misinfo_mtl.cli import main
 from misinfo_mtl.data import SyntheticSuiteConfig, generate_synthetic_suite, save_dataset
 
@@ -74,8 +74,9 @@ def test_train_writes_run_directory(workdir):
     out = workdir / "run"
     rc = main(["train", "--config", str(workdir / "run.cfg"), "--seed", "0", "--out", str(out), "--quiet"])
     assert rc == 0
-    for name in ("manifest.json", "config.txt", "vocab.txt", "metrics.json"):
+    for name in ("manifest.json", "config.txt", "metrics.json"):
         assert (out / name).exists()
+    assert not (out / "vocab.txt").exists()  # the checkpoint carries the vocabulary
     assert (out / "seed0" / "model.ckpt").exists()
     assert (out / "seed0" / "history.jsonl").exists()
     manifest = json.loads((out / "manifest.json").read_text())
@@ -86,6 +87,7 @@ def test_train_writes_run_directory(workdir):
     assert set(metrics["averaged"]) == {"alpha", "beta"}
     model = load_model(out / "seed0" / "model.ckpt")
     assert set(model.tasks) == {"alpha", "beta"}
+    assert model.vocab is not None and model.vocab.size == model.config.vocab_size
 
 
 def test_train_rerun_is_byte_identical(workdir):
@@ -95,7 +97,6 @@ def test_train_rerun_is_byte_identical(workdir):
                      "--out", str(out), "--quiet"]) == 0
     assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
     assert (out1 / "seed1" / "model.ckpt").read_bytes() == (out2 / "seed1" / "model.ckpt").read_bytes()
-    assert (out1 / "vocab.txt").read_bytes() == (out2 / "vocab.txt").read_bytes()
 
 
 def test_train_missing_dataset_exits_2(workdir, capsys):
@@ -225,7 +226,7 @@ def test_train_ablation_and_loocv_build_the_vocabulary_the_config_asks_for(tmp_p
     assert main(["ablation", *common, "--task", "alpha", "--subset", "alpha,beta", "--out", str(tmp_path / "abl")]) == 0
     assert main(["loocv", *common, "--task", "rumorlike", "--out", str(tmp_path / "lo")]) == 0
     assert sizes == [12, 12, 12]  # train, the one ablation row, loocv's stage 1
-    assert len((tmp_path / "train" / "vocab.txt").read_text().splitlines()) == 12
+    assert load_model(tmp_path / "train" / "seed0" / "model.ckpt").vocab.size == 12
 
 
 def test_usage_error_exits_2():
@@ -413,26 +414,45 @@ def test_run_directory_is_complete_and_rerun_identical(stage1, tmp_path, command
         assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
+def _checkpoint_commands(stage1, checkpoint):
+    """A finetune, fewshot and eval argv on ``checkpoint``, each missing only ``--out``."""
+    return {
+        "finetune": ["finetune", "--config", str(stage1 / "run.cfg"), "--task", "alpha",
+                     "--checkpoint", str(checkpoint), "--quiet", "--seed", "0"],
+        "fewshot": ["fewshot", "--checkpoint", str(checkpoint), "--dataset", str(stage1 / "data" / "gamma.jsonl"),
+                    "--task", "gamma", "--labels", "negative,positive", "--k", "10", "--max-epochs", "1", "--quiet",
+                    "--seed", "0"],
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--dataset", str(stage1 / "data" / "alpha.jsonl"),
+                 "--task", "alpha", "--labels", "negative,positive"],
+    }
+
+
+def test_a_checkpoint_copied_alone_is_the_whole_model(stage1, tmp_path):
+    alone = tmp_path / "alone" / "model.ckpt"
+    alone.parent.mkdir()
+    alone.write_bytes((stage1 / "run" / "seed0" / "model.ckpt").read_bytes())
+    beside = _checkpoint_commands(stage1, stage1 / "run" / "seed0" / "model.ckpt")
+    for command, argv in _checkpoint_commands(stage1, alone).items():
+        assert main(argv + ["--out", str(tmp_path / command / "alone")]) == 0
+        assert main(beside[command] + ["--out", str(tmp_path / command / "beside")]) == 0
+        metrics = [(tmp_path / command / run / "metrics.json").read_bytes() for run in ("alone", "beside")]
+        assert metrics[0] == metrics[1], command
+    assert sorted(p.name for p in alone.parent.iterdir()) == ["model.ckpt"]
+    assert not (tmp_path / "finetune" / "alone" / "seed0" / "vocab.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["finetune", "fewshot", "eval"])
-@pytest.mark.parametrize("change", [500, -1])
-def test_vocab_of_another_size_exits_2_before_writing(stage1, tmp_path, capsys, command, change):
-    lines = (stage1 / "run" / "vocab.txt").read_text().splitlines()
-    lines = lines + [f"extra{i}" for i in range(change)] if change > 0 else lines[:change]
-    vocab = tmp_path / "vocab.txt"
-    vocab.write_text("\n".join(lines) + "\n")
-    argv = {
-        "finetune": RUN_COMMANDS["finetune"](stage1) + ["--seed", "0"],
-        "fewshot": RUN_COMMANDS["fewshot"](stage1) + ["--seed", "0"],
-        "eval": ["eval", "--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"),
-                 "--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
-    }[command]
+def test_a_checkpoint_without_a_vocabulary_exits_2_writing_nothing(stage1, tmp_path, capsys, command):
+    model = load_model(stage1 / "run" / "seed0" / "model.ckpt")
+    model.vocab = None
+    checkpoint = tmp_path / "bare" / "model.ckpt"
+    checkpoint.parent.mkdir()
+    save_model(checkpoint, model)
     out = tmp_path / "run"
-    assert main(argv + ["--vocab", str(vocab), "--out", str(out)]) == 2
+    assert main(_checkpoint_commands(stage1, checkpoint)[command] + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1, err
-    assert str(vocab) in err and str(stage1 / "run" / "seed0" / "model.ckpt") in err
-    assert f"has {len(lines)} entries" in err
-    assert not out.exists()
+    assert err == f"config error: checkpoint {checkpoint} has no vocabulary\n", err
+    assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["bare"]
 
 
 def _gamma_config(root):
@@ -522,6 +542,7 @@ BAD_SETTINGS = {
     "learning-rate-nan": (_train_with("learning_rate = nan"), "learning_rate must be finite and > 0, got nan"),
     "adam-setting-is-not-a-key": (_train_with("adam_epsilon = -1"), "unknown config key 'adam_epsilon'"),
     "pooling-is-not-a-key": (_train_with("pooling = mean"), "unknown config key 'pooling'"),
+    "num-heads-0": (_train_with("num_heads = 0"), "num_heads must be >= 1"),
     "fewshot-learning-rate-nan": (lambda r, t: RUN_COMMANDS["fewshot"](r) + ["--learning-rate", "nan"],
                                   "learning_rate must be finite and > 0, got nan"),
     "fewshot-k-0": (lambda r, t: RUN_COMMANDS["fewshot"](r) + ["--k", "0"], "k must be >= 1"),
@@ -570,15 +591,18 @@ def test_bad_suite_settings_exit_2_writing_nothing(tmp_path, monkeypatch, capsys
     ["loocv", "--quiet"],
     ["ablation", "--quiet"],
     ["gen-synthetic", "--seed", "1", "--seed", "2"],
+    ["finetune", "--vocab", "vocab.txt"],
+    ["fewshot", "--vocab", "vocab.txt"],
+    ["eval", "--vocab", "vocab.txt"],
 ], ids=lambda argv: "-".join(argv).replace("--", ""))
 def test_flags_a_command_does_not_read_exit_2_writing_nothing(stage1, tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     command, *flags = argv
+    on_checkpoint = _checkpoint_commands(stage1, stage1 / "run" / "seed0" / "model.ckpt")
     needs = {
         "validate-data": ["--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha",
                           "--labels", "negative,positive"],
-        "eval": ["--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"),
-                 "--dataset", str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
+        **{name: full[1:] for name, full in on_checkpoint.items()},
         "gen-synthetic": ["--out", "suite"],
         "loocv": ["--config", str(stage1 / "loocv.cfg"), "--task", "rumorlike", "--seed", "0"],
         "ablation": ["--config", str(stage1 / "run.cfg"), "--task", "alpha", "--subset", "alpha", "--seed", "0"],

@@ -32,6 +32,8 @@ from conftest import finite_difference_check, random_batch, tiny_config, trim_ba
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ValueError, match="divisible"):
         EncoderConfig(vocab_size=10, embed_dim=10, num_heads=4)
+    with pytest.raises(ValueError, match="num_heads must be >= 1"):  # checked before it divides
+        EncoderConfig(vocab_size=10, num_heads=0)
 
 
 def test_config_rejects_bad_dropout_and_max_seq_len():

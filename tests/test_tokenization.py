@@ -12,9 +12,7 @@ from misinfo_mtl.tokenization import (
     Vocabulary,
     build_vocab,
     encode,
-    load_vocab,
     pad_batch,
-    save_vocab,
     tokenize,
 )
 
@@ -173,22 +171,6 @@ def test_vocab_ids_dense_and_injective():
     vocab = build_vocab(["the cat sat on the mat", "a cat! a hat?"])
     assert sorted(vocab.token_to_id.values()) == list(range(vocab.size))
     assert len(set(vocab.id_to_token)) == vocab.size
-
-
-def test_vocab_save_load_round_trip(tmp_path, small_vocab):
-    path = tmp_path / "vocab.txt"
-    save_vocab(small_vocab, path)
-    lines = path.read_text().splitlines()
-    assert lines[:3] == list(RESERVED_TOKENS)
-    loaded = load_vocab(path)
-    assert loaded == small_vocab
-
-
-def test_vocab_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "vocab.txt"
-    path.write_text("<pad>\n<cls>\n<unk>\na\n")
-    with pytest.raises(ValueError, match="reserved"):
-        load_vocab(path)
 
 
 def test_vocab_from_tokens_rejects_duplicates():

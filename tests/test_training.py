@@ -217,6 +217,23 @@ def test_adam_over_row_gradients_is_bit_identical_to_the_dense_update():
     assert sparse_state.t == dense_state.t == {"emb": 6, "b": 6}
 
 
+@pytest.mark.parametrize("lr", [1e-2, 0.0])
+def test_adam_never_writes_into_a_parameter_array(lr):
+    # _fit keeps the best epoch's parameters by reference, which holds only while updates are fresh arrays
+    rng = np.random.default_rng(7)
+    params = {"emb": rng.standard_normal((6, 3)), "w": rng.standard_normal((3, 2)), "b": rng.standard_normal(2)}
+    before = {k: v.tobytes() for k, v in params.items()}
+    for arr in params.values():
+        arr.flags.writeable = False
+    state = AdamState()
+    for _ in range(2):
+        grads = {"emb": RowSparseGrad(np.array([1, 4]), rng.standard_normal((2, 3))),
+                 "w": rng.standard_normal((3, 2)), "b": rng.standard_normal(2)}
+        new, state = adam_step(params, grads, state, lr)
+        assert {k: v.tobytes() for k, v in params.items()} == before
+        assert all((new[k] is params[k]) == (lr == 0.0) for k in params)
+
+
 def test_adam_rejects_malformed_row_gradients():
     params = {"emb": np.zeros((5, 2))}
     for ids, rows, match in (
@@ -310,22 +327,28 @@ def test_training_leaves_input_model_untouched():
 
 
 def test_training_holds_one_parameter_generation_between_steps(monkeypatch):
-    # When a step starts, the token table the previous step started from (updated away since) and that
+    # When a step starts, the token tables earlier steps started from (updated away since) and the previous
     # step's gradients are gone: nothing of the previous generation lives through the next forward and backward.
+    # The one exception is the best epoch's parameters, which training keeps by reference: the table the
+    # epoch ended with, which is the table the next epoch's first step started from.
     model, splits = _tiny_setup()
-    real, previous = training.task_step_gradients, []
+    real, previous, epoch_starts = training.task_step_gradients, [], []
+    real_schedule = training.make_epoch_schedule
 
     def step(model, *args, **kwargs):
+        alive = [i for i, (table, _) in enumerate(previous) if table() is not None]
+        assert len(alive) <= 1 and set(alive) <= set(epoch_starts[1:]), \
+            f"step {len(previous) + 1}: the token tables of steps {[i + 1 for i in alive]} are alive"
         if previous:
-            table, grad = previous[-1]
-            assert table() is None, f"step {len(previous) + 1}: the previous step's token table is alive"
-            assert grad() is None, f"step {len(previous) + 1}: the previous step's token gradient is alive"
+            assert previous[-1][1]() is None, f"step {len(previous) + 1}: the previous step's token gradient is alive"
         table = weakref.ref(model.encoder.tensors["token_emb"])
         loss, grads = real(model, *args, **kwargs)
         previous.append((table, weakref.ref(grads["encoder.token_emb"])))
         return loss, grads
 
     monkeypatch.setattr(training, "task_step_gradients", step)
+    monkeypatch.setattr(training, "make_epoch_schedule",
+                        lambda *a: epoch_starts.append(len(previous)) or real_schedule(*a))
     train_multitask(model, splits, _quick_config(max_epochs=2, patience=2))
     assert len(previous) >= 4  # two epochs of at least two steps
 
