@@ -368,10 +368,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_each(fn, jobs: list[tuple]) -> list:
+def run_each(fn, jobs: list[tuple]) -> list:
     """``[fn(*job) for job in jobs]``, the jobs taken in turn by this thread and up to cpus - 1 pool workers.
 
-    No job starts after one raised; the earliest such job's exception is raised once every worker stopped.
+    The one pool of the program: ``encode_batch`` and ``backward`` run their runs of the stack on it, and
+    ``training.adam_step`` the row blocks of a large parameter. No job starts after one raised; the earliest
+    such job's exception is raised once every worker stopped.
     """
     global _pool
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -474,7 +476,7 @@ def encode_batch(
         masks = _dropout_masks(rng, cfg, group.size, class_width, drop) if drop > 0.0 else None
         for cut, run_width in cuts:
             jobs.append((group[cut], run_width, None if masks is None else [m[cut, :run_width] for m in masks]))
-    results = _run_each(partial(_encode_rows, params, ids, lengths, return_cache=return_cache), jobs)
+    results = run_each(partial(_encode_rows, params, ids, lengths, return_cache=return_cache), jobs)
     pooled = np.empty((rows, cfg.embed_dim))
     for (run_rows, *_), (out, _) in zip(jobs, results):
         pooled[run_rows] = out
@@ -560,7 +562,7 @@ def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: n
         raise ValueError("backward requires the caches from a forward pass")
     if any(len(run.layers) != params.config.num_layers for run in caches):
         raise ValueError("encoder caches already consumed by a backward call; run the forward pass again")
-    results = _run_each(partial(_backward_rows, params), [(run, upstream_grad[run.batch_rows]) for run in caches])
+    results = run_each(partial(_backward_rows, params), [(run, upstream_grad[run.batch_rows]) for run in caches])
     grads = results[0][0]
     for run_grads, _ in results[1:]:
         for name, g in run_grads.items():

@@ -7,17 +7,19 @@ number of examples. Stage 2 continues training the jointly trained model on a
 single task, selected by that task's validation loss.
 
 A run is fully determined by (datasets, config.seed): the encoder spreads a
-step's runs over a thread pool, but its results do not depend on the CPU count.
-Independent runs can be parallelized as separate processes.
+step's runs, and Adam a large parameter's row blocks, over one thread pool, but
+the results do not depend on the CPU count. Independent runs can be
+parallelized as separate processes.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import metrics
-from .encoder import RowSparseGrad, split_runs
+from .encoder import RowSparseGrad, run_each, split_runs
 from .multitask import (
     MultiTaskModel, assign_params, encode_for_task, flatten_params, require_task, score, task_step_gradients,
 )
@@ -108,6 +110,8 @@ def lr_at(step: int, total_steps: int, base_lr: float) -> float:
 # Adam's recipe constants. At beta1 > 0.5, beta1 * m never rounds a negative subnormal moment
 # to -0.0, so updating only a RowSparseGrad's rows keeps the dense update's bits.
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# Most elements in one Adam job: a larger parameter is updated in blocks of whole rows on the run pool.
+ADAM_BLOCK = 1 << 17
 
 
 @dataclass
@@ -135,6 +139,13 @@ def adam_step(
     every row moves, and only the gradient terms and the finiteness check run
     on its rows alone. Parameters and moments come out bit-identical to the
     update with the dense gradient, whose other rows would add exact zeros.
+
+    A key's gradient is checked before any of its state changes. A parameter
+    of at most ``ADAM_BLOCK`` elements is then updated whole on this thread;
+    a larger one in blocks of whole rows, run by ``encoder.run_each`` on this
+    thread and the pool's workers, each block doing the whole update of its
+    rows into one fresh output array. Every element gets the same operations
+    in the same order either way, so the bits do not depend on the CPU count.
     """
     if lr < 0:
         raise ValueError("lr must be >= 0")
@@ -143,7 +154,8 @@ def adam_step(
         g = grads[key]
         if key not in params:
             raise KeyError(f"gradient for unknown parameter {key!r}")
-        shape = params[key].shape
+        param = params[key]
+        shape = param.shape
         ids = g.ids if isinstance(g, RowSparseGrad) else None
         if g.shape != (shape if ids is None else (ids.size,) + shape[1:]):
             raise ValueError(f"gradient shape {g.shape} does not fit parameter {key!r} of shape {shape}")
@@ -159,26 +171,48 @@ def adam_step(
         state.t[key] += 1
         t = state.t[key]
         m, v = state.m[key], state.v[key]
-        rows = slice(None) if ids is None else ids
-        # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, in place
-        tmp = np.multiply(g, 1.0 - ADAM_BETA1)
-        m *= ADAM_BETA1
-        m[rows] += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - ADAM_BETA2
-        v *= ADAM_BETA2
-        v[rows] += tmp
-        if lr == 0.0:
-            continue
-        # params - lr * m_hat / (sqrt(v_hat) + eps), built in fresh arrays
-        denom = np.divide(v, 1.0 - ADAM_BETA2**t)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step = np.divide(m, 1.0 - ADAM_BETA1**t)
-        step *= lr
-        step /= denom
-        new_params[key] = np.subtract(params[key], step, out=step)
+        if param.size <= ADAM_BLOCK:
+            new = _adam_rows(lr, t, param, g, ids, m, v)
+        else:
+            new = None if lr == 0.0 else np.empty(shape)
+            block_rows = max(1, ADAM_BLOCK * shape[0] // param.size)
+            bounds = [*range(0, shape[0], block_rows), shape[0]]
+            cuts = bounds if ids is None else np.searchsorted(ids, bounds).tolist()  # each block's slice of ids
+            jobs = []
+            for r0, r1, lo, hi in zip(bounds, bounds[1:], cuts, cuts[1:]):
+                part = (g[r0:r1], None) if ids is None else (g[lo:hi], ids[lo:hi] - r0)
+                jobs.append((param[r0:r1], *part, m[r0:r1], v[r0:r1], None if new is None else new[r0:r1]))
+            run_each(partial(_adam_rows, lr, t), jobs)
+        if new is not None:
+            new_params[key] = new
     return new_params, state
+
+
+def _adam_rows(lr, t, param, g, ids, m, v, out=None):
+    """Adam at step ``t`` for some rows: ``g`` holds the gradients of rows ``ids`` (None: every row).
+
+    Advances ``m`` and ``v`` in place. Returns None at lr == 0, else the new parameter rows, written to
+    ``out`` if given and to a fresh array otherwise.
+    """
+    rows = slice(None) if ids is None else ids
+    # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g^2, in place
+    tmp = np.multiply(g, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m[rows] += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v[rows] += tmp
+    if lr == 0.0:
+        return None
+    # param - lr * m_hat / (sqrt(v_hat) + eps); the denominator is built where the result goes
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=out)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step = np.divide(m, 1.0 - ADAM_BETA1**t)
+    step *= lr
+    step /= denom
+    return np.subtract(param, step, out=denom)
 
 
 class EarlyStopper:

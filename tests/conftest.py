@@ -1,6 +1,11 @@
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from misinfo_mtl import encoder as enc
 from misinfo_mtl.encoder import EncoderConfig, RowSparseGrad, init_encoder
 from misinfo_mtl.multitask import MultiTaskModel, TaskSpec, register_task
 from misinfo_mtl.tokenization import Batch
@@ -38,6 +43,31 @@ def with_lengths(ids: np.ndarray, lengths) -> Batch:
     ids = np.where(np.arange(ids.shape[1]) < lengths[:, None], ids, 0)
     ids[:, 0] = 2
     return Batch(ids, lengths)
+
+
+def force_workers(monkeypatch, workers, module, fn_names):
+    """Run ``encoder.run_each``'s jobs on ``workers`` threads (1: the calling thread alone), whatever the machine.
+
+    Returns the list of thread names the jobs of ``module``'s functions ``fn_names`` ran on. Each such job
+    starts with a 20 ms sleep, so every thread takes one.
+    """
+    monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)
+    names = []
+    for fn_name in fn_names:
+        real = getattr(module, fn_name)
+        monkeypatch.setattr(module, fn_name, lambda *a, _real=real, **k: names.append(
+            threading.current_thread().name) or time.sleep(0.02) or _real(*a, **k))
+    return names
+
+
+def reference_adam(param, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Whole-array bias-corrected Adam at step ``t`` with a dense gradient: (new param, new m, new v)."""
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from misinfo_mtl.encoder import (
 from misinfo_mtl import encoder as enc
 from misinfo_mtl.tokenization import Batch
 
-from conftest import finite_difference_check, random_batch, tiny_config, trim_batch, with_lengths
+from conftest import finite_difference_check, force_workers, random_batch, tiny_config, trim_batch, with_lengths
 
 
 def test_config_rejects_indivisible_heads():
@@ -564,22 +564,6 @@ def _batch_of_lengths(seed, lengths, length=128):
     return with_lengths(np.random.default_rng(seed).integers(3, 40, size=(len(lengths), length)), lengths)
 
 
-def _force_workers(monkeypatch, workers):
-    """Run the encoder's runs on ``workers`` threads (1: the calling thread alone), whatever the machine.
-
-    Returns the list of thread names the runs of the stack (forward and backward)
-    ran on. Each run starts with a 20 ms sleep, so every thread takes one.
-    """
-    monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)
-    names = []
-    for fn_name in ("_encode_rows", "_backward_rows"):
-        real = getattr(enc, fn_name)
-        monkeypatch.setattr(enc, fn_name, lambda *a, _real=real, **k: names.append(
-            threading.current_thread().name) or time.sleep(0.02) or _real(*a, **k))
-    return names
-
-
 def _cached_masks(cache):
     """A run's dropout masks in draw order: the embedding's, then attention and FFN per layer."""
     return [cache.emb_drop] + [m for lc in cache.layers for m in (lc.attn_drop, lc.ffn_drop)]
@@ -605,7 +589,7 @@ def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkey
     seen = {}
     interval = sys.getswitchinterval()
     for workers in (1, 2, 4):  # 4: more threads than runs, switching often
-        names = _force_workers(monkeypatch, workers)
+        names = force_workers(monkeypatch, workers, enc, ("_encode_rows", "_backward_rows"))
         rng = np.random.default_rng(9)
         sys.setswitchinterval(1e-6 if workers == 4 else interval)
         try:
@@ -725,7 +709,7 @@ def test_a_raising_run_reaches_the_caller_after_every_worker_stopped(raiser, mon
         finished.append(name)
 
     with pytest.raises(RuntimeError) as caught:
-        enc._run_each(run, [(i,) for i in range(4)])
+        enc.run_each(run, [(i,) for i in range(4)])
     assert raised == [str(caught.value)] and (raised == ["MainThread"]) == (raiser == "caller")
     assert len(finished) == 2  # the two runs that did not raise had ended
     assert sorted(started) == [0, 1, 2]  # and no run started after one raised
@@ -735,7 +719,7 @@ def test_a_raising_run_reaches_the_caller_after_every_worker_stopped(raiser, mon
         return threading.current_thread().name
 
     all_three.reset()
-    names = enc._run_each(thread_name, [(i,) for i in range(3)])
+    names = enc.run_each(thread_name, [(i,) for i in range(3)])
     assert len(set(names)) == 3 and "MainThread" in names
     enc._pool.shutdown()
 

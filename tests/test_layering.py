@@ -1,4 +1,8 @@
-"""The data layer imports nothing from the model layer, read from the source with ``ast``."""
+"""Layering rules read from the source with ``ast``.
+
+The data layer imports nothing from the model layer, and only the encoder makes threads: its run pool
+is the one pool of the program.
+"""
 
 import ast
 from pathlib import Path
@@ -44,3 +48,40 @@ def test_the_model_layer_is_seen_where_it_is_imported():
 @pytest.mark.parametrize("module", DATA_LAYER)
 def test_data_layer_module_imports_no_model_layer_module(module):
     assert package_imports((PACKAGE / f"{module}.py").read_text()) & MODEL_LAYER == set()
+
+
+THREAD_MAKERS = {"ThreadPoolExecutor", "Thread"}
+
+
+def thread_makers(source: str) -> set[str]:
+    """The thread-making classes (``ThreadPoolExecutor``, ``threading.Thread``) a source names, in any form."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return names & THREAD_MAKERS
+
+
+@pytest.mark.parametrize("source", [
+    "from concurrent.futures import ThreadPoolExecutor",
+    "from concurrent.futures import ThreadPoolExecutor as Pool",
+    "import concurrent.futures as cf\npool = cf.ThreadPoolExecutor(2)",
+    "import threading\nthreading.Thread(target=print).start()",
+    "from threading import Thread",
+    "def f():\n    from threading import Thread as T\n",
+])
+def test_every_thread_maker_form_is_read(source):
+    assert thread_makers(source)
+
+
+def test_the_encoder_pool_is_seen_where_it_is_made():
+    assert "ThreadPoolExecutor" in thread_makers((PACKAGE / "encoder.py").read_text())
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "encoder"))
+def test_only_the_encoder_makes_threads(module):
+    assert thread_makers((PACKAGE / f"{module}.py").read_text()) == set()

@@ -29,6 +29,8 @@ from misinfo_mtl.training import (
     train_multitask,
 )
 
+from conftest import reference_adam
+
 TABLE1_SIZES = {"newsbias": 7984, "fakenews": 1627, "rumor": 1705, "clickbait": 19538}
 
 
@@ -145,14 +147,10 @@ def test_adam_zero_gradients_leave_params():
 
 
 def test_in_place_adam_is_bit_identical_to_reference():
-    def reference_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def reference_step(params, grads, m, v, t, lr):
         new = dict(params)
         for key, g in grads.items():
-            m[key] = beta1 * m[key] + (1.0 - beta1) * g
-            v[key] = beta2 * v[key] + (1.0 - beta2) * (g * g)
-            m_hat = m[key] / (1.0 - beta1**t)
-            v_hat = v[key] / (1.0 - beta2**t)
-            new[key] = params[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            new[key], m[key], v[key] = reference_adam(params[key], g, m[key], v[key], t, lr)
         return new
 
     rng = np.random.default_rng(31)
