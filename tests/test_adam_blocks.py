@@ -74,7 +74,8 @@ def _match_reference(params, steps):
 
 def test_a_dense_gradient_over_many_blocks_matches_the_whole_array_update(small_block, serial, monkeypatch):
     rng = np.random.default_rng(1)
-    params = {"emb": rng.standard_normal((40, D)), "bias": rng.standard_normal(50), "small": rng.standard_normal((3, D))}
+    params = {"emb": rng.standard_normal((40, D)), "bias": rng.standard_normal(50),
+              "small": rng.standard_normal((3, D))}
     params["emb"][2] = -0.0
     steps = [({k: rng.normal(0.0, 10.0 ** rng.integers(-6, 2), p.shape) for k, p in params.items()}, lr)
              for lr in (1e-3, 5e-4, 2e-2, 1e-3)]
