@@ -13,6 +13,7 @@ only; run from the repository root:
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -28,9 +29,15 @@ def export(rev: str) -> tuple[str, Path]:
                          capture_output=True, text=True).stdout.strip()
     tree = ROOT / ".bench_build" / sha
     if not tree.is_dir():
+        # Extract beside the final name and rename once done, so an interrupted export leaves no tree
+        # that a later run would take as whole. git archive output is trusted, so a Python without the
+        # tarfile extraction filters extracts it plainly.
+        partial = tree.with_name(sha + ".partial")
+        shutil.rmtree(partial, ignore_errors=True)
         archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tree, filter="data")
+            tar.extractall(partial, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        partial.rename(tree)
     return sha, tree
 
 
@@ -51,7 +58,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision measured as before")
     parser.add_argument("--head", required=True, help="git revision measured as after")
-    parser.add_argument("--workload", action="append", help="workload to run (repeatable; default: every one)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair i uses seed + i")
     parser.add_argument("--seconds", type=float, default=8.0, help="perfbench --seconds for every run")
@@ -63,7 +69,7 @@ def main(argv=None) -> int:
     seeds = [args.seed + i for i in range(args.pairs)]
     record = {"base": {"rev": args.base, "sha": base_sha}, "head": {"rev": args.head, "sha": head_sha},
               "pairs": args.pairs, "seeds": seeds, "seconds": args.seconds, "workloads": {}}
-    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
+    for workload in [w["name"] for w in spec["workloads"]]:
         sides = {"base": [], "head": []}
         for i, seed in enumerate(seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
