@@ -27,7 +27,7 @@ from .evaluation import (
     loocv_run,
 )
 from .metrics import MetricsReport, accuracy, macro_f1, seed_average
-from .multitask import MultiTaskModel, build_model, predict, register_task, task_loss
+from .multitask import MultiTaskModel, build_model, copy_dicts, predict, register_task, task_loss
 from .tasks import BUILTIN_TASKS, TaskSpec
 from .tokenization import Batch, Vocabulary, build_vocab, encode, pad_batch
 from .training import (

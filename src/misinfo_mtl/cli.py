@@ -272,7 +272,10 @@ def _load_model(checkpoint_path: str) -> MultiTaskModel:
     cp = Path(checkpoint_path)
     if not cp.exists():
         raise ConfigError(f"checkpoint not found: {cp}")
-    model = ckpt.load_model(cp)
+    try:
+        model = ckpt.load_model(cp)
+    except ValueError as exc:  # a malformed file is a bad input, like a missing one
+        raise ConfigError(str(exc)) from None
     if model.vocab is None:
         raise ConfigError(f"checkpoint {cp} has no vocabulary")
     return model
@@ -295,12 +298,9 @@ def cmd_train(args) -> int:
     for seed in spec.seeds:
         model = build_model(replace(spec.encoder, vocab_size=vocab.size, seed=seed),
                             [spec.specs[t] for t in spec.tasks], vocab=vocab)
-        trained, history = train_multitask(model, splits, replace(spec.train, seed=seed), verbose=not args.quiet)
-        _write_seed(out, seed, trained, history)
-        per_seed[seed] = {
-            task: evaluation.evaluate_model(trained, task, splits[task].test.examples)
-            for task in sorted(splits)
-        }
+        model, history = train_multitask(model, splits, replace(spec.train, seed=seed), verbose=not args.quiet)
+        _write_seed(out, seed, model, history)
+        per_seed[seed] = {t: evaluation.evaluate_model(model, t, splits[t].test.examples) for t in sorted(splits)}
     averaged = {
         task: metrics.seed_average({s: reports[task] for s, reports in per_seed.items()})
         for task in sorted(splits)
@@ -317,15 +317,21 @@ def cmd_finetune(args) -> int:
     split = split_all(spec, datasets)[args.task]
     model = _load_model(args.checkpoint)
     require_task(model, args.task)
+    reread = [Path(args.out) / f"seed{s}" / "model.ckpt" for s in spec.seeds[:-1]] if args.out else []
+    if any(path.is_file() and path.samefile(args.checkpoint) for path in reread):
+        raise ConfigError(f"checkpoint {args.checkpoint} would be overwritten before later seeds load it")
     out = _open_run(args, "finetune", spec.raw, spec.seeds, spec.inputs,
                     {"task": args.task, "checkpoint": args.checkpoint})
 
     per_seed: dict[int, metrics.MetricsReport] = {}
     for seed in spec.seeds:
-        tuned, history = finetune_task(model, args.task, split, replace(spec.train, seed=seed),
+        if model is None:  # training consumed the loaded model: each later seed loads the checkpoint again
+            model = _load_model(args.checkpoint)
+        model, history = finetune_task(model, args.task, split, replace(spec.train, seed=seed),
                                        verbose=not args.quiet)
-        _write_seed(out, seed, tuned, history)
-        per_seed[seed] = evaluation.evaluate_model(tuned, args.task, split.test.examples)
+        _write_seed(out, seed, model, history)
+        per_seed[seed] = evaluation.evaluate_model(model, args.task, split.test.examples)
+        model = None
     averaged, entry = _seed_entry(per_seed)
     _finish_run(out, {"task": args.task, **entry}, [(args.task, averaged)], "fine-tuned test metrics")
     return 0

@@ -12,7 +12,9 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .metrics import MetricsReport, average_reports, compute_report
-from .multitask import MultiTaskModel, build_model, encode_for_task, head_seed, register_task, require_task, score
+from .multitask import (
+    MultiTaskModel, build_model, copy_dicts, encode_for_task, head_seed, register_task, require_task, score,
+)
 from .tokenization import Vocabulary, build_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
@@ -55,7 +57,7 @@ class FewShotResult:
     report: MetricsReport
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    model: MultiTaskModel  # the adapted copy (handy for audits and reuse)
+    model: MultiTaskModel  # the adapted model, sharing the stage-1 arrays it did not update
 
 
 def check_fewshot_inputs(stage1_model: MultiTaskModel, unseen_dataset: datamod.Dataset, k: int) -> None:
@@ -67,11 +69,6 @@ def check_fewshot_inputs(stage1_model: MultiTaskModel, unseen_dataset: datamod.D
         raise ValueError(f"task {name!r} is already registered; few-shot targets unseen tasks")
 
 
-def _with_new_head(model: MultiTaskModel, spec, seed: int) -> MultiTaskModel:
-    """``model`` plus a fresh head for ``spec``, sharing every existing array with it (``_fit`` copies them)."""
-    return register_task(replace(model, tasks=dict(model.tasks), heads=dict(model.heads)), spec, seed)
-
-
 def fewshot_run(
     stage1_model: MultiTaskModel,
     unseen_dataset: datamod.Dataset,
@@ -80,7 +77,7 @@ def fewshot_run(
 ) -> FewShotResult:
     """Adapt to an unseen task from k examples and score the remaining N - k.
 
-    A fresh head is registered for the unseen task; "full-model" mode also
+    A fresh head goes on ``copy_dicts(stage1_model)``; "full-model" mode also
     updates the encoder while "head-only" freezes it. The k-shot sample doubles
     as the early-stopping validation set (there is nothing else to hold out).
     """
@@ -94,19 +91,16 @@ def fewshot_run(
     train_examples = [unseen_dataset.examples[i] for i in order[: cfg.k]]
     test_examples = [unseen_dataset.examples[i] for i in order[cfg.k :]]
 
-    model = _with_new_head(stage1_model, spec, head_seed(cfg.seed, spec.name))
+    model = register_task(copy_dicts(stage1_model), spec, head_seed(cfg.seed, spec.name))
     shots = datamod.Dataset(spec=spec, examples=tuple(train_examples))
     split = datamod.SplitDataset(
         train=shots, validation=shots, test=datamod.Dataset(spec=spec, examples=tuple(test_examples)))
-    adapted, _ = training._fit(
-        model, {spec.name: split}, train_config, train_encoder=(cfg.mode == "full-model")
-    )
-    report = evaluate_model(adapted, spec.name, test_examples)
+    training._fit(model, {spec.name: split}, train_config, train_encoder=(cfg.mode == "full-model"))
     return FewShotResult(
-        report=report,
+        report=evaluate_model(model, spec.name, test_examples),
         train_ids=tuple(ex.id for ex in train_examples),
         test_ids=tuple(ex.id for ex in test_examples),
-        model=adapted,
+        model=model,
     )
 
 
@@ -136,9 +130,9 @@ def run_two_stage(
     vocab = train_vocab(splits, min_freq, max_vocab)
     config = replace(encoder_config, vocab_size=vocab.size)
     model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
-    stage1, _ = train_multitask(model, splits, train_config)
-    stage2, _ = finetune_task(stage1, eval_task, splits[eval_task], train_config)
-    return evaluate_model(stage2, eval_task, splits[eval_task].test.examples)
+    train_multitask(model, splits, train_config)
+    finetune_task(model, eval_task, splits[eval_task], train_config)
+    return evaluate_model(model, eval_task, splits[eval_task].test.examples)
 
 
 def ablation_subsets(task_subsets, eval_task: str, datasets) -> list[tuple[str, ...]]:
@@ -236,11 +230,11 @@ def loocv_run(
     fold_results: list[LoocvFold] = []
     reports: list[MetricsReport] = []
     for i, fold in enumerate(folds):
-        fold_model = _with_new_head(stage1, eval_dataset.spec, head_seed(train_config.seed + i, eval_task))
+        fold_model = register_task(copy_dicts(stage1), eval_dataset.spec, head_seed(train_config.seed + i, eval_task))
         rest, held = datamod.carve_validation(fold.train, seed=train_config.seed + i)
         split = datamod.SplitDataset(train=rest, validation=held, test=fold.test)
-        adapted, _ = finetune_task(fold_model, eval_task, split, train_config)
-        report = evaluate_model(adapted, eval_task, fold.test.examples)
+        finetune_task(fold_model, eval_task, split, train_config)
+        report = evaluate_model(fold_model, eval_task, fold.test.examples)
         reports.append(report)
         fold_results.append(
             LoocvFold(

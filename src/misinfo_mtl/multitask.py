@@ -31,14 +31,11 @@ class MultiTaskModel:
     def config(self) -> enc.EncoderConfig:
         return self.encoder.config
 
-    def clone(self) -> "MultiTaskModel":
-        """A copy with its own arrays and dicts; the frozen vocabulary and task specs are shared."""
-        return MultiTaskModel(
-            encoder=enc.EncoderParams(self.encoder.config, {k: v.copy() for k, v in self.encoder.tensors.items()}),
-            tasks=dict(self.tasks),
-            heads={task: {k: v.copy() for k, v in head.items()} for task, head in self.heads.items()},
-            vocab=self.vocab,
-        )
+
+def copy_dicts(model: MultiTaskModel) -> MultiTaskModel:
+    """New dicts at every level, sharing every array, the vocabulary and the task specs with ``model``."""
+    return MultiTaskModel(enc.EncoderParams(model.config, dict(model.encoder.tensors)), dict(model.tasks),
+                          {task: dict(head) for task, head in model.heads.items()}, model.vocab)
 
 
 def head_shapes(embed_dim: int, num_classes: int) -> dict[str, tuple[int, ...]]:

@@ -271,9 +271,11 @@ def _fit(
 ) -> tuple[MultiTaskModel, TrainHistory]:
     """Shared training core over a task->SplitDataset mapping.
 
-    Trains the encoder (optionally) plus the heads of the tasks in ``splits``,
-    early-stops on the summed validation loss of those tasks and returns a new
-    model holding the best-epoch parameters. The input model is not modified.
+    Trains the encoder (optionally) plus the heads of the tasks in ``splits``
+    in place, early-stops on the summed validation loss of those tasks and
+    returns ``model`` holding the best-epoch parameters. Updates are swapped
+    into ``model``'s dicts; no parameter array is written into or copied, so
+    a caller that needs the input again passes ``multitask.copy_dicts(model)``.
     A non-finite step or validation loss stops training ("diverged") at the
     best epoch so far, or raises ``ValueError`` if no epoch has finished.
     """
@@ -285,7 +287,6 @@ def _fit(
         if task not in model.tasks:
             raise KeyError(f"task {task!r} is not registered on the model")
 
-    model = model.clone()
     seq_len = model.config.max_seq_len  # the positional table's length
     encoded = {}
     for task in sorted(splits):
@@ -391,8 +392,8 @@ def train_multitask(
     """Stage 1: jointly train the encoder and every registered task head.
 
     ``datasets`` maps every registered task to its SplitDataset. Selection is
-    by summed validation loss; the returned model carries the best-epoch
-    parameters and the input model is left untouched.
+    by summed validation loss. ``model`` is trained in place (see ``_fit``) and
+    returned carrying the best-epoch parameters.
     """
     registered = set(model.tasks)
     provided = set(datasets)
@@ -409,9 +410,9 @@ def finetune_task(
 ) -> tuple[MultiTaskModel, TrainHistory]:
     """Stage 2: specialize the stage-1 model on one task.
 
-    Continues training the encoder plus that task's head with a fresh optimizer
-    and decay horizon, early-stopping on the task's own validation loss. All
-    other heads come back bit-identical.
+    Continues training the encoder plus that task's head in place (see ``_fit``)
+    with a fresh optimizer and decay horizon, early-stopping on the task's own
+    validation loss. All other heads keep their arrays.
     """
     require_task(model, task)
     return _fit(model, {task: dataset}, config, train_encoder=True, verbose=verbose)

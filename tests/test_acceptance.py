@@ -20,6 +20,7 @@ from misinfo_mtl.multitask import (
     MultiTaskModel,
     TaskSpec,
     build_model,
+    copy_dicts,
     flatten_params,
     assign_params,
     register_task,
@@ -136,7 +137,7 @@ def test_criterion_4_head_isolation():
 
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=2, patience=2, seed=0)
     stage1, _ = train_multitask(model, splits, cfg)
-    stage2, _ = finetune_task(stage1, "alpha", splits["alpha"], cfg)
+    stage2, _ = finetune_task(copy_dicts(stage1), "alpha", splits["alpha"], cfg)
     for name in stage1.heads["beta"]:
         assert np.array_equal(stage2.heads["beta"][name], stage1.heads["beta"][name])
     _report(4, "one stage-1 step on task A leaves head B bit-identical; stage-2 "

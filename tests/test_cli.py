@@ -1,4 +1,5 @@
 import json
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from misinfo_mtl import encoder as enc
 from misinfo_mtl.checkpoint import load_model, save_model
 from misinfo_mtl.cli import main
 from misinfo_mtl.data import SyntheticSuiteConfig, generate_synthetic_suite, save_dataset
+from misinfo_mtl.multitask import flatten_params
 
 CFG_TEMPLATE = """
 # desk-scale settings
@@ -453,6 +455,76 @@ def test_a_checkpoint_without_a_vocabulary_exits_2_writing_nothing(stage1, tmp_p
     err = capsys.readouterr().err
     assert err == f"config error: checkpoint {checkpoint} has no vocabulary\n", err
     assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["bare"]
+
+
+def _one_token_short(raw):
+    """``raw`` with the last vocabulary token dropped from its header."""
+    (size,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16 : 16 + size])
+    header["vocab"].pop()
+    blob = json.dumps(header, sort_keys=True).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size :]
+
+
+MALFORMED_CHECKPOINTS = {
+    "bad-magic": (lambda raw: b"NOTACKPT" + raw[8:], "not a checkpoint file (bad magic)"),
+    "vocab-one-token-short": (_one_token_short, "tokens after the 3 reserved ids but vocab_size is"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+@pytest.mark.parametrize("command", ["finetune", "fewshot", "eval"])
+def test_a_malformed_checkpoint_exits_2_writing_nothing(stage1, tmp_path, capsys, command, case):
+    corrupt, message = MALFORMED_CHECKPOINTS[case]
+    checkpoint = tmp_path / "bad" / "model.ckpt"
+    checkpoint.parent.mkdir()
+    checkpoint.write_bytes(corrupt((stage1 / "run" / "seed0" / "model.ckpt").read_bytes()))
+    out = tmp_path / "run"
+    assert main(_checkpoint_commands(stage1, checkpoint)[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {checkpoint}: ") and message in err and err.count("\n") == 1, err
+    assert not out.exists() and sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+        Path("bad"), Path("bad") / "model.ckpt"]
+
+
+def test_each_finetune_seed_starts_from_the_checkpoint(stage1, tmp_path):
+    argv = RUN_COMMANDS["finetune"](stage1)
+    assert main(argv + ["--seed", "0", "--seed", "1", "--out", str(tmp_path / "both")]) == 0
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "alone")]) == 0
+    for name in ("model.ckpt", "history.jsonl"):
+        assert (tmp_path / "both" / "seed1" / name).read_bytes() == (tmp_path / "alone" / "seed1" / name).read_bytes()
+
+
+def test_each_fewshot_seed_starts_from_the_checkpoint(stage1, tmp_path, monkeypatch):
+    checkpoint = stage1 / "run" / "seed0" / "model.ckpt"
+    saved, starts, real = flatten_params(load_model(checkpoint)), [], evaluation.fewshot_run
+
+    def fewshot_run(base, *args, **kwargs):
+        starts.append(all(np.array_equal(v, saved[k]) for k, v in flatten_params(base).items()))
+        return real(base, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fewshot_run", fewshot_run)
+    argv = RUN_COMMANDS["fewshot"](stage1)
+    runs = {"both": ["--seed", "0", "--seed", "1"], "seed0": ["--seed", "0"], "seed1": ["--seed", "1"]}
+    per_seed = {}
+    for name, seeds in runs.items():
+        assert main(argv + seeds + ["--out", str(tmp_path / name)]) == 0
+        per_seed[name] = json.loads((tmp_path / name / "metrics.json").read_text())["per_seed"]
+    assert per_seed["both"] == {**per_seed["seed0"], **per_seed["seed1"]}
+    assert starts == [True] * 4
+
+
+def test_finetune_refuses_a_checkpoint_an_earlier_seed_would_overwrite(stage1, tmp_path, capsys):
+    checkpoint = tmp_path / "run" / "seed0" / "model.ckpt"
+    checkpoint.parent.mkdir(parents=True)
+    checkpoint.write_bytes((stage1 / "run" / "seed0" / "model.ckpt").read_bytes())
+    argv = ["finetune", "--config", str(stage1 / "run.cfg"), "--task", "alpha", "--checkpoint", str(checkpoint),
+            "--quiet", "--seed", "0", "--seed", "1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"config error: checkpoint {checkpoint} would be overwritten "
+                                       "before later seeds load it\n")
+    assert checkpoint.read_bytes() == (stage1 / "run" / "seed0" / "model.ckpt").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "run").rglob("*")) == ["model.ckpt", "seed0"]
 
 
 def _gamma_config(root):

@@ -12,7 +12,7 @@ from misinfo_mtl.evaluation import (
     run_two_stage,
 )
 from misinfo_mtl.metrics import macro_f1
-from misinfo_mtl.multitask import MultiTaskModel, build_model, encode_for_task, flatten_params, predict
+from misinfo_mtl.multitask import build_model, encode_for_task, flatten_params, predict
 from misinfo_mtl.tokenization import build_vocab
 from misinfo_mtl.training import TrainConfig, train_multitask
 
@@ -140,23 +140,38 @@ def test_fewshot_head_only_freezes_encoder():
     )
 
 
-def test_adaptation_copies_the_stage1_model_once_per_fit_and_leaves_it_untouched(monkeypatch):
+def test_adaptation_leaves_the_stage1_model_untouched(monkeypatch):
+    import misinfo_mtl.evaluation as ev
+
     suite, vocab = _suite_and_vocab(("alpha", "beta", "rumorlike"), examples=45, num_events=3)
     base = build_model(_enc(vocab), [suite["alpha"].spec], vocab=vocab)
     before = {k: v.copy() for k, v in flatten_params(base).items()}
-    clones, real_clone = [], MultiTaskModel.clone
-    monkeypatch.setattr(MultiTaskModel, "clone", lambda self: clones.append(1) or real_clone(self))
-    result = fewshot_run(base, suite["rumorlike"], FewShotConfig(k=10, seed=0), _tc(max_epochs=1, patience=1))
-    assert len(clones) == 1  # the training loop's own copy; the new head is registered on a dict-level copy
-    assert "rumorlike" in result.model.heads
-    assert set(base.tasks) == set(base.heads) == {"alpha"}
-    after = flatten_params(base)
-    assert set(after) == set(before) and all(np.array_equal(after[k], before[k]) for k in before)
+    for mode in ("head-only", "full-model"):
+        result = fewshot_run(base, suite["rumorlike"], FewShotConfig(k=10, seed=0, mode=mode),
+                             _tc(max_epochs=1, patience=1))
+        assert "rumorlike" in result.model.heads
+        assert set(base.tasks) == set(base.heads) == {"alpha"}
+        after = flatten_params(base)
+        assert set(after) == set(before) and all(np.array_equal(after[k], before[k]) for k in before), mode
 
-    clones.clear()
+    # every fold fine-tunes from the encoder stage 1 returned, not from an earlier fold's tuned one
+    stage1, seen = [], []
+    real_train, real_finetune = ev.train_multitask, ev.finetune_task
+
+    def train(*args, **kwargs):
+        model, history = real_train(*args, **kwargs)
+        stage1.append({k: v.copy() for k, v in model.encoder.tensors.items()})
+        return model, history
+
+    def finetune(model, *args, **kwargs):
+        seen.append(all(np.array_equal(model.encoder.tensors[k], v) for k, v in stage1[0].items()))
+        return real_finetune(model, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "train_multitask", train)
+    monkeypatch.setattr(ev, "finetune_task", finetune)
     splits = {t: split(suite[t], seed=0) for t in ("alpha", "beta")}
     folds = loocv_run(splits, suite["rumorlike"], _enc(vocab), _tc(max_epochs=1, patience=1)).folds
-    assert len(clones) == 1 + len(folds)  # stage 1, then one per fold's fine-tuning
+    assert len(stage1) == 1 and len(folds) == 3 and seen == [True] * 3
 
 
 def test_head_only_fewshot_skips_encoder_backward_bit_identically(monkeypatch):

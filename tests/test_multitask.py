@@ -8,7 +8,9 @@ from misinfo_mtl.encoder import init_encoder
 from misinfo_mtl.multitask import (
     MultiTaskModel,
     TaskSpec,
+    assign_params,
     build_model,
+    copy_dicts,
     flatten_params,
     head_seed,
     predict,
@@ -265,21 +267,21 @@ def test_build_model_sorted_registration():
             assert np.array_equal(m1.heads[task][k], m2.heads[task][k])
 
 
-def test_clone_copies_arrays_and_dicts_and_shares_the_vocabulary():
+def test_copy_dicts_shares_every_array_and_copies_every_dict():
     from misinfo_mtl.tokenization import Vocabulary
 
     config = tiny_config(vocab_size=6)
     model = build_model(config, [TaskSpec("t", ("a", "b"), "tweet")], vocab=Vocabulary.from_tokens(["x", "y", "z"]))
-    clone = model.clone()
-    assert clone.vocab is model.vocab and clone.tasks["t"] is model.tasks["t"]
-    assert clone.config == model.config
-    assert clone.tasks is not model.tasks and clone.heads is not model.heads
-    assert clone.encoder.tensors is not model.encoder.tensors and clone.heads["t"] is not model.heads["t"]
-    before, copied = flatten_params(model), flatten_params(clone)
-    assert before.keys() == copied.keys()
-    for key in before:
-        assert copied[key] is not before[key] and np.array_equal(copied[key], before[key])
-        copied[key] += 1.0  # writing into the clone's arrays leaves the original's alone
-        assert not np.array_equal(copied[key], before[key])
-    clone.tasks["u"] = TaskSpec("u", ("a", "b"), "tweet")
+    copy = copy_dicts(model)
+    assert copy.vocab is model.vocab and copy.tasks["t"] is model.tasks["t"]
+    assert copy.config == model.config
+    assert copy.tasks is not model.tasks and copy.heads is not model.heads
+    assert copy.encoder is not model.encoder and copy.encoder.tensors is not model.encoder.tensors
+    assert copy.heads["t"] is not model.heads["t"]
+    before, shared = flatten_params(model), flatten_params(copy)
+    assert before.keys() == shared.keys() and all(shared[key] is before[key] for key in before)
+    # swapping the copy's entries, as training does, leaves the original's alone
+    assign_params(copy, {key: value + 1.0 for key, value in shared.items()})
+    assert all(flatten_params(model)[key] is before[key] for key in before)
+    copy.tasks["u"] = TaskSpec("u", ("a", "b"), "tweet")
     assert "u" not in model.tasks

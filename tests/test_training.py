@@ -12,7 +12,7 @@ from misinfo_mtl.data import (
     Dataset, Example, SplitDataset, SyntheticSuiteConfig, generate_synthetic_suite, make_dataset, split,
 )
 from misinfo_mtl.encoder import WIDTH_CLASS, EncoderConfig, RowSparseGrad
-from misinfo_mtl.multitask import TaskSpec, build_model, encode_for_task, flatten_params
+from misinfo_mtl.multitask import TaskSpec, build_model, copy_dicts, encode_for_task, flatten_params
 from misinfo_mtl.tokenization import build_vocab
 from misinfo_mtl.training import (
     ADAM_BETA1,
@@ -306,7 +306,7 @@ def test_train_rejects_empty_split():
 
 def test_training_is_deterministic():
     model, splits = _tiny_setup()
-    m1, h1 = train_multitask(model, splits, _quick_config())
+    m1, h1 = train_multitask(copy_dicts(model), splits, _quick_config())
     m2, h2 = train_multitask(model, splits, _quick_config())
     f1, f2 = flatten_params(m1), flatten_params(m2)
     for k in f1:
@@ -315,20 +315,30 @@ def test_training_is_deterministic():
     assert h1.best_epoch == h2.best_epoch
 
 
-def test_training_leaves_input_model_untouched():
+def test_training_a_dict_level_copy_leaves_the_original_untouched():
     model, splits = _tiny_setup()
     before = {k: v.copy() for k, v in flatten_params(model).items()}
-    train_multitask(model, splits, _quick_config())
-    after = flatten_params(model)
+    trained, _ = train_multitask(copy_dicts(model), splits, _quick_config())
+    after, moved = flatten_params(model), flatten_params(trained)
+    assert set(after) == set(before)
     for k in before:
         assert np.array_equal(before[k], after[k])
+    assert all(not np.array_equal(moved[k], before[k]) for k in before)  # every parameter trained
+
+
+def test_training_trains_the_model_it_is_given():
+    model, splits = _tiny_setup()
+    encoder, heads = model.encoder.tensors, model.heads["alpha"]
+    trained, _ = train_multitask(model, splits, _quick_config(max_epochs=1, patience=1))
+    assert trained is model and trained.encoder.tensors is encoder and trained.heads["alpha"] is heads
 
 
 def test_training_holds_one_parameter_generation_between_steps(monkeypatch):
     # When a step starts, the token tables earlier steps started from (updated away since) and the previous
     # step's gradients are gone: nothing of the previous generation lives through the next forward and backward.
     # The one exception is the best epoch's parameters, which training keeps by reference: the table the
-    # epoch ended with, which is the table the next epoch's first step started from.
+    # epoch ended with, which is the table the next epoch's first step started from. The input model's own
+    # table is gone by the second step too, though the caller still holds the model: training swaps its arrays.
     model, splits = _tiny_setup()
     real, previous, epoch_starts = training.task_step_gradients, [], []
     real_schedule = training.make_epoch_schedule
@@ -339,6 +349,7 @@ def test_training_holds_one_parameter_generation_between_steps(monkeypatch):
             f"step {len(previous) + 1}: the token tables of steps {[i + 1 for i in alive]} are alive"
         if previous:
             assert previous[-1][1]() is None, f"step {len(previous) + 1}: the previous step's token gradient is alive"
+            assert given() is None, f"step {len(previous) + 1}: the input model's token table is alive"
         table = weakref.ref(model.encoder.tensors["token_emb"])
         loss, grads = real(model, *args, **kwargs)
         previous.append((table, weakref.ref(grads["encoder.token_emb"])))
@@ -347,15 +358,20 @@ def test_training_holds_one_parameter_generation_between_steps(monkeypatch):
     monkeypatch.setattr(training, "task_step_gradients", step)
     monkeypatch.setattr(training, "make_epoch_schedule",
                         lambda *a: epoch_starts.append(len(previous)) or real_schedule(*a))
-    train_multitask(model, splits, _quick_config(max_epochs=2, patience=2))
-    assert len(previous) >= 4  # two epochs of at least two steps
+    config = _quick_config(max_epochs=2, patience=2)
+    for fit in (lambda: train_multitask(model, splits, config),
+                lambda: finetune_task(model, "alpha", splits["alpha"], config)):
+        previous.clear(), epoch_starts.clear()
+        given = weakref.ref(model.encoder.tensors["token_emb"])
+        fit()
+        assert len(previous) >= 4  # two epochs of at least two steps
 
 
 def test_single_task_multitask_equals_finetune_loop():
     # With one task the stage-1 loop is plain single-task training.
     model, splits = _tiny_setup(task_names=("alpha", "beta"))
     single = {"alpha": splits["alpha"]}
-    only_alpha, _ = finetune_task(model, "alpha", splits["alpha"], _quick_config())
+    only_alpha, _ = finetune_task(copy_dicts(model), "alpha", splits["alpha"], _quick_config())
 
     import misinfo_mtl.multitask as mt
 
@@ -372,9 +388,9 @@ def test_single_task_multitask_equals_finetune_loop():
 def test_stage1_step_isolation_and_stage2_head_freeze():
     model, splits = _tiny_setup()
     trained, _ = train_multitask(model, splits, _quick_config(max_epochs=1, patience=1))
-    tuned, _ = finetune_task(trained, "alpha", splits["alpha"], _quick_config(max_epochs=2, patience=2))
+    tuned, _ = finetune_task(copy_dicts(trained), "alpha", splits["alpha"], _quick_config(max_epochs=2, patience=2))
     for k in trained.heads["beta"]:
-        assert np.array_equal(tuned.heads["beta"][k], trained.heads["beta"][k])
+        assert tuned.heads["beta"][k] is trained.heads["beta"][k]  # neither written nor copied
     assert any(
         not np.array_equal(tuned.encoder.tensors[k], trained.encoder.tensors[k])
         for k in trained.encoder.tensors
@@ -493,7 +509,7 @@ def test_stage2_improves_or_ties_validation_macro_f1():
         cfg = TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=10, patience=10, seed=seed)
         model = build_model(enc, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
         stage1, _ = train_multitask(model, splits, cfg)
-        stage2, _ = finetune_task(stage1, "alpha", splits["alpha"], cfg)
+        stage2, _ = finetune_task(copy_dicts(stage1), "alpha", splits["alpha"], cfg)
         val = splits["alpha"].validation.examples
         stage1_scores.append(evaluate_model(stage1, "alpha", val).macro_f1)
         stage2_scores.append(evaluate_model(stage2, "alpha", val).macro_f1)
@@ -610,7 +626,7 @@ def test_train_pad_fraction_counts_the_runs_the_encoder_computes(monkeypatch):
 def test_long_tailed_training_reruns_bit_identically():
     model, splits = _long_tailed_setup()
     config = _quick_config(max_epochs=2, patience=2)
-    m1, h1 = train_multitask(model, splits, config)
+    m1, h1 = train_multitask(copy_dicts(model), splits, config)
     m2, h2 = train_multitask(model, splits, config)
     f1, f2 = flatten_params(m1), flatten_params(m2)
     assert all(np.array_equal(f1[k], f2[k]) for k in f1)
