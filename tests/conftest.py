@@ -1,3 +1,5 @@
+import json
+import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -68,6 +70,15 @@ def reference_adam(param, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def tamper_header(raw: bytes, mutate) -> bytes:
+    """Checkpoint bytes ``raw`` with ``mutate`` applied to the decoded JSON header."""
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    mutate(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + header_len :]
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from misinfo_mtl.encoder import init_encoder
 from misinfo_mtl.multitask import MultiTaskModel, TaskSpec, register_task
 from misinfo_mtl.tokenization import RESERVED_TOKENS, Vocabulary
 
-from conftest import tiny_config
+from conftest import tamper_header, tiny_config
 
 
 def test_encoder_checkpoint_round_trip(tmp_path):
@@ -105,7 +105,7 @@ def test_rejects_wrong_kind(tmp_path, tiny_model):
     def other_kind(header):
         header["kind"] = "encoder"
 
-    path.write_bytes(_tamper_header(path.read_bytes(), other_kind))
+    path.write_bytes(tamper_header(path.read_bytes(), other_kind))
     with pytest.raises(ValueError, match="expected a multitask checkpoint, found 'encoder'"):
         load_model(path)
 
@@ -119,14 +119,6 @@ def test_rejects_truncated_payload(tmp_path, tiny_model):
         load_model(path)
 
 
-def _tamper_header(raw: bytes, mutate) -> bytes:
-    (header_len,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + header_len])
-    mutate(header)
-    blob = json.dumps(header, sort_keys=True).encode()
-    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + header_len :]
-
-
 def test_rejects_shape_mismatch_against_config(tmp_path, tiny_model):
     path = tmp_path / "model.ckpt"
     save_model(path, tiny_model)
@@ -134,7 +126,7 @@ def test_rejects_shape_mismatch_against_config(tmp_path, tiny_model):
     def grow_ffn(header):
         header["encoder_config"]["ffn_dim"] += 1
 
-    path.write_bytes(_tamper_header(path.read_bytes(), grow_ffn))
+    path.write_bytes(tamper_header(path.read_bytes(), grow_ffn))
     with pytest.raises(ValueError, match="shape mismatch"):
         load_model(path)
 
@@ -146,7 +138,7 @@ def test_rejects_missing_tensor(tmp_path, tiny_model):
     def drop_task(header):
         del header["tasks"]["b_task"]
 
-    path.write_bytes(_tamper_header(path.read_bytes(), drop_task))
+    path.write_bytes(tamper_header(path.read_bytes(), drop_task))
     with pytest.raises(ValueError, match="tensor set mismatch"):
         load_model(path)
 
@@ -171,7 +163,7 @@ def test_rejects_a_bad_vocab_naming_the_file(tmp_path, tiny_model, mutate, messa
     def bad_vocab(header):
         header["vocab"] = mutate(header["vocab"])
 
-    path.write_bytes(_tamper_header(path.read_bytes(), bad_vocab))
+    path.write_bytes(tamper_header(path.read_bytes(), bad_vocab))
     with pytest.raises(ValueError, match=message) as info:
         load_model(path)
     assert str(path) in str(info.value)
@@ -226,7 +218,7 @@ def test_rejects_malformed_header_naming_the_file(tmp_path, raw, message):
 def test_rejects_ill_typed_header_fields(tmp_path, tiny_model, mutate):
     path = tmp_path / "model.ckpt"
     save_model(path, tiny_model)
-    path.write_bytes(_tamper_header(path.read_bytes(), mutate))
+    path.write_bytes(tamper_header(path.read_bytes(), mutate))
     with pytest.raises(ValueError) as info:
         load_model(path)
     assert str(path) in str(info.value)

@@ -1,5 +1,4 @@
 import json
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -12,6 +11,8 @@ from misinfo_mtl.checkpoint import load_model, save_model
 from misinfo_mtl.cli import main
 from misinfo_mtl.data import SyntheticSuiteConfig, generate_synthetic_suite, save_dataset
 from misinfo_mtl.multitask import flatten_params
+
+from conftest import tamper_header
 
 CFG_TEMPLATE = """
 # desk-scale settings
@@ -457,18 +458,10 @@ def test_a_checkpoint_without_a_vocabulary_exits_2_writing_nothing(stage1, tmp_p
     assert not out.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["bare"]
 
 
-def _one_token_short(raw):
-    """``raw`` with the last vocabulary token dropped from its header."""
-    (size,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16 : 16 + size])
-    header["vocab"].pop()
-    blob = json.dumps(header, sort_keys=True).encode()
-    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + size :]
-
-
 MALFORMED_CHECKPOINTS = {
     "bad-magic": (lambda raw: b"NOTACKPT" + raw[8:], "not a checkpoint file (bad magic)"),
-    "vocab-one-token-short": (_one_token_short, "tokens after the 3 reserved ids but vocab_size is"),
+    "vocab-one-token-short": (lambda raw: tamper_header(raw, lambda header: header["vocab"].pop()),
+                              "tokens after the 3 reserved ids but vocab_size is"),
 }
 
 
