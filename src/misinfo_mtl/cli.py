@@ -274,8 +274,8 @@ def _load_model(checkpoint_path: str) -> MultiTaskModel:
         raise ConfigError(f"checkpoint not found: {cp}")
     try:
         model = ckpt.load_model(cp)
-    except ValueError as exc:  # a malformed file is a bad input, like a missing one
-        raise ConfigError(str(exc)) from None
+    except (OSError, ValueError) as exc:  # a malformed or unreadable file is a bad input, like a missing one
+        raise ConfigError(str(exc) if isinstance(exc, ValueError) else f"{cp}: {exc.strerror or exc}") from None
     if model.vocab is None:
         raise ConfigError(f"checkpoint {cp} has no vocabulary")
     return model

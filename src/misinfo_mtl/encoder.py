@@ -6,11 +6,13 @@ the last layer's CLS row. Parameters are a flat name->array dict so the
 optimizer, checkpointing and gradient checking can all treat them uniformly.
 
 A batch runs through the stack as independent runs, each at its own longest
-real row (``split_runs``). The calling thread and a pool of one worker per
-further usable CPU take a call's runs from one queue; the cut never depends on
-the CPU count, and the calling thread draws every random number, so results
-do not either. Parameters are immutable during a forward/backward pair;
-eval-mode forwards over shared parameters are safe to run concurrently.
+real row (``split_runs``). A run with enough PAD packs its real cells, so its
+token-wise layers skip PAD and only attention sees its padded grid. The calling
+thread and a pool of one worker per further usable CPU take a call's runs from
+one queue; the cut never depends on the CPU count, and the calling thread draws
+every random number, so results do not either. Parameters are immutable during
+a forward/backward pair; eval-mode forwards over shared parameters are safe to
+run concurrently.
 """
 
 import math
@@ -30,6 +32,8 @@ LN_EPS = 1e-5
 WIDTH_CLASS = 32
 RUN_ROWS = 32  # most rows in one run of the stack, so a scored split runs in train-batch-sized pieces
 RUN_CELLS = 2048  # most rows x class-width cells in one run; wider classes run fewer rows per run
+# A run packs its real cells once this share of its cells is PAD: below, the copies to and from the attention's grid
+PACK_PAD = 0.125  # cost more than the PAD cells skipped (break-even measured at 6-10% PAD on 16 x 128 runs)
 SCORE_GRAD_CELLS = 1 << 16  # most attention-score gradient elements built at once in backward (512 KiB)
 
 # Cephes ndtr.c erf: x T(x^2) / U(x^2) for |x| <= 1, 1 - exp(-x^2) P(|x|) / Q(|x|)
@@ -313,20 +317,38 @@ def _merge_heads(x):
 # --- forward / backward -----------------------------------------------------
 
 
-def _query_rows(cfg: EncoderConfig, layer: int) -> slice:
-    """Rows whose outputs a layer computes: its consumer reads only those.
+def _layout(cfg: EncoderConfig, lengths: np.ndarray, width: int):
+    """How a run holds its cells: (its (rows, width) real mask, its grid (cells, rows, width), their ``pos_emb``
+    rows, and per layer (index, grid) of the cells it computes queries and all after them for). With ``PACK_PAD``
+    of PAD or more, cells are the real cells' flat grid indices, packed row-major as (cells, ·) arrays; else None,
+    and the run holds its (rows, width, ·) grid. The last layer computes the CLS cells (the pooled output) only."""
+    real = np.arange(width) < lengths[:, None]
+    if lengths.sum() > (1.0 - PACK_PAD) * real.size:
+        grid, pos, cls = (None, lengths.size, width), slice(0, width), np.s_[:, :1]
+    else:
+        cells = np.flatnonzero(real)
+        grid, pos, cls = (cells, lengths.size, width), cells % width, np.s_[np.flatnonzero(cells % width == 0), None]
+    return real, grid, pos, [(..., grid)] * (cfg.num_layers - 1) + [(cls, (None, lengths.size, 1))]
 
-    The pooled output is row 0 of the last layer, so that layer runs queries,
-    attention, residual, LayerNorms and FFN for the CLS row alone (keys and
-    values still cover every row). Every other layer computes all rows.
-    """
-    return slice(0, 1) if layer == cfg.num_layers - 1 else slice(None)
+
+def _to_grid(packed: np.ndarray, cells, rows: int, width: int) -> np.ndarray:
+    """A run's array as its (rows, width, ·) grid, zero at PAD (``packed`` itself when cells is None)."""
+    if cells is None:
+        return packed
+    grid = np.zeros((rows * width, packed.shape[-1]))
+    grid[cells] = packed
+    return grid.reshape(rows, width, -1)
+
+
+def _from_grid(grid: np.ndarray, cells) -> np.ndarray:
+    """The cells of a (rows, width, ...) grid as a run holds them (the grid itself when cells is None)."""
+    return grid if cells is None else grid.reshape((-1,) + grid.shape[2:])[cells]
 
 
 @dataclass
 class _LayerCache:
-    x_in: np.ndarray
-    q: np.ndarray  # queries times 1/sqrt(head_dim)
+    x_in: np.ndarray  # this and every token-wise array: the run's cells as ``_layout`` holds them
+    q: np.ndarray  # queries times 1/sqrt(head_dim); q, k, v and probs are (rows, heads, width, ·) grids
     k: np.ndarray
     v: np.ndarray
     probs: np.ndarray
@@ -347,7 +369,9 @@ class EncoderCache:
     """Activations from one run of the stack over some rows of a batch, consumed by one ``backward``."""
 
     batch_rows: np.ndarray  # the rows of the batch this run covered
-    ids: np.ndarray  # their ids at the run's width
+    grid: tuple  # its grid and each layer's query cells, from ``_layout``
+    queries: list
+    ids: np.ndarray  # the ids of its cells, held as ``_layout`` says
     emb_drop: np.ndarray | None
     xhat0: np.ndarray
     inv0: np.ndarray
@@ -424,11 +448,11 @@ def split_runs(lengths: np.ndarray):
 def _dropout_masks(rng, cfg: EncoderConfig, rows: int, width: int, rate: float) -> list[np.ndarray]:
     """One width class's dropout masks in draw order: the embedding's, then attention and FFN per layer.
 
-    Each is drawn at the shape of the rows its layer computes: (rows, 1, d) for a CLS-only layer.
+    Each is drawn at the grid of the cells its layer computes: (rows, 1, d) for a CLS-only layer.
     """
     shapes = [(rows, width, cfg.embed_dim)]
     for i in range(cfg.num_layers):
-        shapes += 2 * [(rows, len(range(width)[_query_rows(cfg, i)]), cfg.embed_dim)]
+        shapes += 2 * [(rows, 1 if i == cfg.num_layers - 1 else width, cfg.embed_dim)]
     return [_dropout_mask(rng, shape, rate) for shape in shapes]
 
 
@@ -445,16 +469,18 @@ def encode_batch(
     cut into runs by ``split_runs``, each an independent run of the stack that
     gathers its rows at its own longest row; this thread and the pool's
     workers take them from one queue. Pooled rows come back in input order.
-    Keys past a row's length get a -inf pre-softmax attention score, so PAD
-    content can never reach the pooled output. The last layer computes keys
-    and values for every row and everything else for the CLS row only.
+    A run with at least ``PACK_PAD`` of PAD packs its real cells, (cells, d),
+    for its token-wise layers; scores, softmax and context see its (rows,
+    heads, width, ·) grid, where keys past a row's length get a -inf score, so
+    PAD never reaches the pooled output. The last layer computes keys and
+    values for every cell and everything else for the CLS cells only.
     Dropout fires only in train mode (and then requires ``rng``): this thread
     draws each class's masks at the class's shape, class by class, and each
     run takes its rows and columns of them (a CLS-only layer's one column
-    stays). Per-layer activations are kept only with ``return_cache=True``,
-    and then the result is ``(pooled, caches)`` for one subsequent
-    ``backward`` call, which consumes them: a list of one ``EncoderCache``
-    per run.
+    stays) and takes its cells of them. Per-layer activations are kept only
+    with ``return_cache=True``, and then the result is ``(pooled, caches)``
+    for one subsequent ``backward`` call, which consumes them: a list of one
+    ``EncoderCache`` per run.
     """
     cfg = params.config
     ids, lengths = batch.ids, batch.lengths
@@ -486,43 +512,45 @@ def encode_batch(
 
 
 def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks, return_cache):
-    """One run of the stack over ``batch_rows`` of a batch (ids, lengths), gathered at ``width`` columns.
+    """One run of the stack over ``batch_rows`` of a batch (ids, lengths): a (rows, ``width``) grid, as ``_layout``.
 
     ``drop_masks`` is None or the run's rows of its class's ``_dropout_masks``.
     """
     cfg = params.config
     t = params.tensors
-    ids, lengths = batch_ids[batch_rows, :width], batch_lengths[batch_rows]
+    lengths = batch_lengths[batch_rows]
+    real, grid, pos, queries = _layout(cfg, lengths, width)
+    ids = _from_grid(batch_ids[batch_rows, :width], grid[0])
     emb_drop, *layer_drops = drop_masks or [None] * (1 + 2 * cfg.num_layers)
-    x = t["token_emb"][ids] + t["pos_emb"][:width]
+    x = t["token_emb"][ids] + t["pos_emb"][pos]
     x, xhat0, inv0 = _ln_forward(x, t["emb_ln.gain"], t["emb_ln.bias"])
     if emb_drop is not None:
+        emb_drop = _from_grid(emb_drop, grid[0])
         x *= emb_drop
     layer_caches: list[_LayerCache] = []
 
-    real = np.arange(width) < lengths[:, None]  # (B, L): True below each row's length
     key_pad = None if real.all() else ~real[:, None, None, :]  # (B,1,1,L) over the key axis
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
-        rows = _query_rows(cfg, i)
-        attn_drop, ffn_drop = layer_drops[2 * i:2 * i + 2]
+        sel, q_grid = queries[i]
+        attn_drop, ffn_drop = (m if m is None else _from_grid(m, q_grid[0]) for m in layer_drops[2 * i:2 * i + 2])
         x_in = x
         # 1/sqrt(head_dim) is folded into q, so the scores come out scaled (exactly so for a power of 2).
-        q = x_in[:, rows] @ t[p + "attn.wq"] + t[p + "attn.bq"]
+        q = x_in[sel] @ t[p + "attn.wq"] + t[p + "attn.bq"]
         q *= scale
-        q = _split_heads(q, cfg.num_heads)
-        k = _split_heads(x_in @ t[p + "attn.wk"], cfg.num_heads)
-        v = _split_heads(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.num_heads)
+        q = _split_heads(_to_grid(q, *q_grid), cfg.num_heads)
+        k = _split_heads(_to_grid(x_in @ t[p + "attn.wk"], *grid), cfg.num_heads)
+        v = _split_heads(_to_grid(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], *grid), cfg.num_heads)
         scores = q @ k.transpose(0, 1, 3, 2)
         if key_pad is not None:
             np.copyto(scores, -np.inf, where=key_pad)
         probs = _softmax_inplace(scores)
-        ctx = _merge_heads(probs @ v)
+        ctx = _from_grid(_merge_heads(probs @ v), q_grid[0])
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
         if attn_drop is not None:
             attn_out *= attn_drop
-        x_mid, xhat1, inv1 = _ln_forward(x_in[:, rows] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
+        x_mid, xhat1, inv1 = _ln_forward(x_in[sel] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
         h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
         h_cdf = gelu_cdf(h_pre)
         ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
@@ -540,8 +568,8 @@ def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks
 
     if not return_cache:
         return x[:, 0, :], None
-    return x[:, 0, :], EncoderCache(batch_rows=batch_rows, ids=ids, emb_drop=emb_drop, xhat0=xhat0, inv0=inv0,
-                                    layers=layer_caches)
+    return x[:, 0, :], EncoderCache(batch_rows=batch_rows, grid=grid, queries=queries, ids=ids, emb_drop=emb_drop,
+                                    xhat0=xhat0, inv0=inv0, layers=layer_caches)
 
 
 def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
@@ -554,9 +582,10 @@ def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: n
     over the cached attention probabilities, so a second call on them raises
     ``ValueError``. Each run of the forward fills its own gradient dict (taken
     from one queue by this thread and the pool's workers), and the dicts are
-    summed in run order. ``token_emb`` gets a ``RowSparseGrad`` over the ids
-    the batch holds, summed over every run's token gradients in run order;
-    every other gradient is a dense array of its parameter's shape.
+    summed in run order; a packed run adds no terms for PAD. ``token_emb``
+    gets a ``RowSparseGrad`` over the ids of the cells the runs hold, summed
+    over every run's token gradients in run order; every other gradient is a
+    dense array of its parameter's shape.
     """
     if caches is None:
         raise ValueError("backward requires the caches from a forward pass")
@@ -629,44 +658,45 @@ def _ffn_backward(cfg, t, p, lc: _LayerCache, dx, grads):
     h_act = (lc.h_pre * lc.h_cdf).reshape(-1, cfg.ffn_dim)
     grads[p + "ffn.w2"] += h_act.T @ dffn_out.reshape(-1, cfg.embed_dim)
     del h_act
-    grads[p + "ffn.b2"] += dffn_out.sum(axis=(0, 1))
+    grads[p + "ffn.b2"] += dffn_out.reshape(-1, cfg.embed_dim).sum(axis=0)
     dh_pre = gelu_grad(lc.h_pre, lc.h_cdf)
     dh_pre *= dffn_out @ t[p + "ffn.w2"].T
     del dffn_out
     grads[p + "ffn.w1"] += lc.x_mid.reshape(-1, cfg.embed_dim).T @ dh_pre.reshape(-1, cfg.ffn_dim)
-    grads[p + "ffn.b1"] += dh_pre.sum(axis=(0, 1))
+    grads[p + "ffn.b1"] += dh_pre.reshape(-1, cfg.ffn_dim).sum(axis=0)
     return dz2 + dh_pre @ t[p + "ffn.w1"].T
 
 
-def _attn_backward(cfg, t, p, rows, lc: _LayerCache, dx_mid, grads):
+def _attn_backward(cfg, t, p, grid, sel, q_grid, lc: _LayerCache, dx_mid, grads):
     """One layer's attention block (its LayerNorm, Wo, softmax, Wq/Wk/Wv) backward: returns the gradient
-    w.r.t. ``x_in``. The score gradient is built in ``lc.probs``."""
-    d = cfg.embed_dim
+    w.r.t. ``x_in``. ``grid`` is the run's (cells, rows, width); ``sel, q_grid`` the layer's query cells.
+    The score gradient is built in ``lc.probs``."""
+    d, heads = cfg.embed_dim, cfg.num_heads
     dz1, dg, dbias = _ln_backward(dx_mid, t[p + "attn_ln.gain"], lc.xhat1, lc.inv1)
     grads[p + "attn_ln.gain"] += dg
     grads[p + "attn_ln.bias"] += dbias
     dattn_out = dz1 if lc.attn_drop is None else dz1 * lc.attn_drop
     grads[p + "attn.wo"] += lc.ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
-    grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
-    dctx = _split_heads(dattn_out @ t[p + "attn.wo"].T, cfg.num_heads)
+    grads[p + "attn.bo"] += dattn_out.reshape(-1, d).sum(axis=0)
+    dctx = _split_heads(_to_grid(dattn_out @ t[p + "attn.wo"].T, *q_grid), heads)
     del dattn_out
 
     dv = lc.probs.transpose(0, 1, 3, 2) @ dctx  # before the probabilities give way to the score gradient
-    dscores = _score_grads_into_probs(lc.probs, lc.v, _split_heads(lc.ctx, cfg.num_heads), dctx)
+    dscores = _score_grads_into_probs(lc.probs, lc.v, _split_heads(_to_grid(lc.ctx, *q_grid), heads), dctx)
     dq = (dscores @ lc.k) * (1.0 / math.sqrt(cfg.head_dim))
     dk = dscores.transpose(0, 1, 3, 2) @ lc.q  # q carries the scale already
 
-    # Queries (and the residual) come from the layer's rows only; keys and values from every row.
-    # The sums keep the order ((dz1 + dq Wq^T) + dk Wk^T) + dv Wv^T of an all-rows layer.
-    dq, dk, dv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    # Queries (and the residual) come from the layer's cells only; keys and values from every cell.
+    # The sums keep the order ((dz1 + dq Wq^T) + dk Wk^T) + dv Wv^T of an all-cells layer.
+    dq, dk, dv = (_from_grid(_merge_heads(g), c) for g, c in ((dq, q_grid[0]), (dk, grid[0]), (dv, grid[0])))
     x_all = lc.x_in.reshape(-1, d)
-    grads[p + "attn.wq"] += lc.x_in[:, rows].reshape(-1, d).T @ dq.reshape(-1, d)
-    grads[p + "attn.bq"] += dq.sum(axis=(0, 1))
+    grads[p + "attn.wq"] += lc.x_in[sel].reshape(-1, d).T @ dq.reshape(-1, d)
+    grads[p + "attn.bq"] += dq.reshape(-1, d).sum(axis=0)
     grads[p + "attn.wk"] += x_all.T @ dk.reshape(-1, d)  # the key projection has no bias
     grads[p + "attn.wv"] += x_all.T @ dv.reshape(-1, d)
-    grads[p + "attn.bv"] += dv.sum(axis=(0, 1))
+    grads[p + "attn.bv"] += dv.reshape(-1, d).sum(axis=0)
     dx = np.zeros_like(lc.x_in)
-    dx[:, rows] = dz1 + dq @ t[p + "attn.wq"].T
+    dx[sel] = dz1 + dq @ t[p + "attn.wq"].T
     dx += dk @ t[p + "attn.wk"].T
     dx += dv @ t[p + "attn.wv"].T
     return dx
@@ -676,13 +706,12 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
     """Gradients of one run of the stack (``cache``), each added once into its own zeroed array.
 
     Returns them (every parameter but ``token_emb``) with the gradient w.r.t.
-    the run's embedded tokens, (B, L, d), whose rows ``backward`` sums per
-    token id into the ``token_emb`` gradient. Consumes the cache: each layer's
-    activations leave ``cache.layers`` once its gradients are taken.
+    the run's embedded cells, held as ``_layout`` says, whose rows ``backward``
+    sums per token id into the ``token_emb`` gradient. Consumes the cache: each
+    layer's activations leave ``cache.layers`` once its gradients are taken.
     """
     cfg = params.config
     t = params.tensors
-    length = cache.ids.shape[1]
     grads = {name: np.zeros_like(arr) for name, arr in t.items() if name != "token_emb"}
 
     dx = upstream_grad[:, None, :]  # the last layer's one (CLS) row
@@ -690,7 +719,7 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
         p = f"layers.{i}."
         lc = cache.layers.pop()
         dx = _ffn_backward(cfg, t, p, lc, dx, grads)
-        dx = _attn_backward(cfg, t, p, _query_rows(cfg, i), lc, dx, grads)
+        dx = _attn_backward(cfg, t, p, cache.grid, *cache.queries[i], lc, dx, grads)
     del lc
 
     if cache.emb_drop is not None:
@@ -698,5 +727,5 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
     de, dg, dbias = _ln_backward(dx, t["emb_ln.gain"], cache.xhat0, cache.inv0)
     grads["emb_ln.gain"] += dg
     grads["emb_ln.bias"] += dbias
-    grads["pos_emb"][:length] += de.sum(axis=0)
+    grads["pos_emb"][:cache.grid[2]] += _to_grid(de, *cache.grid).sum(axis=0)
     return grads, de

@@ -239,7 +239,7 @@ class EarlyStopper:
 class EpochRecord:
     epoch: int
     train_loss: dict[str, float]
-    train_pad_fraction: dict[str, float]  # 1 - real tokens / cells the encoder computes, over the epoch
+    train_pad_fraction: dict[str, float]  # 1 - real tokens / cells of the runs' attention grids, over the epoch
     val_loss: dict[str, float]
     val_accuracy: dict[str, float]
     val_macro_f1: dict[str, float]

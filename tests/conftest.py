@@ -140,3 +140,129 @@ def finite_difference_check(
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), GRADCHECK_FLOOR)
         worst = max(worst, err)
     return worst
+
+
+# --- the padded encoder: the old path, an oracle for the packed one -----------------------------------------
+
+
+def padded_encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks, all_rows=False):
+    """One run of the stack the way the encoder ran it before it packed real cells: every token-wise layer over
+    the whole (rows, width) grid, PAD cells included. Returns (pooled, cache), the cache a dict of grids.
+
+    The last layer computes the CLS row alone unless ``all_rows``; ``drop_masks`` as for ``_encode_rows``.
+    """
+    cfg, t = params.config, params.tensors
+    ids, lengths = batch_ids[batch_rows, :width], batch_lengths[batch_rows]
+    emb_drop, *layer_drops = drop_masks or [None] * (1 + 2 * cfg.num_layers)
+    x, xhat0, inv0 = enc._ln_forward(t["token_emb"][ids] + t["pos_emb"][:width], t["emb_ln.gain"], t["emb_ln.bias"])
+    if emb_drop is not None:
+        x *= emb_drop
+    real = np.arange(width) < lengths[:, None]
+    key_pad = None if real.all() else ~real[:, None, None, :]
+    layers = []
+    for i in range(cfg.num_layers):
+        p = f"layers.{i}."
+        rows = slice(0, 1) if i == cfg.num_layers - 1 and not all_rows else slice(None)
+        attn_drop, ffn_drop = layer_drops[2 * i:2 * i + 2]
+        x_in = x
+        q = x_in[:, rows] @ t[p + "attn.wq"] + t[p + "attn.bq"]
+        q *= 1.0 / np.sqrt(cfg.head_dim)
+        q = enc._split_heads(q, cfg.num_heads)
+        k = enc._split_heads(x_in @ t[p + "attn.wk"], cfg.num_heads)
+        v = enc._split_heads(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.num_heads)
+        scores = q @ k.transpose(0, 1, 3, 2)
+        if key_pad is not None:
+            np.copyto(scores, -np.inf, where=key_pad)
+        probs = enc._softmax_inplace(scores)
+        ctx = enc._merge_heads(probs @ v)
+        attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
+        if attn_drop is not None:
+            attn_out *= attn_drop
+        x_mid, xhat1, inv1 = enc._ln_forward(x_in[:, rows] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
+        h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
+        h_cdf = enc.gelu_cdf(h_pre)
+        ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
+        if ffn_drop is not None:
+            ffn_out *= ffn_drop
+        x, xhat2, inv2 = enc._ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
+        layers.append(dict(rows=rows, x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop,
+                           xhat1=xhat1, inv1=inv1, x_mid=x_mid, h_pre=h_pre, h_cdf=h_cdf, ffn_drop=ffn_drop,
+                           xhat2=xhat2, inv2=inv2))
+    return x[:, 0, :], dict(batch_rows=batch_rows, ids=ids, emb_drop=emb_drop, xhat0=xhat0, inv0=inv0, layers=layers)
+
+
+def padded_backward_rows(params, cache, upstream):
+    """The padded run's gradients (every parameter but token_emb) and its (rows, width, d) token gradients."""
+    cfg, t, d, f = params.config, params.tensors, params.config.embed_dim, params.config.ffn_dim
+    grads = {name: np.zeros_like(arr) for name, arr in t.items() if name != "token_emb"}
+    dx = upstream[:, None, :]
+    for i in reversed(range(cfg.num_layers)):
+        p, lc = f"layers.{i}.", cache["layers"][i]
+        dz2, dg, db = enc._ln_backward(dx, t[p + "ffn_ln.gain"], lc["xhat2"], lc["inv2"])
+        grads[p + "ffn_ln.gain"] += dg
+        grads[p + "ffn_ln.bias"] += db
+        dffn_out = dz2 if lc["ffn_drop"] is None else dz2 * lc["ffn_drop"]
+        grads[p + "ffn.w2"] += (lc["h_pre"] * lc["h_cdf"]).reshape(-1, f).T @ dffn_out.reshape(-1, d)
+        grads[p + "ffn.b2"] += dffn_out.sum(axis=(0, 1))
+        dh_pre = enc.gelu_grad(lc["h_pre"], lc["h_cdf"]) * (dffn_out @ t[p + "ffn.w2"].T)
+        grads[p + "ffn.w1"] += lc["x_mid"].reshape(-1, d).T @ dh_pre.reshape(-1, f)
+        grads[p + "ffn.b1"] += dh_pre.sum(axis=(0, 1))
+        dx_mid = dz2 + dh_pre @ t[p + "ffn.w1"].T
+        dz1, dg, db = enc._ln_backward(dx_mid, t[p + "attn_ln.gain"], lc["xhat1"], lc["inv1"])
+        grads[p + "attn_ln.gain"] += dg
+        grads[p + "attn_ln.bias"] += db
+        dattn_out = dz1 if lc["attn_drop"] is None else dz1 * lc["attn_drop"]
+        grads[p + "attn.wo"] += lc["ctx"].reshape(-1, d).T @ dattn_out.reshape(-1, d)
+        grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
+        dctx = enc._split_heads(dattn_out @ t[p + "attn.wo"].T, cfg.num_heads)
+        dv = lc["probs"].transpose(0, 1, 3, 2) @ dctx
+        dscores = enc._score_grads_into_probs(lc["probs"].copy(), lc["v"], enc._split_heads(lc["ctx"], cfg.num_heads),
+                                              dctx)
+        dq = enc._merge_heads((dscores @ lc["k"]) * (1.0 / np.sqrt(cfg.head_dim)))
+        dk, dv = enc._merge_heads(dscores.transpose(0, 1, 3, 2) @ lc["q"]), enc._merge_heads(dv)
+        x_all, rows = lc["x_in"].reshape(-1, d), lc["rows"]
+        grads[p + "attn.wq"] += lc["x_in"][:, rows].reshape(-1, d).T @ dq.reshape(-1, d)
+        grads[p + "attn.bq"] += dq.sum(axis=(0, 1))
+        grads[p + "attn.wk"] += x_all.T @ dk.reshape(-1, d)
+        grads[p + "attn.wv"] += x_all.T @ dv.reshape(-1, d)
+        grads[p + "attn.bv"] += dv.sum(axis=(0, 1))
+        dx = np.zeros_like(lc["x_in"])
+        dx[:, rows] = dz1 + dq @ t[p + "attn.wq"].T
+        dx += dk @ t[p + "attn.wk"].T
+        dx += dv @ t[p + "attn.wv"].T
+    if cache["emb_drop"] is not None:
+        dx = dx * cache["emb_drop"]
+    de, dg, db = enc._ln_backward(dx, t["emb_ln.gain"], cache["xhat0"], cache["inv0"])
+    grads["emb_ln.gain"] += dg
+    grads["emb_ln.bias"] += db
+    grads["pos_emb"][:cache["ids"].shape[1]] += de.sum(axis=0)
+    return grads, de
+
+
+def padded_encode_batch(params, batch, train_mode=False, rng=None):
+    """``encode_batch(..., return_cache=True)`` on the padded path: the same runs, the same dropout draws."""
+    cfg = params.config
+    drop = cfg.dropout_rate if train_mode else 0.0
+    pooled, caches = np.empty((batch.size, cfg.embed_dim)), []
+    for group, class_width, cuts in enc.split_runs(batch.lengths):
+        masks = enc._dropout_masks(rng, cfg, group.size, class_width, drop) if drop > 0.0 else None
+        for cut, width in cuts:
+            run_masks = None if masks is None else [m[cut, :width] for m in masks]
+            pooled[group[cut]], cache = padded_encode_rows(params, batch.ids, batch.lengths, group[cut], width,
+                                                           run_masks)
+            caches.append(cache)
+    return pooled, caches
+
+
+def padded_backward(params, caches, upstream):
+    """``backward`` on the padded path, every gradient dense: token_emb is summed over every cell, PAD too."""
+    results = [padded_backward_rows(params, c, upstream[c["batch_rows"]]) for c in caches]
+    grads = results[0][0]
+    for run_grads, _ in results[1:]:
+        for name, g in run_grads.items():
+            grads[name] += g
+    d = params.config.embed_dim
+    grads["token_emb"] = enc._row_sums(np.concatenate([c["ids"].reshape(-1) for c in caches]),
+                                       np.concatenate([de.reshape(-1, d) for _, de in results]),
+                                       params.config.vocab_size).dense(params.config.vocab_size)
+    return grads

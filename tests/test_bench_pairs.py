@@ -1,0 +1,40 @@
+"""The comparison ``tools/bench_pairs.py`` records per metric, on synthetic paired values."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import bench_pairs  # noqa: E402
+
+
+def verdict(better, bound, base, head):
+    result = bench_pairs.compare(better, bound, base, head)
+    return {key: result[key] for key in ("gain", "regression")}
+
+
+BASE = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.5, 98.5, 100.0, 100.0]  # median 100, IQR 1.375
+
+
+def test_a_gain_needs_nine_of_ten_pairs_and_a_median_move_past_the_base_iqr():
+    assert verdict("higher", 0.25, BASE, [x + 5.0 for x in BASE]) == {"gain": True, "regression": False}
+    result = bench_pairs.compare("higher", 0.25, BASE, [x + 5.0 for x in BASE])
+    assert result["head_better_pairs"] == 10 and result["median_change"] == pytest.approx(0.05)
+    # the same move on a lower-is-better metric is a loss, though inside the bound
+    assert verdict("lower", 0.25, BASE, [x + 5.0 for x in BASE]) == {"gain": False, "regression": False}
+    assert verdict("lower", 0.25, BASE, [x - 5.0 for x in BASE])["gain"]
+    # better in 8 of 10 pairs only (a tie counts for neither side)
+    head = [x + 5.0 for x in BASE[:8]] + [BASE[8] - 1.0, BASE[9]]
+    assert bench_pairs.compare("higher", 0.25, BASE, head)["head_better_pairs"] == 8
+    assert not verdict("higher", 0.25, BASE, head)["gain"]
+    # better in every pair, but by less than the base's IQR
+    assert not verdict("higher", 0.25, BASE, [x + 1.0 for x in BASE])["gain"]
+
+
+def test_a_regression_is_a_median_move_the_wrong_way_past_the_bound():
+    assert verdict("higher", 0.25, BASE, [x * 0.7 for x in BASE])["regression"]
+    assert not verdict("higher", 0.25, BASE, [x * 0.8 for x in BASE])["regression"]
+    assert verdict("lower", 0.1, BASE, [x * 1.2 for x in BASE]) == {"gain": False, "regression": True}
+    assert not verdict("lower", 0.1, BASE, [x * 0.5 for x in BASE])["regression"]

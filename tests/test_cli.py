@@ -357,8 +357,9 @@ def test_directory_as_checkpoint_exits_2_with_one_line(workdir, capsys, command)
     rc = main(argv + ["--checkpoint", str(data), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
-    assert str(data) in err
+    # the same prefix as a missing or malformed checkpoint, and the path named once
+    assert err.startswith(f"config error: {data}: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.count(str(data)) == 1
     assert not out.exists()
 
 

@@ -26,7 +26,10 @@ from misinfo_mtl.encoder import (
 from misinfo_mtl import encoder as enc
 from misinfo_mtl.tokenization import Batch
 
-from conftest import finite_difference_check, force_workers, random_batch, tiny_config, trim_batch, with_lengths
+from conftest import (
+    finite_difference_check, force_workers, padded_backward, padded_encode_batch, padded_encode_rows, random_batch,
+    tiny_config, trim_batch, with_lengths,
+)
 
 
 def test_config_rejects_indivisible_heads():
@@ -312,8 +315,8 @@ def test_gradcheck_full_encoder():
 @pytest.mark.parametrize("train_mode", [False, True])
 @pytest.mark.parametrize("num_layers", [1, 2])
 def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, train_mode, monkeypatch):
-    # The reference computes every row of the last layer. It replays the CLS run's dropout
-    # masks; the CLS-only last layer draws (B, 1, d) ones, which go into row 0 of its full masks.
+    # The reference, the padded path, computes every row of the last layer. It replays the CLS run's
+    # dropout masks; the CLS-only last layer draws (B, 1, d) ones, which go into row 0 of its full masks.
     config = tiny_config(num_layers=num_layers, max_seq_len=24, dropout_rate=0.2)
     params = init_encoder(config)
     padded = _short_ragged_batch(15, length=24)
@@ -323,17 +326,17 @@ def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, trai
     monkeypatch.setattr(enc, "_dropout_mask", lambda *args: drawn.append(real_mask(*args)) or drawn[-1])
     cls_pooled = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(6))
 
-    def replay(rng, shape, rate):
+    def replay(shape):
         mask, recorded = np.ones(shape), drawn.pop(0)
         mask[:, : recorded.shape[1]] = recorded
         return mask
 
-    monkeypatch.setattr(enc, "_dropout_mask", replay)
-    monkeypatch.setattr(enc, "_query_rows", lambda cfg, layer: slice(None))
-    full_pooled, [cache] = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(6),
-                                        return_cache=True)
+    full = (batch.size, batch.seq_len, config.embed_dim)
+    masks = [replay(full) for _ in range(1 + 2 * num_layers)] if train_mode else None
+    full_pooled, cache = padded_encode_rows(params, batch.ids, batch.lengths, np.arange(batch.size), batch.seq_len,
+                                            masks, all_rows=True)
     assert not drawn
-    assert cache.layers[-1].xhat2.shape[1] == batch.seq_len
+    assert cache["layers"][-1]["xhat2"].shape[1] == batch.seq_len
     np.testing.assert_allclose(cls_pooled, full_pooled, rtol=1e-12, atol=0)
 
 
@@ -342,12 +345,13 @@ def test_cls_last_layer_caches_one_query_row():
     batch = random_batch(np.random.default_rng(16), 40, 4, 12)
     _, [cache] = encode_batch(init_encoder(config), batch, return_cache=True)
     first, last = cache.layers
-    length = batch.seq_len
-    assert first.q.shape[2] == first.probs.shape[2] == first.x_mid.shape[1] == first.h_pre.shape[1] == length
+    length, cells = batch.seq_len, int(batch.lengths.sum())
+    assert first.q.shape[2] == first.probs.shape[2] == length and first.x_mid.shape[0] == first.h_pre.shape[0] == cells
+    # the CLS-only layer holds its one cell per row as a (rows, 1, .) grid
     assert last.q.shape[2] == last.probs.shape[2] == last.x_mid.shape[1] == last.h_pre.shape[1] == 1
     # keys and values (and the attention's key axis) still cover every row
     assert last.k.shape[2] == last.v.shape[2] == last.probs.shape[3] == length
-    assert last.xhat2.shape == (4, 1, config.embed_dim)
+    assert last.x_in.shape == (cells, config.embed_dim) and last.xhat2.shape == (4, 1, config.embed_dim)
 
 
 def _mask_shapes(config, rows, width):
@@ -373,7 +377,8 @@ def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling):
         reference.random(shape)
     assert used.bit_generator.state == reference.bit_generator.state
     drawn = [cache.emb_drop] + [m for lc in cache.layers for m in (lc.attn_drop, lc.ffn_drop)]
-    assert [m.shape for m in drawn] == shapes
+    # the run keeps its real cells of each: packed, or the CLS-only layer's (rows, 1, d) grid
+    assert [m.shape for m in drawn] == [(int(batch.lengths.sum()), s[2]) if s[1] == width else s for s in shapes]
 
 
 @pytest.mark.parametrize("pooling", ["cls"])
@@ -508,7 +513,8 @@ def test_token_emb_gradient_sums_repeated_ids_like_a_dense_scatter(pooling):
     _, caches = encode_batch(params, batch, return_cache=True)
     runs = [set(c.ids.ravel().tolist()) for c in caches]
     assert len(runs) >= 3 and set.intersection(*runs) - {0, 2}  # some word id occurs in every run
-    assert any(np.bincount(row).max() > 1 for row in caches[0].ids)  # and more than once in one row
+    rows = np.split(caches[0].ids.ravel(), np.cumsum(batch.lengths[caches[0].batch_rows])[:-1])
+    assert any(np.bincount(row).max() > 1 for row in rows)  # and more than once in one row
     got = backward(params, caches, upstream)["token_emb"]
     assert isinstance(got, enc.RowSparseGrad) and got.shape == (len(set.union(*runs)), config.embed_dim)
     assert got.ids.tolist() == sorted(set.union(*runs))
@@ -552,8 +558,11 @@ def test_each_class_runs_at_its_longest_real_row():
     assert all(c.size == 1 for c in classes) and [int(c[0]) for c in classes] == sorted(int(c[0]) for c in classes)
     assert sorted(np.concatenate([c.batch_rows for c in caches]).tolist()) == list(range(batch.size))
     for c in caches:
+        width = c.grid[2]
+        assert width == lengths[c.batch_rows].max()
+        held = (lengths[c.batch_rows].sum(),) if _packed(c) else (c.batch_rows.size, width)
         for lc in c.layers:
-            assert lc.x_in.shape[:2] == (c.batch_rows.size, lengths[c.batch_rows].max())
+            assert lc.x_in.shape[:-1] == held and lc.k.shape[2] == width
 
 
 # --- runs of at most RUN_CELLS cells, on the thread pool ---------------------------
@@ -567,6 +576,16 @@ def _batch_of_lengths(seed, lengths, length=128):
 def _cached_masks(cache):
     """A run's dropout masks in draw order: the embedding's, then attention and FFN per layer."""
     return [cache.emb_drop] + [m for lc in cache.layers for m in (lc.attn_drop, lc.ffn_drop)]
+
+
+def _as_grid(cache, held):
+    """An array ``cache`` holds, as its (rows, width or 1, ...) grid: packed cells go back to their places."""
+    return enc._to_grid(held, *cache.grid) if held.ndim == 2 else held
+
+
+def _packed(cache):
+    """Whether a run holds its real cells packed rather than its grid."""
+    return cache.grid[0] is not None
 
 
 def _runs_by_class(caches, batch):
@@ -624,13 +643,16 @@ def test_a_class_cut_into_runs_matches_one_unsplit_run(num_layers, pooling):
         used, reference = np.random.default_rng(10), np.random.default_rng(10)
         pooled, caches = encode_batch(params, batch, train_mode=train_mode, rng=used, return_cache=True)
         assert [c.batch_rows.tolist() for c in caches] == [list(range(16)), list(range(16, 32))]
-        assert [c.ids.shape[1] for c in caches] == [128, 125]
+        assert [c.grid[2] for c in caches] == [128, 125]
         ref_pooled, ref_cache = _one_width(params, batch, train_mode=train_mode, rng=reference)
         assert used.bit_generator.state == reference.bit_generator.state
-        if train_mode:  # each run sees its rows and columns of the masks an unsplit run draws
+        if train_mode:  # each run sees its rows' real cells of the masks an unsplit run draws
             for c in caches:
                 for got, want in zip(_cached_masks(c), _cached_masks(ref_cache), strict=True):
-                    assert np.array_equal(got, want[c.batch_rows, :c.ids.shape[1]])  # (rows, 1, d) keeps its column
+                    got, want = _as_grid(c, got), _as_grid(ref_cache, want)[c.batch_rows, :c.grid[2]]
+                    # a CLS-only layer's (rows, 1, d) masks too
+                    real = np.arange(got.shape[1]) < batch.lengths[c.batch_rows][:, None]
+                    assert np.array_equal(got[real], want[real])
         assert _max_rel(pooled, ref_pooled) <= 1e-12
         grads = _dense(backward(params, caches, upstream), params)
         ref = _reference_grads(params, ref_cache, upstream)
@@ -743,6 +765,80 @@ def test_gradcheck_rejects_bad_epsilon():
 def test_gradcheck_rejects_nonfinite_loss():
     with pytest.raises(ValueError, match="non-finite"):
         finite_difference_check(lambda tree: float("nan"), {"w": np.ones(3)}, {"w": np.zeros(3)})
+
+
+# --- packed real cells against the padded path (the conftest oracle) ---------------
+
+
+def _compare_with_padded_path(params, batch, train_mode, exact_grads=False):
+    """Run both paths with one dropout seed: the pooled bytes must match and every gradient within 1e-12."""
+    upstream = np.random.default_rng(60).standard_normal((batch.size, params.config.embed_dim))
+    pooled, caches = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(61),
+                                  return_cache=True)
+    ref_pooled, ref_caches = padded_encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(61))
+    assert pooled.tobytes() == ref_pooled.tobytes()
+    sparse = backward(params, caches, upstream)
+    # a packed run's token gradient sums its real cells only, so PAD's id leaves the ids unless a grid holds PAD
+    pad = {0} if any(not _packed(c) and batch.lengths[c.batch_rows].min() < c.grid[2] for c in caches) else set()
+    assert sparse["token_emb"].ids.tolist() == sorted(set(batch.ids[batch.mask].tolist()) | pad)
+    grads, ref = _dense(sparse, params), padded_backward(params, ref_caches, upstream)
+    assert set(grads) == set(ref)
+    for name in ref:
+        if exact_grads:
+            assert np.array_equal(grads[name], ref[name]), name
+        else:
+            assert _max_rel(grads[name], ref[name]) <= 1e-12, name
+    return [_packed(c) for c in caches]
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_packed_cells_match_the_padded_path_on_ragged_multi_class_batches(num_layers, train_mode):
+    config = tiny_config(num_layers=num_layers, dropout_rate=0.2, max_seq_len=128)
+    params = init_encoder(config)
+    layouts = []
+    for batch in (_three_class_batch(51), _batch_of_lengths(52, _POOLED_LENGTHS), _short_ragged_batch(53)):
+        assert batch.lengths.min() < batch.lengths.max()
+        layouts += _compare_with_padded_path(params, batch, train_mode)
+    assert True in layouts and False in layouts  # packed runs and runs held as their grid, with PAD
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_packed_cells_give_the_padded_paths_exact_gradients_without_pad(num_layers, train_mode):
+    config = tiny_config(num_layers=num_layers, dropout_rate=0.2, max_seq_len=64)
+    params = init_encoder(config)
+    batch = _batch_of_lengths(54, [64] * 40, length=64)  # runs of 32 and 8 rows, no PAD cell
+    _compare_with_padded_path(params, batch, train_mode, exact_grads=True)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_packed_cells_match_the_padded_path_at_the_desk_config(train_mode):
+    params = init_encoder(EncoderConfig(vocab_size=300, seed=5))  # d 64, 4 heads, FFN 128, 2 layers, 128 tokens
+    rng = np.random.default_rng(55)
+    short = _batch_of_lengths(56, rng.integers(6, 17, size=32).tolist(), length=16)  # about 30% PAD
+    long = _batch_of_lengths(57, [128] + rng.integers(118, 129, size=15).tolist())  # a few % PAD
+    assert _compare_with_padded_path(params, short, train_mode) == [True]
+    assert _compare_with_padded_path(params, long, train_mode) == [False]  # too little PAD to pack
+
+
+def test_a_ragged_runs_caches_hold_its_real_cells_only():
+    config = tiny_config(dropout_rate=0.2, max_seq_len=24)
+    batch = _short_ragged_batch(58, length=24)
+    _, [cache] = encode_batch(init_encoder(config), batch, train_mode=True, rng=np.random.default_rng(0),
+                              return_cache=True)
+    rows, cells, d = batch.size, int(batch.lengths.sum()), config.embed_dim
+    assert cells < rows * cache.grid[2] and _packed(cache)
+    assert cache.ids.shape == (cells,) and cache.emb_drop.shape == cache.xhat0.shape == (cells, d)
+    assert cache.inv0.shape == (cells, 1)
+    token_wise = ("x_in", "ctx", "attn_drop", "xhat1", "inv1", "x_mid", "h_pre", "h_cdf", "ffn_drop", "xhat2", "inv2")
+    for i, lc in enumerate(cache.layers):
+        cls_only = i == config.num_layers - 1  # one cell per row past its keys and values
+        for name in token_wise:
+            a = getattr(lc, name)
+            assert a.size // a.shape[-1] == (rows if cls_only and name != "x_in" else cells), (i, name)
+        # the attention's operands alone see the grid
+        assert lc.k.shape == lc.v.shape == (rows, config.num_heads, cache.grid[2], config.head_dim)
 
 
 # --- numpy erf (Cephes ndtr.c port) -------------------------------------------

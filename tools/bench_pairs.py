@@ -3,9 +3,10 @@
 Each revision is exported with ``git archive`` into ``.bench_build/<sha>``, and its own unchanged
 ``perfbench/run.py --trace 0`` runs there. Pair i runs both revisions at seed ``--seed + i``, and the
 revision that runs first alternates from pair to pair. For every workload and end-to-end metric the file
-holds each side's values, median and quartiles, and how many pairs read better on the head side (ties
-count for neither), with both SHAs, the BLAS thread count, the CPU count and the seeds. Standard library
-only; run from the repository root:
+holds each side's values, median and quartiles and their ``compare``: how many pairs read better on the
+head side, and whether that is a gain or a regression. It also holds both SHAs, the BLAS thread count, the
+CPU count and the seeds, and one summary line per workload and metric goes to standard output. Standard
+library only; run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --pairs 10 --seed 601 --seconds 8 --out BENCH_20.json
 """
@@ -13,6 +14,7 @@ only; run from the repository root:
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -54,6 +56,22 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
+def compare(better: str, bound: float, base: list[float], head: list[float]) -> dict:
+    """Paired runs of one metric (``better`` is "higher" or "lower"), pair i being ``base[i]``, ``head[i]``.
+
+    ``head_better_pairs`` counts the pairs the head reads better in (ties count for neither). ``gain``: that
+    is at least 9 in 10 pairs, and the head's median beats the base's by more than the base's interquartile
+    range. ``regression``: the head's median is worse by more than ``bound``, a fraction of the base's median
+    (the metric's bound in BENCHMARK.json).
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, head))
+    b, h = statistics.median(base), statistics.median(head)
+    return {"head_better_pairs": wins, "median_change": h / b - 1.0,
+            "gain": 10 * wins >= 9 * len(base) and sign * (h - b) > summary(base)["iqr"],
+            "regression": sign * (b - h) > bound * abs(b)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision measured as before")
@@ -65,7 +83,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     (base_sha, base), (head_sha, head) = export(args.base), export(args.head)
     spec = json.loads((head / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     seeds = [args.seed + i for i in range(args.pairs)]
     record = {"base": {"rev": args.base, "sha": base_sha}, "head": {"rev": args.head, "sha": head_sha},
               "pairs": args.pairs, "seeds": seeds, "seconds": args.seconds, "workloads": {}}
@@ -81,16 +99,22 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: " + " ".join(
                     f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), file=sys.stderr, flush=True)
         metrics = {}
-        for name, direction in better.items():
+        for name, (direction, bound) in better.items():
             b, h = ([r["metrics"][name]["value"] for r in sides[s]] for s in ("base", "head"))
-            wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(b, h))
             metrics[name] = {"unit": sides["base"][0]["metrics"][name]["unit"], "better": direction,
-                             "base": summary(b), "head": summary(h), "head_better_pairs": wins,
-                             "median_change": statistics.median(h) / statistics.median(b) - 1.0}
+                             "base": summary(b), "head": summary(h), **compare(direction, bound, b, h)}
         record["workloads"][workload] = {
             "correct": all(r["correct"] for s in sides.values() for r in s),
             "failed": sum(r["failed"] for s in sides.values() for r in s), "metrics": metrics}
-    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for workload, result in record["workloads"].items():
+        for name, m in result["metrics"].items():
+            print(f"{workload} {name}: {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
+                  f"({m['median_change']:+.1%}), head better in {m['head_better_pairs']}/{args.pairs}, "
+                  f"base IQR {m['base']['iqr']:.3g}: "
+                  + ("gain" if m["gain"] else "regression" if m["regression"] else "no verdict"))
+    tmp = args.out.with_name(args.out.name + ".tmp")
+    tmp.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, args.out)
     return 0
 
 
