@@ -319,9 +319,9 @@ def _merge_heads(x):
 
 def _layout(cfg: EncoderConfig, lengths: np.ndarray, width: int):
     """How a run holds its cells: (its (rows, width) real mask, its grid (cells, rows, width), their ``pos_emb``
-    rows, and per layer (index, grid) of the cells it computes queries and all after them for). With ``PACK_PAD``
-    of PAD or more, cells are the real cells' flat grid indices, packed row-major as (cells, ·) arrays; else None,
-    and the run holds its (rows, width, ·) grid. The last layer computes the CLS cells (the pooled output) only."""
+    rows, each layer's (index, grid) of the cells it computes queries and all after them for). With ``PACK_PAD``
+    or more of PAD, cells are the real cells' flat indices, packed row-major into (cells, ·) arrays; else None:
+    the run holds its (rows, width, ·) grid. The last layer computes only the CLS cells, the pooled output."""
     real = np.arange(width) < lengths[:, None]
     if lengths.sum() > (1.0 - PACK_PAD) * real.size:
         grid, pos, cls = (None, lengths.size, width), slice(0, width), np.s_[:, :1]
