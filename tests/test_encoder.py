@@ -841,6 +841,18 @@ def test_a_ragged_runs_caches_hold_its_real_cells_only():
         assert lc.k.shape == lc.v.shape == (rows, config.num_heads, cache.grid[2], config.head_dim)
 
 
+def test_gradcheck_with_fixed_dropout_masks_on_packed_runs():
+    # the oracle on packed runs with dropout: each run gathers its real cells of the class's masks
+    batch = _three_class_batch(59, rows=12, length=100)
+    config = tiny_config(dropout_rate=0.3, max_seq_len=100)
+    tensors = init_encoder(config).tensors
+    _, caches = encode_batch(EncoderParams(config=config, tensors=tensors), batch, return_cache=True)
+    assert sum(_packed(c) for c in caches) >= 2
+    weights = np.random.default_rng(60).standard_normal((batch.size, config.embed_dim))
+    err = _gradcheck_pooled_dot(config, tensors, batch, weights, rng_seed=7, epsilon=1e-4, sample_count=150, seed=9)
+    assert err <= 1e-4, err
+
+
 def test_a_run_packs_once_pack_pad_of_its_cells_are_pad():
     config = tiny_config()
     assert enc.PACK_PAD == 1 / 8
