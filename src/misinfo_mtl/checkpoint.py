@@ -1,17 +1,18 @@
 """Self-describing binary checkpoint container.
 
 Layout: an 8-byte magic, a little-endian uint64 header length, a JSON header
-(kind "multitask", encoder config, task registry, tensor names + shapes, and
-the vocabulary's tokens after the reserved ids), then the tensor payloads as
-row-major float64 little-endian bytes in header order. Loading rejects wrong
-magic, a malformed header, truncated payloads, non-finite values, any shape
-that does not match what the stored config and task registry imply and a
-vocabulary of another size than the config's, always with a ``ValueError``
-naming the file. Saving refuses non-finite values.
+(kind "multitask", encoder config, task registry, tensor names + shapes in
+name order, the vocabulary's tokens after the reserved ids), then the tensor
+payloads as row-major float64 little-endian bytes in that order. Loading
+rejects wrong magic, truncated payloads, non-finite values, a header that
+fails its schema tables or the config, task and vocabulary constructors, a
+tensor list other than the stored config and tasks imply and a vocabulary
+of another size than the config's, each with a ``ValueError`` naming the
+file. Saving refuses non-finite values.
 """
-
 import json
 import math
+import reprlib
 import struct
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -61,8 +62,46 @@ def _malformed(path: Path, what: str) -> ValueError:
     return ValueError(f"{path}: malformed checkpoint header: {what}")
 
 
+# What a JSON value must be -> the check it passes (JSON decodes to exact types: bool is not an int here)
+_MUST_BE = {
+    "an int": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
+    "a string or null": lambda v: v is None or type(v) is str,
+    "a list of strings": lambda v: type(v) is list and all(type(s) is str for s in v),
+    "a list of strings or null": lambda v: v is None or _MUST_BE["a list of strings"](v),
+    "a list of non-negative ints": lambda v: type(v) is list and all(type(n) is int and n >= 0 for n in v),
+    "an object": lambda v: type(v) is dict,
+    "a list": lambda v: type(v) is list,
+}
+# One table per header object: key -> what its value must be
+_HEADER = {"encoder_config": "an object", "kind": "a string", "tasks": "an object", "tensors": "a list",
+           "vocab": "a list of strings or null"}
+_CONFIG = {f.name: "a number" if f.type is float else "an int" for f in fields(EncoderConfig)}
+_TASK = {"granularity": "a string", "labels": "a list of strings", "positive_label": "a string or null"}
+_TENSOR = {"name": "a string", "shape": "a list of non-negative ints"}
+
+
+def _check(path: Path, what: str, raw, schema: dict[str, str]) -> dict:
+    """``raw``, which must be an object with exactly ``schema``'s keys, each value what its key's entry says."""
+    if type(raw) is not dict or raw.keys() != schema.keys():
+        raise _malformed(path, f"{what} must be an object with exactly the keys {', '.join(sorted(schema))}")
+    for key, must in schema.items():
+        if not _MUST_BE[must](raw[key]):
+            raise _malformed(path, f"{what} {key} must be {must}, found {reprlib.repr(raw[key])}")
+    return raw
+
+
+def _build(path: Path, what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose ``ValueError`` becomes one naming the file and ``what``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad {what}: {exc}") from None
+
+
 def _read_header(path: Path, raw: bytes) -> tuple[dict, int]:
-    """The decoded JSON header and the offset of the first tensor byte."""
+    """The decoded JSON header, checked against ``_HEADER``, and the offset of the first tensor byte."""
     if raw[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
     start = len(MAGIC) + 8
@@ -75,95 +114,7 @@ def _read_header(path: Path, raw: bytes) -> tuple[dict, int]:
         header = json.loads(raw[start : start + header_len].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ValueError(f"{path}: unreadable checkpoint header: {exc}") from None
-    if not isinstance(header, dict) or sorted(header) != ["encoder_config", "kind", "tasks", "tensors", "vocab"]:
-        raise _malformed(path, "expected an object with the keys encoder_config, kind, tasks, tensors, vocab")
-    return header, start + header_len
-
-
-_CONFIG_TYPES = {f.name: f.type for f in fields(EncoderConfig)}
-
-
-def _encoder_config(path: Path, raw) -> EncoderConfig:
-    if not isinstance(raw, dict) or set(raw) != set(_CONFIG_TYPES):
-        raise _malformed(path, f"encoder_config must have exactly the keys {sorted(_CONFIG_TYPES)}")
-    for name, kind in _CONFIG_TYPES.items():
-        allowed = (int, float) if kind is float else kind
-        if isinstance(raw[name], bool) or not isinstance(raw[name], allowed):
-            raise _malformed(path, f"encoder_config {name!r} must be {kind.__name__}, found {raw[name]!r}")
-    try:
-        return EncoderConfig(**raw)
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad encoder_config: {exc}") from None
-
-
-def _task_specs(path: Path, raw) -> dict[str, TaskSpec]:
-    if not isinstance(raw, dict):
-        raise _malformed(path, "tasks must be an object")
-    specs = {}
-    for name, info in raw.items():
-        if not (
-            isinstance(info, dict)
-            and sorted(info) == ["granularity", "labels", "positive_label"]
-            and isinstance(info["labels"], list)
-            and all(isinstance(label, str) for label in info["labels"])
-            and isinstance(info["granularity"], str)
-            and (info["positive_label"] is None or isinstance(info["positive_label"], str))
-        ):
-            raise _malformed(path, f"task {name!r} needs string labels and granularity and a string or null "
-                                   "positive_label")
-        try:
-            specs[name] = TaskSpec(name, tuple(info["labels"]), info["granularity"], info["positive_label"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad task {name!r}: {exc}") from None
-    return specs
-
-
-def _tensor_shapes(path: Path, entries) -> dict[str, tuple[int, ...]]:
-    """Tensor name -> shape, in payload order."""
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict)
-        and sorted(e) == ["name", "shape"]
-        and isinstance(e["name"], str)
-        and isinstance(e["shape"], list)
-        and all(type(n) is int and n >= 0 for n in e["shape"])
-        for e in entries
-    ):
-        raise _malformed(path, "tensors must be a list of {name, shape} with non-negative integer dims")
-    shapes = {e["name"]: tuple(e["shape"]) for e in entries}
-    if len(shapes) != len(entries):
-        raise _malformed(path, "duplicate tensor names")
-    return shapes
-
-
-def _vocabulary(path: Path, tokens, config: EncoderConfig) -> Vocabulary | None:
-    """The vocabulary of the header's tokens (None for null), which must fill the config's ``vocab_size``."""
-    if tokens is None:
-        return None
-    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
-        raise _malformed(path, "vocab must be a list of strings or null")
-    if len(RESERVED_TOKENS) + len(tokens) != config.vocab_size:
-        raise ValueError(f"{path}: vocab has {len(tokens)} tokens after the {len(RESERVED_TOKENS)} reserved ids "
-                         f"but vocab_size is {config.vocab_size}")
-    try:
-        return Vocabulary.from_tokens(tokens)
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad vocab: {exc}") from None
-
-
-def _check_shapes(path: Path, config: EncoderConfig, tasks: dict[str, TaskSpec], shapes) -> None:
-    """Refuse a tensor set that differs from what ``config`` and ``tasks`` imply."""
-    if config.num_layers > len(shapes):  # every layer has tensors; also bounds the loop below
-        raise ValueError(f"{path}: tensor set mismatch; {config.num_layers} layers but {len(shapes)} tensors")
-    expected = flat_shapes(config, tasks)
-    missing = sorted(set(expected) - set(shapes))
-    extra = sorted(set(shapes) - set(expected))
-    if missing or extra:
-        raise ValueError(f"{path}: tensor set mismatch; missing={missing} extra={extra}")
-    for name, shape in expected.items():
-        if shapes[name] != shape:
-            raise ValueError(
-                f"{path}: shape mismatch for {name!r}: file has {shapes[name]}, config implies {shape}"
-            )
+    return _check(path, "header", header, _HEADER), start + header_len
 
 
 def _read_tensors(path: Path, raw: bytes, offset: int, shapes) -> dict[str, np.ndarray]:
@@ -193,11 +144,31 @@ def load_model(path: str | Path) -> MultiTaskModel:
     header, offset = _read_header(path, raw)
     if header["kind"] != "multitask":
         raise ValueError(f"{path}: expected a multitask checkpoint, found {header['kind']!r}")
-    config = _encoder_config(path, header["encoder_config"])
-    tasks = _task_specs(path, header["tasks"])
-    shapes = _tensor_shapes(path, header["tensors"])
-    _check_shapes(path, config, tasks, shapes)
+    config = _build(path, "encoder_config", EncoderConfig,
+                    **_check(path, "encoder_config", header["encoder_config"], _CONFIG))
+    tasks = {}
+    for name, info in header["tasks"].items():
+        info = _check(path, f"task {name!r}", info, _TASK)
+        tasks[name] = _build(path, f"task {name!r}", TaskSpec, name, tuple(info["labels"]), info["granularity"],
+                             info["positive_label"])
+    entries = [_check(path, f"tensors[{i}]", e, _TENSOR) for i, e in enumerate(header["tensors"])]
+    if config.num_layers > len(entries):  # every layer has tensors; also bounds flat_shapes' loop
+        raise ValueError(f"{path}: tensor set mismatch; {config.num_layers} layers but {len(entries)} tensors")
+    expected = flat_shapes(config, tasks)
+    shapes = {e["name"]: tuple(e["shape"]) for e in entries}
+    missing, extra = sorted(expected.keys() - shapes.keys()), sorted(shapes.keys() - expected.keys())
+    if missing or extra:
+        raise ValueError(f"{path}: tensor set mismatch; missing={missing} extra={extra}")
+    for name, shape in expected.items():
+        if shapes[name] != shape:
+            raise ValueError(f"{path}: shape mismatch for {name!r}: file has {shapes[name]}, config implies {shape}")
+    if list(shapes) != sorted(expected) or len(entries) != len(shapes):  # as save_model writes them
+        raise _malformed(path, "tensors must list each tensor once, sorted by name")
+    tokens = header["vocab"]
+    if tokens is not None and len(RESERVED_TOKENS) + len(tokens) != config.vocab_size:
+        raise ValueError(f"{path}: vocab has {len(tokens)} tokens after the {len(RESERVED_TOKENS)} reserved ids "
+                         f"but vocab_size is {config.vocab_size}")
     model = MultiTaskModel(encoder=EncoderParams(config, {}), tasks=tasks, heads={name: {} for name in tasks},
-                           vocab=_vocabulary(path, header["vocab"], config))
+                           vocab=None if tokens is None else _build(path, "vocab", Vocabulary.from_tokens, tokens))
     assign_params(model, _read_tensors(path, raw, offset, shapes))
     return model

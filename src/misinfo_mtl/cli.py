@@ -44,8 +44,6 @@ class ConfigError(Exception):
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse flat `key = value` lines; '#' starts a comment."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     raw: dict[str, str] = {}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -270,12 +268,10 @@ def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.T
 def _load_model(checkpoint_path: str) -> MultiTaskModel:
     """The checkpoint's model, which must carry the vocabulary that maps text to its embedding rows."""
     cp = Path(checkpoint_path)
-    if not cp.exists():
-        raise ConfigError(f"checkpoint not found: {cp}")
     try:
         model = ckpt.load_model(cp)
-    except (OSError, ValueError) as exc:  # a malformed or unreadable file is a bad input, like a missing one
-        raise ConfigError(str(exc) if isinstance(exc, ValueError) else f"{cp}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a malformed file is a bad input, like an unreadable one
+        raise ConfigError(str(exc)) from None
     if model.vocab is None:
         raise ConfigError(f"checkpoint {cp} has no vocabulary")
     return model
@@ -563,8 +559,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # an unreadable input (missing, a directory, no permission); a failed write names no file
+        print("config error:", f"{exc.filename}: {exc.strerror}" if exc.filename else exc, file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
         # str(KeyError) quotes its message; print the message itself

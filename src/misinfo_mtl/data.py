@@ -123,8 +123,6 @@ def load_dataset(path: str | Path, spec: TaskSpec, drop_labels: tuple[str, ...] 
     naming the offending line.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
     examples: list[Example] = []
     seen_ids: set[str] = set()
     # Undecodable bytes become lone surrogates, refused per line below.

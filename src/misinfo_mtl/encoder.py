@@ -320,14 +320,14 @@ def _merge_heads(x):
 def _layout(cfg: EncoderConfig, lengths: np.ndarray, width: int):
     """How a run holds its cells: (its (rows, width) real mask, its grid (cells, rows, width), their ``pos_emb``
     rows, each layer's (index, grid) of the cells it computes queries and all after them for). With ``PACK_PAD``
-    or more of PAD, cells are the real cells' flat indices, packed row-major into (cells, ·) arrays; else None:
-    the run holds its (rows, width, ·) grid. The last layer computes only the CLS cells, the pooled output."""
+    or more of PAD, cells are the real cells' (row, column) indices, packed row-major into (cells, ·) arrays; else
+    None: the run holds its (rows, width, ·) grid. The last layer computes only the CLS cells, the pooled output."""
     real = np.arange(width) < lengths[:, None]
     if lengths.sum() > (1.0 - PACK_PAD) * real.size:
         grid, pos, cls = (None, lengths.size, width), slice(0, width), np.s_[:, :1]
     else:
-        cells = np.flatnonzero(real)
-        grid, pos, cls = (cells, lengths.size, width), cells % width, np.s_[np.flatnonzero(cells % width == 0), None]
+        cells = np.nonzero(real)
+        grid, pos, cls = (cells, lengths.size, width), cells[1], np.s_[np.flatnonzero(cells[1] == 0), None]
     return real, grid, pos, [(..., grid)] * (cfg.num_layers - 1) + [(cls, (None, lengths.size, 1))]
 
 
@@ -335,14 +335,14 @@ def _to_grid(packed: np.ndarray, cells, rows: int, width: int) -> np.ndarray:
     """A run's array as its (rows, width, ·) grid, zero at PAD (``packed`` itself when cells is None)."""
     if cells is None:
         return packed
-    grid = np.zeros((rows * width, packed.shape[-1]))
+    grid = np.zeros((rows, width, packed.shape[-1]))
     grid[cells] = packed
-    return grid.reshape(rows, width, -1)
+    return grid
 
 
 def _from_grid(grid: np.ndarray, cells) -> np.ndarray:
-    """The cells of a (rows, width, ...) grid as a run holds them (the grid itself when cells is None)."""
-    return grid if cells is None else grid.reshape((-1,) + grid.shape[2:])[cells]
+    """The cells of a (rows, width, ...) grid, or a strided view of one, as a run holds them (itself if cells is None)."""
+    return grid if cells is None else grid[cells]
 
 
 @dataclass

@@ -57,7 +57,6 @@ class FewShotResult:
     report: MetricsReport
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    model: MultiTaskModel  # the adapted model, sharing the stage-1 arrays it did not update
 
 
 def check_fewshot_inputs(stage1_model: MultiTaskModel, unseen_dataset: datamod.Dataset, k: int) -> None:
@@ -80,6 +79,8 @@ def fewshot_run(
     A fresh head goes on ``copy_dicts(stage1_model)``; "full-model" mode also
     updates the encoder while "head-only" freezes it. The k-shot sample doubles
     as the early-stopping validation set (there is nothing else to hold out).
+    The adapted model is dropped once scored, so a loop over seeds never holds
+    one seed's adapted encoder through the next seed's adaptation.
     """
     check_fewshot_inputs(stage1_model, unseen_dataset, cfg.k)
     n = unseen_dataset.size
@@ -100,7 +101,6 @@ def fewshot_run(
         report=evaluate_model(model, spec.name, test_examples),
         train_ids=tuple(ex.id for ex in train_examples),
         test_ids=tuple(ex.id for ex in test_examples),
-        model=model,
     )
 
 

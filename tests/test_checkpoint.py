@@ -213,6 +213,10 @@ def test_rejects_malformed_header_naming_the_file(tmp_path, raw, message):
         lambda h: h["tensors"][0].__setitem__("shape", [-1]),
         lambda h: h["tensors"].append(dict(h["tensors"][0])),
         lambda h: h.__setitem__("tasks", []),
+        lambda h: h["tensors"][0].__setitem__("name", [1]),  # unhashable: must not escape as a TypeError
+        lambda h: h["tasks"]["a_task"].__setitem__("positive_label", 1),
+        lambda h: h["encoder_config"].__setitem__("dropout_rate", True),
+        lambda h: h.__setitem__("vocab", {}),
     ],
 )
 def test_rejects_ill_typed_header_fields(tmp_path, tiny_model, mutate):
@@ -270,3 +274,41 @@ def test_fuzzed_checkpoint_bytes_load_or_raise_value_error(valid_checkpoint, tmp
         assert isinstance(model, MultiTaskModel)
         assert all(np.isfinite(arr).all() for arr in model.encoder.tensors.values())
         assert model.vocab.size == model.config.vocab_size
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_header_loads_or_raises_value_error(valid_checkpoint, tmp_path_factory, data):
+    def mutate(header):
+        # a path from the header down to any value, then that value replaced or deleted, or a key added under it
+        parent, key = header, data.draw(st.sampled_from(sorted(header)), label="header key")
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans(), label="descend"):
+            node = parent[key]
+            parent, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))),
+                                          label="key")
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]), label="action")
+        if action == "delete":
+            del parent[key]
+        elif action == "add" and isinstance(parent[key], dict):
+            parent[key][data.draw(st.text(max_size=8), label="new key")] = data.draw(JSON_VALUES, label="new value")
+        elif action == "add" and isinstance(parent[key], list):
+            parent[key].append(data.draw(JSON_VALUES, label="new value"))
+        else:
+            parent[key] = data.draw(JSON_VALUES, label="value")
+
+    path = tmp_path_factory.getbasetemp() / "header-fuzz.ckpt"
+    path.write_bytes(tamper_header(valid_checkpoint, mutate))
+    try:
+        model = load_model(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert isinstance(model, MultiTaskModel)
+        assert model.vocab is None or model.vocab.size == model.config.vocab_size

@@ -481,6 +481,23 @@ def test_a_malformed_checkpoint_exits_2_writing_nothing(stage1, tmp_path, capsys
         Path("bad"), Path("bad") / "model.ckpt"]
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("role", ["config", "dataset", "checkpoint"])
+def test_an_unreadable_input_file_exits_2_with_one_config_error_line(stage1, tmp_path, capsys, role, kind):
+    bad = tmp_path / "unreadable"
+    if kind == "directory":
+        bad.mkdir()
+    inputs = {"dataset": stage1 / "data" / "alpha.jsonl", "checkpoint": stage1 / "run" / "seed0" / "model.ckpt",
+              role: bad}
+    argv = ["train", "--config", str(bad), "--seed", "0", "--quiet"] if role == "config" else [
+        "eval", "--checkpoint", str(inputs["checkpoint"]), "--dataset", str(inputs["dataset"]), "--task", "alpha",
+        "--labels", "negative,positive"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: ") and err.count("\n") == 1 and err.count(str(bad)) == 1, err
+    assert sorted(tmp_path.rglob("*")) == ([bad] if kind == "directory" else [])
+
+
 def test_each_finetune_seed_starts_from_the_checkpoint(stage1, tmp_path):
     argv = RUN_COMMANDS["finetune"](stage1)
     assert main(argv + ["--seed", "0", "--seed", "1", "--out", str(tmp_path / "both")]) == 0

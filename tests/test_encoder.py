@@ -858,7 +858,7 @@ def test_a_run_packs_once_pack_pad_of_its_cells_are_pad():
     assert enc.PACK_PAD == 1 / 8
     # 8 rows x 8 columns: 8 PAD cells are 1/8 of the grid, 7 are fewer
     _, grid, pos, _ = enc._layout(config, np.array([8] * 6 + [4, 4]), 8)
-    assert grid[0].size == 56 and pos.tolist()[:10] == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
+    assert grid[0][0].size == 56 and pos.tolist()[:10] == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
     assert enc._layout(config, np.array([8] * 6 + [5, 4]), 8)[1][0] is None
 
 

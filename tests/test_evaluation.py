@@ -34,6 +34,16 @@ def _enc(vocab, seed=0, **overrides):
     return EncoderConfig(**base)
 
 
+@pytest.fixture
+def adapted(monkeypatch):
+    """The models ``fewshot_run`` adapts, in call order, taken as it scores them."""
+    import misinfo_mtl.evaluation as ev
+
+    models, real = [], ev.evaluate_model
+    monkeypatch.setattr(ev, "evaluate_model", lambda model, *a, **kw: models.append(model) or real(model, *a, **kw))
+    return models
+
+
 def _tc(**overrides):
     base = dict(learning_rate=1e-3, batch_size=32, max_epochs=2, patience=2, seed=0)
     base.update(overrides)
@@ -123,33 +133,32 @@ def test_fewshot_guards():
         fewshot_run(base, suite["alpha"], FewShotConfig(k=5, seed=0), _tc())
 
 
-def test_fewshot_head_only_freezes_encoder():
+def test_fewshot_head_only_freezes_encoder(adapted):
     suite, vocab = _suite_and_vocab(("alpha", "unseen"), examples=40)
     base = build_model(_enc(vocab), [suite["alpha"].spec], vocab=vocab)
-    frozen = fewshot_run(base, suite["unseen"], FewShotConfig(k=10, seed=0, mode="head-only"),
-                         _tc(max_epochs=2, patience=2))
+    fewshot_run(base, suite["unseen"], FewShotConfig(k=10, seed=0, mode="head-only"), _tc(max_epochs=2, patience=2))
+    frozen = adapted[0]
     for k in base.encoder.tensors:
-        assert np.array_equal(frozen.model.encoder.tensors[k], base.encoder.tensors[k])
+        assert np.array_equal(frozen.encoder.tensors[k], base.encoder.tensors[k])
     # the new head itself did train
-    assert "unseen" in frozen.model.heads
-    full = fewshot_run(base, suite["unseen"], FewShotConfig(k=10, seed=0, mode="full-model"),
-                       _tc(max_epochs=2, patience=2))
+    assert "unseen" in frozen.heads
+    fewshot_run(base, suite["unseen"], FewShotConfig(k=10, seed=0, mode="full-model"), _tc(max_epochs=2, patience=2))
+    full = adapted[1]
     assert any(
-        not np.array_equal(full.model.encoder.tensors[k], base.encoder.tensors[k])
+        not np.array_equal(full.encoder.tensors[k], base.encoder.tensors[k])
         for k in base.encoder.tensors
     )
 
 
-def test_adaptation_leaves_the_stage1_model_untouched(monkeypatch):
+def test_adaptation_leaves_the_stage1_model_untouched(monkeypatch, adapted):
     import misinfo_mtl.evaluation as ev
 
     suite, vocab = _suite_and_vocab(("alpha", "beta", "rumorlike"), examples=45, num_events=3)
     base = build_model(_enc(vocab), [suite["alpha"].spec], vocab=vocab)
     before = {k: v.copy() for k, v in flatten_params(base).items()}
     for mode in ("head-only", "full-model"):
-        result = fewshot_run(base, suite["rumorlike"], FewShotConfig(k=10, seed=0, mode=mode),
-                             _tc(max_epochs=1, patience=1))
-        assert "rumorlike" in result.model.heads
+        fewshot_run(base, suite["rumorlike"], FewShotConfig(k=10, seed=0, mode=mode), _tc(max_epochs=1, patience=1))
+        assert "rumorlike" in adapted[-1].heads
         assert set(base.tasks) == set(base.heads) == {"alpha"}
         after = flatten_params(base)
         assert set(after) == set(before) and all(np.array_equal(after[k], before[k]) for k in before), mode
@@ -174,7 +183,7 @@ def test_adaptation_leaves_the_stage1_model_untouched(monkeypatch):
     assert len(stage1) == 1 and len(folds) == 3 and seen == [True] * 3
 
 
-def test_head_only_fewshot_skips_encoder_backward_bit_identically(monkeypatch):
+def test_head_only_fewshot_skips_encoder_backward_bit_identically(monkeypatch, adapted):
     import misinfo_mtl.encoder as enc
     import misinfo_mtl.training as training
 
@@ -206,10 +215,11 @@ def test_head_only_fewshot_skips_encoder_backward_bit_identically(monkeypatch):
     reference = fewshot_run(base, suite["unseen"], cfg, tc)
     assert backward_calls and caches
     assert skipped.report == reference.report
-    for k, v in reference.model.heads["unseen"].items():
-        assert np.array_equal(skipped.model.heads["unseen"][k], v), k
-    for k, v in reference.model.encoder.tensors.items():
-        assert np.array_equal(skipped.model.encoder.tensors[k], v), k
+    skipped_model, reference_model = adapted
+    for k, v in reference_model.heads["unseen"].items():
+        assert np.array_equal(skipped_model.heads["unseen"][k], v), k
+    for k, v in reference_model.encoder.tensors.items():
+        assert np.array_equal(skipped_model.encoder.tensors[k], v), k
 
 
 def test_loocv_excludes_eval_task_and_partitions_events():
