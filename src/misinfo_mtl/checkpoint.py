@@ -162,7 +162,7 @@ def load_model(path: str | Path) -> MultiTaskModel:
     for name, shape in expected.items():
         if shapes[name] != shape:
             raise ValueError(f"{path}: shape mismatch for {name!r}: file has {shapes[name]}, config implies {shape}")
-    if list(shapes) != sorted(expected) or len(entries) != len(shapes):  # as save_model writes them
+    if [e["name"] for e in entries] != sorted(expected):  # as save_model writes them
         raise _malformed(path, "tensors must list each tensor once, sorted by name")
     tokens = header["vocab"]
     if tokens is not None and len(RESERVED_TOKENS) + len(tokens) != config.vocab_size:
