@@ -559,10 +559,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # an unreadable input (missing, a directory, no permission); a failed write names no file
+    # a missing path, a directory or no permission is a bad input; any other OSError (a full disk) a runtime failure
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print("config error:", f"{exc.filename}: {exc.strerror}" if exc.filename else exc, file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         # str(KeyError) quotes its message; print the message itself
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

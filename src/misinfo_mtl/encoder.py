@@ -34,7 +34,7 @@ RUN_ROWS = 32  # most rows in one run of the stack, so a scored split runs in tr
 RUN_CELLS = 2048  # most rows x class-width cells in one run; wider classes run fewer rows per run
 # A run packs its real cells once this share of its cells is PAD: below, the copies to and from the attention's grid
 PACK_PAD = 0.125  # cost more than the PAD cells skipped (break-even measured at 6-10% PAD on 16 x 128 runs)
-SCORE_GRAD_CELLS = 1 << 16  # most attention-score gradient elements built at once in backward (512 KiB)
+SCORE_TILE = 1 << 16  # most attention score (or score-gradient) elements built at once, forward and backward (512 KiB)
 
 # Cephes ndtr.c erf: x T(x^2) / U(x^2) for |x| <= 1, 1 - exp(-x^2) P(|x|) / Q(|x|)
 # above. Coefficients run from the highest degree down; U and Q are monic. Each
@@ -514,7 +514,8 @@ def encode_batch(
 def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks, return_cache):
     """One run of the stack over ``batch_rows`` of a batch (ids, lengths): a (rows, ``width``) grid, as ``_layout``.
 
-    ``drop_masks`` is None or the run's rows of its class's ``_dropout_masks``.
+    ``drop_masks`` is None or the run's rows of its class's ``_dropout_masks``. Without ``return_cache`` each
+    block's activations die as it returns, so the run holds about one block's arrays and one score tile at once.
     """
     cfg = params.config
     t = params.tensors
@@ -522,54 +523,80 @@ def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks
     real, grid, pos, queries = _layout(cfg, lengths, width)
     ids = _from_grid(batch_ids[batch_rows, :width], grid[0])
     emb_drop, *layer_drops = drop_masks or [None] * (1 + 2 * cfg.num_layers)
-    x = t["token_emb"][ids] + t["pos_emb"][pos]
-    x, xhat0, inv0 = _ln_forward(x, t["emb_ln.gain"], t["emb_ln.bias"])
+    x, xhat0, inv0 = _ln_forward(t["token_emb"][ids] + t["pos_emb"][pos], t["emb_ln.gain"], t["emb_ln.bias"])
     if emb_drop is not None:
         emb_drop = _from_grid(emb_drop, grid[0])
         x *= emb_drop
-    layer_caches: list[_LayerCache] = []
+    cache = EncoderCache(batch_rows=batch_rows, grid=grid, queries=queries, ids=ids, emb_drop=emb_drop, xhat0=xhat0,
+                         inv0=inv0, layers=[]) if return_cache else None
+    del xhat0, inv0
 
     key_pad = None if real.all() else ~real[:, None, None, :]  # (B,1,1,L) over the key axis
-    scale = 1.0 / math.sqrt(cfg.head_dim)
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
         sel, q_grid = queries[i]
         attn_drop, ffn_drop = (m if m is None else _from_grid(m, q_grid[0]) for m in layer_drops[2 * i:2 * i + 2])
-        x_in = x
-        # 1/sqrt(head_dim) is folded into q, so the scores come out scaled (exactly so for a power of 2).
-        q = x_in[sel] @ t[p + "attn.wq"] + t[p + "attn.bq"]
-        q *= scale
-        q = _split_heads(_to_grid(q, *q_grid), cfg.num_heads)
-        k = _split_heads(_to_grid(x_in @ t[p + "attn.wk"], *grid), cfg.num_heads)
-        v = _split_heads(_to_grid(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], *grid), cfg.num_heads)
-        scores = q @ k.transpose(0, 1, 3, 2)
-        if key_pad is not None:
-            np.copyto(scores, -np.inf, where=key_pad)
-        probs = _softmax_inplace(scores)
-        ctx = _from_grid(_merge_heads(probs @ v), q_grid[0])
-        attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        if attn_drop is not None:
-            attn_out *= attn_drop
-        x_mid, xhat1, inv1 = _ln_forward(x_in[sel] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
-        h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
-        h_cdf = gelu_cdf(h_pre)
-        ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
-        if ffn_drop is not None:
-            ffn_out *= ffn_drop
-        x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
+        x, attn_cache = _attn_forward(cfg, t, p, grid, sel, q_grid, key_pad, x, attn_drop, return_cache)
+        x, ffn_cache = _ffn_forward(cfg, t, p, x, ffn_drop, return_cache)
         if return_cache:
-            layer_caches.append(
-                _LayerCache(
-                    x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop,
-                    xhat1=xhat1, inv1=inv1, x_mid=x_mid, h_pre=h_pre, h_cdf=h_cdf,
-                    ffn_drop=ffn_drop, xhat2=xhat2, inv2=inv2,
-                )
-            )
+            cache.layers.append(_LayerCache(**attn_cache, **ffn_cache))
+    return x[:, 0, :], cache
 
-    if not return_cache:
-        return x[:, 0, :], None
-    return x[:, 0, :], EncoderCache(batch_rows=batch_rows, grid=grid, queries=queries, ids=ids, emb_drop=emb_drop,
-                                    xhat0=xhat0, inv0=inv0, layers=layer_caches)
+
+def _score_tiles(shape) -> list[slice]:
+    """Slices of the rows of a (rows, heads, Lq, L) score array, each of at most ``SCORE_TILE`` elements (or one
+    row). A tile runs the whole array's per-head products and last-axis reductions on its rows, so tiled results
+    match one pass over the whole array bit for bit (the row tiling of FlashAttention, Dao et al. 2022)."""
+    step = max(1, SCORE_TILE // math.prod(shape[1:]))
+    return [slice(start, min(start + step, shape[0])) for start in range(0, shape[0], step)]
+
+
+def _attention(q, k, v, key_pad, caching):
+    """softmax(q k^T) v over (rows, heads, ·, ·) grids, keys at ``key_pad`` (or none) scoring -inf, one score tile
+    at a time. Returns the context, (rows, Lq, d), and if ``caching`` the (rows, heads, Lq, L) probabilities the
+    tiles filled; else None, the tiles having reused one buffer."""
+    shape = q.shape[:3] + k.shape[2:3]
+    tiles = _score_tiles(shape)
+    probs = np.empty(shape if caching else (tiles[0].stop,) + shape[1:])
+    ctx = np.empty((shape[0], shape[2], shape[1], v.shape[3]))  # heads merged as each tile's context is written
+    for b in tiles:
+        scores = np.matmul(q[b], k[b].transpose(0, 1, 3, 2), out=probs[b] if caching else probs[:b.stop - b.start])
+        if key_pad is not None:
+            np.copyto(scores, -np.inf, where=key_pad[b])
+        ctx[b] = (_softmax_inplace(scores) @ v[b]).transpose(0, 2, 1, 3)
+    return ctx.reshape(shape[0], shape[2], -1), probs if caching else None
+
+
+def _attn_forward(cfg, t, p, grid, sel, q_grid, key_pad, x_in, attn_drop, caching):
+    """One layer's attention block (Wq/Wk/Wv, the tiled core, Wo, its LayerNorm) forward: returns ``x_mid`` and,
+    if ``caching``, its fields of the layer's ``_LayerCache`` (else None). Arguments as ``_attn_backward``'s."""
+    # 1/sqrt(head_dim) is folded into q, so the scores come out scaled (exactly so for a power of 2).
+    q = x_in[sel] @ t[p + "attn.wq"] + t[p + "attn.bq"]
+    q *= 1.0 / math.sqrt(cfg.head_dim)
+    q = _split_heads(_to_grid(q, *q_grid), cfg.num_heads)
+    k = _split_heads(_to_grid(x_in @ t[p + "attn.wk"], *grid), cfg.num_heads)
+    v = _split_heads(_to_grid(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], *grid), cfg.num_heads)
+    ctx, probs = _attention(q, k, v, key_pad, caching)
+    ctx = _from_grid(ctx, q_grid[0])
+    attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
+    if attn_drop is not None:
+        attn_out *= attn_drop
+    x_mid, xhat1, inv1 = _ln_forward(x_in[sel] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
+    return x_mid, dict(x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop, xhat1=xhat1,
+                       inv1=inv1) if caching else None
+
+
+def _ffn_forward(cfg, t, p, x_mid, ffn_drop, caching):
+    """One layer's FFN block (W1, GELU, W2, its LayerNorm) forward: returns its output and, if ``caching``, its
+    fields of the layer's ``_LayerCache`` (else None)."""
+    h_pre = x_mid @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
+    h_cdf = gelu_cdf(h_pre)
+    ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
+    if ffn_drop is not None:
+        ffn_out *= ffn_drop
+    x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
+    return x, dict(x_mid=x_mid, h_pre=h_pre, h_cdf=h_cdf, ffn_drop=ffn_drop, xhat2=xhat2,
+                   inv2=inv2) if caching else None
 
 
 def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
@@ -632,18 +659,16 @@ def _softmax_backward(probs, dprobs, ctx, dctx, out):
 
 
 def _score_grads_into_probs(probs, v, ctx, dctx):
-    """Overwrite the (B, H, Lq, L) ``probs`` with the score gradient, a few rows of the batch at a time.
+    """Overwrite the (B, H, Lq, L) ``probs`` with the score gradient, one ``_score_tiles`` tile at a time.
 
-    Each row's dprobs = dctx v^T comes from the same per-head gemm as one
+    A tile's dprobs = dctx v^T comes from the same per-head gemms as one
     batched product, so the result is bit-identical to building the whole
-    (B, H, Lq, L) dprobs; the scratch holds at most ``SCORE_GRAD_CELLS``
-    elements (or one row's heads).
+    (B, H, Lq, L) dprobs; the scratch holds one tile.
     """
-    step = max(1, SCORE_GRAD_CELLS // probs[0].size)
-    scratch = np.empty((min(step, probs.shape[0]),) + probs.shape[1:])
-    for start in range(0, probs.shape[0], step):
-        b = slice(start, start + step)
-        dprobs = np.matmul(dctx[b], v[b].transpose(0, 1, 3, 2), out=scratch[:probs[b].shape[0]])
+    tiles = _score_tiles(probs.shape)
+    scratch = np.empty((tiles[0].stop,) + probs.shape[1:])
+    for b in tiles:
+        dprobs = np.matmul(dctx[b], v[b].transpose(0, 1, 3, 2), out=scratch[:b.stop - b.start])
         _softmax_backward(probs[b], dprobs, ctx[b], dctx[b], out=probs[b])
     return probs
 

@@ -9,6 +9,7 @@ are pure, so everything here is safe to share across threads.
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -82,11 +83,12 @@ def encode(text: str, vocab: Vocabulary, max_seq_len: int = 128) -> tuple[int, .
     """Encode one text to its real ids: CLS, then at most ``max_seq_len - 1`` token ids.
 
     Out-of-vocabulary tokens map to UNK; overlong texts are truncated from the
-    end (the head of the document is kept).
+    end (the head of the document is kept), and the tokenizer stops there.
     """
     if max_seq_len < 2:
         raise ValueError(f"max_seq_len must be >= 2, got {max_seq_len}")
-    return (CLS_ID, *[vocab.lookup(tok) for tok in tokenize(text)[: max_seq_len - 1]])
+    get = vocab.token_to_id.get
+    return (CLS_ID, *[get(m[0], UNK_ID) for m in islice(_TOKEN_RE.finditer(text.lower()), max_seq_len - 1)])
 
 
 @dataclass(frozen=True, init=False)

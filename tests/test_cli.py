@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -497,6 +499,20 @@ def test_an_unreadable_input_file_exits_2_with_one_config_error_line(stage1, tmp
     assert err.startswith(f"config error: {bad}: ") and err.count("\n") == 1 and err.count(str(bad)) == 1, err
     assert sorted(tmp_path.rglob("*")) == ([bad] if kind == "directory" else [])
 
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_failed_artifact_write_exits_1_with_one_error_line(stage1, tmp_path, capsys, monkeypatch, command):
+    # a full disk raises OSError errno 28 naming no file: a runtime failure, not an unreadable input
+    def full_disk(path, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_text_atomic", full_disk)
+    argv = RUN_COMMANDS["train"](stage1) + ["--seed", "0"] if command == "train" else [
+        "eval", "--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"), "--dataset",
+        str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 def test_each_finetune_seed_starts_from_the_checkpoint(stage1, tmp_path):
     argv = RUN_COMMANDS["finetune"](stage1)

@@ -245,6 +245,23 @@ def test_one_long_run_backward_allocates_under_two_score_arrays():
     assert peak < 2 * score_bytes, peak / 2**20
 
 
+
+def test_one_long_run_eval_forward_allocates_under_twelve_mib(monkeypatch):
+    # The run of the backward test above in eval mode: one score tile and about one block's arrays live at once,
+    # not its 8 MiB (B, H, L, L) scores beside every layer's dead activations (24.1 MiB before the tiling).
+    force_workers(monkeypatch, 1, enc, ())
+    config = EncoderConfig(vocab_size=300, embed_dim=64, num_heads=4, ffn_dim=128, max_seq_len=128)
+    params = init_encoder(config)
+    batch = Batch(np.random.default_rng(15).integers(3, 300, size=(16, 128)), np.full(16, 128))
+    assert len(list(enc.split_runs(batch.lengths))[0][2]) == 1  # one run
+    tracemalloc.start()
+    try:
+        encode_batch(params, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak / 2**20
+
 def test_zero_upstream_gives_zero_gradients():
     params = init_encoder(tiny_config())
     batch = random_batch(np.random.default_rng(5), 40, 3, 12)
@@ -861,6 +878,44 @@ def test_a_run_packs_once_pack_pad_of_its_cells_are_pad():
     assert grid[0][0].size == 56 and pos.tolist()[:10] == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
     assert enc._layout(config, np.array([8] * 6 + [5, 4]), 8)[1][0] is None
 
+
+
+# --- the tiled attention core against the padded path's whole-array attention ------------
+
+
+@pytest.mark.parametrize("tile", [72, 576])
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_score_tiles_match_the_padded_path_bit_for_bit(tile, train_mode, monkeypatch):
+    # 7 rows at width 12 with 2 heads: a score row holds 288 elements in a full layer and 24 in the CLS-only last
+    # layer. Tiles of 72 elements take 1 row there and 3, 3, 1 rows here; of 576, 2, 2, 2, 1 rows there and 7 here.
+    monkeypatch.setattr(enc, "SCORE_TILE", tile)
+    tiles = [[b.stop - b.start for b in enc._score_tiles((7, 2, rows, 12))] for rows in (12, 1)]
+    assert any(len(t) > 1 and t[-1] < t[0] for t in tiles)  # several tiles, the last one ragged
+    config = tiny_config(dropout_rate=0.2)
+    params = init_encoder(config)
+    # PAD keys in a packed run (29% PAD) and in a run held as its grid (1 PAD cell)
+    for seed, lengths in ((72, [12, 3, 12, 7, 12, 5, 9]), (73, [12, 12, 11, 12, 12, 12, 12])):
+        batch, rows = _batch_of_lengths(seed, lengths, length=12), np.arange(7)
+        masks = enc._dropout_masks(np.random.default_rng(seed), config, 7, 12, 0.2) if train_mode else None
+        pooled, cache = enc._encode_rows(params, batch.ids, batch.lengths, rows, 12, masks, train_mode)
+        ref, ref_cache = padded_encode_rows(params, batch.ids, batch.lengths, rows, 12, masks)
+        assert pooled.tobytes() == ref.tobytes()
+        assert (cache is None) == (not train_mode)
+        if train_mode:  # the cached probabilities, at every real query (the packed run's PAD queries are zero)
+            assert _packed(cache) == (seed == 72)
+            for lc, ref_lc in zip(cache.layers, ref_cache["layers"]):
+                for r, n in enumerate(lengths):
+                    assert lc.probs[r, :, :n].tobytes() == ref_lc["probs"][r, :, :n].tobytes()
+
+
+def test_gradcheck_on_a_run_of_several_score_tiles(monkeypatch):
+    monkeypatch.setattr(enc, "SCORE_TILE", 2 * 2 * 12 * 12)  # 2 rows a tile in the full layer, 7 rows in 4 tiles
+    config = tiny_config(dropout_rate=0.2)
+    batch = _batch_of_lengths(74, [12, 3, 12, 7, 12, 5, 9], length=12)
+    weights = np.random.default_rng(75).standard_normal((batch.size, config.embed_dim))
+    err = _gradcheck_pooled_dot(config, init_encoder(config).tensors, batch, weights, rng_seed=8, epsilon=1e-4,
+                                sample_count=150, seed=10)
+    assert err <= 1e-4, err
 
 # --- numpy erf (Cephes ndtr.c port) -------------------------------------------
 

@@ -82,6 +82,22 @@ def test_encode_requires_room_for_cls(small_vocab):
         encode("a", small_vocab, max_seq_len=1)
 
 
+
+_HEAD_VOCAB = build_vocab(["alpha beta déjà vu , . ! ' 42 日本語 straße i̇stanbul"])
+_WORDS = st.sampled_from(["alpha", "Beta", "GAMMA", "Déjà", "vu", "İstanbul", "STRASSE", "straße", "ǅemal",
+                          "naïve", "日本語", "x1_y", "42", "ΣΟΦΊΑ"])
+_GAPS = st.sampled_from([" ", "  ", "\t", "\n", ", ", ". ", "!?", "'", " — ", "…", "\u00a0", "", "-"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.tuples(_WORDS, _GAPS), max_size=250).map(lambda parts: "".join(w + g for w, g in parts))
+       | st.text(max_size=400),
+       max_seq_len=st.integers(2, 160))
+def test_encode_tokenizes_the_head_only_with_the_whole_texts_ids(text, max_seq_len):
+    # encode stops the tokenizer after max_seq_len - 1 tokens; the ids are the whole tokenization's head, looked up
+    expected = (CLS_ID, *[_HEAD_VOCAB.lookup(tok) for tok in tokenize(text)[: max_seq_len - 1]])
+    assert encode(text, _HEAD_VOCAB, max_seq_len) == expected
+
 def test_encode_deterministic_and_fixed_length(small_vocab):
     rng = np.random.default_rng(0)
     alphabet = ["a", "b", "c", "zz", "!", "q9"]
