@@ -40,8 +40,8 @@ def trend(spec: dict, records: list[dict]) -> list[dict]:
             medians = [r.get("workloads", {}).get(workload, {}).get("metrics", {}).get(name, {}).get("head", {})
                        .get("median") for r in records]
             present = [m for m in medians if m is not None]
-            row = {"workload": workload, "metric": name, "medians": medians, "from_first": None, "from_best": None,
-                   "flags": []}
+            row = {"workload": workload, "metric": name, "bound": bound, "medians": medians, "from_first": None,
+                   "from_best": None, "flags": []}
             if present:
                 first, last = present[0], present[-1]
                 best = max(present) if better == "higher" else min(present)
@@ -61,13 +61,12 @@ def main(argv=None) -> int:
     if not files:
         parser.error("no BENCH_<pr>.json files")
     spec = json.loads(args.spec.read_text(encoding="utf-8"))
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     records = [json.loads(path.read_text(encoding="utf-8")) for path in files]
     print("workload metric " + " ".join(f"PR{pr_number(path)}" for path in files) + " | from first | from best")
     for row in trend(spec, records):
         medians = " ".join("-" if m is None else f"{m:.4g}" for m in row["medians"])
         drift = ("-" if row["from_first"] is None else f"{row['from_first']:+.1%} | {row['from_best']:+.1%}")
-        flags = "".join(f"  DRIFT beyond {bounds[row['metric']]:.0%} of {ref}" for ref in row["flags"])
+        flags = "".join(f"  DRIFT beyond {row['bound']:.0%} of {ref}" for ref in row["flags"])
         print(f"{row['workload']} {row['metric']} {medians} | {drift}{flags}")
     return 0
 
