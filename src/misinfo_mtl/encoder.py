@@ -297,21 +297,21 @@ def _softmax_inplace(x):
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    # Inverted dropout: mask already carries the 1/(1-rate) rescaling; built in the random draws' buffer.
-    mask = rng.random(shape)
-    np.greater_equal(mask, rate, out=mask)
-    mask /= 1.0 - rate
-    return mask
+    """The cells dropout keeps, as a bool array (1 byte a cell); ``_drop`` applies it."""
+    return rng.random(shape) >= rate
+
+
+def _drop(x: np.ndarray, mask: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverted dropout, x * mask * (1 / (1 - rate)), into ``out`` (which may be ``x``). x * 1 * s is x * s and
+    x * 0 * s the same signed zero as x * 0, so the bits are those of x times the float mask mask / (1 - rate)."""
+    out = np.multiply(x, mask, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def _split_heads(x, num_heads):
     b, l, d = x.shape
     return x.reshape(b, l, num_heads, d // num_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
 
 
 # --- forward / backward -----------------------------------------------------
@@ -348,15 +348,14 @@ def _from_grid(grid: np.ndarray, cells) -> np.ndarray:
 @dataclass
 class _LayerCache:
     x_in: np.ndarray  # this and every token-wise array: the run's cells as ``_layout`` holds them
-    q: np.ndarray  # queries times 1/sqrt(head_dim); q, k, v and probs are (rows, heads, width, ·) grids
+    q: np.ndarray  # queries times 1/sqrt(head_dim); q, k and v are (rows, heads, width, ·) grids
     k: np.ndarray
     v: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray | None  # the (rows, heads, Lq, L) probabilities if they were one score tile, else None
     ctx: np.ndarray
-    attn_drop: np.ndarray | None
-    xhat1: np.ndarray
+    attn_drop: np.ndarray | None  # the dropout masks are bool, as ``_dropout_mask`` draws them
+    xhat1: np.ndarray  # the block's output, x_mid, is gain * xhat1 + bias: the backward rebuilds it
     inv1: np.ndarray
-    x_mid: np.ndarray
     h_pre: np.ndarray
     h_cdf: np.ndarray  # gelu_cdf(h_pre); GELU output is h_pre * h_cdf
     ffn_drop: np.ndarray | None
@@ -371,6 +370,7 @@ class EncoderCache:
     batch_rows: np.ndarray  # the rows of the batch this run covered
     grid: tuple  # its grid and each layer's query cells, from ``_layout``
     queries: list
+    key_pad: np.ndarray | None  # (rows, 1, 1, width): the keys scoring -inf, as the forward masked them
     ids: np.ndarray  # the ids of its cells, held as ``_layout`` says
     emb_drop: np.ndarray | None
     xhat0: np.ndarray
@@ -526,12 +526,12 @@ def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks
     x, xhat0, inv0 = _ln_forward(t["token_emb"][ids] + t["pos_emb"][pos], t["emb_ln.gain"], t["emb_ln.bias"])
     if emb_drop is not None:
         emb_drop = _from_grid(emb_drop, grid[0])
-        x *= emb_drop
-    cache = EncoderCache(batch_rows=batch_rows, grid=grid, queries=queries, ids=ids, emb_drop=emb_drop, xhat0=xhat0,
-                         inv0=inv0, layers=[]) if return_cache else None
+        _drop(x, emb_drop, cfg.dropout_rate, out=x)
+    key_pad = None if real.all() else ~real[:, None, None, :]  # (B,1,1,L) over the key axis
+    cache = EncoderCache(batch_rows=batch_rows, grid=grid, queries=queries, key_pad=key_pad, ids=ids,
+                         emb_drop=emb_drop, xhat0=xhat0, inv0=inv0, layers=[]) if return_cache else None
     del xhat0, inv0
 
-    key_pad = None if real.all() else ~real[:, None, None, :]  # (B,1,1,L) over the key axis
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
         sel, q_grid = queries[i]
@@ -551,20 +551,26 @@ def _score_tiles(shape) -> list[slice]:
     return [slice(start, min(start + step, shape[0])) for start in range(0, shape[0], step)]
 
 
-def _attention(q, k, v, key_pad, caching):
-    """softmax(q k^T) v over (rows, heads, ·, ·) grids, keys at ``key_pad`` (or none) scoring -inf, one score tile
-    at a time. Returns the context, (rows, Lq, d), and if ``caching`` the (rows, heads, Lq, L) probabilities the
-    tiles filled; else None, the tiles having reused one buffer."""
+def _softmax_tile(q, k, key_pad, b: slice, buf: np.ndarray) -> np.ndarray:
+    """softmax(q k^T) on the rows ``b`` of (rows, heads, ·, ·) grids, keys at ``key_pad`` (or none) scoring -inf,
+    built in the first rows of ``buf``. The backward rebuilds a tile with this, so its bits are the forward's."""
+    scores = np.matmul(q[b], k[b].transpose(0, 1, 3, 2), out=buf[:b.stop - b.start])
+    if key_pad is not None:
+        np.copyto(scores, -np.inf, where=key_pad[b])
+    return _softmax_inplace(scores)
+
+
+def _attention(q, k, v, key_pad):
+    """softmax(q k^T) v over (rows, heads, ·, ·) grids, one score tile at a time in one reused buffer. Returns the
+    context, (rows, Lq, d), and that buffer if its one tile held the whole (rows, heads, Lq, L) probabilities,
+    else None: a train run keeps no probabilities that take more than a tile, the backward rebuilds them."""
     shape = q.shape[:3] + k.shape[2:3]
     tiles = _score_tiles(shape)
-    probs = np.empty(shape if caching else (tiles[0].stop,) + shape[1:])
+    buf = np.empty((tiles[0].stop,) + shape[1:])
     ctx = np.empty((shape[0], shape[2], shape[1], v.shape[3]))  # heads merged as each tile's context is written
     for b in tiles:
-        scores = np.matmul(q[b], k[b].transpose(0, 1, 3, 2), out=probs[b] if caching else probs[:b.stop - b.start])
-        if key_pad is not None:
-            np.copyto(scores, -np.inf, where=key_pad[b])
-        ctx[b] = (_softmax_inplace(scores) @ v[b]).transpose(0, 2, 1, 3)
-    return ctx.reshape(shape[0], shape[2], -1), probs if caching else None
+        ctx[b] = (_softmax_tile(q, k, key_pad, b, buf) @ v[b]).transpose(0, 2, 1, 3)
+    return ctx.reshape(shape[0], shape[2], -1), buf if len(tiles) == 1 else None
 
 
 def _attn_forward(cfg, t, p, grid, sel, q_grid, key_pad, x_in, attn_drop, caching):
@@ -576,11 +582,11 @@ def _attn_forward(cfg, t, p, grid, sel, q_grid, key_pad, x_in, attn_drop, cachin
     q = _split_heads(_to_grid(q, *q_grid), cfg.num_heads)
     k = _split_heads(_to_grid(x_in @ t[p + "attn.wk"], *grid), cfg.num_heads)
     v = _split_heads(_to_grid(x_in @ t[p + "attn.wv"] + t[p + "attn.bv"], *grid), cfg.num_heads)
-    ctx, probs = _attention(q, k, v, key_pad, caching)
+    ctx, probs = _attention(q, k, v, key_pad)
     ctx = _from_grid(ctx, q_grid[0])
     attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
     if attn_drop is not None:
-        attn_out *= attn_drop
+        _drop(attn_out, attn_drop, cfg.dropout_rate, out=attn_out)
     x_mid, xhat1, inv1 = _ln_forward(x_in[sel] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
     return x_mid, dict(x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop, xhat1=xhat1,
                        inv1=inv1) if caching else None
@@ -593,10 +599,9 @@ def _ffn_forward(cfg, t, p, x_mid, ffn_drop, caching):
     h_cdf = gelu_cdf(h_pre)
     ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
     if ffn_drop is not None:
-        ffn_out *= ffn_drop
+        _drop(ffn_out, ffn_drop, cfg.dropout_rate, out=ffn_out)
     x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
-    return x, dict(x_mid=x_mid, h_pre=h_pre, h_cdf=h_cdf, ffn_drop=ffn_drop, xhat2=xhat2,
-                   inv2=inv2) if caching else None
+    return x, dict(h_pre=h_pre, h_cdf=h_cdf, ffn_drop=ffn_drop, xhat2=xhat2, inv2=inv2) if caching else None
 
 
 def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: np.ndarray) -> dict[str, np.ndarray]:
@@ -606,13 +611,13 @@ def backward(params: EncoderParams, caches: list[EncoderCache], upstream_grad: n
     pooled output's Jacobian; requires the caches produced by the matching
     forward pass. The caches are single-use: backward releases each layer's
     activations once its gradients are taken and builds the score gradient
-    over the cached attention probabilities, so a second call on them raises
-    ``ValueError``. Each run of the forward fills its own gradient dict (taken
-    from one queue by this thread and the pool's workers), and the dicts are
-    summed in run order; a packed run adds no terms for PAD. ``token_emb``
-    gets a ``RowSparseGrad`` over the ids of the cells the runs hold, summed
-    over every run's token gradients in run order; every other gradient is a
-    dense array of its parameter's shape.
+    in the cached attention probabilities, if any, so a second call on them
+    raises ``ValueError``. Each run of the forward fills its own gradient
+    dict (taken from one queue by this thread and the pool's workers), and
+    the dicts are summed in run order; a packed run adds no terms for PAD.
+    ``token_emb`` gets a ``RowSparseGrad`` over the ids of the cells the runs
+    hold, summed over every run's token gradients in run order; every other
+    gradient is a dense array of its parameter's shape.
     """
     if caches is None:
         raise ValueError("backward requires the caches from a forward pass")
@@ -658,27 +663,12 @@ def _softmax_backward(probs, dprobs, ctx, dctx, out):
     return np.multiply(dprobs, probs, out=out)
 
 
-def _score_grads_into_probs(probs, v, ctx, dctx):
-    """Overwrite the (B, H, Lq, L) ``probs`` with the score gradient, one ``_score_tiles`` tile at a time.
-
-    A tile's dprobs = dctx v^T comes from the same per-head gemms as one
-    batched product, so the result is bit-identical to building the whole
-    (B, H, Lq, L) dprobs; the scratch holds one tile.
-    """
-    tiles = _score_tiles(probs.shape)
-    scratch = np.empty((tiles[0].stop,) + probs.shape[1:])
-    for b in tiles:
-        dprobs = np.matmul(dctx[b], v[b].transpose(0, 1, 3, 2), out=scratch[:b.stop - b.start])
-        _softmax_backward(probs[b], dprobs, ctx[b], dctx[b], out=probs[b])
-    return probs
-
-
 def _ffn_backward(cfg, t, p, lc: _LayerCache, dx, grads):
     """One layer's FFN block (its LayerNorm, W2, GELU, W1) backward: returns the gradient w.r.t. ``x_mid``."""
     dz2, dg, dbias = _ln_backward(dx, t[p + "ffn_ln.gain"], lc.xhat2, lc.inv2)
     grads[p + "ffn_ln.gain"] += dg
     grads[p + "ffn_ln.bias"] += dbias
-    dffn_out = dz2 if lc.ffn_drop is None else dz2 * lc.ffn_drop
+    dffn_out = dz2 if lc.ffn_drop is None else _drop(dz2, lc.ffn_drop, cfg.dropout_rate)
     # GELU output, recomputed from the cache as a temporary freed right after use.
     h_act = (lc.h_pre * lc.h_cdf).reshape(-1, cfg.ffn_dim)
     grads[p + "ffn.w2"] += h_act.T @ dffn_out.reshape(-1, cfg.embed_dim)
@@ -687,33 +677,56 @@ def _ffn_backward(cfg, t, p, lc: _LayerCache, dx, grads):
     dh_pre = gelu_grad(lc.h_pre, lc.h_cdf)
     dh_pre *= dffn_out @ t[p + "ffn.w2"].T
     del dffn_out
-    grads[p + "ffn.w1"] += lc.x_mid.reshape(-1, cfg.embed_dim).T @ dh_pre.reshape(-1, cfg.ffn_dim)
+    x_mid = np.multiply(t[p + "attn_ln.gain"], lc.xhat1)  # the attention block's output, as _ln_forward built it
+    x_mid += t[p + "attn_ln.bias"]
+    grads[p + "ffn.w1"] += x_mid.reshape(-1, cfg.embed_dim).T @ dh_pre.reshape(-1, cfg.ffn_dim)
+    del x_mid
     grads[p + "ffn.b1"] += dh_pre.reshape(-1, cfg.ffn_dim).sum(axis=0)
     return dz2 + dh_pre @ t[p + "ffn.w1"].T
 
 
-def _attn_backward(cfg, t, p, grid, sel, q_grid, lc: _LayerCache, dx_mid, grads):
-    """One layer's attention block (its LayerNorm, Wo, softmax, Wq/Wk/Wv) backward: returns the gradient
-    w.r.t. ``x_in``. ``grid`` is the run's (cells, rows, width); ``sel, q_grid`` the layer's query cells.
-    The score gradient is built in ``lc.probs``."""
+def _attention_backward(q, k, v, ctx, dctx, probs, key_pad):
+    """Gradients of ``_attention`` w.r.t. its q, k and v grids, given its context and the context's gradient as
+    (rows, heads, ·, ·) grids: (dq, dk, dv), each (rows, L, d) with heads merged. ``probs`` is what ``_attention``
+    returned; if None, each tile's probabilities are rebuilt by ``_softmax_tile``. One loop over the
+    ``_score_tiles`` tiles takes dv, the score gradient (built over the probabilities), dq and dk of a tile while
+    it is in cache. Each tile runs the whole array's per-head products on its rows, so the gradients match one
+    pass over the whole array bit for bit (FlashAttention's backward, Dao et al. 2022, in exact float64)."""
+    tiles = _score_tiles(q.shape[:3] + k.shape[2:3])
+    buf = np.empty((tiles[0].stop,) + q.shape[1:3] + k.shape[2:3]) if probs is None else probs
+    scratch = np.empty_like(buf)
+    dq, dk, dv = (np.empty((a.shape[0], a.shape[2], a.shape[1], a.shape[3])) for a in (q, k, v))
+    for b in tiles:
+        tile = buf if probs is not None else _softmax_tile(q, k, key_pad, b, buf)
+        dv[b] = (tile.transpose(0, 1, 3, 2) @ dctx[b]).transpose(0, 2, 1, 3)
+        dprobs = np.matmul(dctx[b], v[b].transpose(0, 1, 3, 2), out=scratch[:b.stop - b.start])
+        dscores = _softmax_backward(tile, dprobs, ctx[b], dctx[b], out=tile)
+        dq_tile = dscores @ k[b]
+        dq_tile *= 1.0 / math.sqrt(q.shape[3])
+        dq[b] = dq_tile.transpose(0, 2, 1, 3)
+        dk[b] = (dscores.transpose(0, 1, 3, 2) @ q[b]).transpose(0, 2, 1, 3)  # q carries the scale already
+    return tuple(g.reshape(g.shape[0], g.shape[1], -1) for g in (dq, dk, dv))
+
+
+def _attn_backward(cfg, t, p, grid, sel, q_grid, key_pad, lc: _LayerCache, dx_mid, grads):
+    """One layer's attention block (its LayerNorm, Wo, the tiled core, Wq/Wk/Wv) backward: returns the gradient
+    w.r.t. ``x_in``. ``grid`` is the run's (cells, rows, width); ``sel, q_grid`` the layer's query cells and
+    ``key_pad`` the keys the forward masked."""
     d, heads = cfg.embed_dim, cfg.num_heads
     dz1, dg, dbias = _ln_backward(dx_mid, t[p + "attn_ln.gain"], lc.xhat1, lc.inv1)
     grads[p + "attn_ln.gain"] += dg
     grads[p + "attn_ln.bias"] += dbias
-    dattn_out = dz1 if lc.attn_drop is None else dz1 * lc.attn_drop
+    dattn_out = dz1 if lc.attn_drop is None else _drop(dz1, lc.attn_drop, cfg.dropout_rate)
     grads[p + "attn.wo"] += lc.ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
     grads[p + "attn.bo"] += dattn_out.reshape(-1, d).sum(axis=0)
     dctx = _split_heads(_to_grid(dattn_out @ t[p + "attn.wo"].T, *q_grid), heads)
     del dattn_out
 
-    dv = lc.probs.transpose(0, 1, 3, 2) @ dctx  # before the probabilities give way to the score gradient
-    dscores = _score_grads_into_probs(lc.probs, lc.v, _split_heads(_to_grid(lc.ctx, *q_grid), heads), dctx)
-    dq = (dscores @ lc.k) * (1.0 / math.sqrt(cfg.head_dim))
-    dk = dscores.transpose(0, 1, 3, 2) @ lc.q  # q carries the scale already
-
+    grads_qkv = _attention_backward(lc.q, lc.k, lc.v, _split_heads(_to_grid(lc.ctx, *q_grid), heads), dctx, lc.probs,
+                                    key_pad)
     # Queries (and the residual) come from the layer's cells only; keys and values from every cell.
     # The sums keep the order ((dz1 + dq Wq^T) + dk Wk^T) + dv Wv^T of an all-cells layer.
-    dq, dk, dv = (_from_grid(_merge_heads(g), c) for g, c in ((dq, q_grid[0]), (dk, grid[0]), (dv, grid[0])))
+    dq, dk, dv = (_from_grid(g, c) for g, c in zip(grads_qkv, (q_grid[0], grid[0], grid[0])))
     x_all = lc.x_in.reshape(-1, d)
     grads[p + "attn.wq"] += lc.x_in[sel].reshape(-1, d).T @ dq.reshape(-1, d)
     grads[p + "attn.bq"] += dq.reshape(-1, d).sum(axis=0)
@@ -744,11 +757,11 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
         p = f"layers.{i}."
         lc = cache.layers.pop()
         dx = _ffn_backward(cfg, t, p, lc, dx, grads)
-        dx = _attn_backward(cfg, t, p, cache.grid, *cache.queries[i], lc, dx, grads)
+        dx = _attn_backward(cfg, t, p, cache.grid, *cache.queries[i], cache.key_pad, lc, dx, grads)
     del lc
 
     if cache.emb_drop is not None:
-        dx = dx * cache.emb_drop
+        _drop(dx, cache.emb_drop, cfg.dropout_rate, out=dx)
     de, dg, dbias = _ln_backward(dx, t["emb_ln.gain"], cache.xhat0, cache.inv0)
     grads["emb_ln.gain"] += dg
     grads["emb_ln.bias"] += dbias

@@ -38,9 +38,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     @classmethod
     def from_tokens(cls, tokens: list[str]) -> "Vocabulary":
         """Build from non-reserved tokens in id order (first token gets id 3)."""

@@ -145,15 +145,22 @@ def finite_difference_check(
 # --- the padded encoder: the old path, an oracle for the packed one -----------------------------------------
 
 
+def _merge_heads(x):
+    b, h, length, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, length, h * dh)
+
+
 def padded_encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks, all_rows=False):
     """One run of the stack the way the encoder ran it before it packed real cells: every token-wise layer over
     the whole (rows, width) grid, PAD cells included. Returns (pooled, cache), the cache a dict of grids.
 
-    The last layer computes the CLS row alone unless ``all_rows``; ``drop_masks`` as for ``_encode_rows``.
+    The last layer computes the CLS row alone unless ``all_rows``; ``drop_masks`` as for ``_encode_rows``, each
+    bool mask applied as the float mask mask / (1 - rate) that carries its rescaling.
     """
     cfg, t = params.config, params.tensors
     ids, lengths = batch_ids[batch_rows, :width], batch_lengths[batch_rows]
-    emb_drop, *layer_drops = drop_masks or [None] * (1 + 2 * cfg.num_layers)
+    float_masks = [m / (1.0 - cfg.dropout_rate) for m in drop_masks] if drop_masks else None
+    emb_drop, *layer_drops = float_masks or [None] * (1 + 2 * cfg.num_layers)
     x, xhat0, inv0 = enc._ln_forward(t["token_emb"][ids] + t["pos_emb"][:width], t["emb_ln.gain"], t["emb_ln.bias"])
     if emb_drop is not None:
         x *= emb_drop
@@ -174,7 +181,7 @@ def padded_encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop
         if key_pad is not None:
             np.copyto(scores, -np.inf, where=key_pad)
         probs = enc._softmax_inplace(scores)
-        ctx = enc._merge_heads(probs @ v)
+        ctx = _merge_heads(probs @ v)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
         if attn_drop is not None:
             attn_out *= attn_drop
@@ -216,10 +223,11 @@ def padded_backward_rows(params, cache, upstream):
         grads[p + "attn.bo"] += dattn_out.sum(axis=(0, 1))
         dctx = enc._split_heads(dattn_out @ t[p + "attn.wo"].T, cfg.num_heads)
         dv = lc["probs"].transpose(0, 1, 3, 2) @ dctx
-        dscores = enc._score_grads_into_probs(lc["probs"].copy(), lc["v"], enc._split_heads(lc["ctx"], cfg.num_heads),
-                                              dctx)
-        dq = enc._merge_heads((dscores @ lc["k"]) * (1.0 / np.sqrt(cfg.head_dim)))
-        dk, dv = enc._merge_heads(dscores.transpose(0, 1, 3, 2) @ lc["q"]), enc._merge_heads(dv)
+        dprobs = dctx @ lc["v"].transpose(0, 1, 3, 2)  # the whole (rows, heads, L, L) score gradient at once
+        dscores = enc._softmax_backward(lc["probs"], dprobs, enc._split_heads(lc["ctx"], cfg.num_heads), dctx,
+                                        out=dprobs)
+        dq = _merge_heads((dscores @ lc["k"]) * (1.0 / np.sqrt(cfg.head_dim)))
+        dk, dv = _merge_heads(dscores.transpose(0, 1, 3, 2) @ lc["q"]), _merge_heads(dv)
         x_all, rows = lc["x_in"].reshape(-1, d), lc["rows"]
         grads[p + "attn.wq"] += lc["x_in"][:, rows].reshape(-1, d).T @ dq.reshape(-1, d)
         grads[p + "attn.bq"] += dq.sum(axis=(0, 1))

@@ -1,5 +1,6 @@
-"""The comparison ``tools/bench_pairs.py`` records per metric, on synthetic paired values."""
+"""The comparison ``tools/bench_pairs.py`` records per metric, on synthetic paired values, and its artifact hashes."""
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -38,3 +39,22 @@ def test_a_regression_is_a_median_move_the_wrong_way_past_the_bound():
     assert not verdict("higher", 0.25, BASE, [x * 0.8 for x in BASE])["regression"]
     assert verdict("lower", 0.1, BASE, [x * 1.2 for x in BASE]) == {"gain": False, "regression": True}
     assert not verdict("lower", 0.1, BASE, [x * 0.5 for x in BASE])["regression"]
+
+
+def test_digests_hash_every_file_but_the_manifests(tmp_path):
+    (tmp_path / "seed0").mkdir()
+    files = {"metrics.json": b"{}\n", "seed0/model.ckpt": b"\x00\x01", "seed0/history.jsonl": b""}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "manifest.json").write_text("{\"time\": 1}")
+    (tmp_path / "seed0" / "manifest.json").write_text("{\"time\": 2}")
+    assert bench_pairs.digests(tmp_path) == {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+def test_the_artifact_verdict_names_each_file_a_run_lacks_or_wrote_otherwise():
+    same = {"a": "1", "b/c": "2"}
+    assert bench_pairs.artifact_verdict({"base": same, "head": dict(same), "head-1cpu": dict(same)}) == {
+        "identical": True, "differ": [], "digests": {"base": same, "head": same, "head-1cpu": same}}
+    runs = {"base": same, "head": {"a": "1", "b/c": "3"}, "head-1cpu": {"a": "1", "b/c": "2", "d": "4"}}
+    verdict = bench_pairs.artifact_verdict(runs)
+    assert verdict["differ"] == ["b/c", "d"] and not verdict["identical"] and verdict["digests"] is runs

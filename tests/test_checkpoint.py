@@ -62,7 +62,7 @@ def test_vocabulary_round_trips_through_the_header(tmp_path, tiny_model):
     save_model(path, tiny_model)
     loaded = load_model(path).vocab
     assert loaded.id_to_token == tiny_model.vocab.id_to_token and loaded == tiny_model.vocab
-    assert loaded.lookup("tok0") == len(RESERVED_TOKENS) and loaded.lookup("unseen") == 1
+    assert loaded.token_to_id["tok0"] == len(RESERVED_TOKENS) and "unseen" not in loaded.token_to_id
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path, tiny_model):

@@ -724,24 +724,45 @@ def test_fewshot_training_flags_get_their_own_run_directory(stage1, tmp_path, mo
         assert sum(line in c for c in configs) == 1, line
 
 
-def test_train_writes_the_same_bytes_on_one_and_two_encoder_workers(tmp_path, monkeypatch):
+def test_every_stage_writes_the_same_bytes_at_any_score_tile_and_worker_count(tmp_path, monkeypatch):
     # texts of 90-124 words fill max_seq_len 128: train batches cut class 4 into runs of 16 rows
-    suite = SyntheticSuiteConfig(examples_per_task=48, min_tokens=90, max_tokens=124, vocab_size=200)
+    suite = SyntheticSuiteConfig(task_names=("alpha", "beta", "gamma"), examples_per_task=48, min_tokens=90,
+                                 max_tokens=124, vocab_size=200)
     for name, dataset in generate_synthetic_suite(3, suite).items():
         save_dataset(dataset, tmp_path / f"{name}.jsonl")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CFG_TEMPLATE.format(data=tmp_path).replace("max_seq_len = 16", "max_seq_len = 128")
                    .replace("max_epochs = 2\npatience = 2", "max_epochs = 1\npatience = 1"))
-    run_rows = []
-    real = enc._encode_rows
-    monkeypatch.setattr(enc, "_encode_rows", lambda *a, **k: run_rows.append(a[3].size) or real(*a, **k))
-    for workers in (1, 2):
-        monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)
-        monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)
-        assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / f"w{workers}"),
-                     "--quiet"]) == 0
-        if workers > 1:
-            enc._pool.shutdown()
+    run_rows, kept = [], []
+    real_rows, real_attention = enc._encode_rows, enc._attention
+    monkeypatch.setattr(enc, "_encode_rows", lambda *a, **k: run_rows.append(a[3].size) or real_rows(*a, **k))
+    monkeypatch.setattr(enc, "_attention", lambda *a: (out := real_attention(*a)) and kept.append(
+        (enc.SCORE_TILE, out[1] is not None)) or out)
+    outs = []
+    # at 2^22 every run keeps its probabilities whole, at 2^8 the backward rebuilds every larger one tile by tile
+    for tile in (1 << 8, 1 << 16, 1 << 22):
+        monkeypatch.setattr(enc, "SCORE_TILE", tile)
+        for workers in (1, 2):
+            monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)
+            monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)
+            out = tmp_path / f"tile{tile}-w{workers}"
+            checkpoint = str(out / "train" / "seed0" / "model.ckpt")
+            assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(out / "train"), "--quiet"]) == 0
+            assert main(["finetune", "--config", str(cfg), "--task", "alpha", "--checkpoint", checkpoint, "--seed", "0",
+                         "--out", str(out / "finetune"), "--quiet"]) == 0
+            for mode in ("head-only", "full-model"):
+                assert main(["fewshot", "--checkpoint", checkpoint, "--dataset", str(tmp_path / "gamma.jsonl"),
+                             "--task", "gamma", "--labels", "negative,positive", "--k", "10", "--max-epochs", "1",
+                             "--mode", mode, "--seed", "0", "--out", str(out / mode), "--quiet"]) == 0
+            if workers > 1:
+                enc._pool.shutdown()
+            outs.append(out)
     assert 16 in run_rows
-    for rel in ("seed0/model.ckpt", "seed0/history.jsonl", "metrics.json"):
-        assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes(), rel
+    assert {k for t, k in kept if t == 1 << 22} == {True} and {k for t, k in kept if t == 1 << 8} == {False, True}
+    written = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                     if p.name in ("model.ckpt", "history.jsonl", "metrics.json") or p.match("report*.jsonl"))
+    assert {str(p) for p in written} >= {"train/seed0/model.ckpt", "train/seed0/history.jsonl", "finetune/metrics.json",
+                                         "full-model/report.jsonl", "head-only/metrics.json"}
+    for out in outs[1:]:
+        for rel in written:
+            assert (outs[0] / rel).read_bytes() == (out / rel).read_bytes(), (out.name, rel)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -226,23 +227,46 @@ def test_backward_refuses_a_spent_cache():
     assert all(np.array_equal(first[name], again[name]) for name in first)
 
 
-def test_one_long_run_backward_allocates_under_two_score_arrays():
-    # One 16-row run at width 128 (RUN_CELLS / 128 rows), d=64, H=4: its (B, H, L, L) probabilities are 8 MiB.
+def _cache_arrays(obj) -> list[np.ndarray]:
+    """Every array an encoder cache (or a list or tuple of its parts) holds."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, field.name) for field in dataclasses.fields(obj)]
+    return [a for part in obj for a in _cache_arrays(part)] if isinstance(obj, (list, tuple)) else []
+
+
+def _owned_bytes(arrays) -> int:
+    """Bytes of the distinct buffers under ``arrays``: a view counts as the array it views."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
+def test_one_long_train_run_caches_no_score_array_and_peaks_under_24_mib():
+    # One 16-row run at width 128 (RUN_CELLS / 128 rows) at the desk config: its (B, H, L, L) probabilities would be
+    # 8 MiB, and with them and 8-byte dropout masks the run cached 27.2 MiB and peaked at 33.7 MiB.
     config = EncoderConfig(vocab_size=300, embed_dim=64, num_heads=4, ffn_dim=128, max_seq_len=128)
     params = init_encoder(config)
     batch = Batch(np.random.default_rng(15).integers(3, 300, size=(16, 128)), np.full(16, 128))
     up = np.random.default_rng(16).standard_normal((16, 64))
-    _, caches = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(17), return_cache=True)
-    assert len(caches) == 1
-    score_bytes = caches[0].layers[0].probs.nbytes
-    assert score_bytes == 16 * 4 * 128 * 128 * 8
     tracemalloc.start()
     try:
+        _, caches = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(17), return_cache=True)
+        assert len(caches) == 1
+        arrays = _cache_arrays(caches)
+        assert not [a.shape for a in arrays if a.ndim == 4 and a.shape[2:] == (128, 128)]
+        cached = _owned_bytes(arrays)
+        del arrays
         backward(params, caches, up)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * score_bytes, peak / 2**20
+    assert cached <= 16.5 * 2**20, cached / 2**20
+    assert peak <= 24 * 2**20, peak / 2**20
 
 
 
@@ -363,9 +387,9 @@ def test_cls_last_layer_caches_one_query_row():
     _, [cache] = encode_batch(init_encoder(config), batch, return_cache=True)
     first, last = cache.layers
     length, cells = batch.seq_len, int(batch.lengths.sum())
-    assert first.q.shape[2] == first.probs.shape[2] == length and first.x_mid.shape[0] == first.h_pre.shape[0] == cells
+    assert first.q.shape[2] == first.probs.shape[2] == length and first.xhat1.shape[0] == first.h_pre.shape[0] == cells
     # the CLS-only layer holds its one cell per row as a (rows, 1, .) grid
-    assert last.q.shape[2] == last.probs.shape[2] == last.x_mid.shape[1] == last.h_pre.shape[1] == 1
+    assert last.q.shape[2] == last.probs.shape[2] == last.xhat1.shape[1] == last.h_pre.shape[1] == 1
     # keys and values (and the attention's key axis) still cover every row
     assert last.k.shape[2] == last.v.shape[2] == last.probs.shape[3] == length
     assert last.x_in.shape == (cells, config.embed_dim) and last.xhat2.shape == (4, 1, config.embed_dim)
@@ -848,14 +872,18 @@ def test_a_ragged_runs_caches_hold_its_real_cells_only():
     assert cells < rows * cache.grid[2] and _packed(cache)
     assert cache.ids.shape == (cells,) and cache.emb_drop.shape == cache.xhat0.shape == (cells, d)
     assert cache.inv0.shape == (cells, 1)
-    token_wise = ("x_in", "ctx", "attn_drop", "xhat1", "inv1", "x_mid", "h_pre", "h_cdf", "ffn_drop", "xhat2", "inv2")
+    token_wise = ("x_in", "ctx", "attn_drop", "xhat1", "inv1", "h_pre", "h_cdf", "ffn_drop", "xhat2", "inv2")
+    assert {f.name for f in dataclasses.fields(enc._LayerCache)} == set(token_wise) | {"q", "k", "v", "probs"}
+    assert cache.emb_drop.dtype == bool
     for i, lc in enumerate(cache.layers):
         cls_only = i == config.num_layers - 1  # one cell per row past its keys and values
         for name in token_wise:
             a = getattr(lc, name)
             assert a.size // a.shape[-1] == (rows if cls_only and name != "x_in" else cells), (i, name)
+        assert lc.attn_drop.dtype == lc.ffn_drop.dtype == bool
         # the attention's operands alone see the grid
         assert lc.k.shape == lc.v.shape == (rows, config.num_heads, cache.grid[2], config.head_dim)
+        assert lc.probs.shape == (rows, config.num_heads, 1 if cls_only else cache.grid[2], cache.grid[2])
 
 
 def test_gradcheck_with_fixed_dropout_masks_on_packed_runs():
@@ -883,6 +911,20 @@ def test_a_run_packs_once_pack_pad_of_its_cells_are_pad():
 # --- the tiled attention core against the padded path's whole-array attention ------------
 
 
+def _backward_probabilities(cache, lc):
+    """A layer's attention probabilities as its backward takes them: cached if one score tile held them all, else
+    rebuilt from its q and k one tile at a time."""
+    shape = lc.q.shape[:3] + lc.k.shape[2:3]
+    tiles = enc._score_tiles(shape)
+    assert (lc.probs is None) == (len(tiles) > 1)
+    if lc.probs is not None:
+        return lc.probs
+    probs = np.empty(shape)
+    for b in tiles:
+        enc._softmax_tile(lc.q, lc.k, cache.key_pad, b, probs[b])
+    return probs
+
+
 @pytest.mark.parametrize("tile", [72, 576])
 @pytest.mark.parametrize("train_mode", [False, True])
 def test_score_tiles_match_the_padded_path_bit_for_bit(tile, train_mode, monkeypatch):
@@ -901,11 +943,29 @@ def test_score_tiles_match_the_padded_path_bit_for_bit(tile, train_mode, monkeyp
         ref, ref_cache = padded_encode_rows(params, batch.ids, batch.lengths, rows, 12, masks)
         assert pooled.tobytes() == ref.tobytes()
         assert (cache is None) == (not train_mode)
-        if train_mode:  # the cached probabilities, at every real query (the packed run's PAD queries are zero)
+        if train_mode:  # the probabilities the backward takes, at every real query (a packed run's PAD queries are 0)
             assert _packed(cache) == (seed == 72)
+            # the CLS-only layer's 168 score elements fit in a tile of 576, the full layer's 2016 in none
+            assert [lc.probs is not None for lc in cache.layers] == [False, tile == 576]
             for lc, ref_lc in zip(cache.layers, ref_cache["layers"]):
+                probs = _backward_probabilities(cache, lc)
                 for r, n in enumerate(lengths):
-                    assert lc.probs[r, :, :n].tobytes() == ref_lc["probs"][r, :, :n].tobytes()
+                    assert probs[r, :, :n].tobytes() == ref_lc["probs"][r, :, :n].tobytes()
+
+
+def test_backward_gives_the_same_bits_whether_it_keeps_or_rebuilds_the_probabilities(monkeypatch):
+    config = tiny_config(dropout_rate=0.2)
+    params = init_encoder(config)
+    batch = _batch_of_lengths(74, [12, 3, 12, 7, 12, 5, 9], length=12)
+    up = np.random.default_rng(76).standard_normal((batch.size, config.embed_dim))
+    results = []
+    for tile in (1 << 22, 72):  # every layer's probabilities kept whole; every layer's rebuilt in several tiles
+        monkeypatch.setattr(enc, "SCORE_TILE", tile)
+        pooled, caches = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(8), return_cache=True)
+        assert all((lc.probs is None) == (tile == 72) for c in caches for lc in c.layers)
+        grads = backward(params, caches, up)
+        results.append([pooled] + [grads[name] for name in sorted(grads)])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*results))
 
 
 def test_gradcheck_on_a_run_of_several_score_tiles(monkeypatch):
@@ -1056,4 +1116,10 @@ def test_in_place_gelu_and_dropout_are_bit_identical_to_reference():
     assert np.array_equal(gelu_grad(x, cdf), _ref_gelu_grad(x, cdf))
     assert np.array_equal(gelu_grad(x), _ref_gelu_grad(x, cdf))
     mask = enc._dropout_mask(np.random.default_rng(3), (4, 7, 16), 0.3)
-    assert np.array_equal(mask, (np.random.default_rng(3).random((4, 7, 16)) >= 0.3) / (1.0 - 0.3))
+    assert mask.dtype == bool and np.array_equal(mask, np.random.default_rng(3).random((4, 7, 16)) >= 0.3)
+    # a bool mask applied gives the bits, signed zeros included, of x times the float mask with the rescaling
+    x = rng.normal(0.0, 2.0, (4, 7, 16))
+    expected = x * (mask / (1.0 - 0.3))
+    assert np.signbit(expected[~mask]).any()
+    assert enc._drop(x, mask, 0.3).tobytes() == expected.tobytes()
+    assert enc._drop(x, mask, 0.3, out=x) is x and x.tobytes() == expected.tobytes()

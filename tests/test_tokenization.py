@@ -95,7 +95,7 @@ _GAPS = st.sampled_from([" ", "  ", "\t", "\n", ", ", ". ", "!?", "'", " — ", 
        max_seq_len=st.integers(2, 160))
 def test_encode_tokenizes_the_head_only_with_the_whole_texts_ids(text, max_seq_len):
     # encode stops the tokenizer after max_seq_len - 1 tokens; the ids are the whole tokenization's head, looked up
-    expected = (CLS_ID, *[_HEAD_VOCAB.lookup(tok) for tok in tokenize(text)[: max_seq_len - 1]])
+    expected = (CLS_ID, *[_HEAD_VOCAB.token_to_id.get(tok, UNK_ID) for tok in tokenize(text)[: max_seq_len - 1]])
     assert encode(text, _HEAD_VOCAB, max_seq_len) == expected
 
 def test_encode_deterministic_and_fixed_length(small_vocab):

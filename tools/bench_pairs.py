@@ -5,13 +5,18 @@ Each revision is exported with ``git archive`` into ``.bench_build/<sha>``, and 
 revision that runs first alternates from pair to pair. For every workload and end-to-end metric the file
 holds each side's values, median and quartiles and their ``compare``: how many pairs read better on the
 head side, and whether that is a gain or a regression. It also holds both SHAs, the BLAS thread count, the
-CPU count and the seeds, and one summary line per workload and metric goes to standard output. Standard
-library only; run from the repository root:
+CPU count and the seeds, and one summary line per workload and metric goes to standard output.
+
+Before a workload's pairs, an artifact pass runs its command sequence (``bench_workloads.commands``, at
+``--seed``) once per revision on the process's CPU set and once pinned to one CPU, all four runs in the same
+directories, and records every written file's SHA-256 (``manifest.json`` aside, which records the time) and
+whether all four runs wrote the same bytes. Standard library only; run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --pairs 10 --seed 601 --seconds 8 --out BENCH_20.json
 """
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -23,6 +28,20 @@ import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# One workload's command sequence in a revision's tree: argv is the workload, the seed, the inputs directory and
+# the runs directory. perfbench's own modules generate the inputs and the argv lists, as for a timed run.
+SEQUENCE = """
+import sys
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+import bench_workloads as bw
+from misinfo_mtl.cli import main
+workload = bw.WORKLOADS[sys.argv[1]]
+paths = bw.generate_inputs(workload, int(sys.argv[2]), Path(sys.argv[3]))
+for phase, argv in bw.commands(workload, paths, Path(sys.argv[4])):
+    if main(argv) != 0:
+        sys.exit(f"{phase} failed")
+"""
 
 
 def export(rev: str) -> tuple[str, Path]:
@@ -49,6 +68,33 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dic
                           "--seconds", str(seconds), "--trace", "0"], cwd=tree, check=True, capture_output=True,
                          text=True).stdout.splitlines()
     return json.loads(out[-2]), json.loads(out[-1])
+
+
+def digests(directory: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``directory`` but those named ``manifest.json``, by path relative to it."""
+    return {path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.rglob("*")) if path.is_file() and path.name != "manifest.json"}
+
+
+def artifact_verdict(runs: dict[str, dict[str, str]]) -> dict:
+    """Several runs' ``digests`` of one command sequence (run name -> digests): the files any run lacks or wrote
+    with other bytes (``differ``), ``identical`` if there are none, and the digests themselves."""
+    files = sorted(set().union(*runs.values()))
+    differ = [name for name in files if len({digest.get(name) for digest in runs.values()}) > 1]
+    return {"identical": not differ, "differ": differ, "digests": runs}
+
+
+def run_sequence(tree: Path, workload: str, seed: int, one_cpu: bool) -> dict[str, str]:
+    """Run ``workload``'s command sequence in ``tree``, pinned to one CPU if ``one_cpu``; the ``digests`` of its
+    runs. Every call writes to the same directories, so paths recorded in the files are the same for each."""
+    work = ROOT / ".bench_build" / "artifacts"
+    shutil.rmtree(work, ignore_errors=True)
+    # the child pins itself, after the fork: only its own affinity changes
+    pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", SEQUENCE, workload, str(seed), str(work / "inputs"), str(work / "runs")],
+                   cwd=tree, env=env, preexec_fn=pin, check=True, capture_output=True)
+    return digests(work / "runs")
 
 
 def summary(values: list[float]) -> dict:
@@ -88,6 +134,11 @@ def main(argv=None) -> int:
     record = {"base": {"rev": args.base, "sha": base_sha}, "head": {"rev": args.head, "sha": head_sha},
               "pairs": args.pairs, "seeds": seeds, "seconds": args.seconds, "workloads": {}}
     for workload in [w["name"] for w in spec["workloads"]]:
+        artifacts = artifact_verdict({f"{side}{suffix}": run_sequence(tree, workload, args.seed, one_cpu)
+                                      for side, tree in (("base", base), ("head", head))
+                                      for suffix, one_cpu in (("", False), ("-1cpu", True))})
+        print(f"{workload} artifacts: " + ("identical" if artifacts["identical"] else
+                                           "differ in " + ", ".join(artifacts["differ"])), file=sys.stderr, flush=True)
         sides = {"base": [], "head": []}
         for i, seed in enumerate(seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -105,7 +156,7 @@ def main(argv=None) -> int:
                              "base": summary(b), "head": summary(h), **compare(direction, bound, b, h)}
         record["workloads"][workload] = {
             "correct": all(r["correct"] for s in sides.values() for r in s),
-            "failed": sum(r["failed"] for s in sides.values() for r in s), "metrics": metrics}
+            "failed": sum(r["failed"] for s in sides.values() for r in s), "metrics": metrics, "artifacts": artifacts}
     for workload, result in record["workloads"].items():
         for name, m in result["metrics"].items():
             print(f"{workload} {name}: {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
