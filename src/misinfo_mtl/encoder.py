@@ -1,8 +1,8 @@
 """Shared text encoder: a small Transformer with exact reverse-mode gradients.
 
-All math runs in float64. On request the forward pass caches every
-intermediate needed for the hand-written backward pass. The pooled output is
-the last layer's CLS row. Parameters are a flat name->array dict so the
+All math runs in float64. On request the forward pass caches the
+intermediates the hand-written backward pass needs and cannot cheaply
+rebuild bit for bit. The pooled output is the last layer's CLS row. Parameters are a flat name->array dict so the
 optimizer, checkpointing and gradient checking can all treat them uniformly.
 
 A batch runs through the stack as independent runs, each at its own longest
