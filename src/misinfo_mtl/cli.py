@@ -105,7 +105,7 @@ class RunSpec:
     derived: dict[str, tuple[str, str]]  # task -> (source task, field)
     specs: dict[str, TaskSpec]
     drop_labels: dict[str, tuple[str, ...]]
-    encoder: EncoderConfig  # vocab_size is the reserved ids' count until a run builds its vocabulary
+    encoder: EncoderConfig  # vocab_size is the reserved ids' count; build_model sizes it from a run's vocabulary
     train: TrainConfig
     seeds: tuple[int, ...]
     max_vocab: int | None
@@ -292,8 +292,7 @@ def cmd_train(args) -> int:
 
     per_seed: dict[int, dict[str, metrics.MetricsReport]] = {}
     for seed in spec.seeds:
-        model = build_model(replace(spec.encoder, vocab_size=vocab.size, seed=seed),
-                            [spec.specs[t] for t in spec.tasks], vocab=vocab)
+        model = build_model(replace(spec.encoder, seed=seed), [spec.specs[t] for t in spec.tasks], vocab=vocab)
         model, history = train_multitask(model, splits, replace(spec.train, seed=seed), verbose=not args.quiet)
         _write_seed(out, seed, model, history)
         per_seed[seed] = {t: evaluation.evaluate_model(model, t, splits[t].test.examples) for t in sorted(splits)}
@@ -528,27 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tune_allocator() -> None:
-    """Tune glibc's heap (glibc only).
-
-    Raise the trim and mmap thresholds so freed buffers are reused, not
-    re-faulted, and keep one arena so the encoder's worker threads reuse the
-    main heap instead of each growing their own.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
-
-
 def main(argv=None) -> int:
-    _tune_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

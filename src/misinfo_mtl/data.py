@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .tasks import BIAS_TYPES, BUILTIN_TASKS, POLARITIES, TaskSpec  # noqa: F401  (BUILTIN_TASKS re-exported)
+from .tasks import BIAS_TYPES, POLARITIES, TaskSpec
 
 # The rumor corpus carries a third label that the binary protocol drops.
 DEFAULT_DROP_LABELS: dict[str, tuple[str, ...]] = {"rumor": ("unverified",)}
@@ -84,7 +84,11 @@ class Dataset:
         return self.class_counts()[self.spec.positive_label]
 
 
-def _validate_example(ex: Example, spec: TaskSpec, line_no: int) -> None:
+def _validate_example(ex: Example, spec: TaskSpec, line_no: int, seen_ids: set[str]) -> None:
+    """Refuse a record whose id is in ``seen_ids`` or that does not fit ``spec``; else add its id."""
+    if ex.id in seen_ids:
+        raise ValueError(f"line {line_no}: duplicate id {ex.id!r}")
+    seen_ids.add(ex.id)
     if ex.task != spec.name:
         raise ValueError(f"line {line_no}: record task {ex.task!r} does not match {spec.name!r}")
     if ex.label not in spec.labels:
@@ -108,10 +112,7 @@ def make_dataset(examples, spec: TaskSpec) -> Dataset:
     """Validate a list of examples against a task spec."""
     seen_ids = set()
     for i, ex in enumerate(examples, start=1):
-        if ex.id in seen_ids:
-            raise ValueError(f"duplicate example id {ex.id!r}")
-        seen_ids.add(ex.id)
-        _validate_example(ex, spec, i)
+        _validate_example(ex, spec, i, seen_ids)
     return Dataset(spec=spec, examples=tuple(examples))
 
 
@@ -143,10 +144,7 @@ def load_dataset(path: str | Path, spec: TaskSpec, drop_labels: tuple[str, ...] 
                 raise ValueError(f"line {line_no}: {exc}") from None
             if ex.label in drop_labels:
                 continue
-            if ex.id in seen_ids:
-                raise ValueError(f"line {line_no}: duplicate id {ex.id!r}")
-            seen_ids.add(ex.id)
-            _validate_example(ex, spec, line_no)
+            _validate_example(ex, spec, line_no, seen_ids)
             examples.append(ex)
     if not examples:
         raise ValueError(f"no examples in {path}")

@@ -15,6 +15,7 @@ a forward/backward pair; eval-mode forwards over shared parameters are safe to
 run concurrently.
 """
 
+import ctypes
 import math
 import os
 import threading
@@ -378,6 +379,24 @@ class EncoderCache:
     layers: list[_LayerCache]
 
 
+def _tune_allocator() -> None:
+    """Tune glibc's heap (glibc only); run once, when this module is imported.
+
+    Raise the trim and mmap thresholds so freed buffers are reused, not
+    re-faulted, and keep one arena so the run pool's worker threads reuse the
+    main heap instead of each growing their own.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
+_tune_allocator()
 _pool = None  # a ThreadPoolExecutor with one worker per usable CPU but one, made on the first call that needs one
 _pool_lock = threading.Lock()
 

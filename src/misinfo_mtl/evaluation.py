@@ -5,7 +5,7 @@ return the exact id partitions they used) and independent across
 folds/seeds/rows, so callers may parallelize them as separate processes.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,8 +128,7 @@ def run_two_stage(
 ) -> MetricsReport:
     """Stage-1 train on ``splits``, stage-2 fine-tune on ``eval_task``, score its test split."""
     vocab = train_vocab(splits, min_freq, max_vocab)
-    config = replace(encoder_config, vocab_size=vocab.size)
-    model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
+    model = build_model(encoder_config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
     train_multitask(model, splits, train_config)
     finetune_task(model, eval_task, splits[eval_task], train_config)
     return evaluate_model(model, eval_task, splits[eval_task].test.examples)
@@ -223,8 +222,7 @@ def loocv_run(
     folds = event_folds(stage1_splits, eval_dataset)
 
     vocab = train_vocab(stage1_splits, min_freq, max_vocab)
-    config = replace(encoder_config, vocab_size=vocab.size)
-    model = build_model(config, [stage1_splits[t].train.spec for t in sorted(stage1_splits)], vocab=vocab)
+    model = build_model(encoder_config, [stage1_splits[t].train.spec for t in sorted(stage1_splits)], vocab=vocab)
     stage1, _ = train_multitask(model, stage1_splits, train_config)
 
     fold_results: list[LoocvFold] = []

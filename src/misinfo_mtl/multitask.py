@@ -7,7 +7,7 @@ linear softmax layer, with dropout 0.1 on the pooled input during training.
 """
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,7 +71,12 @@ def build_model(
     specs: list[TaskSpec],
     vocab: Vocabulary | None = None,
 ) -> MultiTaskModel:
-    """Init an encoder and register all tasks in sorted-name order with derived seeds."""
+    """Init an encoder and register all tasks in sorted-name order with derived seeds.
+
+    With a vocabulary, the embedding table has one row per token of it, whatever ``config.vocab_size`` says.
+    """
+    if vocab is not None:
+        config = replace(config, vocab_size=vocab.size)
     model = MultiTaskModel(encoder=enc.init_encoder(config), vocab=vocab)
     for spec in sorted(specs, key=lambda s: s.name):
         register_task(model, spec, head_seed(config.seed, spec.name))
@@ -100,11 +105,11 @@ def require_task(model: MultiTaskModel, task: str) -> TaskSpec:
 def _head_forward(head, pooled, train_mode, rng):
     drop = None
     x = pooled
-    if train_mode and HEAD_DROPOUT > 0.0:
+    if train_mode:
         if rng is None:
             raise ValueError("train-mode head forward requires an rng")
-        drop = (rng.random(pooled.shape) >= HEAD_DROPOUT) / (1.0 - HEAD_DROPOUT)
-        x = pooled * drop
+        drop = enc._dropout_mask(rng, pooled.shape, HEAD_DROPOUT)
+        x = enc._drop(pooled, drop, HEAD_DROPOUT)
     hidden = np.tanh(x @ head["hidden_w"] + head["hidden_b"])
     logits = hidden @ head["out_w"] + head["out_b"]
     return logits, {"x": x, "drop": drop, "hidden": hidden}
@@ -208,7 +213,7 @@ def task_step_gradients(
         return loss, grads
     dpooled = dpre @ head["hidden_w"].T
     if hc["drop"] is not None:
-        dpooled = dpooled * hc["drop"]
+        dpooled = enc._drop(dpooled, hc["drop"], HEAD_DROPOUT, out=dpooled)
 
     for name, g in enc.backward(model.encoder, state["enc_cache"], dpooled).items():
         grads[f"encoder.{name}"] = g

@@ -279,18 +279,15 @@ def _fit(
     A non-finite step or validation loss stops training ("diverged") at the
     best epoch so far, or raises ``ValueError`` if no epoch has finished.
     """
+    specs = {task: require_task(model, task) for task in splits}
     if model.vocab is None:
         raise ValueError("model has no vocabulary attached")
     if not splits:
         raise ValueError("no tasks to train on")
-    for task in splits:
-        if task not in model.tasks:
-            raise KeyError(f"task {task!r} is not registered on the model")
 
     seq_len = model.config.max_seq_len  # the positional table's length
     encoded = {}
-    for task in sorted(splits):
-        spec = model.tasks[task]
+    for task, spec in sorted(specs.items()):
         split = splits[task]
         if len(split.train.examples) == 0:
             raise ValueError(f"task {task!r} has an empty train split")
@@ -351,7 +348,7 @@ def _fit(
         for task in sorted(sizes):
             batch, labels = encoded[task]["val"]
             val_loss[task], preds = score(model, task, batch, labels)
-            val_reports[task] = metrics.compute_report(preds.tolist(), labels.tolist(), model.tasks[task].labels)
+            val_reports[task] = metrics.compute_report(preds.tolist(), labels.tolist(), specs[task].labels)
         val_total = sum(val_loss.values())
         if not math.isfinite(val_total):
             if best_flat is None:
@@ -414,6 +411,5 @@ def finetune_task(
     with a fresh optimizer and decay horizon, early-stopping on the task's own
     validation loss. All other heads keep their arrays.
     """
-    require_task(model, task)
     return _fit(model, {task: dataset}, config, train_encoder=True, verbose=verbose)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from misinfo_mtl import cli, evaluation
+from misinfo_mtl import cli, evaluation, training
 from misinfo_mtl import encoder as enc
 from misinfo_mtl.checkpoint import load_model, save_model
 from misinfo_mtl.cli import main
@@ -725,6 +725,7 @@ def test_fewshot_training_flags_get_their_own_run_directory(stage1, tmp_path, mo
 
 
 def test_every_stage_writes_the_same_bytes_at_any_score_tile_and_worker_count(tmp_path, monkeypatch):
+    # the 2^8-tile runs also cut Adam's blocks at 2^10 elements, so the ~200 x 16 token table spans several
     # texts of 90-124 words fill max_seq_len 128: train batches cut class 4 into runs of 16 rows
     suite = SyntheticSuiteConfig(task_names=("alpha", "beta", "gamma"), examples_per_task=48, min_tokens=90,
                                  max_tokens=124, vocab_size=200)
@@ -738,10 +739,14 @@ def test_every_stage_writes_the_same_bytes_at_any_score_tile_and_worker_count(tm
     monkeypatch.setattr(enc, "_encode_rows", lambda *a, **k: run_rows.append(a[3].size) or real_rows(*a, **k))
     monkeypatch.setattr(enc, "_attention", lambda *a: (out := real_attention(*a)) and kept.append(
         (enc.SCORE_TILE, out[1] is not None)) or out)
+    adam_jobs, real_run_each, adam_block = [], training.run_each, training.ADAM_BLOCK
+    monkeypatch.setattr(training, "run_each", lambda fn, jobs: adam_jobs.append(
+        (training.ADAM_BLOCK, len(jobs))) or real_run_each(fn, jobs))
     outs = []
     # at 2^22 every run keeps its probabilities whole, at 2^8 the backward rebuilds every larger one tile by tile
     for tile in (1 << 8, 1 << 16, 1 << 22):
         monkeypatch.setattr(enc, "SCORE_TILE", tile)
+        monkeypatch.setattr(training, "ADAM_BLOCK", 1 << 10 if tile == 1 << 8 else adam_block)
         for workers in (1, 2):
             monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)
             monkeypatch.setattr(enc, "_pool", ThreadPoolExecutor(workers - 1) if workers > 1 else None)
@@ -759,6 +764,7 @@ def test_every_stage_writes_the_same_bytes_at_any_score_tile_and_worker_count(tm
             outs.append(out)
     assert 16 in run_rows
     assert {k for t, k in kept if t == 1 << 22} == {True} and {k for t, k in kept if t == 1 << 8} == {False, True}
+    assert {block for block, _ in adam_jobs} == {1 << 10} and min(jobs for _, jobs in adam_jobs) > 1
     written = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
                      if p.name in ("model.ckpt", "history.jsonl", "metrics.json") or p.match("report*.jsonl"))
     assert {str(p) for p in written} >= {"train/seed0/model.ckpt", "train/seed0/history.jsonl", "finetune/metrics.json",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from misinfo_mtl.data import (
-    BUILTIN_TASKS,
     Dataset,
     Example,
     SyntheticSuiteConfig,
@@ -19,7 +18,7 @@ from misinfo_mtl.data import (
     save_dataset,
     split,
 )
-from misinfo_mtl.multitask import TaskSpec
+from misinfo_mtl.tasks import BUILTIN_TASKS, TaskSpec
 
 
 def _write_jsonl(path, records):
@@ -65,6 +64,13 @@ def test_loader_duplicate_id(tmp_path):
     with pytest.raises(ValueError, match="duplicate id"):
         load_dataset(path, BUILTIN_TASKS["rumor"])
 
+
+
+def test_make_dataset_refuses_a_duplicate_id_by_record_number_before_its_other_checks():
+    spec = TaskSpec("toy", ("neg", "pos"), "tweet", "pos")
+    examples = [Example(id=f"e{i}", text=f"text {i}", task="toy", label="pos") for i in range(3)]
+    with pytest.raises(ValueError, match=r"^line 4: duplicate id 'e1'$"):
+        make_dataset([*examples, Example(id="e1", text="again", task="toy", label="sideways")], spec)
 
 def test_loader_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"

@@ -1,10 +1,11 @@
 """Layering rules read from the source with ``ast``.
 
-The data layer imports nothing from the model layer, and only the encoder makes threads: its run pool
-is the one pool of the program.
+The data layer imports nothing from the model layer, only the encoder makes threads: its run pool
+is the one pool of the program, and every top-level function and class is named by some other code.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,43 @@ def test_the_encoder_pool_is_seen_where_it_is_made():
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "encoder"))
 def test_only_the_encoder_makes_threads(module):
     assert thread_makers((PACKAGE / f"{module}.py").read_text()) == set()
+
+
+def names(node) -> Counter:
+    """How often each name is read (``f``), taken as an attribute (``mod.f``) or imported under ``node``."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def unnamed_definitions(sources: dict[str, str]) -> set[str]:
+    """The top-level functions and classes of ``sources`` (module name -> source) that no other code in them names.
+
+    An import counts, so a name that ``__init__`` exports is named. A definition's own body does not: a function
+    that only calls itself is unnamed.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((names(tree) for tree in trees.values()), Counter())
+    return {f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and everywhere[node.name] == names(node)[node.name]}
+
+
+@pytest.mark.parametrize("sources, unnamed", [
+    ({"m": "def used():\n    pass\n\ndef caller():\n    used()\n"}, {"m.caller"}),
+    ({"m": "def loop(n):\n    return loop(n - 1)\n"}, {"m.loop"}),
+    ({"__init__": "from .m import f", "m": "def f():\n    pass\n"}, set()),
+    ({"a": "from . import m\nm.C()", "m": "class C:\n    pass\n"}, set()),
+])
+def test_every_way_of_naming_a_definition_is_read(sources, unnamed):
+    assert unnamed_definitions(sources) == unnamed
+
+
+def test_every_top_level_function_and_class_is_named_elsewhere():
+    assert unnamed_definitions({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == set()

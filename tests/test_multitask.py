@@ -6,6 +6,7 @@ import pytest
 
 from misinfo_mtl.encoder import init_encoder
 from misinfo_mtl.multitask import (
+    HEAD_DROPOUT,
     MultiTaskModel,
     TaskSpec,
     assign_params,
@@ -226,6 +227,37 @@ def test_duplicated_batch_keeps_mean_gradients(tiny_model):
     for k in g1:
         np.testing.assert_allclose(g2[k], g1[k], rtol=1e-12, atol=1e-14)
 
+
+
+def test_head_dropout_gives_the_float_mask_bits_forward_and_backward(tiny_model, monkeypatch):
+    # the reference is the float mask (u >= p) / (1 - p) on the same draws; tiny_model's encoder draws no dropout
+    batch = random_batch(np.random.default_rng(11), 40, 8, 12)
+    labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+    pooled, dpooled = [], []
+    real_encode = enc.encode_batch
+    monkeypatch.setattr(enc, "encode_batch", lambda *a, **k: pooled.append((out := real_encode(*a, **k))[0]) or out)
+    monkeypatch.setattr(enc, "backward", lambda params, cache, d: dpooled.append(d.copy()) or {})
+
+    rng = np.random.default_rng(5)
+    _, state = task_loss(tiny_model, "a_task", batch, labels, train_mode=True, rng=rng)
+    ref_rng = np.random.default_rng(5)
+    drop = (ref_rng.random(pooled[0].shape) >= HEAD_DROPOUT) / (1.0 - HEAD_DROPOUT)
+    x = pooled[0] * drop
+    assert state["head_cache"]["drop"].dtype == bool
+    assert state["head_cache"]["x"].tobytes() == x.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    head, hidden = tiny_model.heads["a_task"], state["head_cache"]["hidden"]
+    dlogits = state["probs"].copy()
+    dlogits[np.arange(labels.size), labels] -= 1.0
+    dlogits /= labels.size
+    dpre = (dlogits @ head["out_w"].T) * (1.0 - hidden**2)
+    expected = (dpre @ head["hidden_w"].T) * drop
+    task_step_gradients(tiny_model, "a_task", batch, labels, train_mode=True, rng=np.random.default_rng(5))
+    assert dpooled[0].tobytes() == expected.tobytes()
+    # dropped negative cells are -0.0 in both, so the byte comparisons above cover the signed zeros
+    for values in (x, expected):
+        assert np.any((values == 0.0) & np.signbit(values))
 
 def test_full_model_gradients_match_finite_differences(tiny_model):
     batch = random_batch(np.random.default_rng(10), 40, 4, 12)
