@@ -65,7 +65,6 @@ def test_vocabulary_round_trips_through_the_header(tmp_path, tiny_model):
     assert loaded.token_to_id["tok0"] == len(RESERVED_TOKENS) and "unseen" not in loaded.token_to_id
 
 
-
 def test_a_model_built_on_a_vocabulary_saves_and_loads_whatever_its_config_says(tmp_path):
     # the config's vocab_size does not match the 4-token vocabulary: build_model sizes the table from the vocabulary
     vocab = Vocabulary.from_tokens(["w", "x", "y", "z"])
@@ -74,6 +73,7 @@ def test_a_model_built_on_a_vocabulary_saves_and_loads_whatever_its_config_says(
     loaded = load_model(tmp_path / "model.ckpt")
     assert loaded.vocab == vocab and loaded.config == model.config
     assert model.config.vocab_size == vocab.size == 7 and model.encoder.tensors["token_emb"].shape[0] == 7
+
 
 def test_checkpoint_bytes_are_deterministic(tmp_path, tiny_model):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -725,7 +725,6 @@ def test_fewshot_training_flags_get_their_own_run_directory(stage1, tmp_path, mo
 
 
 def test_every_stage_writes_the_same_bytes_at_any_score_tile_and_worker_count(tmp_path, monkeypatch):
-    # the 2^8-tile runs also cut Adam's blocks at 2^10 elements, so the ~200 x 16 token table spans several
     # texts of 90-124 words fill max_seq_len 128: train batches cut class 4 into runs of 16 rows
     suite = SyntheticSuiteConfig(task_names=("alpha", "beta", "gamma"), examples_per_task=48, min_tokens=90,
                                  max_tokens=124, vocab_size=200)
@@ -746,6 +745,7 @@ def test_every_stage_writes_the_same_bytes_at_any_score_tile_and_worker_count(tm
     # at 2^22 every run keeps its probabilities whole, at 2^8 the backward rebuilds every larger one tile by tile
     for tile in (1 << 8, 1 << 16, 1 << 22):
         monkeypatch.setattr(enc, "SCORE_TILE", tile)
+        # the 2^8-tile runs also cut Adam's blocks at 2^10 elements, so the ~200 x 16 token table spans several
         monkeypatch.setattr(training, "ADAM_BLOCK", 1 << 10 if tile == 1 << 8 else adam_block)
         for workers in (1, 2):
             monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid, n=workers: set(range(n)), raising=False)

@@ -65,12 +65,12 @@ def test_loader_duplicate_id(tmp_path):
         load_dataset(path, BUILTIN_TASKS["rumor"])
 
 
-
 def test_make_dataset_refuses_a_duplicate_id_by_record_number_before_its_other_checks():
     spec = TaskSpec("toy", ("neg", "pos"), "tweet", "pos")
     examples = [Example(id=f"e{i}", text=f"text {i}", task="toy", label="pos") for i in range(3)]
     with pytest.raises(ValueError, match=r"^line 4: duplicate id 'e1'$"):
         make_dataset([*examples, Example(id="e1", text="again", task="toy", label="sideways")], spec)
+
 
 def test_loader_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"

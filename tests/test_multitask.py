@@ -228,7 +228,6 @@ def test_duplicated_batch_keeps_mean_gradients(tiny_model):
         np.testing.assert_allclose(g2[k], g1[k], rtol=1e-12, atol=1e-14)
 
 
-
 def test_head_dropout_gives_the_float_mask_bits_forward_and_backward(tiny_model, monkeypatch):
     # the reference is the float mask (u >= p) / (1 - p) on the same draws; tiny_model's encoder draws no dropout
     batch = random_batch(np.random.default_rng(11), 40, 8, 12)
@@ -258,6 +257,7 @@ def test_head_dropout_gives_the_float_mask_bits_forward_and_backward(tiny_model,
     # dropped negative cells are -0.0 in both, so the byte comparisons above cover the signed zeros
     for values in (x, expected):
         assert np.any((values == 0.0) & np.signbit(values))
+
 
 def test_full_model_gradients_match_finite_differences(tiny_model):
     batch = random_batch(np.random.default_rng(10), 40, 4, 12)
