@@ -84,26 +84,27 @@ class Dataset:
         return self.class_counts()[self.spec.positive_label]
 
 
-def _validate_example(ex: Example, spec: TaskSpec, line_no: int, seen_ids: set[str]) -> None:
-    """Refuse a record whose id is in ``seen_ids`` or that does not fit ``spec``; else add its id."""
+def _validate_example(ex: Example, spec: TaskSpec, where: str, seen_ids: set[str]) -> None:
+    """Refuse a record whose id is in ``seen_ids`` or that does not fit ``spec``, naming it by ``where``
+    (``line N`` of a file, ``record N`` of a list); else add its id."""
     if ex.id in seen_ids:
-        raise ValueError(f"line {line_no}: duplicate id {ex.id!r}")
+        raise ValueError(f"{where}: duplicate id {ex.id!r}")
     seen_ids.add(ex.id)
     if ex.task != spec.name:
-        raise ValueError(f"line {line_no}: record task {ex.task!r} does not match {spec.name!r}")
+        raise ValueError(f"{where}: record task {ex.task!r} does not match {spec.name!r}")
     if ex.label not in spec.labels:
         raise ValueError(
-            f"line {line_no}: unknown label {ex.label!r} for task {spec.name!r} "
+            f"{where}: unknown label {ex.label!r} for task {spec.name!r} "
             f"(expected one of {list(spec.labels)})"
         )
     if ex.bias_type is not None and ex.bias_type not in BIAS_TYPES:
-        raise ValueError(f"line {line_no}: bias_type must be one of {BIAS_TYPES}")
+        raise ValueError(f"{where}: bias_type must be one of {BIAS_TYPES}")
     if ex.polarity is not None and ex.polarity not in POLARITIES:
-        raise ValueError(f"line {line_no}: polarity must be one of {POLARITIES}")
+        raise ValueError(f"{where}: polarity must be one of {POLARITIES}")
     if (ex.bias_type is not None or ex.polarity is not None) and spec.positive_label is not None:
         if ex.label != spec.positive_label:
             raise ValueError(
-                f"line {line_no}: bias_type/polarity are only valid on "
+                f"{where}: bias_type/polarity are only valid on "
                 f"{spec.positive_label!r} examples"
             )
 
@@ -112,7 +113,7 @@ def make_dataset(examples, spec: TaskSpec) -> Dataset:
     """Validate a list of examples against a task spec."""
     seen_ids = set()
     for i, ex in enumerate(examples, start=1):
-        _validate_example(ex, spec, i, seen_ids)
+        _validate_example(ex, spec, f"record {i}", seen_ids)
     return Dataset(spec=spec, examples=tuple(examples))
 
 
@@ -144,7 +145,7 @@ def load_dataset(path: str | Path, spec: TaskSpec, drop_labels: tuple[str, ...] 
                 raise ValueError(f"line {line_no}: {exc}") from None
             if ex.label in drop_labels:
                 continue
-            _validate_example(ex, spec, line_no, seen_ids)
+            _validate_example(ex, spec, f"line {line_no}", seen_ids)
             examples.append(ex)
     if not examples:
         raise ValueError(f"no examples in {path}")

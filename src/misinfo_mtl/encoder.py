@@ -10,7 +10,8 @@ real row (``split_runs``). A run with enough PAD packs its real cells, so its
 token-wise layers skip PAD and only attention sees its padded grid. The calling
 thread and a pool of one worker per further usable CPU take a call's runs from
 one queue; the cut never depends on the CPU count, and the calling thread draws
-every random number, so results do not either. Parameters are immutable during
+every random number, over the batch's real cells, so results do not either and
+a row's dropout does not depend on the cut. Parameters are immutable during
 a forward/backward pair; eval-mode forwards over shared parameters are safe to
 run concurrently.
 """
@@ -298,8 +299,8 @@ def _softmax_inplace(x):
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    """The cells dropout keeps, as a bool array (1 byte a cell); ``_drop`` applies it."""
-    return rng.random(shape) >= rate
+    """The cells dropout keeps, as a bool array (1 byte a cell) of float32 draws; ``_drop`` applies it."""
+    return rng.random(shape, dtype=np.float32) >= rate
 
 
 def _drop(x: np.ndarray, mask: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -464,17 +465,6 @@ def split_runs(lengths: np.ndarray):
         yield group, width, [(cut, int(lengths[group[cut]].max())) for cut in cuts]
 
 
-def _dropout_masks(rng, cfg: EncoderConfig, rows: int, width: int, rate: float) -> list[np.ndarray]:
-    """One width class's dropout masks in draw order: the embedding's, then attention and FFN per layer.
-
-    Each is drawn at the grid of the cells its layer computes: (rows, 1, d) for a CLS-only layer.
-    """
-    shapes = [(rows, width, cfg.embed_dim)]
-    for i in range(cfg.num_layers):
-        shapes += 2 * [(rows, 1 if i == cfg.num_layers - 1 else width, cfg.embed_dim)]
-    return [_dropout_mask(rng, shape, rate) for shape in shapes]
-
-
 def encode_batch(
     params: EncoderParams,
     batch: Batch,
@@ -494,9 +484,9 @@ def encode_batch(
     PAD never reaches the pooled output. The last layer computes keys and
     values for every cell and everything else for the CLS cells only.
     Dropout fires only in train mode (and then requires ``rng``): this thread
-    draws each class's masks at the class's shape, class by class, and each
-    run takes its rows and columns of them (a CLS-only layer's one column
-    stays) and takes its cells of them. Per-layer activations are kept only
+    draws the batch's masks in one call over its real cells, so a row's masks
+    do not depend on how the batch is cut into runs, and each run gathers its
+    cells of them. Per-layer activations are kept only
     with ``return_cache=True``, and then the result is ``(pooled, caches)``
     for one subsequent ``backward`` call, which consumes them: a list of one
     ``EncoderCache`` per run.
@@ -516,12 +506,15 @@ def encode_batch(
     if drop > 0.0 and rng is None:
         raise ValueError("train-mode forward with dropout requires an rng")
 
-    jobs = []
-    for group, class_width, cuts in split_runs(lengths):
-        masks = _dropout_masks(rng, cfg, group.size, class_width, drop) if drop > 0.0 else None
-        for cut, run_width in cuts:
-            jobs.append((group[cut], run_width, None if masks is None else [m[cut, :run_width] for m in masks]))
-    results = run_each(partial(_encode_rows, params, ids, lengths, return_cache=return_cache), jobs)
+    masks = None
+    if drop > 0.0:
+        # The embedding's masks, then attention's and the FFN's per layer: a layer that computes every cell
+        # has one per real cell of the batch, row-major, and the CLS-only last layer one per row.
+        bounds = np.cumsum([int(lengths.sum())] * (2 * cfg.num_layers - 1) + [rows, rows])
+        masks = np.split(_dropout_mask(rng, (bounds[-1], cfg.embed_dim), drop), bounds[:-1])
+    jobs = [(group[cut], run_width) for group, _, cuts in split_runs(lengths) for cut, run_width in cuts]
+    results = run_each(partial(_encode_rows, params, ids, lengths, drop_masks=masks, return_cache=return_cache),
+                       jobs)
     pooled = np.empty((rows, cfg.embed_dim))
     for (run_rows, *_), (out, _) in zip(jobs, results):
         pooled[run_rows] = out
@@ -533,18 +526,23 @@ def encode_batch(
 def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks, return_cache):
     """One run of the stack over ``batch_rows`` of a batch (ids, lengths): a (rows, ``width``) grid, as ``_layout``.
 
-    ``drop_masks`` is None or the run's rows of its class's ``_dropout_masks``. Without ``return_cache`` each
-    block's activations die as it returns, so the run holds about one block's arrays and one score tile at once.
+    ``drop_masks`` is None or ``encode_batch``'s masks of the whole batch; the run gathers its cells of them (a
+    grid's PAD cells take their row's last real cell's, which nothing reads). Without ``return_cache`` each block's
+    activations die as it returns, so the run holds about one block's arrays and one score tile at once.
     """
     cfg = params.config
     t = params.tensors
     lengths = batch_lengths[batch_rows]
     real, grid, pos, queries = _layout(cfg, lengths, width)
     ids = _from_grid(batch_ids[batch_rows, :width], grid[0])
-    emb_drop, *layer_drops = drop_masks or [None] * (1 + 2 * cfg.num_layers)
+    drops = [None] * (1 + 2 * cfg.num_layers)
+    if drop_masks is not None:
+        first = np.cumsum(batch_lengths)[batch_rows] - lengths  # each row's first cell in the batch's masks
+        at = _from_grid(first[:, None] + np.minimum(np.arange(width), lengths[:, None] - 1), grid[0])
+        drops = [m[at] for m in drop_masks[:-2]] + [m[batch_rows, None] for m in drop_masks[-2:]]
+    emb_drop, *layer_drops = drops
     x, xhat0, inv0 = _ln_forward(t["token_emb"][ids] + t["pos_emb"][pos], t["emb_ln.gain"], t["emb_ln.bias"])
     if emb_drop is not None:
-        emb_drop = _from_grid(emb_drop, grid[0])
         _drop(x, emb_drop, cfg.dropout_rate, out=x)
     key_pad = None if real.all() else ~real[:, None, None, :]  # (B,1,1,L) over the key axis
     cache = EncoderCache(batch_rows=batch_rows, grid=grid, queries=queries, key_pad=key_pad, ids=ids,
@@ -554,7 +552,7 @@ def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks
     for i in range(cfg.num_layers):
         p = f"layers.{i}."
         sel, q_grid = queries[i]
-        attn_drop, ffn_drop = (m if m is None else _from_grid(m, q_grid[0]) for m in layer_drops[2 * i:2 * i + 2])
+        attn_drop, ffn_drop = layer_drops[2 * i:2 * i + 2]
         x, attn_cache = _attn_forward(cfg, t, p, grid, sel, q_grid, key_pad, x, attn_drop, return_cache)
         x, ffn_cache = _ffn_forward(cfg, t, p, x, ffn_drop, return_cache)
         if return_cache:

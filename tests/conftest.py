@@ -154,8 +154,9 @@ def padded_encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop
     """One run of the stack the way the encoder ran it before it packed real cells: every token-wise layer over
     the whole (rows, width) grid, PAD cells included. Returns (pooled, cache), the cache a dict of grids.
 
-    The last layer computes the CLS row alone unless ``all_rows``; ``drop_masks`` as for ``_encode_rows``, each
-    bool mask applied as the float mask mask / (1 - rate) that carries its rescaling.
+    The last layer computes the CLS row alone unless ``all_rows``; ``drop_masks`` is None or the run's bool
+    masks as ``grid_masks`` gives them (each a (rows, width, d) grid, or (rows, 1, d) for a CLS-only layer), each
+    applied as the float mask mask / (1 - rate) that carries its rescaling.
     """
     cfg, t = params.config, params.tensors
     ids, lengths = batch_ids[batch_rows, :width], batch_lengths[batch_rows]
@@ -247,15 +248,40 @@ def padded_backward_rows(params, cache, upstream):
     return grads, de
 
 
+def batch_dropout_masks(rng, cfg, lengths, rate):
+    """A train batch's dropout draws, written out apart from the encoder's: one float32 draw, split into the
+    embedding's masks, then attention's and the FFN's per layer. A layer that computes every cell gets one row
+    per real cell of the batch, row-major, (cells, d); the CLS-only last layer one per batch row, (rows, d)."""
+    cells, rows = int(lengths.sum()), lengths.size
+    sizes = [cells] * (2 * cfg.num_layers - 1) + [rows, rows]
+    keep = rng.random((sum(sizes), cfg.embed_dim), dtype=np.float32) >= rate
+    return np.split(keep, np.cumsum(sizes)[:-1])
+
+
+def grid_masks(masks, lengths, rows, width):
+    """``rows`` of a batch's ``batch_dropout_masks`` as the padded path takes them: (rows, width, d) grids, each
+    real cell's mask in its place and True at PAD; the CLS-only layer's (rows, 1, d)."""
+    real = np.arange(lengths.max()) < lengths[:, None]
+    index = np.full(real.shape, -1)
+    index[real] = np.arange(real.sum())  # each real cell's row in a (cells, d) mask
+    index = index[rows, :width]
+    grids = []
+    for m in masks[:-2]:
+        grid = np.ones(index.shape + m.shape[1:], dtype=bool)
+        grid[index >= 0] = m[index[index >= 0]]
+        grids.append(grid)
+    return grids + [m[rows][:, None] for m in masks[-2:]]
+
+
 def padded_encode_batch(params, batch, train_mode=False, rng=None):
     """``encode_batch(..., return_cache=True)`` on the padded path: the same runs, the same dropout draws."""
     cfg = params.config
     drop = cfg.dropout_rate if train_mode else 0.0
+    masks = batch_dropout_masks(rng, cfg, batch.lengths, drop) if drop > 0.0 else None
     pooled, caches = np.empty((batch.size, cfg.embed_dim)), []
-    for group, class_width, cuts in enc.split_runs(batch.lengths):
-        masks = enc._dropout_masks(rng, cfg, group.size, class_width, drop) if drop > 0.0 else None
+    for group, _, cuts in enc.split_runs(batch.lengths):
         for cut, width in cuts:
-            run_masks = None if masks is None else [m[cut, :width] for m in masks]
+            run_masks = None if masks is None else grid_masks(masks, batch.lengths, group[cut], width)
             pooled[group[cut]], cache = padded_encode_rows(params, batch.ids, batch.lengths, group[cut], width,
                                                            run_masks)
             caches.append(cache)

@@ -54,7 +54,22 @@ def test_digests_hash_every_file_but_the_manifests(tmp_path):
 def test_the_artifact_verdict_names_each_file_a_run_lacks_or_wrote_otherwise():
     same = {"a": "1", "b/c": "2"}
     assert bench_pairs.artifact_verdict({"base": same, "head": dict(same), "head-1cpu": dict(same)}) == {
-        "identical": True, "differ": [], "digests": {"base": same, "head": same, "head-1cpu": same}}
+        "identical": True, "differ": [], "sides": {"head": {"identical": True, "differ": []}},
+        "digests": {"base": same, "head": same, "head-1cpu": same}}
     runs = {"base": same, "head": {"a": "1", "b/c": "3"}, "head-1cpu": {"a": "1", "b/c": "2", "d": "4"}}
     verdict = bench_pairs.artifact_verdict(runs)
     assert verdict["differ"] == ["b/c", "d"] and not verdict["identical"] and verdict["digests"] is runs
+
+
+def test_the_artifact_verdict_checks_each_side_on_all_cpus_and_on_one_apart_from_base_against_head():
+    base, head = {"model.ckpt": "1", "metrics.json": "2"}, {"model.ckpt": "3", "metrics.json": "2"}
+    # a change that moves a trajectory on purpose: the sides differ, and each side writes its own bytes twice
+    verdict = bench_pairs.artifact_verdict({"base": base, "base-1cpu": dict(base), "head": head,
+                                            "head-1cpu": dict(head)})
+    assert not verdict["identical"] and verdict["differ"] == ["model.ckpt"]
+    assert verdict["sides"] == {"base": {"identical": True, "differ": []}, "head": {"identical": True, "differ": []}}
+    # a head whose one-CPU run writes other bytes, or a file fewer, fails its own check only
+    verdict = bench_pairs.artifact_verdict({"base": base, "base-1cpu": dict(base), "head": head,
+                                            "head-1cpu": {"model.ckpt": "4"}})
+    assert verdict["sides"]["base"] == {"identical": True, "differ": []}
+    assert verdict["sides"]["head"] == {"identical": False, "differ": ["metrics.json", "model.ckpt"]}

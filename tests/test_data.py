@@ -68,7 +68,7 @@ def test_loader_duplicate_id(tmp_path):
 def test_make_dataset_refuses_a_duplicate_id_by_record_number_before_its_other_checks():
     spec = TaskSpec("toy", ("neg", "pos"), "tweet", "pos")
     examples = [Example(id=f"e{i}", text=f"text {i}", task="toy", label="pos") for i in range(3)]
-    with pytest.raises(ValueError, match=r"^line 4: duplicate id 'e1'$"):
+    with pytest.raises(ValueError, match=r"^record 4: duplicate id 'e1'$"):
         make_dataset([*examples, Example(id="e1", text="again", task="toy", label="sideways")], spec)
 
 

@@ -28,8 +28,8 @@ from misinfo_mtl import encoder as enc
 from misinfo_mtl.tokenization import Batch
 
 from conftest import (
-    finite_difference_check, force_workers, padded_backward, padded_encode_batch, padded_encode_rows, random_batch,
-    tiny_config, trim_batch, with_lengths,
+    batch_dropout_masks, finite_difference_check, force_workers, grid_masks, padded_backward, padded_encode_batch,
+    padded_encode_rows, random_batch, tiny_config, trim_batch, with_lengths,
 )
 
 
@@ -355,28 +355,28 @@ def test_gradcheck_full_encoder():
 
 @pytest.mark.parametrize("train_mode", [False, True])
 @pytest.mark.parametrize("num_layers", [1, 2])
-def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, train_mode, monkeypatch):
-    # The reference, the padded path, computes every row of the last layer. It replays the CLS run's
-    # dropout masks; the CLS-only last layer draws (B, 1, d) ones, which go into row 0 of its full masks.
+def test_cls_pooled_output_matches_row_0_of_the_full_last_layer(num_layers, train_mode):
+    # The reference, the padded path, computes every row of the last layer. It takes the batch's dropout draws;
+    # the CLS-only last layer's, one per row, go into column 0 of its full masks.
     config = tiny_config(num_layers=num_layers, max_seq_len=24, dropout_rate=0.2)
     params = init_encoder(config)
     padded = _short_ragged_batch(15, length=24)
     batch = trim_batch(padded, np.arange(padded.size))
     assert batch.seq_len < padded.seq_len and batch.lengths.min() < batch.seq_len
-    drawn, real_mask = [], enc._dropout_mask
-    monkeypatch.setattr(enc, "_dropout_mask", lambda *args: drawn.append(real_mask(*args)) or drawn[-1])
-    cls_pooled = encode_batch(params, batch, train_mode=train_mode, rng=np.random.default_rng(6))
-
-    def replay(shape):
-        mask, recorded = np.ones(shape), drawn.pop(0)
-        mask[:, : recorded.shape[1]] = recorded
-        return mask
-
-    full = (batch.size, batch.seq_len, config.embed_dim)
-    masks = [replay(full) for _ in range(1 + 2 * num_layers)] if train_mode else None
+    used, reference = np.random.default_rng(6), np.random.default_rng(6)
+    cls_pooled = encode_batch(params, batch, train_mode=train_mode, rng=used)
+    masks = None
+    if train_mode:
+        rows = np.arange(batch.size)
+        masks = grid_masks(batch_dropout_masks(reference, config, batch.lengths, 0.2), batch.lengths, rows,
+                           batch.seq_len)
+        for i in (-2, -1):
+            full = np.ones((batch.size, batch.seq_len, config.embed_dim), dtype=bool)
+            full[:, :1] = masks[i]
+            masks[i] = full
+    assert used.bit_generator.state == reference.bit_generator.state
     full_pooled, cache = padded_encode_rows(params, batch.ids, batch.lengths, np.arange(batch.size), batch.seq_len,
                                             masks, all_rows=True)
-    assert not drawn
     assert cache["layers"][-1]["xhat2"].shape[1] == batch.seq_len
     np.testing.assert_allclose(cls_pooled, full_pooled, rtol=1e-12, atol=0)
 
@@ -395,36 +395,39 @@ def test_cls_last_layer_caches_one_query_row():
     assert last.x_in.shape == (cells, config.embed_dim) and last.xhat2.shape == (4, 1, config.embed_dim)
 
 
-def _mask_shapes(config, rows, width):
-    """Dropout draws of one run: the embedding mask, then attention and FFN per layer at the rows it computes."""
-    shapes = [(rows, width, config.embed_dim)]
-    for i in range(config.num_layers):
-        last_cls = i == config.num_layers - 1
-        shapes += 2 * [(rows, 1 if last_cls else width, config.embed_dim)]
+def _record_draws(monkeypatch):
+    """The shape of every ``_dropout_mask`` call from here on, in call order."""
+    shapes, real_mask = [], enc._dropout_mask
+    monkeypatch.setattr(enc, "_dropout_mask", lambda rng, shape, rate: shapes.append(shape) or real_mask(rng, shape,
+                                                                                                         rate))
     return shapes
 
 
 @pytest.mark.parametrize("pooling", ["cls"])
-def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling):
+def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling, monkeypatch):
     config = tiny_config(dropout_rate=0.2)
     batch = random_batch(np.random.default_rng(17), 40, 3, 12)
+    shapes = _record_draws(monkeypatch)
     used = np.random.default_rng(5)
     _, [cache] = encode_batch(init_encoder(config), batch, train_mode=True, rng=used, return_cache=True)
     width = int(batch.lengths.max())  # the encoder cuts the batch to its longest real row
-    assert width < batch.seq_len
+    assert width < batch.seq_len and _packed(cache)
+    # one draw: a mask per real cell for the embedding and the first layer's attention and FFN, a mask per row
+    # for the CLS-only last layer's, and none for PAD
+    cells, d = int(batch.lengths.sum()), config.embed_dim
+    assert shapes == [(3 * cells + 2 * 3, d)]
     reference = np.random.default_rng(5)
-    shapes = _mask_shapes(config, 3, width)
-    for shape in shapes:
-        reference.random(shape)
+    want = batch_dropout_masks(reference, config, batch.lengths, 0.2)
     assert used.bit_generator.state == reference.bit_generator.state
-    drawn = [cache.emb_drop] + [m for lc in cache.layers for m in (lc.attn_drop, lc.ffn_drop)]
-    # the run keeps its real cells of each: packed, or the CLS-only layer's (rows, 1, d) grid
-    assert [m.shape for m in drawn] == [(int(batch.lengths.sum()), s[2]) if s[1] == width else s for s in shapes]
+    # the run, all the batch's rows in order, keeps its packed cells of each and the CLS-only layer's (rows, 1, d)
+    drawn = _cached_masks(cache)
+    assert [m.shape for m in drawn] == 3 * [(cells, d)] + 2 * [(3, 1, d)]
+    assert all(np.array_equal(got.reshape(want_m.shape), want_m) for got, want_m in zip(drawn, want, strict=True))
 
 
 @pytest.mark.parametrize("pooling", ["cls"])
 def test_gradcheck_with_fixed_dropout_masks(pooling):
-    # A fresh generator with one seed on every call fixes the masks, so the loss is deterministic.
+    # A fresh generator with one seed on every call fixes the batch's one draw, so the loss is deterministic.
     rng = np.random.default_rng(19)
     batch = random_batch(rng, 40, 4, 12)
     weights = rng.standard_normal((4, 16))
@@ -447,11 +450,11 @@ def _three_class_batch(seed, rows=32, length=128):
 
 
 def _one_width(params, batch, train_mode=False, rng=None):
-    """Reference: one run of the stack over every row at the batch's longest real row."""
-    width = int(batch.lengths.max())
+    """Reference: one run of the stack over every row at the batch's longest real row, on the batch's draws."""
     cfg = params.config
-    masks = enc._dropout_masks(rng, cfg, batch.size, width, cfg.dropout_rate) if train_mode else None
-    return enc._encode_rows(params, batch.ids, batch.lengths, np.arange(batch.size), width, masks, True)
+    masks = batch_dropout_masks(rng, cfg, batch.lengths, cfg.dropout_rate) if train_mode else None
+    return enc._encode_rows(params, batch.ids, batch.lengths, np.arange(batch.size), int(batch.lengths.max()),
+                            masks, True)
 
 
 def _reference_grads(params, cache, upstream):
@@ -504,23 +507,28 @@ def test_gradcheck_on_a_three_class_batch(pooling):
 
 
 @pytest.mark.parametrize("pooling", ["cls"])
-def test_two_class_train_forward_draws_masks_per_class_in_class_order(pooling):
+def test_a_two_class_train_forward_draws_once_and_a_rows_masks_do_not_depend_on_its_class(pooling, monkeypatch):
     config = tiny_config(dropout_rate=0.2, max_seq_len=48)
     params = init_encoder(config)
     lengths = np.array([40, 5, 33, 7, 3])  # class 2 rows 0, 2 (width 40); class 1 rows 1, 3, 4 (width 7)
     batch = with_lengths(np.random.default_rng(35).integers(3, 40, size=(5, 48)), lengths)
+    shapes = _record_draws(monkeypatch)
     used = np.random.default_rng(5)
-    pooled = encode_batch(params, batch, train_mode=True, rng=used)
+    pooled, caches = encode_batch(params, batch, train_mode=True, rng=used, return_cache=True)
+    assert len(caches) == 2 and shapes == [(3 * 88 + 2 * 5, config.embed_dim)]  # 88 real cells, 5 rows
     reference = np.random.default_rng(5)
-    for rows, width in ((3, 7), (2, 40)):
-        for shape in _mask_shapes(config, rows, width):  # (rows, 1, d) in a CLS-only last layer
-            reference.random(shape)
+    want = batch_dropout_masks(reference, config, lengths, 0.2)
     assert used.bit_generator.state == reference.bit_generator.state
-    # the same as encoding each class as its own batch, in class order, from one generator
-    again = np.random.default_rng(5)
-    for rows in ([1, 3, 4], [0, 2]):
-        alone = encode_batch(params, trim_batch(batch, rows), train_mode=True, rng=again)
-        assert np.array_equal(pooled[rows], alone)
+    for c in caches:  # each run holds its rows' real cells of the one draw
+        rows, width = c.batch_rows, c.grid[2]
+        real = np.arange(width) < lengths[rows][:, None]
+        for got, grid in zip(_cached_masks(c), grid_masks(want, lengths, rows, width), strict=True):
+            got = _as_grid(c, got).astype(bool)
+            assert np.array_equal(got[real[:, :got.shape[1]]], grid[real[:, :grid.shape[1]]])
+    # one class, one run: the same masks for every row, so the pooled rows move in the last bits at most
+    monkeypatch.setattr(enc, "WIDTH_CLASS", 48)
+    one, [_] = encode_batch(params, batch, train_mode=True, rng=np.random.default_rng(5), return_cache=True)
+    assert _max_rel(one, pooled) <= 1e-12
 
 
 @pytest.mark.parametrize("pooling", ["cls"])
@@ -887,7 +895,7 @@ def test_a_ragged_runs_caches_hold_its_real_cells_only():
 
 
 def test_gradcheck_with_fixed_dropout_masks_on_packed_runs():
-    # the oracle on packed runs with dropout: each run gathers its real cells of the class's masks
+    # the oracle on packed runs with dropout: each run gathers its real cells of the batch's one draw
     batch = _three_class_batch(59, rows=12, length=100)
     config = tiny_config(dropout_rate=0.3, max_seq_len=100)
     tensors = init_encoder(config).tensors
@@ -938,9 +946,10 @@ def test_score_tiles_match_the_padded_path_bit_for_bit(tile, train_mode, monkeyp
     # PAD keys in a packed run (29% PAD) and in a run held as its grid (1 PAD cell)
     for seed, lengths in ((72, [12, 3, 12, 7, 12, 5, 9]), (73, [12, 12, 11, 12, 12, 12, 12])):
         batch, rows = _batch_of_lengths(seed, lengths, length=12), np.arange(7)
-        masks = enc._dropout_masks(np.random.default_rng(seed), config, 7, 12, 0.2) if train_mode else None
+        masks = batch_dropout_masks(np.random.default_rng(seed), config, batch.lengths, 0.2) if train_mode else None
         pooled, cache = enc._encode_rows(params, batch.ids, batch.lengths, rows, 12, masks, train_mode)
-        ref, ref_cache = padded_encode_rows(params, batch.ids, batch.lengths, rows, 12, masks)
+        ref, ref_cache = padded_encode_rows(params, batch.ids, batch.lengths, rows, 12,
+                                            None if masks is None else grid_masks(masks, batch.lengths, rows, 12))
         assert pooled.tobytes() == ref.tobytes()
         assert (cache is None) == (not train_mode)
         if train_mode:  # the probabilities the backward takes, at every real query (a packed run's PAD queries are 0)
@@ -1116,7 +1125,8 @@ def test_in_place_gelu_and_dropout_are_bit_identical_to_reference():
     assert np.array_equal(gelu_grad(x, cdf), _ref_gelu_grad(x, cdf))
     assert np.array_equal(gelu_grad(x), _ref_gelu_grad(x, cdf))
     mask = enc._dropout_mask(np.random.default_rng(3), (4, 7, 16), 0.3)
-    assert mask.dtype == bool and np.array_equal(mask, np.random.default_rng(3).random((4, 7, 16)) >= 0.3)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, np.random.default_rng(3).random((4, 7, 16), dtype=np.float32) >= np.float32(0.3))
     # a bool mask applied gives the bits, signed zeros included, of x times the float mask with the rescaling
     x = rng.normal(0.0, 2.0, (4, 7, 16))
     expected = x * (mask / (1.0 - 0.3))

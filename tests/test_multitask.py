@@ -229,7 +229,7 @@ def test_duplicated_batch_keeps_mean_gradients(tiny_model):
 
 
 def test_head_dropout_gives_the_float_mask_bits_forward_and_backward(tiny_model, monkeypatch):
-    # the reference is the float mask (u >= p) / (1 - p) on the same draws; tiny_model's encoder draws no dropout
+    # the reference is the float mask (u >= p) / (1 - p) on the same float32 u; tiny_model's encoder draws no dropout
     batch = random_batch(np.random.default_rng(11), 40, 8, 12)
     labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
     pooled, dpooled = [], []
@@ -240,7 +240,7 @@ def test_head_dropout_gives_the_float_mask_bits_forward_and_backward(tiny_model,
     rng = np.random.default_rng(5)
     _, state = task_loss(tiny_model, "a_task", batch, labels, train_mode=True, rng=rng)
     ref_rng = np.random.default_rng(5)
-    drop = (ref_rng.random(pooled[0].shape) >= HEAD_DROPOUT) / (1.0 - HEAD_DROPOUT)
+    drop = (ref_rng.random(pooled[0].shape, dtype=np.float32) >= np.float32(HEAD_DROPOUT)) / (1.0 - HEAD_DROPOUT)
     x = pooled[0] * drop
     assert state["head_cache"]["drop"].dtype == bool
     assert state["head_cache"]["x"].tobytes() == x.tobytes()

@@ -631,3 +631,32 @@ def test_long_tailed_training_reruns_bit_identically():
     f1, f2 = flatten_params(m1), flatten_params(m2)
     assert all(np.array_equal(f1[k], f2[k]) for k in f1)
     assert [r.to_dict() for r in h1.epochs] == [r.to_dict() for r in h2.epochs]
+
+
+def _final_val_loss():
+    """The last epoch's validation loss of 2 train epochs on a 2-task suite of 3-124-token texts at d = 32."""
+    suite = generate_synthetic_suite(3, SyntheticSuiteConfig(examples_per_task=64, min_tokens=3, max_tokens=124))
+    splits = {t: split(ds, seed=0) for t, ds in suite.items()}
+    vocab = build_vocab([ex.text for t in sorted(splits) for ex in splits[t].train.examples])
+    config = EncoderConfig(vocab_size=vocab.size, embed_dim=32, num_layers=2, num_heads=4, ffn_dim=64,
+                           max_seq_len=128, dropout_rate=0.1, seed=0)
+    model = build_model(config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
+    _, hist = train_multitask(model, splits, _quick_config(max_epochs=2, patience=2))
+    assert len(hist.epochs) == 2
+    return hist.epochs[-1].val_loss_total
+
+
+@pytest.fixture(scope="module")
+def layout_baseline():
+    return _final_val_loss()
+
+
+@pytest.mark.parametrize("constant, value", [("WIDTH_CLASS", 16), ("RUN_CELLS", 512), ("RUN_ROWS", 8),
+                                             ("PACK_PAD", 0.5)])
+def test_the_run_layout_moves_the_final_validation_loss_in_the_last_bits_only(layout_baseline, constant, value,
+                                                                              monkeypatch):
+    # how the encoder cuts a batch into runs, and which runs pack, is an implementation detail: the dropout a row
+    # gets does not depend on it, and the sums the cut reorders move the loss by rounding alone
+    assert getattr(enc, constant) != value
+    monkeypatch.setattr(enc, constant, value)
+    assert abs(_final_val_loss() - layout_baseline) <= 1e-12

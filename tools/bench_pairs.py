@@ -9,8 +9,9 @@ CPU count and the seeds, and one summary line per workload and metric goes to st
 
 Before a workload's pairs, an artifact pass runs its command sequence (``bench_workloads.commands``, at
 ``--seed``) once per revision on the process's CPU set and once pinned to one CPU, all four runs in the same
-directories, and records every written file's SHA-256 (``manifest.json`` aside, which records the time) and
-whether all four runs wrote the same bytes. Standard library only; run from the repository root:
+directories, and records every written file's SHA-256 (``manifest.json`` aside, which records the time),
+whether all four runs wrote the same bytes, and whether each revision wrote the same bytes on all CPUs and on
+one. Standard library only; run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --pairs 10 --seed 601 --seconds 8 --out BENCH_20.json
 """
@@ -76,12 +77,25 @@ def digests(directory: Path) -> dict[str, str]:
             for path in sorted(directory.rglob("*")) if path.is_file() and path.name != "manifest.json"}
 
 
+def _differ(runs: dict[str, dict[str, str]]) -> list[str]:
+    """The files any of these runs lacks or wrote with other bytes than another."""
+    return [name for name in sorted(set().union(*runs.values())) if len({d.get(name) for d in runs.values()}) > 1]
+
+
 def artifact_verdict(runs: dict[str, dict[str, str]]) -> dict:
     """Several runs' ``digests`` of one command sequence (run name -> digests): the files any run lacks or wrote
-    with other bytes (``differ``), ``identical`` if there are none, and the digests themselves."""
-    files = sorted(set().union(*runs.values()))
-    differ = [name for name in files if len({digest.get(name) for digest in runs.values()}) > 1]
-    return {"identical": not differ, "differ": differ, "digests": runs}
+    with other bytes (``differ``), ``identical`` if there are none, and the digests themselves. ``sides`` holds
+    the same check for each side that ran twice, ``<side>`` against ``<side>-1cpu``: a revision's own identity on
+    all CPUs and on one, which a change that moves its artifacts on purpose still has to show."""
+    differ = _differ(runs)
+    sides = {side: _differ({side: runs[side], side + "-1cpu": runs[side + "-1cpu"]})
+             for side in runs if side + "-1cpu" in runs}
+    return {"identical": not differ, "differ": differ,
+            "sides": {side: {"identical": not d, "differ": d} for side, d in sides.items()}, "digests": runs}
+
+
+def _describe(check: dict) -> str:
+    return "identical" if check["identical"] else "differ in " + ", ".join(check["differ"])
 
 
 def run_sequence(tree: Path, workload: str, seed: int, one_cpu: bool) -> dict[str, str]:
@@ -137,8 +151,9 @@ def main(argv=None) -> int:
         artifacts = artifact_verdict({f"{side}{suffix}": run_sequence(tree, workload, args.seed, one_cpu)
                                       for side, tree in (("base", base), ("head", head))
                                       for suffix, one_cpu in (("", False), ("-1cpu", True))})
-        print(f"{workload} artifacts: " + ("identical" if artifacts["identical"] else
-                                           "differ in " + ", ".join(artifacts["differ"])), file=sys.stderr, flush=True)
+        print(f"{workload} artifacts: all runs {_describe(artifacts)}; " + "; ".join(
+            f"{side} on all CPUs and on one {_describe(check)}" for side, check in artifacts["sides"].items()),
+            file=sys.stderr, flush=True)
         sides = {"base": [], "head": []}
         for i, seed in enumerate(seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
