@@ -398,8 +398,12 @@ def test_cls_last_layer_caches_one_query_row():
 def _record_draws(monkeypatch):
     """The shape of every ``_dropout_mask`` call from here on, in call order."""
     shapes, real_mask = [], enc._dropout_mask
-    monkeypatch.setattr(enc, "_dropout_mask", lambda rng, shape, rate: shapes.append(shape) or real_mask(rng, shape,
-                                                                                                         rate))
+
+    def recorded(rng, shape, rate):
+        shapes.append(shape)
+        return real_mask(rng, shape, rate)
+
+    monkeypatch.setattr(enc, "_dropout_mask", recorded)
     return shapes
 
 
