@@ -77,21 +77,21 @@ def digests(directory: Path) -> dict[str, str]:
             for path in sorted(directory.rglob("*")) if path.is_file() and path.name != "manifest.json"}
 
 
-def _differ(runs: dict[str, dict[str, str]]) -> list[str]:
-    """The files any of these runs lacks or wrote with other bytes than another."""
-    return [name for name in sorted(set().union(*runs.values())) if len({d.get(name) for d in runs.values()}) > 1]
+def _check(runs: dict[str, dict[str, str]]) -> dict:
+    """The files any of these runs lacks or wrote with other bytes than another (``differ``), ``identical`` if
+    there are none."""
+    differ = [name for name in sorted(set().union(*runs.values())) if len({d.get(name) for d in runs.values()}) > 1]
+    return {"identical": not differ, "differ": differ}
 
 
 def artifact_verdict(runs: dict[str, dict[str, str]]) -> dict:
-    """Several runs' ``digests`` of one command sequence (run name -> digests): the files any run lacks or wrote
-    with other bytes (``differ``), ``identical`` if there are none, and the digests themselves. ``sides`` holds
-    the same check for each side that ran twice, ``<side>`` against ``<side>-1cpu``: a revision's own identity on
-    all CPUs and on one, which a change that moves its artifacts on purpose still has to show."""
-    differ = _differ(runs)
-    sides = {side: _differ({side: runs[side], side + "-1cpu": runs[side + "-1cpu"]})
+    """Several runs' ``digests`` of one command sequence (run name -> digests): their ``_check`` and the digests
+    themselves. ``sides`` holds the same check for each side that ran twice, ``<side>`` against ``<side>-1cpu``: a
+    revision's own identity on all CPUs and on one, which a change that moves its artifacts on purpose still has
+    to show."""
+    sides = {side: _check({name: runs[name] for name in (side, side + "-1cpu")})
              for side in runs if side + "-1cpu" in runs}
-    return {"identical": not differ, "differ": differ,
-            "sides": {side: {"identical": not d, "differ": d} for side, d in sides.items()}, "digests": runs}
+    return {**_check(runs), "sides": sides, "digests": runs}
 
 
 def _describe(check: dict) -> str:
