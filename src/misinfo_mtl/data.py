@@ -323,10 +323,14 @@ class SyntheticSuiteConfig:
             raise ValueError("synthetic suite needs >= 2 tasks")
         if len(set(self.task_names)) != len(self.task_names):
             raise ValueError("duplicate task names")
-        if self.examples_per_task < 4:
-            raise ValueError("examples_per_task must be >= 4")
+        for name, least in (("examples_per_task", 4), ("markers_per_task", 1), ("shared_lexicon_size", 0),
+                            ("num_events", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not 0.0 <= self.p_shared <= 1.0:
             raise ValueError("p_shared must be in [0, 1]")
+        if self.p_shared > 0.0 and self.shared_lexicon_size == 0:
+            raise ValueError("p_shared > 0 needs shared_lexicon_size >= 1")
         if not 1 <= self.min_tokens <= self.max_tokens:
             raise ValueError("need 1 <= min_tokens <= max_tokens")
         reserved = self.shared_lexicon_size + len(self.task_names) * self.markers_per_task

@@ -129,17 +129,13 @@ def predict(model: MultiTaskModel, task: str, batch: Batch) -> np.ndarray:
 
 
 def score(model: MultiTaskModel, task: str, batch: Batch, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean NLL and argmax predictions of the ``task`` head over encoded rows.
+    """Mean NLL and argmax predictions of the ``task`` head over encoded rows, in input order.
 
-    One ``predict`` call takes every row in stable length order, so the
-    encoder's runs hold rows of similar length and all stream through its
-    threads at once; no backward cache is built. Predictions are in input order.
+    One ``predict`` call takes every row, so the encoder's runs (rows of similar length, as ``split_runs``
+    orders them) all stream through its threads at once; no backward cache is built.
     """
-    order = np.argsort(batch.lengths, kind="stable")
-    probs = predict(model, task, Batch(batch.ids[order], batch.lengths[order]))
-    preds = np.empty(batch.size, dtype=np.int64)
-    preds[order] = probs.argmax(axis=1)
-    return float(-np.log(probs[np.arange(order.size), labels[order]]).sum() / batch.size), preds
+    probs = predict(model, task, batch)
+    return float(-np.log(probs[np.arange(batch.size), labels]).sum() / batch.size), probs.argmax(axis=1)
 
 
 def task_loss(

@@ -320,8 +320,7 @@ def _fit(
             batch, labels = encoded[task]["train"]
             rows = np.asarray(idx)
             batch = Batch(batch.ids[rows], batch.lengths[rows])
-            cells[task] += (batch.lengths.sum(),
-                            sum((c.stop - c.start) * w for *_, cuts in split_runs(batch.lengths) for c, w in cuts))
+            cells[task] += batch.lengths.sum(), sum(run.size * width for run, width in split_runs(batch.lengths))
             loss, grads = task_step_gradients(
                 model, task, batch, labels[rows],
                 train_mode=True, rng=drop_rng, train_encoder=train_encoder,

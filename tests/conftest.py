@@ -279,12 +279,10 @@ def padded_encode_batch(params, batch, train_mode=False, rng=None):
     drop = cfg.dropout_rate if train_mode else 0.0
     masks = batch_dropout_masks(rng, cfg, batch.lengths, drop) if drop > 0.0 else None
     pooled, caches = np.empty((batch.size, cfg.embed_dim)), []
-    for group, _, cuts in enc.split_runs(batch.lengths):
-        for cut, width in cuts:
-            run_masks = None if masks is None else grid_masks(masks, batch.lengths, group[cut], width)
-            pooled[group[cut]], cache = padded_encode_rows(params, batch.ids, batch.lengths, group[cut], width,
-                                                           run_masks)
-            caches.append(cache)
+    for rows, width in enc.split_runs(batch.lengths):
+        run_masks = None if masks is None else grid_masks(masks, batch.lengths, rows, width)
+        pooled[rows], cache = padded_encode_rows(params, batch.ids, batch.lengths, rows, width, run_masks)
+        caches.append(cache)
     return pooled, caches
 
 

@@ -672,13 +672,26 @@ def test_bad_training_settings_exit_2_before_writing(stage1, tmp_path, capsys, c
 @pytest.mark.parametrize("flags, message", [
     (["--examples", "0"], "examples_per_task must be >= 4"),
     (["--p-shared", "2"], "p_shared must be in [0, 1]"),
-], ids=["examples-0", "p-shared-2"])
+    (["--markers", "0"], "markers_per_task must be >= 1"),
+    (["--markers", "-1"], "markers_per_task must be >= 1"),
+    (["--shared-size", "-2"], "shared_lexicon_size must be >= 0"),
+    (["--shared-size", "0", "--p-shared", "0.5"], "p_shared > 0 needs shared_lexicon_size >= 1"),
+    (["--events", "-1"], "num_events must be >= 0"),
+], ids=["examples-0", "p-shared-2", "markers-0", "markers-minus-1", "shared-size-minus-2",
+        "shared-size-0-p-shared-0.5", "events-minus-1"])
 def test_bad_suite_settings_exit_2_writing_nothing(tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.chdir(tmp_path)
     assert main(["gen-synthetic", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_suite_settings_edge_values_still_generate(tmp_path, capsys):
+    # no shared lexicon at p_shared 0, one marker per task and no events are valid suites
+    out = tmp_path / "suite"
+    assert main(["gen-synthetic", "--shared-size", "0", "--markers", "1", "--events", "0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["alpha.jsonl", "beta.jsonl"]
 
 
 @pytest.mark.parametrize("argv", [

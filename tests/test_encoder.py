@@ -277,7 +277,7 @@ def test_one_long_run_eval_forward_allocates_under_twelve_mib(monkeypatch):
     config = EncoderConfig(vocab_size=300, embed_dim=64, num_heads=4, ffn_dim=128, max_seq_len=128)
     params = init_encoder(config)
     batch = Batch(np.random.default_rng(15).integers(3, 300, size=(16, 128)), np.full(16, 128))
-    assert len(list(enc.split_runs(batch.lengths))[0][2]) == 1  # one run
+    assert len(enc.split_runs(batch.lengths)) == 1  # one run
     tracemalloc.start()
     try:
         encode_batch(params, batch)
@@ -423,7 +423,13 @@ def test_train_forward_draws_dropout_masks_at_the_computed_rows_shape(pooling, m
     reference = np.random.default_rng(5)
     want = batch_dropout_masks(reference, config, batch.lengths, 0.2)
     assert used.bit_generator.state == reference.bit_generator.state
-    # the run, all the batch's rows in order, keeps its packed cells of each and the CLS-only layer's (rows, 1, d)
+    # the run, all the batch's rows in length order, keeps its packed cells of each, row by row, and the
+    # CLS-only layer's (rows, 1, d)
+    rows = np.argsort(batch.lengths, kind="stable")
+    assert np.array_equal(cache.batch_rows, rows)
+    first = np.cumsum(batch.lengths) - batch.lengths  # each row's first cell in the batch's masks
+    at = np.concatenate([first[r] + np.arange(batch.lengths[r]) for r in rows])
+    want = [m[at] for m in want[:-2]] + [m[rows, None] for m in want[-2:]]
     drawn = _cached_masks(cache)
     assert [m.shape for m in drawn] == 3 * [(cells, d)] + 2 * [(3, 1, d)]
     assert all(np.array_equal(got.reshape(want_m.shape), want_m) for got, want_m in zip(drawn, want, strict=True))
@@ -454,16 +460,21 @@ def _three_class_batch(seed, rows=32, length=128):
 
 
 def _one_width(params, batch, train_mode=False, rng=None):
-    """Reference: one run of the stack over every row at the batch's longest real row, on the batch's draws."""
+    """Reference: one run of the stack over every row, in stable length order, at the batch's longest real row,
+    on the batch's draws. Returns the pooled rows in input order and the run's cache."""
     cfg = params.config
     masks = batch_dropout_masks(rng, cfg, batch.lengths, cfg.dropout_rate) if train_mode else None
-    return enc._encode_rows(params, batch.ids, batch.lengths, np.arange(batch.size), int(batch.lengths.max()),
-                            masks, True)
+    rows = np.argsort(batch.lengths, kind="stable")
+    out, cache = enc._encode_rows(params, batch.ids, batch.lengths, rows, int(batch.lengths.max()), masks, True)
+    pooled = np.empty_like(out)
+    pooled[rows] = out
+    return pooled, cache
 
 
 def _reference_grads(params, cache, upstream):
-    """Dense gradients of one run; the token_emb table is scattered with ``np.add.at``."""
-    grads, de = enc._backward_rows(params, cache, upstream)
+    """Dense gradients of one run from the batch's ``upstream``; the token_emb table is scattered with
+    ``np.add.at``."""
+    grads, de = enc._backward_rows(params, cache, upstream[cache.batch_rows])
     grads["token_emb"] = np.zeros_like(params.tensors["token_emb"])
     np.add.at(grads["token_emb"], cache.ids, de)
     return grads
@@ -689,20 +700,23 @@ def test_one_two_and_four_workers_give_the_same_bits(pooling, train_mode, monkey
 def test_a_class_cut_into_runs_matches_one_unsplit_run(num_layers, pooling):
     config = tiny_config(num_layers=num_layers, dropout_rate=0.2, max_seq_len=128)
     params = init_encoder(config)
-    # 32 x 128: 2 runs of 16 rows, the second as wide as its own longest row, 125
+    # 32 x 128 of lengths 97..128 in shuffled order: 2 runs of 16 rows in length order, the first as wide as its
+    # own longest row, 112
     batch = _batch_of_lengths(44, [128] + [97 + (5 * i) % 31 for i in range(31)])
+    order = np.argsort(batch.lengths, kind="stable")
     upstream = np.random.default_rng(45).standard_normal((batch.size, config.embed_dim))
     for train_mode in (False, True):
         used, reference = np.random.default_rng(10), np.random.default_rng(10)
         pooled, caches = encode_batch(params, batch, train_mode=train_mode, rng=used, return_cache=True)
-        assert [c.batch_rows.tolist() for c in caches] == [list(range(16)), list(range(16, 32))]
-        assert [c.grid[2] for c in caches] == [128, 125]
+        assert [c.batch_rows.tolist() for c in caches] == [order[:16].tolist(), order[16:].tolist()]
+        assert [c.grid[2] for c in caches] == [112, 128]
         ref_pooled, ref_cache = _one_width(params, batch, train_mode=train_mode, rng=reference)
         assert used.bit_generator.state == reference.bit_generator.state
         if train_mode:  # each run sees its rows' real cells of the masks an unsplit run draws
             for c in caches:
                 for got, want in zip(_cached_masks(c), _cached_masks(ref_cache), strict=True):
-                    got, want = _as_grid(c, got), _as_grid(ref_cache, want)[c.batch_rows, :c.grid[2]]
+                    at = np.argsort(ref_cache.batch_rows)[c.batch_rows]  # the run's rows in the unsplit run
+                    got, want = _as_grid(c, got), _as_grid(ref_cache, want)[at, :c.grid[2]]
                     # a CLS-only layer's (rows, 1, d) masks too
                     real = np.arange(got.shape[1]) < batch.lengths[c.batch_rows][:, None]
                     assert np.array_equal(got[real], want[real])

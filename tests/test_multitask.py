@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from misinfo_mtl.encoder import init_encoder
+from misinfo_mtl.encoder import EncoderConfig, encode_batch, init_encoder
 from misinfo_mtl.multitask import (
     HEAD_DROPOUT,
     MultiTaskModel,
@@ -23,7 +24,7 @@ from misinfo_mtl.multitask import (
 from misinfo_mtl import encoder as enc
 from misinfo_mtl.tokenization import Batch
 
-from conftest import finite_difference_check, random_batch, tiny_config, trim_batch, with_lengths
+from conftest import finite_difference_check, force_workers, random_batch, tiny_config, trim_batch, with_lengths
 
 
 def test_task_spec_validation():
@@ -180,8 +181,8 @@ def _ragged_split(seed, rows=150, length=128):
 def test_score_gives_the_same_bits_on_one_two_and_four_threads(monkeypatch):
     model = _long_model()
     batch, labels = _ragged_split(23)
-    runs = [len(cuts) for _, _, cuts in enc.split_runs(batch.lengths)]
-    assert len(runs) >= 3 and max(runs) >= 2
+    classes = [-(-width // enc.WIDTH_CLASS) for _, width in enc.split_runs(batch.lengths)]
+    assert len(set(classes)) >= 3 and max(map(classes.count, classes)) >= 2  # a class cut into several runs
     seen = []
     for threads in (1, 2, 4):
         monkeypatch.setattr(enc.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
@@ -191,6 +192,59 @@ def test_score_gives_the_same_bits_on_one_two_and_four_threads(monkeypatch):
         if threads > 1:
             enc._pool.shutdown()
     assert seen[0] == seen[1] == seen[2]
+
+
+def test_split_runs_orders_a_shuffled_batch_by_length_and_predict_matches_the_sorted_copy():
+    model = _long_model()
+    batch, _ = _ragged_split(26)
+    lengths = batch.lengths
+    runs = enc.split_runs(lengths)
+    classes = [-(-width // enc.WIDTH_CLASS) for _, width in runs]
+    assert len(set(classes)) >= 3 and classes == sorted(classes)
+    for c in set(classes):  # within a class, row lengths never decrease, across its runs too
+        class_lengths = np.concatenate([lengths[rows] for (rows, _), rc in zip(runs, classes) if rc == c])
+        assert np.all(-(-class_lengths // enc.WIDTH_CLASS) == c) and np.all(np.diff(class_lengths) >= 0)
+    assert all(width == lengths[rows[-1]] for rows, width in runs)  # a run's width is its last row's length
+    rows = np.concatenate([rows for rows, _ in runs])
+    assert sorted(rows.tolist()) == list(range(batch.size)) and not np.array_equal(rows, np.arange(batch.size))
+    # the encoder runs the same rows in the same order either way: its pooled rows match bit for bit
+    order = np.argsort(lengths, kind="stable")
+    sorted_copy = Batch(batch.ids[order], lengths[order])
+    pooled, sorted_pooled = encode_batch(model.encoder, batch), encode_batch(model.encoder, sorted_copy)
+    assert pooled.tobytes() == sorted_pooled[np.argsort(order)].tobytes()
+    # the head's BLAS products round the last (rows % 4) rows of a matrix with another kernel, so a row's
+    # probabilities can move by an ulp or two with its position (of 150 rows: the two sorted last and the two last)
+    probs, sorted_probs = predict(model, "b_task", batch), predict(model, "b_task", sorted_copy)
+    np.testing.assert_array_max_ulp(probs, sorted_probs[np.argsort(order)], maxulp=2)
+    assert np.array_equal(probs.argmax(axis=1), sorted_probs.argmax(axis=1)[np.argsort(order)])
+
+
+def _desk_width_split(rows, seed):
+    """``rows`` rows padded to 128 tokens, a tenth of them 128 real tokens long and the rest 5-16, shuffled."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.permutation(np.where(np.arange(rows) < rows // 10, 128, rng.integers(5, 17, size=rows)))
+    return with_lengths(rng.integers(3, 40, size=(rows, 128)), lengths), rng.integers(0, 3, size=rows)
+
+
+def test_score_memory_grows_by_less_than_an_id_row_per_scored_row(monkeypatch):
+    # score hands the encoder the split as given, so its tracemalloc peak grows from 1k to 8k rows by less than
+    # one (128,) int64 id row per added row: a length-sorted copy of the ids alone would add that much. About
+    # 1.5 s on one CPU.
+    force_workers(monkeypatch, 1, enc, ())
+    config = EncoderConfig(vocab_size=40, embed_dim=8, num_layers=1, num_heads=2, ffn_dim=16, max_seq_len=128)
+    model = register_task(MultiTaskModel(encoder=init_encoder(config)), TaskSpec("b", ("x", "y", "z"), "sentence"),
+                          seed=12)
+    peaks = {}
+    for rows in (1000, 8000):
+        batch, labels = _desk_width_split(rows, 27)
+        tracemalloc.start()
+        try:
+            score(model, "b", batch, labels)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_row = (peaks[8000] - peaks[1000]) / 7000
+    assert per_row < batch.ids[0].nbytes, per_row
 
 
 def test_score_matches_per_row_predict():

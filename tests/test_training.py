@@ -553,12 +553,12 @@ def _record_steps(monkeypatch, model, splits, config):
 
 
 def _computed_cells(lengths):
-    """Cells the encoder computes for a batch: per width class, its runs of min(32, 2048 // class width)
-    rows, each run's rows times its own longest row."""
+    """Cells the encoder computes for a batch: per width class, its lengths in ascending order cut into runs of
+    min(32, 2048 // class width) rows, each run's rows times its own longest row."""
     classes = -(-lengths // WIDTH_CLASS)
     cells = 0
     for c in np.unique(classes):
-        rows = lengths[classes == c]
+        rows = np.sort(lengths[classes == c])
         step = min(32, max(1, 2048 // rows.max()))
         cells += sum(int(rows[i:i + step].size * rows[i:i + step].max()) for i in range(0, rows.size, step))
     return cells
