@@ -5,15 +5,16 @@ intermediates the hand-written backward pass needs and cannot cheaply
 rebuild bit for bit. The pooled output is the last layer's CLS row. Parameters are a flat name->array dict so the
 optimizer, checkpointing and gradient checking can all treat them uniformly.
 
-A batch runs through the stack as independent runs, each at its own longest
-real row (``split_runs``). A run with enough PAD packs its real cells, so its
-token-wise layers skip PAD and only attention sees its padded grid. The calling
-thread and a pool of one worker per further usable CPU take a call's runs from
-one queue; the cut never depends on the CPU count, and the calling thread draws
-every random number, over the batch's real cells, so results do not either and
-a row's dropout does not depend on the cut. Parameters are immutable during
-a forward/backward pair; eval-mode forwards over shared parameters are safe to
-run concurrently.
+A batch runs through the stack as independent runs of rows of similar length,
+each at its own longest real row: ``split_runs`` alone orders and cuts the rows,
+so callers pass batches as they are. A run with enough PAD packs its real
+cells, so its token-wise layers skip PAD and only attention sees its padded
+grid. The calling thread and a pool of one worker per further usable CPU take
+a call's runs from one queue; the cut never depends on the CPU count, and the
+calling thread draws every random number, over the batch's real cells, so
+results do not either and a row's dropout does not depend on the cut.
+Parameters are immutable during a forward/backward pair; eval-mode forwards
+over shared parameters are safe to run concurrently.
 """
 
 import ctypes
@@ -473,10 +474,10 @@ def encode_batch(
 ):
     """Run the encoder stack and return each input's CLS row of the last layer.
 
-    ``batch.lengths`` must hold one length in [1, width] per row. The rows are
-    cut into runs by ``split_runs``, each an independent run of the stack that
-    gathers its rows at its own longest row; this thread and the pool's
-    workers take them from one queue. Pooled rows come back in input order.
+    ``batch.lengths`` must hold one length in [1, width] per row, in any order.
+    ``split_runs`` orders the rows by length and cuts them into runs, each an
+    independent run of the stack at its own longest row; this thread and the
+    pool's workers take them from one queue. Pooled rows keep input order.
     A run with at least ``PACK_PAD`` of PAD packs its real cells, (cells, d),
     for its token-wise layers; scores, softmax and context see its (rows,
     heads, width, ·) grid, where keys past a row's length get a -inf score, so

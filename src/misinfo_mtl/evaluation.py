@@ -23,8 +23,7 @@ def evaluate_model(model: MultiTaskModel, task: str, examples) -> MetricsReport:
     """Score a model's predictions for one task over a list of examples.
 
     Predictions come from ``multitask.score`` (one forward pass over every
-    example, input order restored) and are compared with the gold labels in
-    input order.
+    example as given) and are compared with the gold labels in input order.
     """
     spec = require_task(model, task)
     if model.vocab is None:

@@ -194,7 +194,7 @@ def test_score_gives_the_same_bits_on_one_two_and_four_threads(monkeypatch):
     assert seen[0] == seen[1] == seen[2]
 
 
-def test_split_runs_orders_a_shuffled_batch_by_length_and_predict_matches_the_sorted_copy():
+def test_split_runs_orders_a_shuffled_batch_by_length_and_encodes_it_as_its_sorted_copy():
     model = _long_model()
     batch, _ = _ragged_split(26)
     lengths = batch.lengths
@@ -229,7 +229,7 @@ def _desk_width_split(rows, seed):
 def test_score_memory_grows_by_less_than_an_id_row_per_scored_row(monkeypatch):
     # score hands the encoder the split as given, so its tracemalloc peak grows from 1k to 8k rows by less than
     # one (128,) int64 id row per added row: a length-sorted copy of the ids alone would add that much. About
-    # 1.5 s on one CPU.
+    # 0.3 s on one CPU.
     force_workers(monkeypatch, 1, enc, ())
     config = EncoderConfig(vocab_size=40, embed_dim=8, num_layers=1, num_heads=2, ffn_dim=16, max_seq_len=128)
     model = register_task(MultiTaskModel(encoder=init_encoder(config)), TaskSpec("b", ("x", "y", "z"), "sentence"),
