@@ -191,7 +191,7 @@ def _config_run(args, task_listed: bool = False) -> tuple[RunSpec, dict[str, dat
         raise ConfigError(f"task {args.task!r} is not listed in the config 'tasks'")
     datasets: dict[str, datamod.Dataset] = {}
     for task, path in spec.dataset_paths.items():
-        datasets[task] = datamod.load_dataset(path, spec.specs[task], spec.drop_labels.get(task, ()))
+        datasets[task] = _load_dataset(path, spec.specs[task], spec.drop_labels.get(task, ()))
     for task, (source, fname) in spec.derived.items():
         datasets[task] = datamod.derive_field_task(datasets[source], fname, spec.specs[task])
     return spec, datasets
@@ -261,8 +261,16 @@ def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.T
     ckpt.save_model(seed_dir / "model.ckpt", model)
     with atomic_open(seed_dir / "history.jsonl") as fh:
         for record in history.epochs:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
         fh.write(json.dumps({"best_epoch": history.best_epoch, "stop_reason": history.stop_reason}, sort_keys=True) + "\n")
+
+
+def _load_dataset(path, spec: TaskSpec, drop_labels=()) -> datamod.Dataset:
+    """``data.load_dataset``, whose refusal of a malformed file (it names the file) is a bad input."""
+    try:
+        return datamod.load_dataset(path, spec, drop_labels)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_model(checkpoint_path: str) -> MultiTaskModel:
@@ -337,7 +345,7 @@ def cmd_fewshot(args) -> int:
     fewshot_config = _settings(evaluation.FewShotConfig, k=args.k, mode=args.mode)
     train_config = _settings(TrainConfig, learning_rate=args.learning_rate, max_epochs=args.max_epochs,
                              patience=min(args.patience, args.max_epochs))
-    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
+    dataset = _load_dataset(args.dataset, _unseen_spec(args))
     base = _load_model(args.checkpoint)
     evaluation.check_fewshot_inputs(base, dataset, args.k)
     raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode,
@@ -350,8 +358,9 @@ def cmd_fewshot(args) -> int:
         result = evaluation.fewshot_run(base, dataset, replace(fewshot_config, seed=seed),
                                         replace(train_config, seed=seed))
         per_seed[seed] = result.report
-        print(f"[seed {seed}] train={len(result.train_ids)} test={len(result.test_ids)} "
-              f"macro_f1={result.report.macro_f1:.4f}")
+        if not args.quiet:
+            print(f"[seed {seed}] train={len(result.train_ids)} test={len(result.test_ids)} "
+                  f"macro_f1={result.report.macro_f1:.4f}")
     averaged, entry = _seed_entry(per_seed)
     test_size = dataset.size - args.k
     print(f"train={args.k} test={test_size}")
@@ -417,7 +426,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
+    dataset = _load_dataset(args.dataset, _unseen_spec(args))
     model = _load_model(args.checkpoint)
     report = evaluation.evaluate_model(model, args.task, dataset.examples)
     print(metrics.format_report_table([(args.task, report)], title="evaluation"))
@@ -430,7 +439,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_validate_data(args) -> int:
-    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args), _csv(args.drop_labels or ""))
+    dataset = _load_dataset(args.dataset, _unseen_spec(args), _csv(args.drop_labels or ""))
     print(datamod.format_dataset_summary([dataset]))
     return 0
 

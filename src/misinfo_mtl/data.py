@@ -86,7 +86,7 @@ class Dataset:
 
 def _validate_example(ex: Example, spec: TaskSpec, where: str, seen_ids: set[str]) -> None:
     """Refuse a record whose id is in ``seen_ids`` or that does not fit ``spec``, naming it by ``where``
-    (``line N`` of a file, ``record N`` of a list); else add its id."""
+    (``<path>: line N`` of a file, ``record N`` of a list); else add its id."""
     if ex.id in seen_ids:
         raise ValueError(f"{where}: duplicate id {ex.id!r}")
     seen_ids.add(ex.id)
@@ -121,8 +121,8 @@ def load_dataset(path: str | Path, spec: TaskSpec, drop_labels: tuple[str, ...] 
     """Load and validate one canonical line-delimited file for a task.
 
     Rows labelled in ``drop_labels`` (e.g. the rumor corpus's ``unverified``)
-    are removed before label validation; any other unknown label is an error
-    naming the offending line.
+    are removed before label validation. Every refusal is a ``ValueError``
+    naming the file: ``<path>: line N: <reason>`` or ``<path>: no examples``.
     """
     path = Path(path)
     examples: list[Example] = []
@@ -133,22 +133,23 @@ def load_dataset(path: str | Path, spec: TaskSpec, drop_labels: tuple[str, ...] 
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {line_no}"
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
-                raise ValueError(f"line {line_no}: not valid UTF-8") from None
+                raise ValueError(f"{where}: not valid UTF-8") from None
             try:
                 ex = Example.from_record(json.loads(line))
             except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"line {line_no}: invalid record ({exc})") from None
+                raise ValueError(f"{where}: invalid record ({exc})") from None
             except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
             if ex.label in drop_labels:
                 continue
-            _validate_example(ex, spec, f"line {line_no}", seen_ids)
+            _validate_example(ex, spec, where, seen_ids)
             examples.append(ex)
     if not examples:
-        raise ValueError(f"no examples in {path}")
+        raise ValueError(f"{path}: no examples")
     return Dataset(spec=spec, examples=tuple(examples))
 
 

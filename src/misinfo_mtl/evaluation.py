@@ -12,9 +12,7 @@ import numpy as np
 from . import data as datamod
 from . import training
 from .metrics import MetricsReport, average_reports, compute_report
-from .multitask import (
-    MultiTaskModel, build_model, copy_dicts, encode_for_task, head_seed, register_task, require_task, score,
-)
+from .multitask import MultiTaskModel, build_model, copy_dicts, encode_for_task, head_seed, register_task, score
 from .tokenization import Vocabulary, build_vocab
 from .training import TrainConfig, finetune_task, train_multitask
 
@@ -25,12 +23,9 @@ def evaluate_model(model: MultiTaskModel, task: str, examples) -> MetricsReport:
     Predictions come from ``multitask.score`` (one forward pass over every
     example as given) and are compared with the gold labels in input order.
     """
-    spec = require_task(model, task)
-    if model.vocab is None:
-        raise ValueError("model has no vocabulary attached")
-    batch, labels = encode_for_task(examples, spec, model.vocab, model.config.max_seq_len)
+    batch, labels = encode_for_task(model, task, examples)
     _, preds = score(model, task, batch, labels)
-    return compute_report(preds.tolist(), labels.tolist(), spec.labels)
+    return compute_report(preds.tolist(), labels.tolist(), model.tasks[task].labels)
 
 
 # --- few-shot adaptation ------------------------------------------------------

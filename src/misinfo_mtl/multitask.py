@@ -83,23 +83,25 @@ def build_model(
     return model
 
 
-def encode_for_task(
-    examples, spec: TaskSpec, vocab: Vocabulary, max_seq_len: int
-) -> tuple[Batch, np.ndarray]:
-    """Tokenize one task's examples and map label names to class indices."""
-    batch = pad_batch([encode(ex.text, vocab, max_seq_len) for ex in examples])
-    labels = np.array([spec.label_index(ex.label) for ex in examples], dtype=np.int64)
-    return batch, labels
-
-
-# --- head forward / loss / gradients ----------------------------------------
-
-
 def require_task(model: MultiTaskModel, task: str) -> TaskSpec:
     """The spec of a registered task; ``KeyError`` naming the registered tasks otherwise."""
     if task not in model.tasks:
         raise KeyError(f"unknown task {task!r}; registered: {sorted(model.tasks)}")
     return model.tasks[task]
+
+
+def encode_for_task(model: MultiTaskModel, task: str, examples) -> tuple[Batch, np.ndarray]:
+    """``model``'s input for examples of ``task``: their texts tokenized with its vocabulary, cut at its
+    ``max_seq_len``, and their label names mapped to the task's class indices."""
+    spec = require_task(model, task)
+    if model.vocab is None:
+        raise ValueError("model has no vocabulary attached")
+    batch = pad_batch([encode(ex.text, model.vocab, model.config.max_seq_len) for ex in examples])
+    labels = np.array([spec.label_index(ex.label) for ex in examples], dtype=np.int64)
+    return batch, labels
+
+
+# --- head forward / loss / gradients ----------------------------------------
 
 
 def _head_forward(head, pooled, train_mode, rng):

@@ -246,9 +246,6 @@ class EpochRecord:
     val_loss_total: float
     lr: float
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass
 class TrainHistory:
@@ -279,24 +276,18 @@ def _fit(
     A non-finite step or validation loss stops training ("diverged") at the
     best epoch so far, or raises ``ValueError`` if no epoch has finished.
     """
-    specs = {task: require_task(model, task) for task in splits}
-    if model.vocab is None:
-        raise ValueError("model has no vocabulary attached")
+    for task in splits:
+        require_task(model, task)
     if not splits:
         raise ValueError("no tasks to train on")
-
-    seq_len = model.config.max_seq_len  # the positional table's length
     encoded = {}
-    for task, spec in sorted(specs.items()):
-        split = splits[task]
-        if len(split.train.examples) == 0:
-            raise ValueError(f"task {task!r} has an empty train split")
-        if len(split.validation.examples) == 0:
-            raise ValueError(f"task {task!r} has an empty validation split")
-        encoded[task] = {
-            "train": encode_for_task(split.train.examples, spec, model.vocab, seq_len),
-            "val": encode_for_task(split.validation.examples, spec, model.vocab, seq_len),
-        }
+    for task in sorted(splits):
+        encoded[task] = {}
+        for part in ("train", "validation"):
+            examples = getattr(splits[task], part).examples
+            if not examples:
+                raise ValueError(f"task {task!r} has an empty {part} split")
+            encoded[task][part] = encode_for_task(model, task, examples)
 
     sizes = {task: encoded[task]["train"][0].size for task in encoded}
     batches_per_epoch = len(sizes) * math.ceil(max(sizes.values()) / config.batch_size)
@@ -308,13 +299,13 @@ def _fit(
     history: list[EpochRecord] = []
     best_flat: dict[str, np.ndarray] | None = None
     stop_reason = "max_epochs"
+    diverged = None  # the reason, once a step or validation loss is not finite
     step = 0
     current_lr = config.learning_rate
 
     for epoch in range(1, config.max_epochs + 1):
         schedule = make_epoch_schedule(sizes, config.batch_size, epoch_seed(config.seed, epoch))
-        loss_sums: dict[str, float] = {t: 0.0 for t in sizes}
-        loss_counts: dict[str, int] = {t: 0 for t in sizes}
+        losses: dict[str, list[float]] = {t: [] for t in sizes}  # every task has a batch in every epoch
         cells = {t: np.zeros(2, dtype=np.int64) for t in sizes}  # real tokens, computed cells
         for task, idx in schedule.batches:
             batch, labels = encoded[task]["train"]
@@ -326,46 +317,40 @@ def _fit(
                 train_mode=True, rng=drop_rng, train_encoder=train_encoder,
             )
             if not math.isfinite(loss):
-                stop_reason = "diverged"
+                diverged = f"task {task!r} has loss {loss} at epoch {epoch}, step {step + 1}"
                 break
             current_lr = lr_at(step, total_steps, config.learning_rate)
             # One parameter generation between steps: the old arrays die as the updated ones are assigned,
             # and the gradients before the next forward (adam_step updates opt_state in place).
             assign_params(model, adam_step(flatten_params(model), grads, opt_state, current_lr)[0])
             del grads
-            loss_sums[task] += loss
-            loss_counts[task] += 1
+            losses[task].append(loss)
             step += 1
-        if stop_reason == "diverged":
-            if best_flat is None:
-                raise ValueError(f"training diverged before any epoch finished: task {task!r} has loss {loss} "
-                                 f"at epoch {epoch}, step {step + 1}")
-            break
-
-        val_loss: dict[str, float] = {}
-        val_reports: dict[str, metrics.MetricsReport] = {}
-        for task in sorted(sizes):
-            batch, labels = encoded[task]["val"]
-            val_loss[task], preds = score(model, task, batch, labels)
-            val_reports[task] = metrics.compute_report(preds.tolist(), labels.tolist(), specs[task].labels)
-        val_total = sum(val_loss.values())
-        if not math.isfinite(val_total):
-            if best_flat is None:
-                raise ValueError(f"training diverged before any epoch finished: validation loss is {val_total} "
-                                 f"at epoch {epoch}")
+        else:
+            val_loss: dict[str, float] = {}
+            val_reports: dict[str, metrics.MetricsReport] = {}
+            for task in sorted(sizes):
+                batch, labels = encoded[task]["validation"]
+                val_loss[task], preds = score(model, task, batch, labels)
+                val_reports[task] = metrics.compute_report(preds.tolist(), labels.tolist(), model.tasks[task].labels)
+            val_total = sum(val_loss.values())
+            if not math.isfinite(val_total):
+                diverged = f"validation loss is {val_total} at epoch {epoch}"
+        if diverged is not None:
+            if not history:
+                raise ValueError(f"training diverged before any epoch finished: {diverged}")
             stop_reason = "diverged"
             break
-        record = EpochRecord(
+        history.append(EpochRecord(
             epoch=epoch,
-            train_loss={t: loss_sums[t] / max(loss_counts[t], 1) for t in sorted(sizes)},
+            train_loss={t: sum(losses[t]) / len(losses[t]) for t in sorted(sizes)},
             train_pad_fraction={t: float(1.0 - cells[t][0] / cells[t][1]) for t in sorted(sizes)},
             val_loss=val_loss,
             val_accuracy={t: r.accuracy for t, r in val_reports.items()},
             val_macro_f1={t: r.macro_f1 for t, r in val_reports.items()},
             val_loss_total=val_total,
             lr=current_lr,
-        )
-        history.append(record)
+        ))
         if verbose:
             print(f"[epoch {epoch:02d}] val_loss={val_total:.4f} " +
                   " ".join(f"{t}:{val_loss[t]:.4f}" for t in sorted(val_loss)))

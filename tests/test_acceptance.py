@@ -124,8 +124,7 @@ def test_criterion_4_head_isolation():
     model, splits = _two_task_setup()
     from misinfo_mtl.multitask import encode_for_task
 
-    batch, labels = encode_for_task(splits["alpha"].train.examples[:8],
-                                    model.tasks["alpha"], model.vocab, 16)
+    batch, labels = encode_for_task(model, "alpha", splits["alpha"].train.examples[:8])
     head_b_before = {k: v.copy() for k, v in model.heads["beta"].items()}
     _, grads = task_step_gradients(model, "alpha", batch, labels,
                                    train_mode=True, rng=np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """The comparison ``tools/bench_pairs.py`` records per metric, on synthetic paired values, and its artifact hashes."""
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -73,3 +74,41 @@ def test_the_artifact_verdict_checks_each_side_on_all_cpus_and_on_one_apart_from
                                             "head-1cpu": {"model.ckpt": "4"}})
     assert verdict["sides"]["base"] == {"identical": True, "differ": []}
     assert verdict["sides"]["head"] == {"identical": False, "differ": ["metrics.json", "model.ckpt"]}
+
+
+def test_the_protocols_sequence_writes_the_ablation_and_loocv_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)  # the work directory goes under ROOT/.bench_build
+    written = bench_pairs.run_sequence(Path(bench_pairs.__file__).resolve().parents[1], bench_pairs.PROTOCOLS,
+                                       ["0"], one_cpu=True)
+    assert sorted(written) == ["ablation/config.txt", "ablation/metrics.json", "ablation/report.jsonl",
+                               "loocv/config.txt", "loocv/metrics.json", "loocv/report-seed0.jsonl",
+                               "loocv/report-seed1.jsonl", "loocv/report.jsonl"]
+
+
+def test_main_records_the_protocols_verdict_beside_each_workloads(tmp_path, monkeypatch, capsys):
+    spec = json.loads((Path(bench_pairs.__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    spec["workloads"] = spec["workloads"][:1]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    sequences = []
+
+    def run_sequence(tree, script, args, one_cpu):
+        sequences.append((script, args, one_cpu))
+        return {"metrics.json": "1"}
+
+    result = {"correct": True, "failed": 0,
+              "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}}
+    monkeypatch.setattr(bench_pairs, "export", lambda rev: (rev * 40, tmp_path))
+    monkeypatch.setattr(bench_pairs, "run_sequence", run_sequence)
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: (
+        {"environment": {"blas_threads": 1, "nproc": 1, "affinity": [0]}}, result))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--base", "a", "--head", "b", "--pairs", "1", "--seed", "7", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    workload = spec["workloads"][0]["name"]
+    assert record["protocols"]["identical"] and set(record["protocols"]["sides"]) == {"base", "head"}
+    assert set(record["protocols"]["digests"]) == {"base", "base-1cpu", "head", "head-1cpu"}
+    assert record["workloads"][workload]["artifacts"]["identical"]
+    assert sequences == [(bench_pairs.PROTOCOLS, ["7"], one_cpu) for one_cpu in (False, True)] * 2 + [
+        (bench_pairs.SEQUENCE, [workload, "7"], one_cpu) for one_cpu in (False, True)] * 2
+    assert ("protocols artifacts: all runs identical; base on all CPUs and on one identical; "
+            "head on all CPUs and on one identical") in capsys.readouterr().err

@@ -71,8 +71,9 @@ def test_validate_data_bad_label_fails(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"id": "1", "text": "x", "task": "t", "label": "wat"}) + "\n")
     rc = main(["validate-data", "--dataset", str(path), "--task", "t", "--labels", "a,b"])
-    assert rc == 1
-    assert "wat" in capsys.readouterr().err
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: line 1: ") and "wat" in err and err.count("\n") == 1, err
 
 
 def test_train_writes_run_directory(workdir):
@@ -166,6 +167,23 @@ def test_fewshot_reports_partition_sizes(workdir, capsys, tmp_path):
     payload = json.loads((fs / "metrics.json").read_text())
     assert payload["train_size"] == 25
     assert payload["test_size"] == 25
+
+
+def test_fewshot_quiet_drops_only_the_per_seed_lines(stage1, tmp_path, capsys):
+    argv = [arg for arg in RUN_COMMANDS["fewshot"](stage1) if arg != "--quiet"] + ["--seed", "0", "--seed", "1"]
+    printed, written = {}, {}
+    for name, quiet in (("loud", []), ("quiet", ["--quiet"])):
+        out = tmp_path / name
+        assert main(argv + quiet + ["--out", str(out)]) == 0
+        printed[name] = capsys.readouterr().out.replace(str(out), "<out>").splitlines()
+        written[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                         if p.is_file() and p.name != "manifest.json"}
+    assert written["quiet"] == written["loud"] and len(written["loud"]) == 3
+    seed_lines = [line for line in printed["loud"] if line.startswith("[seed")]
+    assert [line.split(" macro_f1=")[0] for line in seed_lines] == [
+        "[seed 0] train=10 test=50", "[seed 1] train=10 test=50"]
+    assert printed["quiet"] == [line for line in printed["loud"] if line not in seed_lines]
+    assert "train=10 test=50" in printed["quiet"] and "run directory: <out>" in printed["quiet"]
 
 
 def test_eval_command(workdir, capsys):
@@ -289,16 +307,49 @@ def test_train_with_derived_auxiliary_tasks(tmp_path):
     assert len(model.heads) == 3
 
 
-def test_bad_record_exits_1_with_one_line_and_writes_nothing(workdir, capsys):
-    records = [json.loads(line) for line in (workdir / "data" / "alpha.jsonl").read_text().splitlines()]
+def test_bad_record_exits_2_naming_its_file_once_and_writes_nothing(workdir, capsys):
+    path = workdir / "data" / "alpha.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
     records[3]["text"] = 5
-    (workdir / "data" / "alpha.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
     out = workdir / "run"
     rc = main(["train", "--config", str(workdir / "run.cfg"), "--seed", "0", "--out", str(out), "--quiet"])
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "line 4" in err and "'text'" in err
+    assert err.startswith(f"config error: {path}: line 4: ") and err.count("\n") == 1 and "'text'" in err, err
+    assert err.count(str(path)) == 1
     assert not out.exists()
+
+
+DATASET_COMMANDS = {
+    "train": lambda cfg, data: ["train", "--config", str(cfg), "--quiet"],
+    "finetune": lambda cfg, data: ["finetune", "--config", str(cfg), "--task", "alpha", "--checkpoint",
+                                   str(cfg.parent / "model.ckpt"), "--quiet"],
+    "loocv": lambda cfg, data: ["loocv", "--config", str(cfg), "--task", "beta"],
+    "ablation": lambda cfg, data: ["ablation", "--config", str(cfg), "--task", "alpha", "--subset", "alpha"],
+    "fewshot": lambda cfg, data: ["fewshot", "--checkpoint", str(cfg.parent / "model.ckpt"), "--dataset", str(data),
+                                  "--task", "beta", "--labels", "negative,positive", "--k", "1", "--quiet"],
+    "eval": lambda cfg, data: ["eval", "--checkpoint", str(cfg.parent / "model.ckpt"), "--dataset", str(data),
+                               "--task", "beta", "--labels", "negative,positive"],
+    "validate-data": lambda cfg, data: ["validate-data", "--dataset", str(data), "--task", "beta",
+                                        "--labels", "negative,positive"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+def test_a_malformed_second_dataset_exits_2_naming_its_file_and_writes_nothing(workdir, capsys, command):
+    # alpha's file is fine; line 3 of beta's lacks every field but the id
+    bad = workdir / "beta_bad.jsonl"
+    bad.write_text("".join((workdir / "data" / "beta.jsonl").read_text().splitlines(True)[:2]) + '{"id": 5}\n')
+    cfg = workdir / "bad.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text().replace(str(workdir / "data" / "beta.jsonl"), str(bad)))
+    before = sorted(workdir.rglob("*"))
+    argv = DATASET_COMMANDS[command](cfg, bad)
+    if command != "validate-data":
+        argv += ["--out", str(workdir / "run")] + (["--seed", "0"] if command != "eval" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {bad}: line 3: record is missing required field 'text'\n"
+    assert sorted(workdir.rglob("*")) == before
 
 
 def test_diverged_training_exits_1_with_one_line(workdir, capsys, monkeypatch):

@@ -410,9 +410,9 @@ def test_fuzzed_lines_load_or_raise_value_error_naming_the_line(tmp_path_factory
     try:
         dataset = load(len(lines))
     except ValueError as exc:
-        found = re.match(r"line (\d+): ", str(exc))
+        found = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
         if found is None:
-            assert str(exc) == f"no examples in {path}"
+            assert str(exc) == f"{path}: no examples"
             return
         line_no = int(found.group(1))
         assert 1 <= line_no <= len(lines)
@@ -420,7 +420,7 @@ def test_fuzzed_lines_load_or_raise_value_error_naming_the_line(tmp_path_factory
         try:
             load(line_no - 1)
         except ValueError as exc:
-            assert str(exc) == f"no examples in {path}"
+            assert str(exc) == f"{path}: no examples"
     else:
         assert dataset.size >= 1
         assert all(ex.task == "t" and ex.label in ("neg", "pos") for ex in dataset.examples)

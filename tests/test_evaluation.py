@@ -14,7 +14,7 @@ from misinfo_mtl.evaluation import (
 from misinfo_mtl.metrics import macro_f1
 from misinfo_mtl.multitask import build_model, encode_for_task, flatten_params, predict
 from misinfo_mtl.tokenization import build_vocab
-from misinfo_mtl.training import TrainConfig, train_multitask
+from misinfo_mtl.training import TrainConfig, finetune_task, train_multitask
 
 
 def _suite_and_vocab(task_names, examples=80, p_shared=0.0, num_events=0, seed=1):
@@ -56,7 +56,7 @@ def test_evaluate_model_matches_manual_predictions():
     model = build_model(_enc(vocab), [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
     examples = splits["alpha"].test.examples
     report = evaluate_model(model, "alpha", examples)
-    batch, labels = encode_for_task(examples, splits["alpha"].test.spec, vocab, 16)
+    batch, labels = encode_for_task(model, "alpha", examples)
     preds = predict(model, "alpha", batch).argmax(axis=1)
     assert report.accuracy == np.mean(preds == labels)
     assert report.macro_f1 == macro_f1(preds.tolist(), labels.tolist(), 2)
@@ -89,11 +89,31 @@ def test_evaluate_model_scores_predictions_in_input_order(monkeypatch):
 
     monkeypatch.setattr(ev, "compute_report", capture)
     evaluate_model(model, "alpha", examples)
-    batch, labels = encode_for_task(examples, model.tasks["alpha"], model.vocab, 16)
+    batch, labels = encode_for_task(model, "alpha", examples)
     assert len(set(batch.lengths.tolist())) > 1  # ragged, so length order differs from input order
     expected = predict(model, "alpha", batch).argmax(axis=1)  # one padded batch, input order
     assert 0 < expected.sum() < len(expected)
     assert seen == [(expected.tolist(), labels.tolist())]
+
+
+def test_text_is_encoded_only_for_a_registered_task_of_a_model_with_a_vocabulary():
+    suite, vocab = _suite_and_vocab(("alpha", "beta"))
+    splits = {t: split(ds, seed=0) for t, ds in suite.items()}
+    specs = [splits[t].train.spec for t in sorted(splits)]
+    examples = splits["alpha"].test.examples
+    bare = build_model(_enc(vocab), specs)
+    for refuse in (lambda: encode_for_task(bare, "alpha", examples),
+                   lambda: train_multitask(bare, splits, _tc()),
+                   lambda: evaluate_model(bare, "alpha", examples)):
+        with pytest.raises(ValueError, match="^model has no vocabulary attached$"):
+            refuse()
+    # train_multitask takes no task name: it refuses datasets for unregistered tasks before encoding anything
+    model = build_model(_enc(vocab), specs, vocab=vocab)
+    for refuse in (lambda: encode_for_task(model, "gamma", examples),
+                   lambda: finetune_task(model, "gamma", splits["alpha"], _tc()),
+                   lambda: evaluate_model(model, "gamma", examples)):
+        with pytest.raises(KeyError, match="unknown task 'gamma'"):
+            refuse()
 
 
 def test_fewshot_config_validation():
@@ -306,7 +326,8 @@ def _direct_zero_shot(p_shared, seeds):
         tc = _tc(seed=seed, max_epochs=25, patience=8)
         model = build_model(enc, [splits["alpha"].train.spec], vocab=vocab)
         stage1, _ = train_multitask(model, splits, tc)
-        batch, labels = encode_for_task(suite["beta"].examples, suite["beta"].spec, vocab, 16)
+        # beta's examples through alpha's head: both tasks label negative,positive, so the indices map the same
+        batch, labels = encode_for_task(stage1, "alpha", suite["beta"].examples)
         preds = predict(stage1, "alpha", batch).argmax(axis=1)
         scores.append(macro_f1(preds.tolist(), labels.tolist(), 2))
     return float(np.mean(scores))

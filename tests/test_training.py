@@ -311,7 +311,7 @@ def test_training_is_deterministic():
     f1, f2 = flatten_params(m1), flatten_params(m2)
     for k in f1:
         assert np.array_equal(f1[k], f2[k])
-    assert [r.to_dict() for r in h1.epochs] == [r.to_dict() for r in h2.epochs]
+    assert h1.epochs == h2.epochs
     assert h1.best_epoch == h2.best_epoch
 
 
@@ -568,8 +568,7 @@ def test_training_steps_take_the_scheduled_batches_in_order(monkeypatch):
     model, splits = _long_tailed_setup()
     config = _quick_config(max_epochs=2, patience=2)
     steps, hist = _record_steps(monkeypatch, model, splits, config)
-    encoded = {t: encode_for_task(splits[t].train.examples, model.tasks[t], model.vocab, model.config.max_seq_len)
-               for t in splits}
+    encoded = {t: encode_for_task(model, t, splits[t].train.examples) for t in splits}
     sizes = {t: batch.size for t, (batch, _) in encoded.items()}
     expected = [b for e in range(1, len(hist.epochs) + 1)
                 for b in make_epoch_schedule(sizes, config.batch_size, epoch_seed(config.seed, e)).batches]
@@ -630,7 +629,7 @@ def test_long_tailed_training_reruns_bit_identically():
     m2, h2 = train_multitask(model, splits, config)
     f1, f2 = flatten_params(m1), flatten_params(m2)
     assert all(np.array_equal(f1[k], f2[k]) for k in f1)
-    assert [r.to_dict() for r in h1.epochs] == [r.to_dict() for r in h2.epochs]
+    assert h1.epochs == h2.epochs
 
 
 def _final_val_loss():

@@ -11,7 +11,9 @@ Before a workload's pairs, an artifact pass runs its command sequence (``bench_w
 ``--seed``) once per revision on the process's CPU set and once pinned to one CPU, all four runs in the same
 directories, and records every written file's SHA-256 (``manifest.json`` aside, which records the time),
 whether all four runs wrote the same bytes, and whether each revision wrote the same bytes on all CPUs and on
-one. Standard library only; run from the repository root:
+one. One more such pass, under ``protocols``, runs ``ablation`` and ``loocv`` at 2 seeds on a
+``gen-synthetic --events 3`` suite (``PROTOCOLS``). Their files hold accuracy and macro-F1 only, so that pass
+sees a changed trajectory only where a prediction flips. Standard library only; run from the repository root:
 
     python3 tools/bench_pairs.py --base HEAD~1 --head HEAD --pairs 10 --seed 601 --seconds 8 --out BENCH_20.json
 """
@@ -42,6 +44,27 @@ paths = bw.generate_inputs(workload, int(sys.argv[2]), Path(sys.argv[3]))
 for phase, argv in bw.commands(workload, paths, Path(sys.argv[4])):
     if main(argv) != 0:
         sys.exit(f"{phase} failed")
+"""
+# The task-combination ablation and leave-one-event-out protocols, which train through the same loop as the
+# workloads but are in none of them: argv is the seed, the inputs directory and the runs directory.
+PROTOCOLS = """
+import sys
+from pathlib import Path
+sys.path[:0] = ["src"]
+from misinfo_mtl.cli import main
+seed, inputs, runs = sys.argv[1], Path(sys.argv[2]), Path(sys.argv[3])
+tasks = ("alpha", "beta", "gamma")
+if main(["gen-synthetic", "--tasks", ",".join(tasks), "--examples", "120", "--events", "3", "--seed", seed,
+         "--out", str(inputs)]) != 0:
+    sys.exit("gen-synthetic failed")
+config = inputs / "protocols.cfg"
+config.write_text("embed_dim = 32\\nffn_dim = 64\\nmax_seq_len = 16\\nmax_epochs = 3\\npatience = 3\\n"
+                  "learning_rate = 1e-3\\ntasks = alpha,beta,gamma\\n" + "".join(
+                      f"dataset.{t} = {inputs / t}.jsonl\\nlabels.{t} = negative,positive\\n" for t in tasks))
+for name, argv in (("ablation", ["--task", "alpha", "--subset", "alpha", "--subset", "alpha,beta",
+                                 "--subset", "alpha,beta,gamma"]), ("loocv", ["--task", "gamma"])):
+    if main([name, "--config", str(config), *argv, "--seed", "0", "--seed", "1", "--out", str(runs / name)]) != 0:
+        sys.exit(f"{name} failed")
 """
 
 
@@ -98,17 +121,29 @@ def _describe(check: dict) -> str:
     return "identical" if check["identical"] else "differ in " + ", ".join(check["differ"])
 
 
-def run_sequence(tree: Path, workload: str, seed: int, one_cpu: bool) -> dict[str, str]:
-    """Run ``workload``'s command sequence in ``tree``, pinned to one CPU if ``one_cpu``; the ``digests`` of its
-    runs. Every call writes to the same directories, so paths recorded in the files are the same for each."""
+def run_sequence(tree: Path, script: str, args: list[str], one_cpu: bool) -> dict[str, str]:
+    """Run a command sequence (``SEQUENCE`` or ``PROTOCOLS``, given ``args`` and then its inputs and runs
+    directories) in ``tree``, pinned to one CPU if ``one_cpu``; the ``digests`` of its runs. Every call writes
+    to the same directories, so paths recorded in the files are the same for each."""
     work = ROOT / ".bench_build" / "artifacts"
     shutil.rmtree(work, ignore_errors=True)
     # the child pins itself, after the fork: only its own affinity changes
     pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    subprocess.run([sys.executable, "-c", SEQUENCE, workload, str(seed), str(work / "inputs"), str(work / "runs")],
+    subprocess.run([sys.executable, "-c", script, *args, str(work / "inputs"), str(work / "runs")],
                    cwd=tree, env=env, preexec_fn=pin, check=True, capture_output=True)
     return digests(work / "runs")
+
+
+def artifact_pass(name: str, trees: dict[str, Path], script: str, args: list[str]) -> dict:
+    """The ``artifact_verdict`` of a command sequence run in each side's tree on all CPUs and on one, printed as
+    one line headed ``name``."""
+    verdict = artifact_verdict({f"{side}{suffix}": run_sequence(tree, script, args, one_cpu)
+                                for side, tree in trees.items() for suffix, one_cpu in (("", False), ("-1cpu", True))})
+    print(f"{name} artifacts: all runs {_describe(verdict)}; " + "; ".join(
+        f"{side} on all CPUs and on one {_describe(check)}" for side, check in verdict["sides"].items()),
+        file=sys.stderr, flush=True)
+    return verdict
 
 
 def summary(values: list[float]) -> dict:
@@ -147,13 +182,10 @@ def main(argv=None) -> int:
     seeds = [args.seed + i for i in range(args.pairs)]
     record = {"base": {"rev": args.base, "sha": base_sha}, "head": {"rev": args.head, "sha": head_sha},
               "pairs": args.pairs, "seeds": seeds, "seconds": args.seconds, "workloads": {}}
+    trees = {"base": base, "head": head}
+    record["protocols"] = artifact_pass("protocols", trees, PROTOCOLS, [str(args.seed)])
     for workload in [w["name"] for w in spec["workloads"]]:
-        artifacts = artifact_verdict({f"{side}{suffix}": run_sequence(tree, workload, args.seed, one_cpu)
-                                      for side, tree in (("base", base), ("head", head))
-                                      for suffix, one_cpu in (("", False), ("-1cpu", True))})
-        print(f"{workload} artifacts: all runs {_describe(artifacts)}; " + "; ".join(
-            f"{side} on all CPUs and on one {_describe(check)}" for side, check in artifacts["sides"].items()),
-            file=sys.stderr, flush=True)
+        artifacts = artifact_pass(workload, trees, SEQUENCE, [workload, str(args.seed)])
         sides = {"base": [], "head": []}
         for i, seed in enumerate(seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
