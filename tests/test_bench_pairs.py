@@ -85,7 +85,7 @@ def test_the_protocols_sequence_writes_the_ablation_and_loocv_files(tmp_path, mo
                                "loocv/report-seed1.jsonl", "loocv/report.jsonl"]
 
 
-def test_main_records_the_protocols_verdict_beside_each_workloads(tmp_path, monkeypatch, capsys):
+def test_main_records_the_protocols_verdict_beside_the_workloads(tmp_path, monkeypatch, capsys):
     spec = json.loads((Path(bench_pairs.__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
     spec["workloads"] = spec["workloads"][:1]
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))

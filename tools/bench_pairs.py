@@ -59,7 +59,7 @@ if main(["gen-synthetic", "--tasks", ",".join(tasks), "--examples", "120", "--ev
     sys.exit("gen-synthetic failed")
 config = inputs / "protocols.cfg"
 config.write_text("embed_dim = 32\\nffn_dim = 64\\nmax_seq_len = 16\\nmax_epochs = 3\\npatience = 3\\n"
-                  "learning_rate = 1e-3\\ntasks = alpha,beta,gamma\\n" + "".join(
+                  f"learning_rate = 1e-3\\ntasks = {','.join(tasks)}\\n" + "".join(
                       f"dataset.{t} = {inputs / t}.jsonl\\nlabels.{t} = negative,positive\\n" for t in tasks))
 for name, argv in (("ablation", ["--task", "alpha", "--subset", "alpha", "--subset", "alpha,beta",
                                  "--subset", "alpha,beta,gamma"]), ("loocv", ["--task", "gamma"])):
