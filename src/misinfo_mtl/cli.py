@@ -7,7 +7,9 @@ refuses every bad key or value. Once every input is validated, and before any tr
 manifest (command, resolved config, input digests, seeds) and a config
 snapshot; output directories default to a content-addressed name derived from
 the config digest so reruns with different settings never silently overwrite
-each other. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+each other. Exit codes: 0 success; 2 a usage error or an input refused before
+the command makes its output directory (``_make_out``), so nothing is written;
+1 a failure after that, or an unexpected exception.
 """
 
 import argparse
@@ -15,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -37,10 +40,6 @@ _SCALAR_KEYS = {*_ENCODER_KEYS, *_TRAIN_KEYS, "tasks", "seeds", "max_vocab", "mi
 _PREFIX_KEYS = ("dataset.", "labels.", "granularity.", "positive.", "drop_labels.", "derive.")
 
 
-class ConfigError(Exception):
-    """Bad config file or command usage; maps to exit code 2."""
-
-
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse flat `key = value` lines; '#' starts a comment."""
     path = Path(path)
@@ -50,20 +49,20 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            raise ValueError(f"{path}:{line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in raw:
-            raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{line_no}: duplicate key {key!r}")
         raw[key] = value
     for key in raw:
         if key in _SCALAR_KEYS or key.startswith(_PREFIX_KEYS):
             continue
-        raise ConfigError(f"unknown config key {key!r}")
+        raise ValueError(f"unknown config key {key!r}")
     return raw
 
 
 def _get(raw, key, cast, default, check=None):
-    """``cast(raw[key])``, or ``default`` if ``key`` is unset; a value ``cast`` or ``check`` refuses is a ConfigError."""
+    """``cast(raw[key])``, or ``default`` if ``key`` is unset; a value ``cast`` or ``check`` refuses names the key."""
     if key not in raw:
         return default
     try:
@@ -71,16 +70,8 @@ def _get(raw, key, cast, default, check=None):
         if check is not None:
             check(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for config key {key!r}: {exc}") from None
+        raise ValueError(f"bad value for config key {key!r}: {exc}") from None
     return value
-
-
-def _settings(cls, **values):
-    """``cls(**values)``; a value the settings class refuses is a ConfigError."""
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _csv(value: str) -> tuple[str, ...]:
@@ -91,7 +82,7 @@ def _seeds(cli_seeds, raw: dict[str, str]) -> tuple[int, ...]:
     """The ``--seed`` values, else the config's ``seeds``, else ``DEFAULT_SEEDS``; each run once, all >= 0."""
     seeds = tuple(cli_seeds) if cli_seeds else _get(raw, "seeds", lambda v: tuple(map(int, _csv(v))), DEFAULT_SEEDS)
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"seeds must be one or more distinct integers >= 0, got {list(seeds)}")
+        raise ValueError(f"seeds must be one or more distinct integers >= 0, got {list(seeds)}")
     return seeds
 
 
@@ -121,18 +112,18 @@ def _task_spec(name: str, labels: str | None, granularity: str, positive: str | 
         try:
             return TaskSpec(name, _csv(labels), granularity, positive or None)
         except ValueError as exc:
-            raise ConfigError(f"bad task definition for {name!r}: {exc}") from None
+            raise ValueError(f"bad task definition for {name!r}: {exc}") from None
     if name in BUILTIN_TASKS:
         return BUILTIN_TASKS[name]
-    raise ConfigError(f"task {name!r} is not built in; {hint}")
+    raise ValueError(f"task {name!r} is not built in; {hint}")
 
 
 def parse_config(path: str | Path, cli_seeds=None) -> RunSpec:
-    """Read a config file into validated settings; any bad key or value raises ``ConfigError``."""
+    """Read a config file into validated settings; any bad key or value raises ``ValueError``."""
     raw = load_config_file(path)
     tasks = _get(raw, "tasks", _csv, ())
     if not tasks:
-        raise ConfigError("config key 'tasks' is required and must name >= 1 task")
+        raise ValueError("config key 'tasks' is required and must name >= 1 task")
     dataset_paths: dict[str, Path] = {}
     derived: dict[str, tuple[str, str]] = {}
     specs: dict[str, TaskSpec] = {}
@@ -141,23 +132,25 @@ def parse_config(path: str | Path, cli_seeds=None) -> RunSpec:
         if f"derive.{task}" in raw:
             source, _, fname = raw[f"derive.{task}"].partition(":")
             if fname not in ("bias_type", "polarity"):
-                raise ConfigError(f"derive.{task}: field must be bias_type or polarity")
+                raise ValueError(f"derive.{task}: field must be bias_type or polarity")
             if source.strip() not in tasks:
-                raise ConfigError(f"derive.{task}: source task {source.strip()!r} not in tasks")
+                raise ValueError(f"derive.{task}: source task {source.strip()!r} not in tasks")
             derived[task] = (source.strip(), fname)
         elif f"dataset.{task}" in raw:
             dataset_paths[task] = Path(raw[f"dataset.{task}"])
         else:
-            raise ConfigError(f"missing config key dataset.{task} (or derive.{task})")
+            raise ValueError(f"missing config key dataset.{task} (or derive.{task})")
         specs[task] = _task_spec(task, raw.get(f"labels.{task}"), raw.get(f"granularity.{task}", "sentence"),
                                  raw.get(f"positive.{task}"), f"config key labels.{task} is required")
         if f"drop_labels.{task}" in raw:
             drop_labels[task] = _csv(raw[f"drop_labels.{task}"])
+    for task, (source, _) in derived.items():
+        if source not in dataset_paths:  # the task itself, or another derived task
+            raise ValueError(f"derive.{task}: source task {source!r} must have a dataset.{source} key")
 
-    encoder = _settings(EncoderConfig, vocab_size=len(RESERVED_TOKENS), **{
+    encoder = EncoderConfig(vocab_size=len(RESERVED_TOKENS), **{
         key: _get(raw, key, cast, None) for key, cast in _ENCODER_KEYS.items() if key in raw})
-    train = _settings(TrainConfig, **{
-        key: _get(raw, key, cast, None) for key, cast in _TRAIN_KEYS.items() if key in raw})
+    train = TrainConfig(**{key: _get(raw, key, cast, None) for key, cast in _TRAIN_KEYS.items() if key in raw})
     return RunSpec(
         tasks=tasks,
         inputs=(Path(path), *dataset_paths.values()),
@@ -177,23 +170,37 @@ def parse_config(path: str | Path, cli_seeds=None) -> RunSpec:
     )
 
 
+@contextmanager
+def _naming_origin(spec: RunSpec, task: str):
+    """Prefix a ``ValueError`` raised inside with where ``task``'s examples come from: its dataset file, or its
+    ``derive.`` key and the source task's file."""
+    try:
+        yield
+    except ValueError as exc:
+        origin = (f"derive.{task} (source {spec.dataset_paths[spec.derived[task][0]]})" if task in spec.derived
+                  else spec.dataset_paths[task])
+        raise ValueError(f"{origin}: {exc}") from None
+
+
 def split_all(spec: RunSpec, datasets: dict[str, datamod.Dataset]) -> dict[str, datamod.SplitDataset]:
-    return {
-        task: datamod.split(ds, ratios=spec.split_ratios, seed=spec.split_seed)
-        for task, ds in sorted(datasets.items())
-    }
+    splits = {}
+    for task, ds in sorted(datasets.items()):
+        with _naming_origin(spec, task):
+            splits[task] = datamod.split(ds, ratios=spec.split_ratios, seed=spec.split_seed)
+    return splits
 
 
 def _config_run(args, task_listed: bool = False) -> tuple[RunSpec, dict[str, datamod.Dataset]]:
     """Parse ``--config``, check ``--task`` is one of its tasks, then load (or derive) every dataset."""
     spec = parse_config(args.config, args.seed)
     if task_listed and args.task not in spec.tasks:
-        raise ConfigError(f"task {args.task!r} is not listed in the config 'tasks'")
+        raise ValueError(f"task {args.task!r} is not listed in the config 'tasks'")
     datasets: dict[str, datamod.Dataset] = {}
     for task, path in spec.dataset_paths.items():
-        datasets[task] = _load_dataset(path, spec.specs[task], spec.drop_labels.get(task, ()))
+        datasets[task] = datamod.load_dataset(path, spec.specs[task], spec.drop_labels.get(task, ()))
     for task, (source, fname) in spec.derived.items():
-        datasets[task] = datamod.derive_field_task(datasets[source], fname, spec.specs[task])
+        with _naming_origin(spec, task):
+            datasets[task] = datamod.derive_field_task(datasets[source], fname, spec.specs[task])
     return spec, datasets
 
 
@@ -201,12 +208,20 @@ def _write_json(path: Path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _make_out(args, out: Path) -> Path:
+    """Make the command's output directory ``out``, its first write: ``main`` reads an error raised from here on
+    as a runtime failure (exit 1), not a refused input (exit 2). Call it only once every input is validated."""
+    args.writing = True
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _open_run(args, command: str, raw: dict[str, str], seeds, inputs, extra: dict | None = None) -> Path:
-    """Resolve the run directory, then write ``manifest.json`` and ``config.txt`` into it.
+    """Make the run directory, then write ``manifest.json`` and ``config.txt`` into it.
 
     Without ``--out`` the directory is ``runs/<command>-<digest>``, the digest
     covering the command, config, seeds and ``extra``, so runs with different
-    settings never overwrite each other. Call it only once every input is validated.
+    settings never overwrite each other.
     """
     config = dict(sorted(raw.items()))
     extra = extra or {}
@@ -216,7 +231,7 @@ def _open_run(args, command: str, raw: dict[str, str], seeds, inputs, extra: dic
         payload = {"command": command, "config": config, "seeds": list(seeds), "extra": extra}
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
         out = Path("runs") / f"{command}-{digest}"
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(args, out)
     _write_json(out / "manifest.json", {
         "command": command,
         "config": config,
@@ -265,23 +280,11 @@ def _write_seed(out: Path, seed: int, model: MultiTaskModel, history: training.T
         fh.write(json.dumps({"best_epoch": history.best_epoch, "stop_reason": history.stop_reason}, sort_keys=True) + "\n")
 
 
-def _load_dataset(path, spec: TaskSpec, drop_labels=()) -> datamod.Dataset:
-    """``data.load_dataset``, whose refusal of a malformed file (it names the file) is a bad input."""
-    try:
-        return datamod.load_dataset(path, spec, drop_labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _load_model(checkpoint_path: str) -> MultiTaskModel:
     """The checkpoint's model, which must carry the vocabulary that maps text to its embedding rows."""
-    cp = Path(checkpoint_path)
-    try:
-        model = ckpt.load_model(cp)
-    except ValueError as exc:  # a malformed file is a bad input, like an unreadable one
-        raise ConfigError(str(exc)) from None
+    model = ckpt.load_model(checkpoint_path)
     if model.vocab is None:
-        raise ConfigError(f"checkpoint {cp} has no vocabulary")
+        raise ValueError(f"checkpoint {checkpoint_path} has no vocabulary")
     return model
 
 
@@ -322,7 +325,7 @@ def cmd_finetune(args) -> int:
     require_task(model, args.task)
     reread = [Path(args.out) / f"seed{s}" / "model.ckpt" for s in spec.seeds[:-1]] if args.out else []
     if any(path.is_file() and path.samefile(args.checkpoint) for path in reread):
-        raise ConfigError(f"checkpoint {args.checkpoint} would be overwritten before later seeds load it")
+        raise ValueError(f"checkpoint {args.checkpoint} would be overwritten before later seeds load it")
     out = _open_run(args, "finetune", spec.raw, spec.seeds, spec.inputs,
                     {"task": args.task, "checkpoint": args.checkpoint})
 
@@ -342,10 +345,10 @@ def cmd_finetune(args) -> int:
 
 def cmd_fewshot(args) -> int:
     seeds = _seeds(args.seed, {})
-    fewshot_config = _settings(evaluation.FewShotConfig, k=args.k, mode=args.mode)
-    train_config = _settings(TrainConfig, learning_rate=args.learning_rate, max_epochs=args.max_epochs,
-                             patience=min(args.patience, args.max_epochs))
-    dataset = _load_dataset(args.dataset, _unseen_spec(args))
+    fewshot_config = evaluation.FewShotConfig(k=args.k, mode=args.mode)
+    train_config = TrainConfig(learning_rate=args.learning_rate, max_epochs=args.max_epochs,
+                               patience=min(args.patience, args.max_epochs))
+    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
     base = _load_model(args.checkpoint)
     evaluation.check_fewshot_inputs(base, dataset, args.k)
     raw = {"tasks": args.task, f"dataset.{args.task}": str(args.dataset), "k": str(args.k), "mode": args.mode,
@@ -402,7 +405,7 @@ def cmd_loocv(args) -> int:
 
 def cmd_ablation(args) -> int:
     if not args.subset:
-        raise ConfigError("pass at least one --subset")
+        raise ValueError("pass at least one --subset")
     spec, datasets = _config_run(args)
     splits = split_all(spec, datasets)
     subsets = evaluation.ablation_subsets([_csv(s) for s in args.subset], args.task, splits)
@@ -426,27 +429,25 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_dataset(args.dataset, _unseen_spec(args))
+    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args))
     model = _load_model(args.checkpoint)
     report = evaluation.evaluate_model(model, args.task, dataset.examples)
     print(metrics.format_report_table([(args.task, report)], title="evaluation"))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _make_out(args, Path(args.out))
         _write_json(out / "metrics.json", {args.task: asdict(report)})
         print(f"run directory: {out}")
     return 0
 
 
 def cmd_validate_data(args) -> int:
-    dataset = _load_dataset(args.dataset, _unseen_spec(args), _csv(args.drop_labels or ""))
+    dataset = datamod.load_dataset(args.dataset, _unseen_spec(args), _csv(args.drop_labels or ""))
     print(datamod.format_dataset_summary([dataset]))
     return 0
 
 
 def cmd_gen_synthetic(args) -> int:
-    config = _settings(
-        datamod.SyntheticSuiteConfig,
+    config = datamod.SyntheticSuiteConfig(
         task_names=_csv(args.tasks),
         examples_per_task=args.examples,
         vocab_size=args.vocab_size,
@@ -457,10 +458,9 @@ def cmd_gen_synthetic(args) -> int:
     )
     seeds = _seeds(args.seed or [0], {})
     if len(seeds) > 1:
-        raise ConfigError(f"gen-synthetic takes one --seed, got {list(seeds)}")
+        raise ValueError(f"gen-synthetic takes one --seed, got {list(seeds)}")
     suite = datamod.generate_synthetic_suite(seeds[0], config)
-    out = Path(args.out) if args.out else Path("runs") / "synthetic"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args, Path(args.out) if args.out else Path("runs") / "synthetic")
     for task, dataset in sorted(suite.items()):
         datamod.save_dataset(dataset, out / f"{task}.jsonl")
     print(datamod.format_dataset_summary([suite[t] for t in sorted(suite)]))
@@ -542,20 +542,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.writing = False  # _make_out sets it
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    # a missing path, a directory or no permission is a bad input; any other OSError (a full disk) a runtime failure
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
-        print("config error:", f"{exc.filename}: {exc.strerror}" if exc.filename else exc, file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
-        # str(KeyError) quotes its message; print the message itself
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+        # before the command's first write a refused input, nothing on disk; after it a runtime failure
+        if isinstance(exc, OSError) and exc.filename:
+            message = f"{exc.filename}: {exc.strerror}"
+        else:  # str(KeyError) quotes its message; print the message itself
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print("error:" if args.writing else "config error:", message, file=sys.stderr)
+        return 1 if args.writing else 2
     except Exception as exc:  # last resort: one line, no traceback
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""``tools/bench_trend.py`` over two synthetic BENCH files: head medians in PR order, drift and its flags."""
+"""``tools/bench_trend.py``: each BENCH record read against its own base, with ``bench_pairs.compare``'s verdict."""
 
 import json
 import sys
@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 
+import bench_pairs  # noqa: E402
 import bench_trend  # noqa: E402
 
 SPEC = {
@@ -19,11 +21,12 @@ SPEC = {
 }
 
 
-def bench(rate, rss):
-    """A BENCH record whose head medians are ``rate`` and ``rss`` (the base side is not read)."""
-    metrics = {name: {"base": {"median": -1.0}, "head": {"median": value}}
-               for name, value in (("rate", rate), ("rss", rss)) if value is not None}
-    return {"workloads": {"w": {"metrics": metrics}}}
+def bench(base_sha, **pairs):
+    """A BENCH record of base ``base_sha``: per metric, a list of (base, head) values, pair by pair."""
+    metrics = {name: {"base": {"values": [b for b, _ in values]}, "head": {"values": [h for _, h in values]}}
+               for name, values in pairs.items()}
+    return {"base": {"rev": "HEAD~1", "sha": base_sha}, "head": {"rev": "HEAD", "sha": "f" * 40},
+            "workloads": {"w": {"metrics": metrics}}}
 
 
 def write(tmp_path, pr, record):
@@ -32,28 +35,37 @@ def write(tmp_path, pr, record):
     return path
 
 
-def test_drift_from_the_first_and_best_files_is_flagged_beyond_the_bound(tmp_path, capsys):
+def test_each_record_reads_against_its_own_base_in_pr_order(tmp_path, capsys):
     spec = tmp_path / "BENCHMARK.json"
     spec.write_text(json.dumps(SPEC), encoding="utf-8")
-    # given out of order: PR 9 is read before PR 10
-    later, earlier = write(tmp_path, 10, bench(70.0, 105.0)), write(tmp_path, 9, bench(100.0, 100.0))
+    # PR 10's machine ran every rate at half PR 9's: its head is level with its own base, so it reads level
+    earlier = write(tmp_path, 9, bench("a" * 40, rate=[(100.0, 140.0)] * 9 + [(100.0, 90.0)],
+                                       rss=[(100.0, 120.0)] * 10))
+    later = write(tmp_path, 10, bench("b" * 40, rate=[(50.0, 49.0), (50.0, 51.0)] * 5))
     assert bench_trend.main([str(later), str(earlier), "--spec", str(spec)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "workload metric PR9 PR10 | from first | from best"
-    # rate fell 30% (bound 25%): flagged against the first file, which is also the best
-    assert lines[1] == ("w rate 100 70 | -30.0% | -30.0%  DRIFT beyond 25% of first  DRIFT beyond 25% of best")
-    # rss rose 5% (bound 10%): no flag
-    assert lines[2] == "w rss 100 105 | +5.0% | +5.0%"
+    assert capsys.readouterr().out.splitlines() == [
+        "w rate",
+        "  PR9 aaaaaaa -> fffffff: +40.0%, head better in 9/10: gain",
+        "  PR10 bbbbbbb -> fffffff: +0.0%, head better in 5/10: no verdict",
+        "w rss",
+        "  PR9 aaaaaaa -> fffffff: +20.0%, head better in 0/10: regression",
+        "  PR10 bbbbbbb -> fffffff: -",
+    ]
 
 
-def test_best_is_the_best_median_on_the_metrics_side_and_missing_values_are_skipped():
-    records = [bench(100.0, 120.0), bench(140.0, None), bench(120.0, 100.0)]
-    rate, rss = bench_trend.trend(SPEC, records)
-    assert rate["medians"] == [100.0, 140.0, 120.0] and rate["from_first"] == pytest.approx(0.2)
-    assert rate["from_best"] == pytest.approx(120 / 140 - 1) and rate["flags"] == []  # 14% worse, under 25%
-    assert rss["medians"] == [120.0, None, 100.0] and rss["from_best"] == 0.0 and rss["flags"] == []
-    worse = bench_trend.trend(SPEC, [bench(100.0, 100.0), bench(100.0, 80.0), bench(100.0, 90.0)])[1]
-    assert worse["flags"] == ["best"]  # 12.5% above the best, 10% below the first
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json"), key=bench_trend.pr_number), ids=lambda p: p.name)
+def test_every_verdict_is_bench_pairs_compare_on_that_record(path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    for row in bench_trend.trend(spec, [record]):
+        metric = next(m for m in spec["end_to_end"] if m["name"] == row["metric"])
+        stored = record["workloads"][row["workload"]]["metrics"][row["metric"]]
+        expected = bench_pairs.compare(metric["better"], metric["bound"], stored["base"]["values"],
+                                       stored["head"]["values"])
+        (got,) = row["verdicts"]
+        assert {k: got[k] for k in expected} == expected
+        # the record's own fields, where bench_pairs wrote them, agree
+        assert {k: stored[k] for k in expected if k in stored} == {k: expected[k] for k in expected if k in stored}
 
 
 def test_a_file_not_named_bench_pr_is_refused(tmp_path):

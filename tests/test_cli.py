@@ -1,11 +1,16 @@
+import contextlib
 import errno
+import io
 import json
+import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misinfo_mtl import cli, evaluation, training
 from misinfo_mtl import encoder as enc
@@ -307,6 +312,48 @@ def test_train_with_derived_auxiliary_tasks(tmp_path):
     assert len(model.heads) == 3
 
 
+BAD_DERIVES = {
+    "from-itself": ("x", "derive.x = x:bias_type\n", "derive.x: source task 'x' must have a dataset.x key"),
+    "from-a-derived-task": ("x,y", "derive.x = alpha:bias_type\nderive.y = x:polarity\nlabels.y = a,b\n",
+                            "derive.y: source task 'x' must have a dataset.x key"),
+    "source-carries-no-field": ("x", "derive.x = alpha:bias_type\n",
+                                "derive.x (source {alpha}): no examples carry field 'bias_type'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DERIVES))
+def test_a_bad_derive_key_exits_2_naming_it_and_writes_nothing(workdir, capsys, case):
+    tasks, lines, message = BAD_DERIVES[case]
+    cfg = workdir / "derive.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text().replace("tasks = alpha,beta", f"tasks = alpha,beta,{tasks}")
+                   + lines + "labels.x = lexical,informational\n")
+    out = workdir / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(alpha=workdir / 'data' / 'alpha.jsonl')}\n"
+    assert not out.exists()
+
+
+def test_a_split_refusal_names_the_dataset_file_or_the_derive_key(workdir, capsys):
+    small = workdir / "alpha_small.jsonl"
+    small.write_text("".join((workdir / "data" / "alpha.jsonl").read_text().splitlines(True)[:5]))
+    small_cfg = workdir / "small.cfg"
+    small_cfg.write_text((workdir / "run.cfg").read_text().replace(str(workdir / "data" / "alpha.jsonl"), str(small)))
+    records = _bias_records()
+    for i, rec in enumerate(r for r in records if "bias_type" in r):
+        rec["bias_type"] = "informational" if i < 2 else "lexical"
+    bias = workdir / "newsbias.jsonl"
+    bias.write_text("".join(json.dumps(r) + "\n" for r in records))
+    derived_cfg = workdir / "derived.cfg"
+    derived_cfg.write_text(f"tasks = newsbias,newsbias_type\ndataset.newsbias = {bias}\n"
+                           "derive.newsbias_type = newsbias:bias_type\n")
+    for cfg, message in ((small_cfg, f"{small}: dataset too small to split (5 < 10)"), (derived_cfg, (
+            f"derive.newsbias_type (source {bias}): class 'informational' has 2 examples; need >= 3 to stratify"))):
+        out = workdir / "run"
+        assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
 def test_bad_record_exits_2_naming_its_file_once_and_writes_nothing(workdir, capsys):
     path = workdir / "data" / "alpha.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -552,16 +599,20 @@ def test_an_unreadable_input_file_exits_2_with_one_config_error_line(stage1, tmp
 
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval", "gen-synthetic"])
 def test_a_failed_artifact_write_exits_1_with_one_error_line(stage1, tmp_path, capsys, monkeypatch, command):
     # a full disk raises OSError errno 28 naming no file: a runtime failure, not an unreadable input
-    def full_disk(path, text):
+    def full_disk(*args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(cli, "write_text_atomic", full_disk)
-    argv = RUN_COMMANDS["train"](stage1) + ["--seed", "0"] if command == "train" else [
-        "eval", "--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"), "--dataset",
-        str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"]
+    monkeypatch.setattr(cli.datamod, "save_dataset", full_disk)
+    argv = {
+        "train": RUN_COMMANDS["train"](stage1) + ["--seed", "0"],
+        "eval": ["eval", "--checkpoint", str(stage1 / "run" / "seed0" / "model.ckpt"), "--dataset",
+                 str(stage1 / "data" / "alpha.jsonl"), "--task", "alpha", "--labels", "negative,positive"],
+        "gen-synthetic": ["gen-synthetic", "--examples", "20"],
+    }[command]
     assert main(argv + ["--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
@@ -662,12 +713,13 @@ BAD_ADAPTATIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ADAPTATIONS))
-def test_bad_adaptation_exits_1_before_writing(stage1, tmp_path, capsys, case):
+def test_bad_adaptation_exits_2_before_writing(stage1, tmp_path, capsys, case):
     argv, message = BAD_ADAPTATIONS[case]
     out = tmp_path / "run"
-    assert main(argv(stage1) + ["--seed", "0", "--out", str(out)]) == 1
+    assert main(argv(stage1) + ["--seed", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err, err
+    assert err.startswith("config error: "), err
     assert not out.exists()
 
 
@@ -720,22 +772,94 @@ def test_bad_training_settings_exit_2_before_writing(stage1, tmp_path, capsys, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--examples", "0"], "examples_per_task must be >= 4"),
-    (["--p-shared", "2"], "p_shared must be in [0, 1]"),
-    (["--markers", "0"], "markers_per_task must be >= 1"),
-    (["--markers", "-1"], "markers_per_task must be >= 1"),
-    (["--shared-size", "-2"], "shared_lexicon_size must be >= 0"),
-    (["--shared-size", "0", "--p-shared", "0.5"], "p_shared > 0 needs shared_lexicon_size >= 1"),
-    (["--events", "-1"], "num_events must be >= 0"),
-], ids=["examples-0", "p-shared-2", "markers-0", "markers-minus-1", "shared-size-minus-2",
-        "shared-size-0-p-shared-0.5", "events-minus-1"])
-def test_bad_suite_settings_exit_2_writing_nothing(tmp_path, monkeypatch, capsys, flags, message):
+BAD_SUITES = {
+    "examples-0": (["--examples", "0"], "examples_per_task must be >= 4"),
+    "p-shared-2": (["--p-shared", "2"], "p_shared must be in [0, 1]"),
+    "markers-0": (["--markers", "0"], "markers_per_task must be >= 1"),
+    "markers-minus-1": (["--markers", "-1"], "markers_per_task must be >= 1"),
+    "shared-size-minus-2": (["--shared-size", "-2"], "shared_lexicon_size must be >= 0"),
+    "shared-size-0-p-shared-0.5": (["--shared-size", "0", "--p-shared", "0.5"],
+                                   "p_shared > 0 needs shared_lexicon_size >= 1"),
+    "events-minus-1": (["--events", "-1"], "num_events must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUITES))
+def test_bad_suite_settings_exit_2_writing_nothing(tmp_path, monkeypatch, capsys, case):
+    flags, message = BAD_SUITES[case]
     monkeypatch.chdir(tmp_path)
     assert main(["gen-synthetic", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and message in err, err
     assert list(tmp_path.iterdir()) == []
+
+
+_BAD_RATE = st.one_of(st.floats(max_value=0.0), st.just(math.inf), st.just(math.nan))
+# Out-of-range values per flag; a drawn value goes in as --flag=value, so that -5 or -inf is not read as a flag
+_BAD_FLAGS = {
+    "fewshot": {
+        "--k": st.one_of(st.integers(max_value=0), st.integers(min_value=60)),  # gamma.jsonl holds 60 records
+        "--max-epochs": st.integers(max_value=0),
+        "--patience": st.integers(max_value=0),
+        "--learning-rate": _BAD_RATE,
+    },
+    "gen-synthetic": {
+        "--examples": st.integers(max_value=3),
+        "--markers": st.integers(max_value=0),
+        "--shared-size": st.integers(max_value=-1),
+        "--events": st.integers(max_value=-1),
+        "--p-shared": st.floats().filter(lambda p: not 0 <= p <= 1),
+    },
+}
+_BAD_KEYS = {
+    "num_heads": st.integers(max_value=0),
+    "max_seq_len": st.integers(max_value=1),
+    "dropout_rate": st.floats().filter(lambda p: not 0 <= p < 1),
+    "batch_size": st.integers(max_value=0),
+    "max_epochs": st.integers(max_value=0),
+    "learning_rate": _BAD_RATE,
+    "min_freq": st.integers(max_value=0),
+    "max_vocab": st.integers(max_value=2),
+    "split_seed": st.integers(max_value=-1),
+}
+_FLAG_BASES = {"fewshot": lambda r: RUN_COMMANDS["fewshot"](r) + ["--seed", "0"], "gen-synthetic": lambda r: [
+    "gen-synthetic"]}
+
+
+def _bad_flag(command):
+    flags = _BAD_FLAGS[command]
+    return st.sampled_from(sorted(flags)).flatmap(lambda flag: flags[flag].map(
+        lambda value: lambda r, t: _FLAG_BASES[command](r) + [f"{flag}={value}"]))
+
+
+def _bad_key(command):
+    return st.sampled_from(sorted(_BAD_KEYS)).flatmap(lambda key: _BAD_KEYS[key].map(
+        lambda value: _train_with(f"{key} = {value}", command)))
+
+
+# An argv builder (stage-1 root, scratch directory) -> argv of one subcommand holding at least one bad flag or
+# config value: a case of the refusal tables above, or a drawn out-of-range number
+REFUSED_ARGV = st.one_of(
+    st.sampled_from(sorted(BAD_SETTINGS)).map(lambda case: BAD_SETTINGS[case][0]),
+    st.sampled_from(sorted(BAD_ADAPTATIONS)).map(lambda case: lambda r, t: BAD_ADAPTATIONS[case][0](r) + ["--seed", "0"]),
+    st.sampled_from(sorted(BAD_SUITES)).map(lambda case: lambda r, t: ["gen-synthetic", *BAD_SUITES[case][0]]),
+    *(_bad_flag(command) for command in sorted(_BAD_FLAGS)),
+    *(_bad_key(command) for command in ("ablation", "finetune", "loocv", "train")),
+)
+
+
+# 200 examples take about 1 s: every refusal comes before any training
+@settings(max_examples=200, deadline=None)
+@given(argv=REFUSED_ARGV)
+def test_a_refused_flag_or_config_value_exits_2_with_one_config_error_line_writing_nothing(stage1, argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv(stage1, scratch) + ["--out", str(scratch / "run")])
+        assert rc == 2, err.getvalue()
+        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        assert [p.name for p in scratch.iterdir()] in ([], ["edited.cfg"])
 
 
 def test_the_suite_settings_edge_values_still_generate(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Trajectory of the benchmark over the BENCH_<pr>.json files: each head median, in PR order, and its drift.
+"""The benchmark's verdicts over the BENCH_<pr>.json files, each record read against its own base, in PR order.
 
-For every workload and end-to-end metric of BENCHMARK.json it prints the head side's median from each file,
-then the drift of the last file's median from the first file's and from the best one's. A drift the worse
-way by more than the metric's ``bound`` (a fraction of the reference median) is flagged. Every perf gate
-compares a change with its parent only; this shows creep across changes. It reports and changes nothing.
-Standard library only; run from the repository root:
+Each file holds alternating pairs of runs of a base and a head revision, taken on one machine at one time
+(``tools/bench_pairs.py``). For every workload and end-to-end metric of BENCHMARK.json this prints, per file,
+the head's median change against that file's base, how many pairs read better on the head side and the
+verdict of ``bench_pairs.compare`` on the file's per-pair values with the metric's bound. Absolute medians are
+not compared across files, because they track the machine's state when each file was taken. A span file,
+whose base is an older re-anchor, reads like any other. It reports and changes nothing. Standard library
+only; run from the repository root:
 
     python3 tools/bench_trend.py                      # every BENCH_*.json here
     python3 tools/bench_trend.py BENCH_20.json BENCH_24.json
@@ -16,6 +18,8 @@ import re
 import sys
 from pathlib import Path
 
+import bench_pairs
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,29 +30,25 @@ def pr_number(path: Path) -> int:
     return int(match[1])
 
 
-def worse_by(better: str, reference: float, value: float) -> float:
-    """How much worse ``value`` reads than ``reference``, as a fraction of it (negative: better)."""
-    return (reference - value if better == "higher" else value - reference) / abs(reference)
+def verdict(better: str, bound: float, metric: dict) -> dict:
+    """``bench_pairs.compare`` on one record's entry for a metric, from its per-pair base and head values, with
+    ``pairs`` and a one-word ``verdict``."""
+    base, head = metric["base"]["values"], metric["head"]["values"]
+    result = bench_pairs.compare(better, bound, base, head)
+    return {**result, "pairs": len(base),
+            "verdict": "gain" if result["gain"] else "regression" if result["regression"] else "no verdict"}
 
 
 def trend(spec: dict, records: list[dict]) -> list[dict]:
-    """One row per workload and end-to-end metric: the head medians in file order and the last one's drift."""
+    """One row per workload and end-to-end metric: each record's ``verdict`` in file order (None where the
+    record lacks the metric)."""
     rows = []
     for workload in [w["name"] for w in spec["workloads"]]:
         for metric in spec["end_to_end"]:
-            name, better, bound = metric["name"], metric["better"], metric["bound"]
-            medians = [r.get("workloads", {}).get(workload, {}).get("metrics", {}).get(name, {}).get("head", {})
-                       .get("median") for r in records]
-            present = [m for m in medians if m is not None]
-            row = {"workload": workload, "metric": name, "bound": bound, "medians": medians, "from_first": None,
-                   "from_best": None, "flags": []}
-            if present:
-                first, last = present[0], present[-1]
-                best = max(present) if better == "higher" else min(present)
-                row["from_first"], row["from_best"] = last / first - 1.0, last / best - 1.0
-                row["flags"] = [ref for ref, value in (("first", first), ("best", best))
-                                if worse_by(better, value, last) > bound]
-            rows.append(row)
+            entries = [r.get("workloads", {}).get(workload, {}).get("metrics", {}).get(metric["name"])
+                       for r in records]
+            rows.append({"workload": workload, "metric": metric["name"], "verdicts": [
+                None if m is None else verdict(metric["better"], metric["bound"], m) for m in entries]})
     return rows
 
 
@@ -62,12 +62,12 @@ def main(argv=None) -> int:
         parser.error("no BENCH_<pr>.json files")
     spec = json.loads(args.spec.read_text(encoding="utf-8"))
     records = [json.loads(path.read_text(encoding="utf-8")) for path in files]
-    print("workload metric " + " ".join(f"PR{pr_number(path)}" for path in files) + " | from first | from best")
     for row in trend(spec, records):
-        medians = " ".join("-" if m is None else f"{m:.4g}" for m in row["medians"])
-        drift = ("-" if row["from_first"] is None else f"{row['from_first']:+.1%} | {row['from_best']:+.1%}")
-        flags = "".join(f"  DRIFT beyond {row['bound']:.0%} of {ref}" for ref in row["flags"])
-        print(f"{row['workload']} {row['metric']} {medians} | {drift}{flags}")
+        print(f"{row['workload']} {row['metric']}")
+        for path, record, v in zip(files, records, row["verdicts"]):
+            span = f"PR{pr_number(path)} {record['base']['sha'][:7]} -> {record['head']['sha'][:7]}"
+            print(f"  {span}: -" if v is None else f"  {span}: {v['median_change']:+.1%}, head better in "
+                  f"{v['head_better_pairs']}/{v['pairs']}: {v['verdict']}")
     return 0
 
 
