@@ -25,6 +25,7 @@ from .evaluation import (
     evaluate_model,
     fewshot_run,
     loocv_run,
+    train_stage1,
 )
 from .metrics import MetricsReport, accuracy, macro_f1, seed_average
 from .multitask import MultiTaskModel, build_model, copy_dicts, predict, register_task, task_loss

@@ -15,6 +15,7 @@ the command makes its output directory (``_make_out``), so nothing is written;
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -26,10 +27,10 @@ from . import data as datamod
 from . import evaluation, metrics, training
 from .atomic import atomic_open, write_text_atomic
 from .encoder import EncoderConfig
-from .multitask import MultiTaskModel, build_model, require_task
+from .multitask import MultiTaskModel, require_task
 from .tasks import BUILTIN_TASKS, TaskSpec
 from .tokenization import RESERVED_TOKENS, check_vocab_settings
-from .training import TrainConfig, finetune_task, train_multitask
+from .training import TrainConfig, finetune_task
 
 DEFAULT_SEEDS = (0, 1, 2)
 
@@ -44,7 +45,11 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse flat `key = value` lines; '#' starts a comment."""
     path = Path(path)
     raw: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(path.read_text(encoding="utf-8", errors="surrogateescape").splitlines(), start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # an undecodable byte, read as a lone surrogate
+            raise ValueError(f"{path}:{line_no}: not valid UTF-8") from None
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -128,7 +133,12 @@ def parse_config(path: str | Path, cli_seeds=None) -> RunSpec:
     derived: dict[str, tuple[str, str]] = {}
     specs: dict[str, TaskSpec] = {}
     drop_labels = dict(datamod.DEFAULT_DROP_LABELS)
+    stray = sorted(key for key in raw if key.startswith(_PREFIX_KEYS) and key.split(".", 1)[1] not in tasks)
+    if stray:
+        raise ValueError(f"config keys name no task listed in 'tasks': {', '.join(stray)}")
     for task in tasks:
+        if (f"dataset.{task}" in raw) == (f"derive.{task}" in raw):
+            raise ValueError(f"task {task!r} needs exactly one of the config keys dataset.{task} and derive.{task}")
         if f"derive.{task}" in raw:
             source, _, fname = raw[f"derive.{task}"].partition(":")
             if fname not in ("bias_type", "polarity"):
@@ -136,10 +146,8 @@ def parse_config(path: str | Path, cli_seeds=None) -> RunSpec:
             if source.strip() not in tasks:
                 raise ValueError(f"derive.{task}: source task {source.strip()!r} not in tasks")
             derived[task] = (source.strip(), fname)
-        elif f"dataset.{task}" in raw:
-            dataset_paths[task] = Path(raw[f"dataset.{task}"])
         else:
-            raise ValueError(f"missing config key dataset.{task} (or derive.{task})")
+            dataset_paths[task] = Path(raw[f"dataset.{task}"])
         specs[task] = _task_spec(task, raw.get(f"labels.{task}"), raw.get(f"granularity.{task}", "sentence"),
                                  raw.get(f"positive.{task}"), f"config key labels.{task} is required")
         if f"drop_labels.{task}" in raw:
@@ -303,8 +311,8 @@ def cmd_train(args) -> int:
 
     per_seed: dict[int, dict[str, metrics.MetricsReport]] = {}
     for seed in spec.seeds:
-        model = build_model(replace(spec.encoder, seed=seed), [spec.specs[t] for t in spec.tasks], vocab=vocab)
-        model, history = train_multitask(model, splits, replace(spec.train, seed=seed), verbose=not args.quiet)
+        model, history = evaluation.train_stage1(replace(spec.encoder, seed=seed), splits,
+                                                 replace(spec.train, seed=seed), vocab, verbose=not args.quiet)
         _write_seed(out, seed, model, history)
         per_seed[seed] = {t: evaluation.evaluate_model(model, t, splits[t].test.examples) for t in sorted(splits)}
     averaged = {
@@ -447,15 +455,10 @@ def cmd_validate_data(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
-    config = datamod.SyntheticSuiteConfig(
-        task_names=_csv(args.tasks),
-        examples_per_task=args.examples,
-        vocab_size=args.vocab_size,
-        markers_per_task=args.markers,
-        shared_lexicon_size=args.shared_size,
-        p_shared=args.p_shared,
-        num_events=args.events,
-    )
+    try:
+        config = datamod.SyntheticSuiteConfig(**{name: getattr(args, name) for name in _SUITE_FLAGS})
+    except ValueError as exc:  # name the flag, not the field
+        raise ValueError(re.sub("|".join(_SUITE_FLAGS), lambda m: _SUITE_FLAGS[m[0]], str(exc))) from None
     seeds = _seeds(args.seed or [0], {})
     if len(seeds) > 1:
         raise ValueError(f"gen-synthetic takes one --seed, got {list(seeds)}")
@@ -485,6 +488,10 @@ _FLAGS = {
     "--quiet": {"action": "store_true", "help": "suppress per-epoch progress"},
 }
 _TASK_SPEC = ("--task", "--labels", "--granularity", "--positive")
+# The SyntheticSuiteConfig fields gen-synthetic sets, each with its flag, which takes the field's type and default
+_SUITE_FLAGS = {"task_names": "--tasks", "examples_per_task": "--examples", "vocab_size": "--vocab-size",
+                "markers_per_task": "--markers", "shared_lexicon_size": "--shared-size", "p_shared": "--p-shared",
+                "num_events": "--events"}
 _RUN = ("--seed", "--out")
 
 
@@ -526,13 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gen-synthetic", cmd_gen_synthetic, "generate a synthetic task suite")
     p.add_argument("--seed", type=int, action="append", help="suite seed, given at most once (default: 0)")
     p.add_argument("--out", help="output directory (default: runs/synthetic)")
-    p.add_argument("--tasks", default="alpha,beta")
-    p.add_argument("--examples", type=int, default=200)
-    p.add_argument("--vocab-size", type=int, default=60)
-    p.add_argument("--markers", type=int, default=3)
-    p.add_argument("--shared-size", type=int, default=6)
-    p.add_argument("--p-shared", type=float, default=0.0)
-    p.add_argument("--events", type=int, default=0)
+    for f in fields(datamod.SyntheticSuiteConfig):
+        if f.name in _SUITE_FLAGS:  # a tuple field takes comma-separated values
+            p.add_argument(_SUITE_FLAGS[f.name], dest=f.name, type=f.type if f.type in (int, float) else _csv,
+                           default=f.default)
     return parser
 
 

@@ -299,12 +299,12 @@ def _softmax_inplace(x):
     return x
 
 
-def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    """The cells dropout keeps, as a bool array (1 byte a cell) of float32 draws; ``_drop`` applies it."""
+def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """The cells dropout keeps, as a bool array (1 byte a cell) of float32 draws; ``apply_dropout`` applies it."""
     return rng.random(shape, dtype=np.float32) >= rate
 
 
-def _drop(x: np.ndarray, mask: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+def apply_dropout(x: np.ndarray, mask: np.ndarray, rate: float, out: np.ndarray | None = None) -> np.ndarray:
     """Inverted dropout, x * mask * (1 / (1 - rate)), into ``out`` (which may be ``x``). x * 1 * s is x * s and
     x * 0 * s the same signed zero as x * 0, so the bits are those of x times the float mask mask / (1 - rate)."""
     out = np.multiply(x, mask, out=out)
@@ -356,7 +356,7 @@ class _LayerCache:
     v: np.ndarray
     probs: np.ndarray | None  # the (rows, heads, Lq, L) probabilities if they were one score tile, else None
     ctx: np.ndarray
-    attn_drop: np.ndarray | None  # the dropout masks are bool, as ``_dropout_mask`` draws them
+    attn_drop: np.ndarray | None  # the dropout masks are bool, as ``dropout_mask`` draws them
     xhat1: np.ndarray  # the block's output, x_mid, is gain * xhat1 + bias: the backward rebuilds it
     inv1: np.ndarray
     h_pre: np.ndarray
@@ -511,7 +511,7 @@ def encode_batch(
         # The embedding's masks, then attention's and the FFN's per layer: a layer that computes every cell
         # has one per real cell of the batch, row-major, and the CLS-only last layer one per row.
         bounds = np.cumsum([int(lengths.sum())] * (2 * cfg.num_layers - 1) + [rows, rows])
-        masks = np.split(_dropout_mask(rng, (bounds[-1], cfg.embed_dim), drop), bounds[:-1])
+        masks = np.split(dropout_mask(rng, (bounds[-1], cfg.embed_dim), drop), bounds[:-1])
     jobs = split_runs(lengths)
     results = run_each(partial(_encode_rows, params, ids, lengths, drop_masks=masks, return_cache=return_cache),
                        jobs)
@@ -543,7 +543,7 @@ def _encode_rows(params, batch_ids, batch_lengths, batch_rows, width, drop_masks
     emb_drop, *layer_drops = drops
     x, xhat0, inv0 = _ln_forward(t["token_emb"][ids] + t["pos_emb"][pos], t["emb_ln.gain"], t["emb_ln.bias"])
     if emb_drop is not None:
-        _drop(x, emb_drop, cfg.dropout_rate, out=x)
+        apply_dropout(x, emb_drop, cfg.dropout_rate, out=x)
     key_pad = None if real.all() else ~real[:, None, None, :]  # (B,1,1,L) over the key axis
     cache = EncoderCache(batch_rows=batch_rows, grid=grid, queries=queries, key_pad=key_pad, ids=ids,
                          emb_drop=emb_drop, xhat0=xhat0, inv0=inv0, layers=[]) if return_cache else None
@@ -603,7 +603,7 @@ def _attn_forward(cfg, t, p, grid, sel, q_grid, key_pad, x_in, attn_drop, cachin
     ctx = _from_grid(ctx, q_grid[0])
     attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
     if attn_drop is not None:
-        _drop(attn_out, attn_drop, cfg.dropout_rate, out=attn_out)
+        apply_dropout(attn_out, attn_drop, cfg.dropout_rate, out=attn_out)
     x_mid, xhat1, inv1 = _ln_forward(x_in[sel] + attn_out, t[p + "attn_ln.gain"], t[p + "attn_ln.bias"])
     return x_mid, dict(x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx, attn_drop=attn_drop, xhat1=xhat1,
                        inv1=inv1) if caching else None
@@ -616,7 +616,7 @@ def _ffn_forward(cfg, t, p, x_mid, ffn_drop, caching):
     h_cdf = gelu_cdf(h_pre)
     ffn_out = (h_pre * h_cdf) @ t[p + "ffn.w2"] + t[p + "ffn.b2"]
     if ffn_drop is not None:
-        _drop(ffn_out, ffn_drop, cfg.dropout_rate, out=ffn_out)
+        apply_dropout(ffn_out, ffn_drop, cfg.dropout_rate, out=ffn_out)
     x, xhat2, inv2 = _ln_forward(x_mid + ffn_out, t[p + "ffn_ln.gain"], t[p + "ffn_ln.bias"])
     return x, dict(h_pre=h_pre, h_cdf=h_cdf, ffn_drop=ffn_drop, xhat2=xhat2, inv2=inv2) if caching else None
 
@@ -685,7 +685,7 @@ def _ffn_backward(cfg, t, p, lc: _LayerCache, dx, grads):
     dz2, dg, dbias = _ln_backward(dx, t[p + "ffn_ln.gain"], lc.xhat2, lc.inv2)
     grads[p + "ffn_ln.gain"] += dg
     grads[p + "ffn_ln.bias"] += dbias
-    dffn_out = dz2 if lc.ffn_drop is None else _drop(dz2, lc.ffn_drop, cfg.dropout_rate)
+    dffn_out = dz2 if lc.ffn_drop is None else apply_dropout(dz2, lc.ffn_drop, cfg.dropout_rate)
     # GELU output, recomputed from the cache as a temporary freed right after use.
     h_act = (lc.h_pre * lc.h_cdf).reshape(-1, cfg.ffn_dim)
     grads[p + "ffn.w2"] += h_act.T @ dffn_out.reshape(-1, cfg.embed_dim)
@@ -733,7 +733,7 @@ def _attn_backward(cfg, t, p, grid, sel, q_grid, key_pad, lc: _LayerCache, dx_mi
     dz1, dg, dbias = _ln_backward(dx_mid, t[p + "attn_ln.gain"], lc.xhat1, lc.inv1)
     grads[p + "attn_ln.gain"] += dg
     grads[p + "attn_ln.bias"] += dbias
-    dattn_out = dz1 if lc.attn_drop is None else _drop(dz1, lc.attn_drop, cfg.dropout_rate)
+    dattn_out = dz1 if lc.attn_drop is None else apply_dropout(dz1, lc.attn_drop, cfg.dropout_rate)
     grads[p + "attn.wo"] += lc.ctx.reshape(-1, d).T @ dattn_out.reshape(-1, d)
     grads[p + "attn.bo"] += dattn_out.reshape(-1, d).sum(axis=0)
     dctx = _split_heads(_to_grid(dattn_out @ t[p + "attn.wo"].T, *q_grid), heads)
@@ -778,7 +778,7 @@ def _backward_rows(params, cache: EncoderCache, upstream_grad) -> tuple[dict[str
     del lc
 
     if cache.emb_drop is not None:
-        _drop(dx, cache.emb_drop, cfg.dropout_rate, out=dx)
+        apply_dropout(dx, cache.emb_drop, cfg.dropout_rate, out=dx)
     de, dg, dbias = _ln_backward(dx, t["emb_ln.gain"], cache.xhat0, cache.inv0)
     grads["emb_ln.gain"] += dg
     grads["emb_ln.bias"] += dbias

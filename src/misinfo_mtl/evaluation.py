@@ -1,8 +1,8 @@
 """Evaluation harnesses: model scoring, task ablation, few-shot, event folds.
 
-The three protocols are deterministic given their seeds, audit-friendly (they
-return the exact id partitions they used) and independent across
-folds/seeds/rows, so callers may parallelize them as separate processes.
+Every protocol is ``train_stage1`` then ``adapt`` (a fresh head on a copy of the stage-1 model) or ``finetune_task``;
+all are deterministic given their seeds, audit-friendly (they return the exact id partitions they used) and
+independent across folds/seeds/rows, so callers may parallelize them as separate processes.
 """
 
 from dataclasses import dataclass
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as datamod
-from . import training
 from .metrics import MetricsReport, average_reports, compute_report
 from .multitask import MultiTaskModel, build_model, copy_dicts, encode_for_task, head_seed, register_task, score
 from .tokenization import Vocabulary, build_vocab
@@ -26,6 +25,23 @@ def evaluate_model(model: MultiTaskModel, task: str, examples) -> MetricsReport:
     batch, labels = encode_for_task(model, task, examples)
     _, preds = score(model, task, batch, labels)
     return compute_report(preds.tolist(), labels.tolist(), model.tasks[task].labels)
+
+
+def train_stage1(encoder_config, splits, train_config: TrainConfig, vocab: Vocabulary, verbose: bool = False):
+    """Stage 1: ``train_multitask`` on a model over ``vocab`` with a head per task of ``splits``: (model, history)."""
+    model = build_model(encoder_config, [s.train.spec for s in splits.values()], vocab=vocab)
+    return train_multitask(model, splits, train_config, verbose=verbose)
+
+
+def adapt(stage1: MultiTaskModel, split: datamod.SplitDataset, seed: int, train_config: TrainConfig,
+          train_encoder: bool = True) -> MetricsReport:
+    """Stage 2 for a task ``stage1`` lacks: fine-tune a fresh head (``head_seed(seed, task)``) on ``copy_dicts(stage1)``
+    with ``split`` and score ``split.test``. ``train_encoder=False`` freezes the encoder. The adapted model is
+    dropped once scored, so a loop never holds one adaptation's encoder through the next."""
+    spec = split.train.spec
+    model = register_task(copy_dicts(stage1), spec, head_seed(seed, spec.name))
+    finetune_task(model, spec.name, split, train_config, train_encoder=train_encoder)
+    return evaluate_model(model, spec.name, split.test.examples)
 
 
 # --- few-shot adaptation ------------------------------------------------------
@@ -70,31 +86,22 @@ def fewshot_run(
 ) -> FewShotResult:
     """Adapt to an unseen task from k examples and score the remaining N - k.
 
-    A fresh head goes on ``copy_dicts(stage1_model)``; "full-model" mode also
-    updates the encoder while "head-only" freezes it. The k-shot sample doubles
-    as the early-stopping validation set (there is nothing else to hold out).
-    The adapted model is dropped once scored, so a loop over seeds never holds
-    one seed's adapted encoder through the next seed's adaptation.
+    ``adapt`` at ``cfg.seed``; "full-model" mode also updates the encoder while
+    "head-only" freezes it. The k-shot sample doubles as the early-stopping
+    validation set (there is nothing else to hold out).
     """
     check_fewshot_inputs(stage1_model, unseen_dataset, cfg.k)
-    n = unseen_dataset.size
     spec = unseen_dataset.spec
     train_config = train_config or TrainConfig()
 
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(n)
-    train_examples = [unseen_dataset.examples[i] for i in order[: cfg.k]]
-    test_examples = [unseen_dataset.examples[i] for i in order[cfg.k :]]
-
-    model = register_task(copy_dicts(stage1_model), spec, head_seed(cfg.seed, spec.name))
-    shots = datamod.Dataset(spec=spec, examples=tuple(train_examples))
-    split = datamod.SplitDataset(
-        train=shots, validation=shots, test=datamod.Dataset(spec=spec, examples=tuple(test_examples)))
-    training._fit(model, {spec.name: split}, train_config, train_encoder=(cfg.mode == "full-model"))
+    order = np.random.default_rng(cfg.seed).permutation(unseen_dataset.size)
+    shots, test = (datamod.Dataset(spec=spec, examples=tuple(unseen_dataset.examples[i] for i in part))
+                   for part in (order[: cfg.k], order[cfg.k :]))
+    split = datamod.SplitDataset(train=shots, validation=shots, test=test)
     return FewShotResult(
-        report=evaluate_model(model, spec.name, test_examples),
-        train_ids=tuple(ex.id for ex in train_examples),
-        test_ids=tuple(ex.id for ex in test_examples),
+        report=adapt(stage1_model, split, cfg.seed, train_config, train_encoder=(cfg.mode == "full-model")),
+        train_ids=tuple(ex.id for ex in shots.examples),
+        test_ids=tuple(ex.id for ex in test.examples),
     )
 
 
@@ -121,9 +128,7 @@ def run_two_stage(
     min_freq: int = 1, max_vocab: int | None = None,
 ) -> MetricsReport:
     """Stage-1 train on ``splits``, stage-2 fine-tune on ``eval_task``, score its test split."""
-    vocab = train_vocab(splits, min_freq, max_vocab)
-    model = build_model(encoder_config, [splits[t].train.spec for t in sorted(splits)], vocab=vocab)
-    train_multitask(model, splits, train_config)
+    model, _ = train_stage1(encoder_config, splits, train_config, train_vocab(splits, min_freq, max_vocab))
     finetune_task(model, eval_task, splits[eval_task], train_config)
     return evaluate_model(model, eval_task, splits[eval_task].test.examples)
 
@@ -207,38 +212,26 @@ def loocv_run(
     Stage 1 trains on every dataset in ``all_datasets`` except the eval task
     (its data is excluded entirely, so no fold's test event can leak into the
     shared encoder or the vocabulary, ``train_vocab(..., min_freq, max_vocab)``).
-    Each fold then registers a fresh head, fine-tunes on the remaining events
-    (with a stratified carve-out for early stopping) and is scored on the
-    held-out event.
+    Each fold then ``adapt``s it to the remaining events (with a stratified
+    carve-out for early stopping) and is scored on the held-out event.
     """
     eval_task = eval_dataset.spec.name
     stage1_splits = {t: ds for t, ds in all_datasets.items() if t != eval_task}
     folds = event_folds(stage1_splits, eval_dataset)
 
-    vocab = train_vocab(stage1_splits, min_freq, max_vocab)
-    model = build_model(encoder_config, [stage1_splits[t].train.spec for t in sorted(stage1_splits)], vocab=vocab)
-    stage1, _ = train_multitask(model, stage1_splits, train_config)
+    stage1, _ = train_stage1(encoder_config, stage1_splits, train_config,
+                             train_vocab(stage1_splits, min_freq, max_vocab))
 
     fold_results: list[LoocvFold] = []
-    reports: list[MetricsReport] = []
     for i, fold in enumerate(folds):
-        fold_model = register_task(copy_dicts(stage1), eval_dataset.spec, head_seed(train_config.seed + i, eval_task))
         rest, held = datamod.carve_validation(fold.train, seed=train_config.seed + i)
-        split = datamod.SplitDataset(train=rest, validation=held, test=fold.test)
-        finetune_task(fold_model, eval_task, split, train_config)
-        report = evaluate_model(fold_model, eval_task, fold.test.examples)
-        reports.append(report)
-        fold_results.append(
-            LoocvFold(
-                event=fold.event,
-                report=report,
-                train_ids=tuple(ex.id for ex in fold.train.examples),
-                test_ids=tuple(ex.id for ex in fold.test.examples),
-                train_events=tuple(sorted({ex.event for ex in fold.train.examples})),
-            )
-        )
-    return LoocvResult(
-        stage1_tasks=tuple(sorted(stage1_splits)),
-        folds=tuple(fold_results),
-        average=average_reports(reports),
-    )
+        fold_results.append(LoocvFold(
+            event=fold.event,
+            report=adapt(stage1, datamod.SplitDataset(train=rest, validation=held, test=fold.test),
+                         train_config.seed + i, train_config),
+            train_ids=tuple(ex.id for ex in fold.train.examples),
+            test_ids=tuple(ex.id for ex in fold.test.examples),
+            train_events=tuple(sorted({ex.event for ex in fold.train.examples})),
+        ))
+    return LoocvResult(stage1_tasks=tuple(sorted(stage1_splits)), folds=tuple(fold_results),
+                       average=average_reports([fold.report for fold in fold_results]))

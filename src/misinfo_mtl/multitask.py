@@ -110,8 +110,8 @@ def _head_forward(head, pooled, train_mode, rng):
     if train_mode:
         if rng is None:
             raise ValueError("train-mode head forward requires an rng")
-        drop = enc._dropout_mask(rng, pooled.shape, HEAD_DROPOUT)
-        x = enc._drop(pooled, drop, HEAD_DROPOUT)
+        drop = enc.dropout_mask(rng, pooled.shape, HEAD_DROPOUT)
+        x = enc.apply_dropout(pooled, drop, HEAD_DROPOUT)
     hidden = np.tanh(x @ head["hidden_w"] + head["hidden_b"])
     logits = hidden @ head["out_w"] + head["out_b"]
     return logits, {"x": x, "drop": drop, "hidden": hidden}
@@ -211,7 +211,7 @@ def task_step_gradients(
         return loss, grads
     dpooled = dpre @ head["hidden_w"].T
     if hc["drop"] is not None:
-        dpooled = enc._drop(dpooled, hc["drop"], HEAD_DROPOUT, out=dpooled)
+        dpooled = enc.apply_dropout(dpooled, hc["drop"], HEAD_DROPOUT, out=dpooled)
 
     for name, g in enc.backward(model.encoder, state["enc_cache"], dpooled).items():
         grads[f"encoder.{name}"] = g

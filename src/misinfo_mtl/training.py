@@ -387,13 +387,13 @@ def train_multitask(
 
 
 def finetune_task(
-    model: MultiTaskModel, task: str, dataset, config: TrainConfig, verbose: bool = False
+    model: MultiTaskModel, task: str, dataset, config: TrainConfig, train_encoder: bool = True, verbose: bool = False
 ) -> tuple[MultiTaskModel, TrainHistory]:
     """Stage 2: specialize the stage-1 model on one task.
 
-    Continues training the encoder plus that task's head in place (see ``_fit``)
-    with a fresh optimizer and decay horizon, early-stopping on the task's own
-    validation loss. All other heads keep their arrays.
+    Continues training the encoder (unless ``train_encoder`` is false) plus that
+    task's head in place (see ``_fit``) with a fresh optimizer and decay horizon,
+    early-stopping on the task's own validation loss. All other heads keep their arrays.
     """
-    return _fit(model, {task: dataset}, config, train_encoder=True, verbose=verbose)
+    return _fit(model, {task: dataset}, config, train_encoder=train_encoder, verbose=verbose)
 

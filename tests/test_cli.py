@@ -237,10 +237,9 @@ def test_loocv_command(workdir, capsys, tmp_path):
 
 
 def test_train_ablation_and_loocv_build_the_vocabulary_the_config_asks_for(tmp_path, monkeypatch):
-    sizes = []
-    for module in (cli, evaluation):
-        monkeypatch.setattr(module, "build_model", lambda config, specs, vocab, _real=module.build_model: (
-            sizes.append(vocab.size) or _real(config, specs, vocab=vocab)))
+    sizes, real = [], evaluation.build_model
+    monkeypatch.setattr(evaluation, "build_model", lambda config, specs, vocab: (
+        sizes.append(vocab.size) or real(config, specs, vocab=vocab)))
     events = tmp_path / "events"
     assert main(["gen-synthetic", "--tasks", "alpha,beta,rumorlike", "--examples", "60",
                  "--p-shared", "0.5", "--events", "3", "--out", str(events), "--seed", "7"]) == 0
@@ -330,6 +329,39 @@ def test_a_bad_derive_key_exits_2_naming_it_and_writes_nothing(workdir, capsys, 
     out = workdir / "run"
     assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == f"config error: {message.format(alpha=workdir / 'data' / 'alpha.jsonl')}\n"
+    assert not out.exists()
+
+
+# Config lines beside run.cfg's settings and datasets (its tasks line dropped), and the refusal naming their keys
+UNUSED_OR_MISSING_KEYS = {
+    "key-of-an-unlisted-task": ("tasks = alpha,beta\nlabels.alpah = x,y\ndrop_labels.bta = positive\n",
+                                "config keys name no task listed in 'tasks': drop_labels.bta, labels.alpah"),
+    "dataset-beside-derive": ("tasks = alpha,beta,x\nderive.x = alpha:bias_type\ndataset.x = {alpha}\n"
+                              "labels.x = lexical,informational\n",
+                              "task 'x' needs exactly one of the config keys dataset.x and derive.x"),
+    "neither-dataset-nor-derive": ("tasks = alpha,beta,x\nlabels.x = lexical,informational\n",
+                                   "task 'x' needs exactly one of the config keys dataset.x and derive.x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSED_OR_MISSING_KEYS))
+def test_a_config_key_that_configures_nothing_or_is_missing_exits_2_naming_it(workdir, capsys, case):
+    lines, message = UNUSED_OR_MISSING_KEYS[case]
+    alpha = workdir / "data" / "alpha.jsonl"
+    cfg = workdir / "unused.cfg"
+    cfg.write_text((workdir / "run.cfg").read_text().replace("tasks = alpha,beta\n", "") + lines.format(alpha=alpha))
+    out = workdir / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_utf8_exits_2_naming_its_file_and_line(workdir, capsys):
+    cfg = workdir / "latin1.cfg"
+    cfg.write_bytes(b"tasks = alpha\nlabels.alpha = caf\xe9,th\xffe\n")
+    out = workdir / "run"
+    assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: not valid UTF-8\n"
     assert not out.exists()
 
 
@@ -773,14 +805,14 @@ def test_bad_training_settings_exit_2_before_writing(stage1, tmp_path, capsys, c
 
 
 BAD_SUITES = {
-    "examples-0": (["--examples", "0"], "examples_per_task must be >= 4"),
-    "p-shared-2": (["--p-shared", "2"], "p_shared must be in [0, 1]"),
-    "markers-0": (["--markers", "0"], "markers_per_task must be >= 1"),
-    "markers-minus-1": (["--markers", "-1"], "markers_per_task must be >= 1"),
-    "shared-size-minus-2": (["--shared-size", "-2"], "shared_lexicon_size must be >= 0"),
+    "examples-0": (["--examples", "0"], "--examples must be >= 4"),
+    "p-shared-2": (["--p-shared", "2"], "--p-shared must be in [0, 1]"),
+    "markers-0": (["--markers", "0"], "--markers must be >= 1"),
+    "markers-minus-1": (["--markers", "-1"], "--markers must be >= 1"),
+    "shared-size-minus-2": (["--shared-size", "-2"], "--shared-size must be >= 0"),
     "shared-size-0-p-shared-0.5": (["--shared-size", "0", "--p-shared", "0.5"],
-                                   "p_shared > 0 needs shared_lexicon_size >= 1"),
-    "events-minus-1": (["--events", "-1"], "num_events must be >= 0"),
+                                   "--p-shared > 0 needs --shared-size >= 1"),
+    "events-minus-1": (["--events", "-1"], "--events must be >= 0"),
 }
 
 
@@ -860,6 +892,61 @@ def test_a_refused_flag_or_config_value_exits_2_with_one_config_error_line_writi
         assert rc == 2, err.getvalue()
         assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1, err.getvalue()
         assert [p.name for p in scratch.iterdir()] in ([], ["edited.cfg"])
+
+
+@st.composite
+def _accepted_suite(draw):
+    """A gen-synthetic argv inside every suite setting's range, and the files it writes."""
+    tasks = ("alpha", "beta", "gamma", "delta")[:draw(st.integers(2, 4))]
+    markers, shared = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    p_shared = draw(st.floats(0, 1)) if shared else 0.0
+    vocab = shared + len(tasks) * markers + 2 + draw(st.integers(0, 20))
+    flags = ["--tasks", ",".join(tasks), "--examples", str(draw(st.integers(4, 40))), "--vocab-size", str(vocab),
+             "--markers", str(markers), "--shared-size", str(shared), f"--p-shared={p_shared}",
+             "--events", str(draw(st.integers(0, 3))), "--seed", str(draw(st.integers(0, 99)))]
+    return (lambda r, out: ["gen-synthetic", *flags, "--out", str(out)]), sorted(f"{t}.jsonl" for t in tasks)
+
+
+_DATASET = st.sampled_from(("alpha", "beta", "gamma"))
+_TASK_FLAGS = st.tuples(st.sampled_from(("sentence", "article", "tweet", "headline")),
+                        st.sampled_from(([], ["--positive", "positive"])))
+
+
+def _on_dataset(command, task, granularity, positive):
+    """``command`` on ``task``'s file of the stage-1 data, defined by the flags."""
+    return lambda r: [command, "--dataset", str(r / "data" / f"{task}.jsonl"), "--task", task,
+                      "--labels", "negative,positive", "--granularity", granularity, *positive]
+
+
+# An argv builder (stage-1 root, output directory) -> argv of one cheap subcommand with every flag in range, and
+# the files it writes under the output directory
+ACCEPTED_ARGV = st.one_of(
+    _accepted_suite(),
+    st.builds(lambda task, flags, drop: ((lambda r, out: _on_dataset("validate-data", task, *flags)(r) + drop), []),
+              _DATASET, _TASK_FLAGS, st.sampled_from(([], ["--drop-labels", "unverified"]))),
+    st.builds(lambda task, flags: ((lambda r, out: _on_dataset("eval", task, *flags)(r) + [
+        "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"), "--out", str(out)]), ["metrics.json"]),
+              st.sampled_from(("alpha", "beta")), _TASK_FLAGS),
+    st.builds(lambda flags, k, rate, seed: ((lambda r, out: _on_dataset("fewshot", "gamma", *flags)(r) + [
+        "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"), "--mode", "head-only", "--max-epochs", "1",
+        "--patience", "1", "--k", str(k), f"--learning-rate={rate}", "--seed", str(seed), "--quiet",
+        "--out", str(out)]), ["config.txt", "manifest.json", "metrics.json", "report.jsonl"]),
+              _TASK_FLAGS, st.integers(1, 59), st.floats(1e-6, 1e-2), st.integers(0, 9)),  # gamma holds 60 records
+)
+
+
+# 100 examples take about 1 s: a fewshot trains one head-only epoch of a d = 16 model
+@settings(max_examples=100, deadline=None)
+@given(case=ACCEPTED_ARGV)
+def test_an_accepted_flag_set_exits_0_and_writes_its_files(stage1, case):
+    argv, written = case
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv(stage1, out))
+        assert rc == 0, err.getvalue()
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == written
 
 
 def test_the_suite_settings_edge_values_still_generate(tmp_path, capsys):

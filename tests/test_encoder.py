@@ -396,14 +396,14 @@ def test_cls_last_layer_caches_one_query_row():
 
 
 def _record_draws(monkeypatch):
-    """The shape of every ``_dropout_mask`` call from here on, in call order."""
-    shapes, real_mask = [], enc._dropout_mask
+    """The shape of every ``dropout_mask`` call from here on, in call order."""
+    shapes, real_mask = [], enc.dropout_mask
 
     def recorded(rng, shape, rate):
         shapes.append(shape)
         return real_mask(rng, shape, rate)
 
-    monkeypatch.setattr(enc, "_dropout_mask", recorded)
+    monkeypatch.setattr(enc, "dropout_mask", recorded)
     return shapes
 
 
@@ -1142,12 +1142,12 @@ def test_in_place_gelu_and_dropout_are_bit_identical_to_reference():
     assert np.array_equal(cdf, 0.5 * (1.0 + enc.erf(x / math.sqrt(2.0))))
     assert np.array_equal(gelu_grad(x, cdf), _ref_gelu_grad(x, cdf))
     assert np.array_equal(gelu_grad(x), _ref_gelu_grad(x, cdf))
-    mask = enc._dropout_mask(np.random.default_rng(3), (4, 7, 16), 0.3)
+    mask = enc.dropout_mask(np.random.default_rng(3), (4, 7, 16), 0.3)
     assert mask.dtype == bool
     assert np.array_equal(mask, np.random.default_rng(3).random((4, 7, 16), dtype=np.float32) >= np.float32(0.3))
     # a bool mask applied gives the bits, signed zeros included, of x times the float mask with the rescaling
     x = rng.normal(0.0, 2.0, (4, 7, 16))
     expected = x * (mask / (1.0 - 0.3))
     assert np.signbit(expected[~mask]).any()
-    assert enc._drop(x, mask, 0.3).tobytes() == expected.tobytes()
-    assert enc._drop(x, mask, 0.3, out=x) is x and x.tobytes() == expected.tobytes()
+    assert enc.apply_dropout(x, mask, 0.3).tobytes() == expected.tobytes()
+    assert enc.apply_dropout(x, mask, 0.3, out=x) is x and x.tobytes() == expected.tobytes()

@@ -1,7 +1,8 @@
 """Layering rules read from the source with ``ast``.
 
 The data layer imports nothing from the model layer, only the encoder makes threads: its run pool
-is the one pool of the program, and every top-level function and class is named by some other code.
+is the one pool of the program, every top-level function and class is named by some other code, and
+no module reads another package module's ``_``-prefixed names.
 """
 
 import ast
@@ -126,3 +127,53 @@ def test_every_way_of_naming_a_definition_is_read(sources, unnamed):
 
 def test_every_top_level_function_and_class_is_named_elsewhere():
     assert unnamed_definitions({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == set()
+
+
+def private_reads(source: str) -> set[str]:
+    """The ``_``-prefixed names a source takes from a ``misinfo_mtl`` module: imported by name, or read as an
+    attribute of a name it imports from the package (``enc._drop``, ``misinfo_mtl.encoder._drop``)."""
+    tree = ast.parse(source)
+    imported, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("misinfo_mtl")):
+            imported.update(alias.asname or alias.name for alias in node.names)
+            found.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                            if alias.name.startswith("misinfo_mtl"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.add(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from . import encoder\nencoder._drop(x)",
+    "from . import encoder as enc\nenc._drop(x)",
+    "from .encoder import _drop",
+    "from misinfo_mtl.encoder import _drop as drop",
+    "import misinfo_mtl.encoder\nmisinfo_mtl.encoder._drop(x)",
+    "import misinfo_mtl.encoder as enc\nenc._drop(x)",
+    "def f():\n    from . import encoder\n    return encoder._drop\n",
+])
+def test_every_private_read_form_is_seen(source):
+    assert private_reads(source) == {"_drop"}
+
+
+@pytest.mark.parametrize("source", [
+    "self._cache = None",
+    "import numpy as np\nnp._NoValue",
+    "from . import encoder as enc\nenc.__name__",
+    "def _local():\n    pass\n_local()",
+])
+def test_own_and_outside_private_names_are_not_reads(source):
+    assert private_reads(source) == set()
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_another_package_modules_private_names(module):
+    assert private_reads((PACKAGE / f"{module}.py").read_text()) == set()

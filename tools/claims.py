@@ -38,7 +38,7 @@ from misinfo_mtl import (  # noqa: E402
     fewshot_run,
     generate_synthetic_suite,
     split,
-    train_multitask,
+    train_stage1,
 )
 
 SUITE_SEED = 7
@@ -64,8 +64,7 @@ def seed_scores(p_shared: float, seed: int) -> dict:
     config = EncoderConfig(vocab_size=vocab.size, seed=seed, **ENCODER)
 
     def trained(tasks):
-        model = build_model(config, [splits[t].train.spec for t in tasks], vocab=vocab)
-        return train_multitask(model, {t: splits[t] for t in tasks}, TrainConfig(seed=seed, **STAGE1))[0]
+        return train_stage1(config, {t: splits[t] for t in tasks}, TrainConfig(seed=seed, **STAGE1), vocab)[0]
 
     models = {"vanilla": build_model(config, [], vocab=vocab), "multi_task": trained(sorted(splits))}
     models.update({f"single_task:{t}": trained([t]) for t in sorted(splits)})
