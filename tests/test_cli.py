@@ -907,32 +907,38 @@ def _accepted_suite(draw):
     return (lambda r, out: ["gen-synthetic", *flags, "--out", str(out)]), sorted(f"{t}.jsonl" for t in tasks)
 
 
-_DATASET = st.sampled_from(("alpha", "beta", "gamma"))
-_TASK_FLAGS = st.tuples(st.sampled_from(("sentence", "article", "tweet", "headline")),
-                        st.sampled_from(([], ["--positive", "positive"])))
+@st.composite
+def _accepted_on_stage1(draw):
+    """A validate-data, eval --out or 1-epoch head-only fewshot argv on the stage-1 data and checkpoint, every flag
+    in range, and the files it writes."""
+    command = draw(st.sampled_from(("validate-data", "eval", "fewshot")))
+    # eval scores a task the checkpoint has a head for, fewshot adapts it to one it has not
+    task = draw(st.sampled_from({"validate-data": ("alpha", "beta", "gamma"), "eval": ("alpha", "beta"),
+                                 "fewshot": ("gamma",)}[command]))
+    flags = ["--task", task, "--labels", "negative,positive",
+             "--granularity", draw(st.sampled_from(("sentence", "article", "tweet", "headline"))),
+             *draw(st.sampled_from(([], ["--positive", "positive"])))]
+    if command == "validate-data":
+        flags += draw(st.sampled_from(([], ["--drop-labels", "unverified"])))
+        written = []
+    elif command == "eval":
+        written = ["metrics.json"]
+    else:  # gamma.jsonl holds 60 records
+        flags += ["--mode", "head-only", "--max-epochs", "1", "--patience", "1", "--k", str(draw(st.integers(1, 59))),
+                  f"--learning-rate={draw(st.floats(1e-6, 1e-2))}", "--seed", str(draw(st.integers(0, 9))), "--quiet"]
+        written = ["config.txt", "manifest.json", "metrics.json", "report.jsonl"]
 
-
-def _on_dataset(command, task, granularity, positive):
-    """``command`` on ``task``'s file of the stage-1 data, defined by the flags."""
-    return lambda r: [command, "--dataset", str(r / "data" / f"{task}.jsonl"), "--task", task,
-                      "--labels", "negative,positive", "--granularity", granularity, *positive]
+    def argv(root, out):
+        inputs = ["--dataset", str(root / "data" / f"{task}.jsonl")]
+        if command != "validate-data":
+            inputs += ["--checkpoint", str(root / "run" / "seed0" / "model.ckpt"), "--out", str(out)]
+        return [command, *inputs, *flags]
+    return argv, written
 
 
 # An argv builder (stage-1 root, output directory) -> argv of one cheap subcommand with every flag in range, and
 # the files it writes under the output directory
-ACCEPTED_ARGV = st.one_of(
-    _accepted_suite(),
-    st.builds(lambda task, flags, drop: ((lambda r, out: _on_dataset("validate-data", task, *flags)(r) + drop), []),
-              _DATASET, _TASK_FLAGS, st.sampled_from(([], ["--drop-labels", "unverified"]))),
-    st.builds(lambda task, flags: ((lambda r, out: _on_dataset("eval", task, *flags)(r) + [
-        "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"), "--out", str(out)]), ["metrics.json"]),
-              st.sampled_from(("alpha", "beta")), _TASK_FLAGS),
-    st.builds(lambda flags, k, rate, seed: ((lambda r, out: _on_dataset("fewshot", "gamma", *flags)(r) + [
-        "--checkpoint", str(r / "run" / "seed0" / "model.ckpt"), "--mode", "head-only", "--max-epochs", "1",
-        "--patience", "1", "--k", str(k), f"--learning-rate={rate}", "--seed", str(seed), "--quiet",
-        "--out", str(out)]), ["config.txt", "manifest.json", "metrics.json", "report.jsonl"]),
-              _TASK_FLAGS, st.integers(1, 59), st.floats(1e-6, 1e-2), st.integers(0, 9)),  # gamma holds 60 records
-)
+ACCEPTED_ARGV = st.one_of(_accepted_suite(), _accepted_on_stage1())
 
 
 # 100 examples take about 1 s: a fewshot trains one head-only epoch of a d = 16 model
